@@ -145,10 +145,13 @@ func BenchmarkNetworkReuse(b *testing.B) {
 			}
 		})
 		b.Run("reused"+suffix, func(b *testing.B) {
-			prog := &core.Tester{K: k, Reps: 1}
+			// checkProg's nodes were built by the cross-check above. A new
+			// Program value here would rebuild them inside the timed loop,
+			// and that one-off build divided by b.N would make allocs/op
+			// depend on the b.N the host's speed picks.
 			for i := 0; i < b.N; i++ {
 				for s := uint64(0); s < reps; s++ {
-					if _, err := nw.RunProgram(prog, s); err != nil {
+					if _, err := nw.RunProgram(checkProg, s); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -108,6 +108,17 @@ type checkState struct {
 // (internal/network) any growth happens once per network lifetime, not once
 // per run.
 //
+// Only the Tester reserves up front. Every Tester node runs a check in every
+// repetition (its minimum-rank incident edge, or a lower-rank one it defects
+// to), so each node needs these buffers and a reservation replaces a chain
+// of growth reallocations; dropping it raised TesterByK/k=9 from ~4.0k to
+// ~14.7k allocs/op. The EdgeDetector runs a single check for ⌊k/2⌋ rounds:
+// only nodes within ⌊k/2⌋ hops of the candidate edge ever hold a sequence,
+// so its nodes start with empty arenas, grow them by append inside that
+// ball, and keep the capacity across Reset. A reservation there would cost
+// every node of the graph the worst case (~8 KB per k=7 node at degree 8)
+// for the few that send (TestDetectorFootprint pins the difference).
+//
 // Sizing was re-measured for the degree distributions the sweep scheduler
 // generates (TestPreallocCoversSweepDensities drives the measurement;
 // 3-repetition Tester, high-water arena lengths over all nodes):

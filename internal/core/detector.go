@@ -32,7 +32,8 @@ var _ congest.Program = (*EdgeDetector)(nil)
 // Rounds returns ⌊k/2⌋, independent of the network size (Theorem 1).
 func (d *EdgeDetector) Rounds(n, m int) int { return d.K / 2 }
 
-// NewNode builds the per-node state.
+// NewNode builds the per-node state. Its arenas start empty and grow on
+// demand; checkState.prealloc says why the detector does not reserve.
 func (d *EdgeDetector) NewNode(info congest.NodeInfo) congest.Node {
 	if d.K < 3 {
 		panic(fmt.Sprintf("core: EdgeDetector needs k >= 3, got %d", d.K))
@@ -40,7 +41,6 @@ func (d *EdgeDetector) NewNode(info congest.NodeInfo) congest.Node {
 	seeder := (info.ID == d.U && hasNeighbor(info.NeighborIDs, d.V)) ||
 		(info.ID == d.V && hasNeighbor(info.NeighborIDs, d.U))
 	n := &edgeDetNode{prog: d, info: info}
-	n.cs.prealloc(d.K, info.Degree())
 	n.cs.reset(d.K, d.U, d.V, 0, info.ID, seeder, d.Mode)
 	return n
 }

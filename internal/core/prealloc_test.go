@@ -1,10 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
@@ -159,5 +161,51 @@ func TestPreallocCoversSweepDensities(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDetectorFootprint pins the detector's demand-grown arenas on the
+// serving layer's cache-miss shape: a fresh k=7 instance plus one run on a
+// connected G(2048, 8192) must allocate under 5 MB in total. Reserving the
+// Tester's worst-case arenas on every node cost ~18 MB here, although only
+// nodes within ⌊k/2⌋ hops of the candidate edge ever hold a sequence. Once
+// the first run has grown the arenas, a reused instance must run the same
+// detector allocation-free.
+func TestDetectorFootprint(t *testing.T) {
+	g := graph.ConnectedGNM(2048, 8192, xrand.New(13))
+	c, err := network.Compile(g, network.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := g.Edges()[g.M()/2]
+	prog := &EdgeDetector{K: 7, U: ID(e.U), V: ID(e.V)}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	inst, err := c.NewInstance(network.InstanceOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if _, err := inst.RunProgram(prog, 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 5 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("fresh instance + one run: %.2f MB", float64(got)/(1<<20))
+	if got >= limit {
+		t.Errorf("fresh k=7 detector instance + one run allocated %.1f MB, want < %.1f MB",
+			float64(got)/(1<<20), float64(limit)/(1<<20))
+	}
+
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := inst.RunProgram(prog, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("reused detector instance allocates %.1f times per run; want 0", allocs)
 	}
 }

@@ -499,6 +499,7 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, pk poolKey) (*Handle
 		}
 		if n := len(p.idle); n > 0 {
 			h := p.idle[n-1]
+			p.idle[n-1] = nil // the backing array must not keep h reachable
 			p.idle = p.idle[:n-1]
 			s.mu.Unlock()
 			return h, nil
@@ -576,6 +577,10 @@ func (s *Store) reclaimIdleLocked() bool {
 		for _, p := range e.pools {
 			if n := len(p.idle); n > 0 {
 				h := p.idle[n-1]
+				// Clear the slot: a closed instance left in the backing
+				// array stays reachable, with all its per-node state,
+				// until the entry itself is evicted.
+				p.idle[n-1] = nil
 				p.idle = p.idle[:n-1]
 				s.spawned--
 				s.instBytes -= e.compiled.MemSize()

@@ -3,9 +3,11 @@ package corestore
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
@@ -209,6 +211,27 @@ func TestColdestGraphReclaim(t *testing.T) {
 	}
 	if s.InstancesIdle() != 0 {
 		t.Fatal("cold graph kept its idle instance despite the budget")
+	}
+}
+
+// A reclaimed instance is closed and must become garbage: popping it off
+// the idle list may not leave it reachable from the list's backing array
+// until the cold graph itself is evicted. On a fresh 2048-node graph such
+// an instance holds megabytes of per-node state.
+func TestReclaimedInstanceCollectable(t *testing.T) {
+	s := New(Options{MaxInstances: 1, MaxQueueDepth: 1})
+	defer s.Close()
+	cold := func() weak.Pointer[network.Instance] {
+		h, _ := mustCheckout(t, s, "cold", cycleBuild(16))
+		defer s.Release(h)
+		return weak.Make(h.Inst)
+	}()
+
+	h2, _ := mustCheckout(t, s, "hot", cycleBuild(32)) // reclaims cold's instance
+	defer s.Release(h2)
+	runtime.GC()
+	if cold.Value() != nil {
+		t.Fatal("reclaimed instance is still reachable after GC")
 	}
 }
 

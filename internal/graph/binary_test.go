@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+
+	"cycledetect/internal/xrand"
 )
 
 func testGraphs(t *testing.T) map[string]*Graph {
@@ -178,6 +180,27 @@ func TestFingerprintsAgree(t *testing.T) {
 				t.Fatalf("fingerprints disagree for (%s,%s): structural=%v canonical=%v",
 					a, b, structEq, canonEq)
 			}
+		}
+	}
+}
+
+// TestFingerprintPinned fixes the canonical fingerprint's digest. The
+// snapshot store names its manifest entries and segment files by it, and
+// the serving layer keys explicit graphs by it, so a change in how the
+// words are hashed must not change the hex string. The G(64, 256) graph
+// spans more than one 4 KB hashing buffer. The constants were computed by
+// the word-at-a-time implementation.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		want string
+	}{
+		{"cycle5", Cycle(5), "ae2e9d6566ebb270d06f91536aeba49127f827ab63c33e7c56dc830005a8eb8c"},
+		{"gnm64_256", ConnectedGNM(64, 256, xrand.New(1)), "12aa8e17ea06959d42b72b51344260596f93f93b63d184ac7fac77a67743506e"},
+	} {
+		if got := tc.g.Fingerprint(); got != tc.want {
+			t.Errorf("%s: Fingerprint() = %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"unsafe"
 )
@@ -122,21 +123,23 @@ func (g *Graph) MaxDegree() int {
 // Fingerprint function in io.go is the STRUCTURAL, human-readable one used
 // by tests to diff edge sets. Use the method for identity keys, the
 // function for failure messages.
+//
+// The words are hashed a 4 KB buffer at a time. The digest depends only on
+// the word sequence, and TestFingerprintPinned fixes it.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
-	var buf [8]byte
-	word := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 4096), uint64(g.n))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.m))
+	for _, words := range [2][]int32{g.off, g.adj} {
+		for _, w := range words {
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(uint32(w)))
+		}
 	}
-	word(uint64(g.n))
-	word(uint64(g.m))
-	for _, o := range g.off {
-		word(uint64(uint32(o)))
-	}
-	for _, a := range g.adj {
-		word(uint64(uint32(a)))
-	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -253,8 +256,7 @@ func (b *Builder) Build() *Graph {
 		cursor[e.V]++
 	}
 	for v := 0; v < b.n; v++ {
-		ns := g.adj[g.off[v]:g.off[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		slices.Sort(g.adj[g.off[v]:g.off[v+1]])
 	}
 	return g
 }

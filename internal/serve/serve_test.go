@@ -435,6 +435,32 @@ func TestQueryValidation(t *testing.T) {
 			t.Errorf("case %d: bad request accepted", i)
 		}
 	}
+
+	// Every edge must be exactly two integers in int's range, refused with a
+	// 400 otherwise. Plain [2]int decoding would turn [5] into {5,0} and
+	// [1,2,3] into {1,2}, and each of those completes the path below into a
+	// connected graph, so a rewrite would be answered as a valid query.
+	h := s.Handler()
+	const path = `[0,1],[2,3],[3,4],[4,5]`
+	for _, tc := range []struct {
+		last string
+		code int
+	}{
+		{`[1,2]`, http.StatusOK}, // control: the well-formed graph is served
+		{`[5]`, http.StatusBadRequest},
+		{`[1,2,3]`, http.StatusBadRequest},
+		{`[]`, http.StatusBadRequest},
+		{`[1.5,2]`, http.StatusBadRequest},
+		{`["1",2]`, http.StatusBadRequest},
+		{`[1,9223372036854775808]`, http.StatusBadRequest}, // overflows int
+	} {
+		body := `{"graph":{"n":6,"edges":[` + path + `,` + tc.last + `]},"k":3,"reps":1}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if rec.Code != tc.code {
+			t.Errorf("edge %s: HTTP %d, want %d (%s)", tc.last, rec.Code, tc.code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
 }
 
 // --- HTTP surface ---
