@@ -6,8 +6,8 @@
 # exponential-q representative-selection guard, and the micro-benchmarks
 # behind them. The experiment benchmarks (E1-E12) are reproduction runs,
 # not perf-tracking targets.
-BENCH ?= TesterByK|EnginesCompare|NetworkReuse|BatchedTrials|ServeConcurrent|Representatives|WireCodec|Pruning$$|PrunerVsBrute|PublicAPI|CancelLatency|CancelOverhead|MetricsHotPath|Corestore
-SNAPSHOT ?= BENCH_11.json
+BENCH ?= TesterByK|EnginesCompare|NetworkReuse|ServeConcurrent|Representatives|WireCodec|Pruning$$|PrunerVsBrute|PublicAPI|CancelLatency|CancelOverhead|MetricsHotPath|Corestore
+SNAPSHOT ?= BENCH_12.json
 
 # Maximum tolerated allocs/op regression (percent) between the two latest
 # committed snapshots; `make bench-gate` (a blocking CI step) fails beyond
@@ -57,9 +57,11 @@ load:
 # bench runs the perf-tracking benchmarks and writes $(SNAPSHOT) — a JSON
 # map of benchmark name -> {ns_op, bytes_per_op, allocs_per_op} — so future
 # PRs have a committed trajectory to compare against (BENCH_1.json for PR 1,
-# BENCH_2.json for this PR, BENCH_3.json for the next, ...).
+# BENCH_2.json for this PR, BENCH_3.json for the next, ...). Every snapshot
+# is taken at one P: allocs/op of the parallel serve benchmarks depends on
+# GOMAXPROCS, so the host's CPU count must not leak into the gated numbers.
 bench:
-	go test ./... -run=NONE -bench '$(BENCH)' -benchmem | go run ./cmd/benchsnap -o $(SNAPSHOT)
+	GOMAXPROCS=1 go test ./... -run=NONE -bench '$(BENCH)' -benchmem | go run ./cmd/benchsnap -o $(SNAPSHOT)
 
 # bench-compare diffs the two latest committed BENCH_*.json snapshots and
 # prints per-benchmark ns/op and allocs/op deltas. Reporting only — it never

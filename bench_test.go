@@ -160,102 +160,6 @@ func BenchmarkNetworkReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedTrials prices the batched-trial engine pass behind
-// Spec.BatchWidth on the sweep workload of BenchmarkNetworkReuse: 48
-// single-repetition tester trials (distinct seeds) on one 256-node
-// G(n,4n) graph per iteration, executed one at a time (w1, the sequential
-// baseline), and in batches of 4 and 16 lanes per pass (w4/w16) on both
-// engines. Every lane's decision and stats are verified against the
-// sequential run of its seed before timing — RunBatch is a throughput
-// knob, never a semantics knob — and the batched steady state must match
-// the sequential one at ~0 allocs/op (TestRunBatchAllocFree pins the
-// exact zero; the bench gate watches the trajectory).
-//
-// Read the ratios against the worker layout (README "Batched trials"):
-// batching amortizes per-round synchronization, so the w16/w1 gain
-// tracks the instance's worker count. On a single-CPU host the BSP
-// instances run poolless, the engine falls back to lane-at-a-time
-// windows, and w4/w16 land near parity with w1 (the residual gap is the
-// R× lane-slab cache footprint); the multiplicative win needs
-// multi-worker pools, where one barrier per phase serves R lanes.
-func BenchmarkBatchedTrials(b *testing.B) {
-	rng := xrand.New(10)
-	g := graph.ConnectedGNM(256, 1024, rng)
-	const trials = 48
-	const k = 7
-	prog := &core.Tester{K: k, Reps: 1}
-	c, err := network.Compile(g, network.CompileOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
-		seq, err := c.NewInstance(network.InstanceOptions{Engine: engine})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer seq.Close()
-		for _, width := range []int{1, 4, 16} {
-			name := fmt.Sprintf("%s-w%d", engine, width)
-			if width == 1 {
-				b.Run(name, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						for s := uint64(0); s < trials; s++ {
-							if _, err := seq.RunProgram(prog, s); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
-				})
-				continue
-			}
-			bat, err := c.NewInstance(network.InstanceOptions{Engine: engine, BatchWidth: width})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer bat.Close()
-			seeds := make([]uint64, width)
-			runBatches := func(check bool) {
-				for lo := 0; lo < trials; lo += width {
-					chunk := seeds[:min(width, trials-lo)]
-					for i := range chunk {
-						chunk[i] = uint64(lo + i)
-					}
-					lanes, err := bat.RunBatch(context.Background(), prog, chunk)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !check {
-						continue
-					}
-					for l, seed := range chunk {
-						if lanes[l].Err != nil {
-							b.Fatal(lanes[l].Err)
-						}
-						want, err := seq.RunProgram(prog, seed)
-						if err != nil {
-							b.Fatal(err)
-						}
-						wd := core.Summarize(want.Outputs, want.IDs)
-						gd := core.Summarize(lanes[l].Res.Outputs, lanes[l].Res.IDs)
-						if wd.Reject != gd.Reject || !reflect.DeepEqual(want.Stats, lanes[l].Res.Stats) {
-							b.Fatalf("%s seed %d: batched lane diverged from sequential", name, seed)
-						}
-					}
-				}
-			}
-			b.Run(name, func(b *testing.B) {
-				runBatches(true) // verify, and warm the lane slabs
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					runBatches(false)
-				}
-			})
-		}
-	}
-}
-
 // cancelAtProg cancels its own run context from node 0's Send in round 1,
 // so BenchmarkCancelLatency measures the abort path in isolation.
 type cancelAtProg struct {

@@ -33,11 +33,12 @@ type Result struct {
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
-// Snapshot is the file layout: environment header plus name→result.
+// Snapshot is the file layout: environment header plus name→result. There
+// is no package field: one snapshot spans many packages, and a single
+// header value could only name one of them.
 type Snapshot struct {
 	GOOS       string            `json:"goos,omitempty"`
 	GOARCH     string            `json:"goarch,omitempty"`
-	Pkg        string            `json:"pkg,omitempty"`
 	CPU        string            `json:"cpu,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
@@ -56,8 +57,6 @@ func main() {
 			snap.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
 			snap.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			snap.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			snap.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
@@ -158,7 +157,6 @@ func marshalStable(s *Snapshot) ([]byte, error) {
 	}
 	writeHeader("goos", s.GOOS)
 	writeHeader("goarch", s.GOARCH)
-	writeHeader("pkg", s.Pkg)
 	writeHeader("cpu", s.CPU)
 	b.WriteString("  \"benchmarks\": {\n")
 	for i, n := range names {

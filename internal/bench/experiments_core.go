@@ -25,8 +25,8 @@ func (c Config) run(g *graph.Graph, p congest.Program, seed uint64) (core.Decisi
 	return runOn(nw, p, seed)
 }
 
-// network builds a reusable Network for g honoring the config's worker cap.
-func (c Config) network(g *graph.Graph) *network.Network {
+// network builds a reusable Instance for g honoring the config's worker cap.
+func (c Config) network(g *graph.Graph) *network.Instance {
 	nw, err := network.New(g, network.Options{Workers: c.Workers})
 	if err != nil {
 		panic(fmt.Sprintf("bench: network build failed: %v", err))
@@ -34,11 +34,11 @@ func (c Config) network(g *graph.Graph) *network.Network {
 	return nw
 }
 
-// runOn executes p on a reused Network. The returned Stats aliases the
-// Network's per-round slices, which the next run on the same Network
-// overwrites; experiments that reuse a Network read only scalar Stats
-// fields, and one-shot callers (run) retire the Network immediately.
-func runOn(nw *network.Network, p congest.Program, seed uint64) (core.Decision, congest.Stats) {
+// runOn executes p on a reused Instance. The returned Stats aliases the
+// Instance's per-round slices, which the next run on the same Instance
+// overwrites; experiments that reuse an Instance read only scalar Stats
+// fields, and one-shot callers (run) retire the Instance immediately.
+func runOn(nw *network.Instance, p congest.Program, seed uint64) (core.Decision, congest.Stats) {
 	res, err := nw.RunProgram(p, seed)
 	if err != nil {
 		panic(fmt.Sprintf("bench: simulation failed: %v", err))

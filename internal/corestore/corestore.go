@@ -237,19 +237,13 @@ type entry struct {
 	created  time.Time // when the entry entered the cache
 }
 
-// poolKey names one warm-instance pool of an entry: engine, engine width,
-// AND trial batch width. Width is part of the identity because an
-// instance's BSP pool is sized at spawn — handing a query-width instance
-// to a sweep job budgeted wider (or vice versa) would silently run at the
-// wrong parallelism. Batch width is part of it for the same reason: the
-// lane slabs (and, on channels, the per-lane channel fabric) are sized at
-// spawn, so a batched sweep checkout must never poach a plain query
-// instance and a query must never inherit a batch instance's R× payload
-// memory.
+// poolKey names one warm-instance pool of an entry: engine AND engine
+// width. Width is part of the identity because an instance's BSP pool is
+// sized at spawn — handing a query-width instance to a sweep job budgeted
+// wider (or vice versa) would silently run at the wrong parallelism.
 type poolKey struct {
 	engine  network.Engine
 	workers int
-	batch   int // 1 for plain instances
 }
 
 // instPool holds the idle warm handles of one (graph, engine, width). All
@@ -431,22 +425,10 @@ var errEvicted = errors.New("corestore: cache entry evicted")
 // transparently against the live cache.
 func (s *Store) Checkout(ctx context.Context, key string, build func() (*graph.Graph, error),
 	engine network.Engine, workers int) (h *Handle, hit bool, err error) {
-	return s.checkout(ctx, key, build, engine, workers, 1)
-}
-
-// checkout is Checkout with the full pool identity, including the trial
-// batch width (batch <= 1 means a plain instance). Query traffic always
-// checks out batch-1 handles; the sweep provider (Acquire) passes the
-// scheduler's requested width through.
-func (s *Store) checkout(ctx context.Context, key string, build func() (*graph.Graph, error),
-	engine network.Engine, workers, batch int) (h *Handle, hit bool, err error) {
 	if workers <= 0 {
 		workers = s.opts.defaultWorkers()
 	}
-	if batch < 1 {
-		batch = 1
-	}
-	pk := poolKey{engine: engine, workers: workers, batch: batch}
+	pk := poolKey{engine: engine, workers: workers}
 	for {
 		e, wasHit, err := s.lookup(key, build)
 		if err != nil {
@@ -513,11 +495,10 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, pk poolKey) (*Handle
 			s.instBytes += need
 			s.mu.Unlock()
 			inst, err := e.compiled.NewInstance(network.InstanceOptions{
-				Engine:     pk.engine,
-				Workers:    pk.workers,
-				BatchWidth: pk.batch,
-				Faults:     s.opts.Faults,
-				Collector:  s.opts.Collector,
+				Engine:    pk.engine,
+				Workers:   pk.workers,
+				Faults:    s.opts.Faults,
+				Collector: s.opts.Collector,
 			})
 			if err != nil {
 				s.mu.Lock()
@@ -634,9 +615,8 @@ func (s *Store) Release(h *Handle) {
 // check instances out of the same LRU of compiled cores and warm pools the
 // query traffic uses, under the same store-wide budget. The scheduler's
 // budgeted engine width (pt.Workers) is honored, clamped to the hardware;
-// width AND the trial batch width (pt.BatchWidth) are part of the pool
-// key, so sweep checkouts never poach a query-width warm instance or vice
-// versa.
+// width is part of the pool key, so sweep checkouts never poach a
+// query-width warm instance or vice versa.
 func (s *Store) Acquire(ctx context.Context, pt sweep.TrialPoint) (*network.Instance, func(), error) {
 	key := sweep.FamilyKey(pt.Graph, pt.K, pt.Eps, pt.Seed)
 	build := func() (*graph.Graph, error) {
@@ -649,7 +629,7 @@ func (s *Store) Acquire(ctx context.Context, pt sweep.TrialPoint) (*network.Inst
 	if max := runtime.GOMAXPROCS(0); width > max {
 		width = max
 	}
-	h, _, err := s.checkout(ctx, key, build, pt.Engine, width, pt.BatchWidth)
+	h, _, err := s.Checkout(ctx, key, build, pt.Engine, width)
 	if err != nil {
 		return nil, nil, err
 	}

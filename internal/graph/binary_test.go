@@ -46,7 +46,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 				t.Fatalf("DecodeBinary left %d trailing bytes", len(rest))
 			}
 			if !Equal(g, dec) {
-				t.Fatalf("decoded graph differs: %s vs %s", Fingerprint(g), Fingerprint(dec))
+				t.Fatalf("decoded graph differs: n=%d %v vs n=%d %v", g.N(), g.Edges(), dec.N(), dec.Edges())
 			}
 			if g.Fingerprint() != dec.Fingerprint() {
 				t.Fatalf("canonical fingerprint changed across round-trip")
@@ -163,9 +163,10 @@ func testGraphsOne(t *testing.T) *Graph {
 	return b.Build()
 }
 
-// The structural and canonical fingerprints must agree on equality: they
-// key the same caches from different angles (readable diffs vs manifest
-// keys), so a graph pair may not match under one and differ under the other.
+// Structural equality and the canonical fingerprint must agree: the
+// fingerprint keys caches and snapshot manifests in place of an edge-set
+// comparison, so a graph pair may not match under one and differ under the
+// other.
 func TestFingerprintsAgree(t *testing.T) {
 	gs := testGraphs(t)
 	names := make([]string, 0, len(gs))
@@ -174,10 +175,10 @@ func TestFingerprintsAgree(t *testing.T) {
 	}
 	for _, a := range names {
 		for _, b := range names {
-			structEq := Fingerprint(gs[a]) == Fingerprint(gs[b])
+			structEq := Equal(gs[a], gs[b])
 			canonEq := gs[a].Fingerprint() == gs[b].Fingerprint()
 			if structEq != canonEq {
-				t.Fatalf("fingerprints disagree for (%s,%s): structural=%v canonical=%v",
+				t.Fatalf("Equal and Fingerprint disagree for (%s,%s): Equal=%v fingerprint=%v",
 					a, b, structEq, canonEq)
 			}
 		}

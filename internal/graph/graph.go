@@ -119,11 +119,6 @@ func (g *Graph) MaxDegree() int {
 // warm-started cache indexes exactly like the live one
 // (TestManifestKeyMatchesServeCacheKey pins the equality).
 //
-// This is one of two fingerprints in the package; the package-level
-// Fingerprint function in io.go is the STRUCTURAL, human-readable one used
-// by tests to diff edge sets. Use the method for identity keys, the
-// function for failure messages.
-//
 // The words are hashed a 4 KB buffer at a time. The digest depends only on
 // the word sequence, and TestFingerprintPinned fixes it.
 func (g *Graph) Fingerprint() string {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -82,27 +81,6 @@ func ReadText(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: missing n header")
 	}
 	return b.Build(), nil
-}
-
-// Fingerprint returns a STRUCTURAL, human-readable fingerprint — the
-// vertex count and the sorted edge list, readable in a test failure — used
-// to compare graphs for equality without exposing internals. It is NOT the
-// canonical identity: cache keys and snapshot-manifest keys use the
-// Graph.Fingerprint METHOD (a SHA-256 over the CSR arrays, the same fields
-// AppendBinary serializes). Two graphs agree on one fingerprint iff they
-// agree on the other — both are functions of the edge set alone — but only
-// the method's output is stable, fixed-width, and filesystem-safe, and
-// only this function's output names the differing edges when they
-// disagree.
-func Fingerprint(g *Graph) string {
-	edges := g.Edges()
-	parts := make([]string, 0, len(edges)+1)
-	parts = append(parts, fmt.Sprintf("n=%d", g.N()))
-	for _, e := range edges {
-		parts = append(parts, fmt.Sprintf("%d-%d", e.U, e.V))
-	}
-	sort.Strings(parts[1:])
-	return strings.Join(parts, ";")
 }
 
 // Equal reports whether two graphs have identical vertex counts and edge

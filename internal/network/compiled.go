@@ -93,14 +93,6 @@ type InstanceOptions struct {
 	// so steady-state reused runs stay 0 allocs/op (locked by
 	// TestRunCollectorAllocFree).
 	Collector RunCollector
-	// BatchWidth, when > 1, sizes the instance for batched multi-trial
-	// execution: RunBatch may run up to this many independent lanes of the
-	// same program in one engine pass (see batch.go). The width is fixed
-	// at build time — it sizes the lane-major node/payload/stats slabs
-	// and, on the channels engine, the per-lane channel fabric — and costs
-	// roughly BatchWidth× the single-run payload memory. 0 or 1 builds a
-	// plain instance (RunBatch still accepts single-lane calls on it).
-	BatchWidth int
 }
 
 // NewInstance attaches a fresh per-run state slab — payload tables, coin
@@ -119,9 +111,6 @@ func (c *Compiled) NewInstance(opts InstanceOptions) (*Instance, error) {
 		nw.buildChannels()
 	default:
 		return nil, fmt.Errorf("network: unknown engine %q", opts.Engine)
-	}
-	if opts.BatchWidth > 1 {
-		nw.buildBatch()
 	}
 	return nw, nil
 }

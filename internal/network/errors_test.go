@@ -280,7 +280,7 @@ func TestNetworkReuseAfterPanic(t *testing.T) {
 // assertMatchesFresh runs a fresh tester program on nw and demands
 // byte-identical results (decisions, outputs, stats) with a fresh one-shot
 // run of the same configuration — the post-error reuse contract.
-func assertMatchesFresh(t *testing.T, nw *network.Network, engine congest.Engine,
+func assertMatchesFresh(t *testing.T, nw *network.Instance, engine congest.Engine,
 	g *graph.Graph, seed uint64, budget int) {
 	t.Helper()
 	prog := &core.Tester{K: 6, Reps: 1}

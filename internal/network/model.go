@@ -327,7 +327,7 @@ func (t *Topology) RevPorts(v int) []int32 { return t.revPort[v] }
 
 // Info assembles vertex v's NodeInfo around a caller-owned RNG. The caller
 // must seed r to the node's coin stream — SeedStream(runSeed, uint64(ID)) —
-// which is how a Network reuses one RNG value per node across runs instead
+// which is how an Instance reuses one RNG value per node across runs instead
 // of allocating a fresh stream per run.
 func (t *Topology) Info(v int, r *xrand.RNG) NodeInfo {
 	return NodeInfo{

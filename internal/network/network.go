@@ -47,7 +47,7 @@
 // A single Instance is NOT safe for concurrent RunProgram calls; concurrent
 // workloads attach one Instance per goroutine to a shared Compiled
 // (internal/serve pools warm Instances this way), or give each worker its
-// own Network (see internal/sweep).
+// own Instance (see internal/sweep).
 package network
 
 import (
@@ -180,32 +180,17 @@ type Instance struct {
 	chWG      sync.WaitGroup
 	chRounds  int
 	abortRank atomic.Int64 // lowest failure rank so far; noAbort when clean
-
-	// Batched execution state (see batch.go); nil unless the instance was
-	// built with BatchWidth > 1. batchActive routes the woken channel-node
-	// goroutines into the batched round loop (written before the chStart
-	// wakeups, so the sends order it). laneOne is the width-1 RunBatch
-	// delegation's reusable result slice.
-	batch       *batchState
-	batchActive bool
-	laneOne     []LaneResult
 }
-
-// Network is the historical name of an Instance bundled with its own
-// private Compiled — the build-and-run shape every pre-serving caller uses.
-// The alias keeps that vocabulary: code that never shares a core keeps
-// saying Network/New, code that does says Compiled/Instance.
-type Network = Instance
 
 // noAbort is abortRank's value while no failure has been recorded.
 const noAbort = math.MaxInt64
 
 // New compiles g and attaches a single Instance in one step — the
 // build-and-run entry point for callers that do not share the compiled core.
-// The returned Network owns a persistent engine — the BSP worker pool or
+// The returned Instance owns a persistent engine — the BSP worker pool or
 // the channels engine's parked per-node goroutines; call Close to release
 // it.
-func New(g *graph.Graph, opts Options) (*Network, error) {
+func New(g *graph.Graph, opts Options) (*Instance, error) {
 	c, err := Compile(g, CompileOptions{IDs: opts.IDs, BandwidthBits: opts.BandwidthBits})
 	if err != nil {
 		return nil, err
@@ -428,7 +413,7 @@ func panicError(id ID, what string, round int, p any) error {
 // plus one goroutine per node. The goroutines park on chStart between runs
 // and are released by Close, so a run on a built Instance spawns no
 // goroutines at all — the fix for the per-run goroutine-per-node spawns the
-// pre-inversion engine paid even on a reused Network.
+// pre-inversion engine paid even on a reused Instance.
 func (nw *Instance) buildChannels() {
 	g, n := nw.c.g, nw.c.g.N()
 	nw.ch = make([][]chan []byte, n)
@@ -450,11 +435,7 @@ func (nw *Instance) buildChannels() {
 		// goroutine first scheduled after that must not read the field.
 		go func(cn *chanNode, start <-chan struct{}) {
 			for range start {
-				if nw.batchActive {
-					cn.runBatch()
-				} else {
-					cn.run()
-				}
+				cn.run()
 				nw.chWG.Done()
 			}
 		}(&nw.chNodes[v], nw.chStart[v])

@@ -42,7 +42,6 @@ type engineMetrics struct {
 	faults   *metrics.Counter
 	msgHist  *metrics.Histogram // messages per run, pow2 buckets
 	maxBits  *metrics.Gauge     // largest single payload ever, bits
-	batchW   *metrics.Gauge     // widest engine pass ever (lanes), high-water
 }
 
 // serveMetrics owns the registry and every recorded series. It implements
@@ -189,8 +188,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 				metrics.Pow2Buckets(64, 20), 0, l),
 			maxBits: r.Gauge("engine_max_message_bits",
 				"Largest single payload observed, bits (CONGEST bandwidth high-water).", l),
-			batchW: r.Gauge("engine_batch_width",
-				"Widest batched engine pass observed, lanes (1 = single runs only).", l),
 		}
 	}
 
@@ -204,9 +201,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 		s.sweepProg.Trials.Load)
 	r.CounterFunc("sweep_retries_total", "Transient trial failures absorbed by retry.",
 		s.sweepProg.Retries.Load)
-	r.CounterFunc("sweep_batched_trials_total",
-		"Trials executed through batched engine passes (subset of sweep_trials_total).",
-		s.sweepProg.BatchedTrials.Load)
 	r.GaugeFunc("sweep_active_workers", "Scheduler workers currently running a job's trials.",
 		s.sweepProg.ActiveWorkers.Load)
 
@@ -223,7 +217,6 @@ func (m *serveMetrics) RecordRun(rm network.RunMetrics) {
 	}
 	e.runs.Inc()
 	e.rounds.Add(int64(rm.Rounds))
-	e.batchW.Max(int64(rm.BatchWidth))
 	if rm.Injected {
 		e.faults.Inc()
 	}

@@ -82,7 +82,7 @@ func TestHTTPMetricsExposition(t *testing.T) {
 			t.Fatalf("query %d: HTTP %d", i, resp.StatusCode)
 		}
 	}
-	spec := `{"graphs":[{"family":"cycle","n":12}],"k":[5],"eps":[0.2],"trials":2,"seed":1,"batch_width":2}`
+	spec := `{"graphs":[{"family":"cycle","n":12}],"k":[5],"eps":[0.2],"trials":2,"seed":1}`
 	resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
@@ -111,9 +111,8 @@ func TestHTTPMetricsExposition(t *testing.T) {
 		"engine_runs_total", "engine_rounds_total", "engine_messages_total",
 		"engine_bits_total", "engine_canceled_total", "engine_failed_total",
 		"engine_fault_runs_total", "engine_run_messages", "engine_max_message_bits",
-		"engine_batch_width",
 		"sweep_jobs_total", "sweep_jobs_done_total", "sweep_trials_total",
-		"sweep_retries_total", "sweep_active_workers", "sweep_batched_trials_total",
+		"sweep_retries_total", "sweep_active_workers",
 	} {
 		if !strings.Contains(out, "# HELP "+name+" ") {
 			t.Errorf("missing HELP for %s", name)
@@ -152,15 +151,6 @@ func TestHTTPMetricsExposition(t *testing.T) {
 	}
 	if v := metricValue(out, "sweep_trials_total"); v != 2 {
 		t.Errorf("sweep_trials_total = %v, want 2", v)
-	}
-	// The sweep asked for batch_width 2: both trials ran through one
-	// batched engine pass, and the per-engine width high-water saw it
-	// (queries record width 1, so 2 proves a batched pass happened).
-	if v := metricValue(out, "sweep_batched_trials_total"); v != 2 {
-		t.Errorf("sweep_batched_trials_total = %v, want 2", v)
-	}
-	if v := metricValue(out, `engine_batch_width{engine="bsp"}`); v != 2 {
-		t.Errorf(`engine_batch_width{engine="bsp"} = %v, want 2`, v)
 	}
 	if v := metricValue(out, "sweep_active_workers"); v != 0 {
 		t.Errorf("sweep_active_workers = %v, want 0 after the sweep", v)

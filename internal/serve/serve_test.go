@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -425,6 +426,7 @@ func TestQueryValidation(t *testing.T) {
 		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Op: "zap"},         // unknown op
 		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Op: OpDetect},      // detect without edge
 		{Graph: GraphRequest{N: 4, Edges: [][2]int{{0, 1}, {2, 3}}}, K: 4, Eps: 0.1},   // disconnected
+		{Graph: GraphRequest{N: 50_000_000, Edges: [][2]int{{0, 1}}}, K: 4, Eps: 0.1},  // too few edges to connect n
 		{Graph: GraphRequest{}, K: 4, Eps: 0.1},                                        // no graph at all
 		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Engine: "quantum"}, // unknown engine
 		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Op: OpDetect,
@@ -460,6 +462,26 @@ func TestQueryValidation(t *testing.T) {
 		if rec.Code != tc.code {
 			t.Errorf("edge %s: HTTP %d, want %d (%s)", tc.last, rec.Code, tc.code, strings.TrimSpace(rec.Body.String()))
 		}
+	}
+}
+
+// TestShortEdgeListRefusedBeforeSizing: an explicit graph with fewer than
+// n-1 edges cannot be connected, so it is refused before anything is sized
+// by n. Building it first would cost ~13 bytes per vertex, ~52 MB at
+// n = 2^22.
+func TestShortEdgeListRefusedBeforeSizing(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	req := QueryRequest{Graph: GraphRequest{N: 1 << 22, Edges: [][2]int{{0, 1}}}, K: 4, Eps: 0.1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.Query(context.Background(), &req)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errNotConnected) {
+		t.Fatalf("err = %v, want the not-connected refusal", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing n=2^22 allocated %d bytes, want under 1 MB", got)
 	}
 }
 
@@ -595,13 +617,30 @@ func TestHTTPSweepStreams(t *testing.T) {
 	})
 
 	t.Run("invalid-spec", func(t *testing.T) {
-		resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(`{"graphs":[],"k":[5],"eps":[0.2],"trials":1}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("HTTP %d, want 400", resp.StatusCode)
+		for _, tc := range []struct {
+			name, spec string
+			want       string // a substring the error body must carry
+		}{
+			{"no-graphs", `{"graphs":[],"k":[5],"eps":[0.2],"trials":1}`, "no graphs"},
+			// Batched trial execution was removed; a spec that still asks
+			// for it is refused by name instead of quietly running unbatched.
+			{"batch-width", `{"graphs":[{"family":"cycle","n":12}],"k":[5],"eps":[0.2],"trials":2,"seed":1,"batch_width":4}`, "batch_width"},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(tc.spec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var buf bytes.Buffer
+				buf.ReadFrom(resp.Body)
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("HTTP %d, want 400 (%s)", resp.StatusCode, strings.TrimSpace(buf.String()))
+				}
+				if !strings.Contains(buf.String(), tc.want) {
+					t.Fatalf("error body %q does not name %q", strings.TrimSpace(buf.String()), tc.want)
+				}
+			})
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -248,10 +249,19 @@ func (req *QueryRequest) resolve() (key string, build func() (*graph.Graph, erro
 	return key, build, engine, nil
 }
 
+// errNotConnected refuses an explicit graph the CONGEST model cannot run.
+var errNotConnected = errors.New("serve: graph is not connected (the CONGEST model requires a connected network)")
+
 // buildExplicit constructs a graph from an explicit edge list.
 func buildExplicit(n int, edges [][2]int) (*graph.Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("serve: explicit graph needs \"n\" >= 1, got %d", n)
+	}
+	// A connected graph on n vertices has at least n-1 edges. Refusing a
+	// shorter list before the builder exists keeps memory bounded by the
+	// body, not by the n it names.
+	if len(edges) < n-1 {
+		return nil, errNotConnected
 	}
 	b := graph.NewBuilder(n)
 	for _, e := range edges {
@@ -265,7 +275,7 @@ func buildExplicit(n int, edges [][2]int) (*graph.Graph, error) {
 	}
 	g := b.Build()
 	if !graph.Connected(g) {
-		return nil, fmt.Errorf("serve: graph is not connected (the CONGEST model requires a connected network)")
+		return nil, errNotConnected
 	}
 	return g, nil
 }

@@ -97,16 +97,6 @@ type Spec struct {
 	// worker owns its Networks; the per-network BSP pool is sized so that
 	// workers × pool ≈ GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-	// BatchWidth, when > 1, runs each job's trials in batches of up to
-	// this many lanes per engine pass (network.RunBatch): one round
-	// barrier advances all lanes, amortizing the per-round scheduling
-	// cost. Trial seeds, verdicts, and aggregated rows are byte-identical
-	// to the sequential order for any width — a trailing chunk of
-	// trials%BatchWidth lanes keeps the remainder aligned (locked by
-	// TestSweepRowsStableAcrossBatchWidths). Memory per instance grows by
-	// roughly the width × the single-run payload tables. 0 or 1 runs
-	// trials sequentially, exactly as before.
-	BatchWidth int `json:"batch_width,omitempty"`
 	// MaxRetries bounds per-job retries of TRANSIENT failures — a serving
 	// provider shedding load, an injected fault — before the sweep fails
 	// (see IsTransient). 0 means the default of 3; negative disables
@@ -242,23 +232,7 @@ func (s *Spec) Validate() error {
 	if s.Reps < 0 {
 		return fmt.Errorf("sweep: negative reps %d", s.Reps)
 	}
-	if s.BatchWidth < 0 {
-		return fmt.Errorf("sweep: negative batch width %d", s.BatchWidth)
-	}
 	return nil
-}
-
-// batchWidth is the effective trial batch width: the spec's, clamped to
-// the trial count (lanes beyond the trial count would only cost memory).
-func (s *Spec) batchWidth() int {
-	w := s.BatchWidth
-	if w > s.Trials {
-		w = s.Trials
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
 }
 
 // Warnings reports advisory problems with a valid spec — grid points that
@@ -403,13 +377,6 @@ type TrialPoint struct {
 	// width to the provider. Instance.Workers() reports what a checkout
 	// actually got.
 	Workers int
-	// BatchWidth is the trial batch width the scheduler wants the
-	// checked-out instance sized for (see Spec.BatchWidth). Providers key
-	// their warm pools by it — a batch-capable instance carries the
-	// lane-major slabs a width-1 one does not — and may clamp it to their
-	// own resource policy; Instance.BatchWidth() reports what a checkout
-	// actually got. 0 or 1 requests a plain instance.
-	BatchWidth int
 }
 
 // Progress is a live, additively-shared view of one or more running
@@ -432,10 +399,6 @@ type Progress struct {
 	// ActiveWorkers is the number of scheduler workers currently running
 	// a job's trials, across all sweeps sharing this Progress.
 	ActiveWorkers atomic.Int64
-	// BatchedTrials counts trials executed through the batched engine
-	// path (RunBatch lanes, remainder chunks included) — a subset of
-	// Trials; the gap is the sequentially-run residue.
-	BatchedTrials atomic.Int64
 }
 
 // IsTransient reports whether err is worth retrying: something in its
@@ -515,7 +478,6 @@ type coreEntry struct {
 type localInstKey struct {
 	gk     graphKey
 	engine network.Engine
-	batch  int // instance batch width (1 for plain instances)
 }
 
 func newLocalProvider(spec *Spec, nwWorkers int) *localProvider {
@@ -532,11 +494,7 @@ func newLocalProvider(spec *Spec, nwWorkers int) *localProvider {
 // population is bounded by the worker count.
 func (p *localProvider) Acquire(ctx context.Context, pt TrialPoint) (*network.Instance, func(), error) {
 	gk := pt.key()
-	batch := pt.BatchWidth
-	if batch < 1 {
-		batch = 1
-	}
-	ik := localInstKey{gk: gk, engine: pt.Engine, batch: batch}
+	ik := localInstKey{gk: gk, engine: pt.Engine}
 
 	p.mu.Lock()
 	if pool := p.idle[ik]; len(pool) > 0 {
@@ -570,7 +528,7 @@ func (p *localProvider) Acquire(ctx context.Context, pt TrialPoint) (*network.In
 	if width <= 0 {
 		width = p.workers
 	}
-	inst, err := e.c.NewInstance(network.InstanceOptions{Engine: pt.Engine, Workers: width, BatchWidth: batch})
+	inst, err := e.c.NewInstance(network.InstanceOptions{Engine: pt.Engine, Workers: width})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -776,7 +734,7 @@ func worker(ctx context.Context, spec *Spec, provider CoreProvider, instWorkers 
 			inst, release, err := provider.Acquire(ctx, TrialPoint{
 				Graph: job.Graph, K: job.K, Eps: job.Eps,
 				Seed: spec.Seed, Engine: job.Engine, BandwidthBits: spec.BandwidthBits,
-				Workers: instWorkers, BatchWidth: spec.batchWidth(),
+				Workers: instWorkers,
 			})
 			if err != nil {
 				err = fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s): %w",
@@ -837,11 +795,12 @@ func runJob(ctx context.Context, inst *network.Instance, spec *Spec, pr *Progres
 	r := Result{Job: job, N: g.N(), M: g.M(), Trials: spec.Trials, Reps: prog.Repetitions()}
 	jobStart := time.Now()
 	var sumMsgs, sumBits int64
-	// absorb folds one trial's outcome into the row. Every aggregate is
-	// order-insensitive (sums and maxes), so the batched path below — which
-	// runs whole chunks before folding any of them — produces rows
-	// byte-identical to the sequential loop.
-	absorb := func(res *network.Result) {
+	for t := 0; t < spec.Trials; t++ {
+		res, err := inst.RunProgramCtx(ctx, prog, trialSeed(spec.Seed, job.SeedKey, t))
+		if err != nil {
+			return r, fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s) trial %d: %w",
+				job.Index, job.Graph, job.K, job.Eps, job.Engine, t, err)
+		}
 		dec := core.Summarize(res.Outputs, res.IDs)
 		if dec.Reject {
 			r.Rejects++
@@ -857,46 +816,6 @@ func runJob(ctx context.Context, inst *network.Instance, spec *Spec, pr *Progres
 		}
 		if pr != nil {
 			pr.Trials.Add(1)
-		}
-	}
-	if w := min(spec.batchWidth(), inst.BatchWidth()); w > 1 {
-		// Batched path: trials ÷ width full chunks plus a lane-masked
-		// remainder, seeded in trial order so lane l of chunk c is exactly
-		// sequential trial c*w+l.
-		seeds := make([]uint64, w)
-		for lo := 0; lo < spec.Trials; lo += w {
-			hi := min(lo+w, spec.Trials)
-			chunk := seeds[:hi-lo]
-			for i := range chunk {
-				chunk[i] = trialSeed(spec.Seed, job.SeedKey, lo+i)
-			}
-			lanes, err := inst.RunBatch(ctx, prog, chunk)
-			if err != nil {
-				return r, fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s) trials %d..%d: %w",
-					job.Index, job.Graph, job.K, job.Eps, job.Engine, lo, hi-1, err)
-			}
-			for l, lane := range lanes {
-				if lane.Err != nil {
-					// Same wrap as the sequential loop, with the global trial
-					// index, so retry classification and operator-facing
-					// messages are width-independent.
-					return r, fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s) trial %d: %w",
-						job.Index, job.Graph, job.K, job.Eps, job.Engine, lo+l, lane.Err)
-				}
-				absorb(lane.Res)
-				if pr != nil {
-					pr.BatchedTrials.Add(1)
-				}
-			}
-		}
-	} else {
-		for t := 0; t < spec.Trials; t++ {
-			res, err := inst.RunProgramCtx(ctx, prog, trialSeed(spec.Seed, job.SeedKey, t))
-			if err != nil {
-				return r, fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s) trial %d: %w",
-					job.Index, job.Graph, job.K, job.Eps, job.Engine, t, err)
-			}
-			absorb(res)
 		}
 	}
 	r.RejectRate = float64(r.Rejects) / float64(r.Trials)
