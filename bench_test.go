@@ -16,13 +16,23 @@ import (
 	"cycledetect/internal/bench"
 	"cycledetect/internal/central"
 	"cycledetect/internal/combin"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 	"cycledetect/internal/wire"
 	"cycledetect/internal/xrand"
 )
+
+// runOnce runs p once on a fresh single-use network, paying topology,
+// engine, node and RNG setup every time.
+func runOnce(g *graph.Graph, p network.Program, opts network.Options, seed uint64) (*network.Result, error) {
+	nw, err := network.New(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer nw.Close()
+	return nw.RunProgram(p, seed)
+}
 
 func benchExperiment(b *testing.B, run func(bench.Config) *bench.Table) {
 	b.Helper()
@@ -57,7 +67,7 @@ func BenchmarkTesterByK(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prog := &core.Tester{K: k, Reps: 1}
-				if _, err := congest.Run(g, prog, congest.Config{Seed: uint64(i)}); err != nil {
+				if _, err := runOnce(g, prog, network.Options{}, uint64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -73,14 +83,14 @@ func BenchmarkEnginesCompare(b *testing.B) {
 	prog := &core.Tester{K: 6, Reps: 2}
 	b.Run("bsp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := congest.Run(g, prog, congest.Config{Seed: uint64(i)}); err != nil {
+			if _, err := runOnce(g, prog, network.Options{}, uint64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("channels", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := congest.RunChannels(g, prog, congest.Config{Seed: uint64(i)}); err != nil {
+			if _, err := runOnce(g, prog, network.Options{Engine: network.EngineChannels}, uint64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -89,25 +99,25 @@ func BenchmarkEnginesCompare(b *testing.B) {
 
 // BenchmarkNetworkReuse is the sweep-workload benchmark behind the
 // internal/network subsystem: 100 single-repetition tester runs (different
-// seeds) on one 256-node G(n,4n) graph, executed the pre-PR way — a fresh
-// congest.RunWith per repetition, paying topology, engine, node and RNG
-// setup every time — versus on one reused Network with a cached Program, on
-// both engines. ("fresh"/"reused" are the BSP variants, keeping the
-// snapshot trajectory from BENCH_2.json; "fresh-channels"/"reused-channels"
-// additionally pay, or amortize, the channel fabric and the per-node
-// goroutines, which park between runs on a reused Network.) Both paths are
-// verified to produce identical decisions and stats before timing. The
-// reused paths must be ≥5× cheaper in allocs/op (they are ~0 per repetition
-// in steady state; see TestNetworkRunAllocFree).
+// seeds) on one 256-node G(n,4n) graph, executed on a fresh single-use
+// network per repetition (runOnce) versus on one reused Network with a
+// cached Program, on both engines. ("fresh"/"reused" are the BSP variants,
+// keeping the snapshot trajectory from BENCH_2.json;
+// "fresh-channels"/"reused-channels" additionally pay, or amortize, the
+// channel fabric and the per-node goroutines, which park between runs on a
+// reused Network.) Both paths are verified to produce identical decisions
+// and stats before timing. The reused paths must be ≥5× cheaper in
+// allocs/op (they are ~0 per repetition in steady state; see
+// TestNetworkRunAllocFree).
 func BenchmarkNetworkReuse(b *testing.B) {
 	rng := xrand.New(10)
 	g := graph.ConnectedGNM(256, 1024, rng)
 	const reps = 100
 	const k = 7
 
-	for _, engine := range []congest.Engine{congest.EngineBSP, congest.EngineChannels} {
+	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
 		suffix := ""
-		if engine == congest.EngineChannels {
+		if engine == network.EngineChannels {
 			suffix = "-" + string(engine)
 		}
 		nw, err := network.New(g, network.Options{Engine: engine})
@@ -120,7 +130,7 @@ func BenchmarkNetworkReuse(b *testing.B) {
 		// the fresh-run and reused-network paths.
 		checkProg := &core.Tester{K: k, Reps: 1}
 		for s := uint64(0); s < reps; s++ {
-			want, err := congest.RunWith(engine, g, &core.Tester{K: k, Reps: 1}, congest.Config{Seed: s})
+			want, err := runOnce(g, &core.Tester{K: k, Reps: 1}, network.Options{Engine: engine}, s)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -130,7 +140,7 @@ func BenchmarkNetworkReuse(b *testing.B) {
 			}
 			wd, gd := core.Summarize(want.Outputs, want.IDs), core.Summarize(got.Outputs, got.IDs)
 			if wd.Reject != gd.Reject || !reflect.DeepEqual(want.Stats, got.Stats) {
-				b.Fatalf("%s seed %d: reused network diverged from congest.RunWith", engine, s)
+				b.Fatalf("%s seed %d: reused network diverged from a fresh run", engine, s)
 			}
 		}
 
@@ -138,7 +148,7 @@ func BenchmarkNetworkReuse(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for s := uint64(0); s < reps; s++ {
 					prog := &core.Tester{K: k, Reps: 1}
-					if _, err := congest.RunWith(engine, g, prog, congest.Config{Seed: s}); err != nil {
+					if _, err := runOnce(g, prog, network.Options{Engine: engine}, s); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -168,13 +178,13 @@ type cancelAtProg struct {
 }
 
 func (p *cancelAtProg) Rounds(n, m int) int { return p.rounds }
-func (p *cancelAtProg) NewNode(info congest.NodeInfo) congest.Node {
+func (p *cancelAtProg) NewNode(info network.NodeInfo) network.Node {
 	return &cancelAtNode{p: p, id: info.ID}
 }
 
 type cancelAtNode struct {
 	p  *cancelAtProg
-	id congest.ID
+	id network.ID
 }
 
 func (cn *cancelAtNode) Send(round int, out [][]byte) {
@@ -199,9 +209,9 @@ func (cn *cancelAtNode) Output() any           { return nil }
 func BenchmarkCancelLatency(b *testing.B) {
 	rng := xrand.New(11)
 	g := graph.ConnectedGNM(256, 1024, rng)
-	for _, engine := range []congest.Engine{congest.EngineBSP, congest.EngineChannels} {
+	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
 		maxOver := 1
-		if engine == congest.EngineChannels {
+		if engine == network.EngineChannels {
 			maxOver = 2 * network.StopRoundStride
 		}
 		b.Run(string(engine), func(b *testing.B) {
@@ -252,7 +262,7 @@ func BenchmarkCancelOverhead(b *testing.B) {
 	rng := xrand.New(12)
 	g := graph.RandomTree(256, rng) // accepting workload: 0-alloc steady state
 	const k, reps = 7, 8
-	for _, engine := range []congest.Engine{congest.EngineBSP, congest.EngineChannels} {
+	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
 		nw, err := network.New(g, network.Options{Engine: engine})
 		if err != nil {
 			b.Fatal(err)
@@ -422,7 +432,7 @@ func BenchmarkTriangleBaseline(b *testing.B) {
 	g, _ := graph.FarFromCkFree(120, 3, 0.1, rng)
 	for i := 0; i < b.N; i++ {
 		prog := &core.TriangleTester{Eps: 0.1}
-		if _, err := congest.Run(g, prog, congest.Config{Seed: uint64(i)}); err != nil {
+		if _, err := runOnce(g, prog, network.Options{}, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"cycledetect/internal/central"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
@@ -52,7 +51,7 @@ func main() {
 		mode = core.ModeNaive
 	}
 
-	var prog congest.Program
+	var prog network.Program
 	if *edge != "" {
 		u, v, err := parseEdge(*edge)
 		if err != nil {
@@ -63,10 +62,9 @@ func main() {
 		prog = &core.Tester{K: *k, Eps: *eps, Reps: *reps, Mode: mode}
 	}
 
-	// Build-once/run-once through the reusable-network layer (the same
-	// single engine loop congest.RunWith wraps; a future multi-query mode
-	// would reuse nw across runs).
-	nw, err := network.New(g, network.Options{Engine: congest.Engine(*engine)})
+	// Build-once/run-once through the reusable-network layer (a future
+	// multi-query mode would reuse nw across runs).
+	nw, err := network.New(g, network.Options{Engine: network.Engine(*engine)})
 	if err != nil {
 		fatal(err)
 	}

@@ -30,9 +30,9 @@ import (
 	"errors"
 	"fmt"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/ptest"
 )
 
@@ -74,13 +74,13 @@ func (g *Graph) M() int { return g.b.M() }
 func (g *Graph) build() *graph.Graph { return g.b.Build() }
 
 // Engine names a simulation engine.
-type Engine = congest.Engine
+type Engine = network.Engine
 
 // Available engines. EngineBSP is a lockstep reference engine; EngineChannels
 // runs one goroutine per node with a buffered channel per directed edge.
 const (
-	EngineBSP      = congest.EngineBSP
-	EngineChannels = congest.EngineChannels
+	EngineBSP      = network.EngineBSP
+	EngineChannels = network.EngineChannels
 )
 
 // Options configures Test and DetectThroughEdge.
@@ -114,6 +114,16 @@ func (o *Options) mode() core.Mode {
 		return core.ModeNaive
 	}
 	return core.ModePruned
+}
+
+// instance compiles g into a network configured by the options. The
+// caller runs on it and closes it.
+func (o *Options) instance(g *Graph) (*network.Instance, error) {
+	return network.New(g.build(), network.Options{
+		Engine:        o.Engine,
+		IDs:           o.IDs,
+		BandwidthBits: o.BandwidthBits,
+	})
 }
 
 // Result reports a run's outcome.
@@ -156,12 +166,13 @@ func Test(g *Graph, opts Options) (*Result, error) {
 	if err := validate(g, &opts, true); err != nil {
 		return nil, err
 	}
+	nw, err := opts.instance(g)
+	if err != nil {
+		return nil, err
+	}
+	defer nw.Close()
 	prog := &core.Tester{K: opts.K, Eps: opts.Epsilon, Reps: opts.Reps, Mode: opts.mode()}
-	res, err := congest.RunWith(opts.Engine, g.build(), prog, congest.Config{
-		Seed:          opts.Seed,
-		IDs:           opts.IDs,
-		BandwidthBits: opts.BandwidthBits,
-	})
+	res, err := nw.RunProgram(prog, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -182,12 +193,13 @@ func DetectThroughEdge(g *Graph, u, v int64, opts Options) (*Result, error) {
 	if u == v {
 		return nil, fmt.Errorf("cycledetect: candidate edge endpoints equal (%d)", u)
 	}
+	nw, err := opts.instance(g)
+	if err != nil {
+		return nil, err
+	}
+	defer nw.Close()
 	prog := &core.EdgeDetector{K: opts.K, U: u, V: v, Mode: opts.mode()}
-	res, err := congest.RunWith(opts.Engine, g.build(), prog, congest.Config{
-		Seed:          opts.Seed,
-		IDs:           opts.IDs,
-		BandwidthBits: opts.BandwidthBits,
-	})
+	res, err := nw.RunProgram(prog, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +233,7 @@ func validate(g *Graph, opts *Options, needEps bool) error {
 	return nil
 }
 
-func summarize(res *congest.Result) *Result {
+func summarize(res *network.Result) *Result {
 	dec := core.Summarize(res.Outputs, res.IDs)
 	return &Result{
 		Rejected:               dec.Reject,

@@ -6,7 +6,6 @@ import (
 
 	"cycledetect/internal/central"
 	"cycledetect/internal/combin"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
@@ -19,7 +18,7 @@ import (
 // one-shot Network. Repetition-heavy experiments (E3, E4, E11) instead
 // build one Network per graph (via c.network) and call runOn per trial,
 // amortizing topology, engine, and node construction across all trials.
-func (c Config) run(g *graph.Graph, p congest.Program, seed uint64) (core.Decision, congest.Stats) {
+func (c Config) run(g *graph.Graph, p network.Program, seed uint64) (core.Decision, network.Stats) {
 	nw := c.network(g)
 	defer nw.Close()
 	return runOn(nw, p, seed)
@@ -38,7 +37,7 @@ func (c Config) network(g *graph.Graph) *network.Instance {
 // Instance's per-round slices, which the next run on the same Instance
 // overwrites; experiments that reuse an Instance read only scalar Stats
 // fields, and one-shot callers (run) retire the Instance immediately.
-func runOn(nw *network.Instance, p congest.Program, seed uint64) (core.Decision, congest.Stats) {
+func runOn(nw *network.Instance, p network.Program, seed uint64) (core.Decision, network.Stats) {
 	res, err := nw.RunProgram(p, seed)
 	if err != nil {
 		panic(fmt.Sprintf("bench: simulation failed: %v", err))

@@ -3,17 +3,79 @@ package core
 import (
 	"testing"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
+// lockstep drives a Program's nodes through a minimal hand-rolled copy of
+// the engine's delivery loop — no engine, no per-run setup — so per-node
+// state stays inspectable and a measurement isolates the nodes' own
+// message path. Vertex v has ID v.
+type lockstep struct {
+	g       *graph.Graph
+	nodes   []network.Node
+	revPort [][]int // revPort[v][p]: the port of v on the neighbor reached via v's port p
+	out, in [][][]byte
+}
+
+func newLockstep(g *graph.Graph, prog network.Program, seed uint64) *lockstep {
+	n := g.N()
+	ls := &lockstep{
+		g:       g,
+		nodes:   make([]network.Node, n),
+		revPort: make([][]int, n),
+		out:     make([][][]byte, n),
+		in:      make([][][]byte, n),
+	}
+	for v := 0; v < n; v++ {
+		ns := g.Neighbors(v)
+		nbr := make([]ID, len(ns))
+		ls.revPort[v] = make([]int, len(ns))
+		for p, w := range ns {
+			nbr[p] = ID(w)
+			for q, x := range g.Neighbors(int(w)) {
+				if int(x) == v {
+					ls.revPort[v][p] = q
+				}
+			}
+		}
+		ls.nodes[v] = prog.NewNode(network.NodeInfo{
+			ID: ID(v), N: n, NeighborIDs: nbr,
+			Rand: xrand.Stream(seed, uint64(v)),
+		})
+		ls.out[v] = make([][]byte, len(ns))
+		ls.in[v] = make([][]byte, len(ns))
+	}
+	return ls
+}
+
+// round runs round r: every node's Send, then afterSend (when non-nil),
+// then delivery along the reverse ports, then every node's Receive.
+func (ls *lockstep) round(r int, afterSend func()) {
+	for v, nd := range ls.nodes {
+		clear(ls.out[v])
+		nd.Send(r, ls.out[v])
+	}
+	if afterSend != nil {
+		afterSend()
+	}
+	for v := range ls.nodes {
+		for p, w := range ls.g.Neighbors(v) {
+			ls.in[w][ls.revPort[v][p]] = ls.out[v][p]
+		}
+	}
+	for v, nd := range ls.nodes {
+		nd.Receive(r, ls.in[v])
+		clear(ls.in[v])
+	}
+}
+
 // Allocation regression: once a tester node's buffers are warm, a full
 // repetition (Phase-1 rank round plus every Phase-2 round) must perform
-// zero heap allocations on every node. The test drives the nodes through a
-// minimal hand-rolled lockstep loop — no engine, no per-run setup — so the
-// measurement isolates exactly the steady-state message path that the
-// zero-allocation rework pays for.
+// zero heap allocations on every node. The nodes run in a lockstep harness,
+// so the measurement isolates exactly the steady-state message path that
+// the zero-allocation rework pays for.
 func TestTesterSteadyStateRoundAllocFree(t *testing.T) {
 	// C6 plus the chord {0,3}: cycles of length 6 and 4 but no C5, so k=5
 	// generates full two-phase traffic without ever assembling a witness
@@ -24,59 +86,11 @@ func TestTesterSteadyStateRoundAllocFree(t *testing.T) {
 	g := b.Build()
 
 	prog := &Tester{K: 5, Reps: 1 << 20}
-	n := g.N()
-	nodes := make([]congest.Node, n)
-	nbr := make([][]congest.ID, n)
-	for v := 0; v < n; v++ {
-		ns := g.Neighbors(v)
-		nbr[v] = make([]congest.ID, len(ns))
-		for p, w := range ns {
-			nbr[v][p] = congest.ID(w)
-		}
-		nodes[v] = prog.NewNode(congest.NodeInfo{
-			ID: congest.ID(v), N: n, NeighborIDs: nbr[v],
-			Rand: xrand.Stream(7, uint64(v)),
-		})
-	}
-	// revPort[v][p]: the port of v on the neighbor reached via v's port p.
-	revPort := make([][]int, n)
-	for v := 0; v < n; v++ {
-		revPort[v] = make([]int, len(nbr[v]))
-		for p, w := range nbr[v] {
-			for q, x := range nbr[w] {
-				if x == congest.ID(v) {
-					revPort[v][p] = q
-				}
-			}
-		}
-	}
-	out := make([][][]byte, n)
-	in := make([][][]byte, n)
-	for v := 0; v < n; v++ {
-		out[v] = make([][]byte, len(nbr[v]))
-		in[v] = make([][]byte, len(nbr[v]))
-	}
-
+	ls := newLockstep(g, prog, 7)
 	round := 0
 	step := func() {
 		round++
-		for v := 0; v < n; v++ {
-			for p := range out[v] {
-				out[v][p] = nil
-			}
-			nodes[v].Send(round, out[v])
-		}
-		for v := 0; v < n; v++ {
-			for p := range out[v] {
-				in[nbr[v][p]][revPort[v][p]] = out[v][p]
-			}
-		}
-		for v := 0; v < n; v++ {
-			nodes[v].Receive(round, in[v])
-			for p := range in[v] {
-				in[v][p] = nil
-			}
-		}
+		ls.round(round, nil)
 	}
 
 	per := prog.RoundsPerRep()

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cycledetect/internal/congest"
+	"cycledetect/internal/network"
 	"cycledetect/internal/wire"
 )
 
@@ -30,7 +30,7 @@ type C4Tester struct {
 	Reps int
 }
 
-var _ congest.Program = (*C4Tester)(nil)
+var _ network.Program = (*C4Tester)(nil)
 
 // Repetitions returns the number of two-round repetitions.
 func (t *C4Tester) Repetitions() int {
@@ -43,11 +43,11 @@ func (t *C4Tester) Repetitions() int {
 	return int(48.0/(t.Eps*t.Eps)*1.0986122886681098) + 1
 }
 
-// Rounds implements congest.Program: two rounds per repetition.
+// Rounds implements network.Program: two rounds per repetition.
 func (t *C4Tester) Rounds(n, m int) int { return 2 * t.Repetitions() }
 
 // NewNode builds per-node state.
-func (t *C4Tester) NewNode(info congest.NodeInfo) congest.Node {
+func (t *C4Tester) NewNode(info network.NodeInfo) network.Node {
 	cn := &c4Node{info: info, neighborSet: make(map[ID]bool, info.Degree())}
 	for _, id := range info.NeighborIDs {
 		cn.neighborSet[id] = true
@@ -56,7 +56,7 @@ func (t *C4Tester) NewNode(info congest.NodeInfo) congest.Node {
 }
 
 type c4Node struct {
-	info        congest.NodeInfo
+	info        network.NodeInfo
 	neighborSet map[ID]bool
 	// pending is the (origin, candidate) pair chosen for relay this
 	// repetition, set during the A-round receive.

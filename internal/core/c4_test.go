@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"cycledetect/internal/central"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
@@ -24,7 +24,7 @@ func TestC4TesterOneSided(t *testing.T) {
 			t.Fatalf("test setup: graph %d has a C4", gi)
 		}
 		for seed := uint64(0); seed < 6; seed++ {
-			res, err := congest.Run(g, &C4Tester{Reps: 60}, congest.Config{Seed: seed})
+			res, err := runOnce(g, &C4Tester{Reps: 60}, network.Options{}, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func TestC4TesterDetects(t *testing.T) {
 		hits := 0
 		const trials = 8
 		for s := 0; s < trials; s++ {
-			res, err := congest.Run(g, &C4Tester{Eps: 0.1}, congest.Config{Seed: uint64(100*gi + s)})
+			res, err := runOnce(g, &C4Tester{Eps: 0.1}, network.Options{}, uint64(100*gi+s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestC4TesterRoundGap(t *testing.T) {
 func TestC4TesterBandwidth(t *testing.T) {
 	rng := xrand.New(3)
 	g := graph.ConnectedGNM(300, 900, rng)
-	res, err := congest.Run(g, &C4Tester{Reps: 10}, congest.Config{Seed: 1})
+	res, err := runOnce(g, &C4Tester{Reps: 10}, network.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestC4TesterBandwidth(t *testing.T) {
 // TestC4TesterDegenerate: paths, stars and tiny graphs are safe.
 func TestC4TesterDegenerate(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Path(2), graph.Path(4), graph.Star(6)} {
-		res, err := congest.Run(g, &C4Tester{Reps: 12}, congest.Config{Seed: 4})
+		res, err := runOnce(g, &C4Tester{Reps: 12}, network.Options{}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

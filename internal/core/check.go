@@ -3,7 +3,7 @@
 //
 // The deterministic heart is Algorithm 1 ("DetectCk"), a pruned
 // append-and-forward search for a k-cycle through a fixed candidate edge
-// e = {u,v}, implemented by checkState in this file. Two congest.Programs
+// e = {u,v}, implemented by checkState in this file. Two network.Programs
 // wrap it:
 //
 //   - EdgeDetector (detector.go): Phase 2 alone, for a known edge — the

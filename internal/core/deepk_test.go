@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"cycledetect/internal/central"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
@@ -74,22 +74,22 @@ func TestDetectorDeepKMessageBound(t *testing.T) {
 func TestAdversarialIDAssignments(t *testing.T) {
 	rng := xrand.New(4)
 	g := graph.ConnectedGNM(14, 30, rng)
-	layouts := map[string]func(v int) congest.ID{
-		"identity": func(v int) congest.ID { return congest.ID(v) },
-		"reversed": func(v int) congest.ID { return congest.ID(g.N() - 1 - v) },
-		"offset":   func(v int) congest.ID { return congest.ID(1<<40 + v) },
-		"spread":   func(v int) congest.ID { return congest.ID(v * v * 1000) },
+	layouts := map[string]func(v int) network.ID{
+		"identity": func(v int) network.ID { return network.ID(v) },
+		"reversed": func(v int) network.ID { return network.ID(g.N() - 1 - v) },
+		"offset":   func(v int) network.ID { return network.ID(1<<40 + v) },
+		"spread":   func(v int) network.ID { return network.ID(v * v * 1000) },
 	}
 	for k := 3; k <= 7; k++ {
 		for _, e := range g.Edges()[:4] {
 			want := central.HasCkThroughEdge(g, k, e)
 			for name, layout := range layouts {
-				ids := make([]congest.ID, g.N())
+				ids := make([]network.ID, g.N())
 				for v := range ids {
 					ids[v] = layout(v)
 				}
 				prog := &EdgeDetector{K: k, U: ids[e.U], V: ids[e.V]}
-				res, err := congest.Run(g, prog, congest.Config{IDs: ids})
+				res, err := runOnce(g, prog, network.Options{IDs: ids}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

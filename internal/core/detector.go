@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"cycledetect/internal/congest"
+	"cycledetect/internal/network"
 	"cycledetect/internal/trace"
 	"cycledetect/internal/wire"
 )
@@ -27,14 +27,14 @@ type EdgeDetector struct {
 	Trace *trace.Log
 }
 
-var _ congest.Program = (*EdgeDetector)(nil)
+var _ network.Program = (*EdgeDetector)(nil)
 
 // Rounds returns ⌊k/2⌋, independent of the network size (Theorem 1).
 func (d *EdgeDetector) Rounds(n, m int) int { return d.K / 2 }
 
 // NewNode builds the per-node state. Its arenas start empty and grow on
 // demand; checkState.prealloc says why the detector does not reserve.
-func (d *EdgeDetector) NewNode(info congest.NodeInfo) congest.Node {
+func (d *EdgeDetector) NewNode(info network.NodeInfo) network.Node {
 	if d.K < 3 {
 		panic(fmt.Sprintf("core: EdgeDetector needs k >= 3, got %d", d.K))
 	}
@@ -47,20 +47,20 @@ func (d *EdgeDetector) NewNode(info congest.NodeInfo) congest.Node {
 
 type edgeDetNode struct {
 	prog    *EdgeDetector
-	info    congest.NodeInfo
+	info    network.NodeInfo
 	cs      checkState
 	metrics NodeMetrics
 	verdict Verdict // cached output, returned by pointer from Output
 	payload []byte  // reusable outgoing buffer; see testerNode
 }
 
-var _ congest.ReusableNode = (*edgeDetNode)(nil)
+var _ network.ReusableNode = (*edgeDetNode)(nil)
 
-// Reset implements congest.ReusableNode: re-bind the node to a fresh run of
+// Reset implements network.ReusableNode: re-bind the node to a fresh run of
 // the same EdgeDetector without reallocating its arenas. The detector is
 // deterministic, so Reset just replays NewNode's initialization on the
 // retained buffers.
-func (n *edgeDetNode) Reset(info congest.NodeInfo) {
+func (n *edgeDetNode) Reset(info network.NodeInfo) {
 	d := n.prog
 	seeder := (info.ID == d.U && hasNeighbor(info.NeighborIDs, d.V)) ||
 		(info.ID == d.V && hasNeighbor(info.NeighborIDs, d.U))

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"cycledetect/internal/central"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
@@ -15,7 +15,7 @@ import (
 func runDetector(t *testing.T, g *graph.Graph, k int, e graph.Edge) Decision {
 	t.Helper()
 	prog := &EdgeDetector{K: k, U: ID(e.U), V: ID(e.V)}
-	res, err := congest.Run(g, prog, congest.Config{})
+	res, err := runOnce(g, prog, network.Options{}, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -247,11 +247,11 @@ func TestDetectorEnginesAgree(t *testing.T) {
 		for k := 3; k <= 6; k++ {
 			for _, e := range g.Edges() {
 				prog := &EdgeDetector{K: k, U: ID(e.U), V: ID(e.V)}
-				a, err := congest.Run(g, prog, congest.Config{})
+				a, err := runOnce(g, prog, network.Options{}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := congest.RunChannels(g, prog, congest.Config{})
+				b, err := runOnce(g, prog, network.Options{Engine: network.EngineChannels}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -275,16 +275,16 @@ func TestDetectorEnginesAgree(t *testing.T) {
 func TestDetectorIDPermutation(t *testing.T) {
 	rng := xrand.New(5)
 	g := graph.Wheel(9)
-	ids := make([]congest.ID, g.N())
+	ids := make([]network.ID, g.N())
 	perm := rng.Perm(g.N())
 	for v, p := range perm {
-		ids[v] = congest.ID(100 + 37*p) // scattered, poly(n) range
+		ids[v] = network.ID(100 + 37*p) // scattered, poly(n) range
 	}
 	for k := 3; k <= 8; k++ {
 		for _, e := range g.Edges() {
 			want := central.HasCkThroughEdge(g, k, e)
 			prog := &EdgeDetector{K: k, U: ids[e.U], V: ids[e.V]}
-			res, err := congest.Run(g, prog, congest.Config{IDs: ids})
+			res, err := runOnce(g, prog, network.Options{IDs: ids}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,7 +308,7 @@ func TestNaiveDetectorAlsoCorrect(t *testing.T) {
 			for _, e := range g.Edges() {
 				want := central.HasCkThroughEdge(g, k, e)
 				prog := &EdgeDetector{K: k, U: ID(e.U), V: ID(e.V), Mode: ModeNaive}
-				res, err := congest.Run(g, prog, congest.Config{})
+				res, err := runOnce(g, prog, network.Options{}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -341,11 +341,11 @@ func TestNaiveExplodesPrunedDoesNot(t *testing.T) {
 		e := graph.Edge{U: 0, V: d} // a left-right edge
 		naive := &EdgeDetector{K: k, U: ID(e.U), V: ID(e.V), Mode: ModeNaive}
 		pruned := &EdgeDetector{K: k, U: ID(e.U), V: ID(e.V)}
-		rn, err := congest.Run(g, naive, congest.Config{})
+		rn, err := runOnce(g, naive, network.Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := congest.Run(g, pruned, congest.Config{})
+		rp, err := runOnce(g, pruned, network.Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/wire"
 	"cycledetect/internal/xrand"
 )
@@ -38,7 +38,7 @@ func TestDetectorMatchesOracleN6Sampled(t *testing.T) {
 type observingProgram struct {
 	inner *Tester
 	mu    sync.Mutex
-	sends map[congest.ID][]sentCheck // per node, in round order
+	sends map[network.ID][]sentCheck // per node, in round order
 }
 
 type sentCheck struct {
@@ -49,14 +49,14 @@ type sentCheck struct {
 
 func (o *observingProgram) Rounds(n, m int) int { return o.inner.Rounds(n, m) }
 
-func (o *observingProgram) NewNode(info congest.NodeInfo) congest.Node {
+func (o *observingProgram) NewNode(info network.NodeInfo) network.Node {
 	return &observingNode{Node: o.inner.NewNode(info), prog: o, id: info.ID}
 }
 
 type observingNode struct {
-	congest.Node
+	network.Node
 	prog *observingProgram
-	id   congest.ID
+	id   network.ID
 }
 
 func (n *observingNode) Send(round int, out [][]byte) {
@@ -101,8 +101,8 @@ func TestTesterPriorityInvariants(t *testing.T) {
 		n := 16 + rng.Intn(24)
 		g := graph.ConnectedGNM(n, 3*n, rng)
 		inner := &Tester{K: 6, Reps: 3}
-		obs := &observingProgram{inner: inner, sends: map[congest.ID][]sentCheck{}}
-		if _, err := congest.Run(g, obs, congest.Config{Seed: uint64(trial)}); err != nil {
+		obs := &observingProgram{inner: inner, sends: map[network.ID][]sentCheck{}}
+		if _, err := runOnce(g, obs, network.Options{}, uint64(trial)); err != nil {
 			t.Fatal(err)
 		}
 		per := inner.RoundsPerRep()
@@ -189,7 +189,7 @@ func TestTesterScales(t *testing.T) {
 	const n, k = 5000, 6
 	g, e := graph.PlantedCycle(n, k, 0, rng) // tree + one C6
 	prog := &Tester{K: k, Reps: 8}
-	res, err := congest.Run(g, prog, congest.Config{Seed: 3})
+	res, err := runOnce(g, prog, network.Options{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestTesterScales(t *testing.T) {
 	}
 	// Deterministic detector must find the planted cycle at this scale.
 	det := &EdgeDetector{K: k, U: ID(e.U), V: ID(e.V)}
-	dres, err := congest.Run(g, det, congest.Config{})
+	dres, err := runOnce(g, det, network.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

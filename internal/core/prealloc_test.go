@@ -4,14 +4,13 @@ import (
 	"runtime"
 	"testing"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
-// arenaDemand drives a full Tester run through a hand-rolled lockstep loop
-// (no engine, so the per-node checkState stays inspectable) and records the
+// arenaDemand drives a full Tester run through the lockstep harness (no
+// engine, so the per-node checkState stays inspectable) and records the
 // high-water arena demand of every node relative to what prealloc reserved.
 type arenaDemand struct {
 	maxRecvSpansOver float64 // max over nodes of used/preallocated recv spans
@@ -26,43 +25,14 @@ func measureArenaDemand(t *testing.T, g *graph.Graph, k, reps int, seed uint64) 
 	t.Helper()
 	prog := &Tester{K: k, Reps: reps}
 	n := g.N()
-	nodes := make([]congest.Node, n)
-	nbr := make([][]congest.ID, n)
-	for v := 0; v < n; v++ {
-		ns := g.Neighbors(v)
-		nbr[v] = make([]congest.ID, len(ns))
-		for p, w := range ns {
-			nbr[v][p] = congest.ID(w)
-		}
-		nodes[v] = prog.NewNode(congest.NodeInfo{
-			ID: congest.ID(v), N: n, NeighborIDs: nbr[v],
-			Rand: xrand.Stream(seed, uint64(v)),
-		})
-	}
-	revPort := make([][]int, n)
-	for v := 0; v < n; v++ {
-		revPort[v] = make([]int, len(nbr[v]))
-		for p, w := range nbr[v] {
-			for q, x := range nbr[w] {
-				if x == congest.ID(v) {
-					revPort[v][p] = q
-				}
-			}
-		}
-	}
-	out := make([][][]byte, n)
-	in := make([][][]byte, n)
-	for v := 0; v < n; v++ {
-		out[v] = make([][]byte, len(nbr[v]))
-		in[v] = make([][]byte, len(nbr[v]))
-	}
+	ls := newLockstep(g, prog, seed)
 
 	var d arenaDemand
 	halfK := k / 2
 	observe := func() {
 		for v := 0; v < n; v++ {
-			tn := nodes[v].(*testerNode)
-			deg := len(nbr[v])
+			tn := ls.nodes[v].(*testerNode)
+			deg := g.Degree(v)
 			if deg > d.maxDeg {
 				d.maxDeg = deg
 			}
@@ -91,25 +61,8 @@ func measureArenaDemand(t *testing.T, g *graph.Graph, k, reps int, seed uint64) 
 
 	rounds := prog.Rounds(n, g.M())
 	for round := 1; round <= rounds; round++ {
-		for v := 0; v < n; v++ {
-			for p := range out[v] {
-				out[v][p] = nil
-			}
-			nodes[v].Send(round, out[v])
-		}
-		observe() // sent arenas peak right after Send
-		for v := 0; v < n; v++ {
-			for p := range out[v] {
-				in[nbr[v][p]][revPort[v][p]] = out[v][p]
-			}
-		}
-		for v := 0; v < n; v++ {
-			nodes[v].Receive(round, in[v])
-			for p := range in[v] {
-				in[v][p] = nil
-			}
-		}
-		observe() // recv arenas peak right after Receive
+		ls.round(round, observe) // sent arenas peak right after Send
+		observe()                // recv arenas peak right after Receive
 	}
 	return d
 }

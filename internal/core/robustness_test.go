@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 
 	"cycledetect/internal/central"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/wire"
 	"cycledetect/internal/xrand"
 )
@@ -17,14 +17,14 @@ import (
 // its verdict relative to a clean run on the graph minus that node's
 // contributions — in particular, 1-sidedness must survive.
 type corruptingProgram struct {
-	inner    congest.Program
-	badNode  congest.ID
+	inner    network.Program
+	badNode  network.ID
 	badEvery int // corrupt every badEvery-th round
 }
 
 func (c *corruptingProgram) Rounds(n, m int) int { return c.inner.Rounds(n, m) }
 
-func (c *corruptingProgram) NewNode(info congest.NodeInfo) congest.Node {
+func (c *corruptingProgram) NewNode(info network.NodeInfo) network.Node {
 	node := c.inner.NewNode(info)
 	if info.ID != c.badNode {
 		return node
@@ -33,7 +33,7 @@ func (c *corruptingProgram) NewNode(info congest.NodeInfo) congest.Node {
 }
 
 type corruptingNode struct {
-	congest.Node
+	network.Node
 	every int
 }
 
@@ -55,8 +55,8 @@ func TestGarbageTrafficDoesNotCrashOrFalseReject(t *testing.T) {
 		g := graph.ConnectedGNM(n, n+rng.Intn(n), rng)
 		for _, k := range []int{3, 5, 6} {
 			inner := &Tester{K: k, Reps: 3}
-			prog := &corruptingProgram{inner: inner, badNode: congest.ID(rng.Intn(n)), badEvery: 2}
-			res, err := congest.Run(g, prog, congest.Config{Seed: uint64(trial)})
+			prog := &corruptingProgram{inner: inner, badNode: network.ID(rng.Intn(n)), badEvery: 2}
+			res, err := runOnce(g, prog, network.Options{}, uint64(trial))
 			if err != nil {
 				t.Fatalf("garbage traffic crashed the run: %v", err)
 			}
@@ -84,8 +84,8 @@ func TestGarbageOnDetector(t *testing.T) {
 		e := g.Edges()[rng.Intn(g.M())]
 		for _, k := range []int{4, 5, 6} {
 			inner := &EdgeDetector{K: k, U: ID(e.U), V: ID(e.V)}
-			prog := &corruptingProgram{inner: inner, badNode: congest.ID(rng.Intn(n)), badEvery: 1}
-			res, err := congest.Run(g, prog, congest.Config{Seed: uint64(trial)})
+			prog := &corruptingProgram{inner: inner, badNode: network.ID(rng.Intn(n)), badEvery: 1}
+			res, err := runOnce(g, prog, network.Options{}, uint64(trial))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestDetectorSilentNode(t *testing.T) {
 	inner := &EdgeDetector{K: 5, U: 0, V: 1}
 	// Silence node 7 (on the OTHER cycle): detection of cycle A unaffected.
 	prog := &corruptingProgram{inner: inner, badNode: 7, badEvery: 1}
-	res, err := congest.Run(g, prog, congest.Config{})
+	res, err := runOnce(g, prog, network.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestDetectorSilentNode(t *testing.T) {
 	// broken; the detector must now accept (completeness needs honest
 	// relays, soundness never breaks).
 	prog = &corruptingProgram{inner: inner, badNode: 2, badEvery: 1}
-	res, err = congest.Run(g, prog, congest.Config{})
+	res, err = runOnce(g, prog, network.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"cycledetect/internal/congest"
+	"cycledetect/internal/network"
 	"cycledetect/internal/ptest"
 	"cycledetect/internal/wire"
 )
@@ -35,7 +35,7 @@ type Tester struct {
 	Mode Mode
 }
 
-var _ congest.Program = (*Tester)(nil)
+var _ network.Program = (*Tester)(nil)
 
 // Repetitions returns the number of two-phase repetitions this tester runs.
 func (t *Tester) Repetitions() int {
@@ -49,11 +49,11 @@ func (t *Tester) Repetitions() int {
 // round plus ⌊k/2⌋ Phase-2 rounds.
 func (t *Tester) RoundsPerRep() int { return 1 + t.K/2 }
 
-// Rounds implements congest.Program; the total is independent of n and m.
+// Rounds implements network.Program; the total is independent of n and m.
 func (t *Tester) Rounds(n, m int) int { return t.Repetitions() * t.RoundsPerRep() }
 
 // NewNode builds the per-node state.
-func (t *Tester) NewNode(info congest.NodeInfo) congest.Node {
+func (t *Tester) NewNode(info network.NodeInfo) network.Node {
 	if t.K < 3 {
 		panic(fmt.Sprintf("core: Tester needs k >= 3, got %d", t.K))
 	}
@@ -79,7 +79,7 @@ func (t *Tester) NewNode(info congest.NodeInfo) congest.Node {
 
 type testerNode struct {
 	prog    *Tester
-	info    congest.NodeInfo
+	info    network.NodeInfo
 	rankMax uint64
 
 	// Per-repetition Phase-1 state.
@@ -100,15 +100,15 @@ type testerNode struct {
 	checkBuf []byte
 }
 
-var _ congest.ReusableNode = (*testerNode)(nil)
+var _ network.ReusableNode = (*testerNode)(nil)
 
-// Reset implements congest.ReusableNode: re-bind the node to a fresh run of
+// Reset implements network.ReusableNode: re-bind the node to a fresh run of
 // the same Tester (typically with a different coin stream) without
 // reallocating its arenas. Phase-1 state (edgeRanks, mine) is rewritten by
 // startRepetition at round 1 and checkState is rewritten by selectCheck (or
 // by consider, on preemption) before first use, so only cross-repetition
 // state needs clearing here.
-func (n *testerNode) Reset(info congest.NodeInfo) {
+func (n *testerNode) Reset(info network.NodeInfo) {
 	n.info = info
 	n.active = false
 	n.rejected = false

@@ -5,15 +5,26 @@ import (
 	"testing"
 
 	"cycledetect/internal/central"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/ptest"
 	"cycledetect/internal/xrand"
 )
 
+// runOnce runs p once on a fresh single-use network. The Result stays
+// valid after Close (only the engine goroutines are released).
+func runOnce(g *graph.Graph, p network.Program, opts network.Options, seed uint64) (*network.Result, error) {
+	nw, err := network.New(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer nw.Close()
+	return nw.RunProgram(p, seed)
+}
+
 func runTester(t *testing.T, g *graph.Graph, prog *Tester, seed uint64) Decision {
 	t.Helper()
-	res, err := congest.Run(g, prog, congest.Config{Seed: seed})
+	res, err := runOnce(g, prog, network.Options{}, seed)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -69,7 +80,7 @@ func TestTesterWitnessAlwaysReal(t *testing.T) {
 		g := graph.ConnectedGNM(n, n+rng.Intn(2*n), rng)
 		for k := 3; k <= 7; k++ {
 			prog := &Tester{K: k, Reps: 4}
-			res, err := congest.Run(g, prog, congest.Config{Seed: uint64(trial)})
+			res, err := runOnce(g, prog, network.Options{}, uint64(trial))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +176,7 @@ func TestTesterBandwidth(t *testing.T) {
 		g := graph.ConnectedGNM(n, 3*n, rng)
 		for _, k := range []int{4, 6, 8} {
 			prog := &Tester{K: k, Reps: 3}
-			res, err := congest.Run(g, prog, congest.Config{Seed: 5})
+			res, err := runOnce(g, prog, network.Options{}, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,11 +225,11 @@ func TestTesterEnginesAgree(t *testing.T) {
 		n := 10 + rng.Intn(15)
 		g := graph.ConnectedGNM(n, n+rng.Intn(2*n), rng)
 		prog := &Tester{K: 5, Reps: 3}
-		a, err := congest.Run(g, prog, congest.Config{Seed: uint64(trial)})
+		a, err := runOnce(g, prog, network.Options{}, uint64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := congest.RunChannels(g, prog, congest.Config{Seed: uint64(trial)})
+		b, err := runOnce(g, prog, network.Options{Engine: network.EngineChannels}, uint64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +276,7 @@ func TestTesterRejectingNodesAreSound(t *testing.T) {
 	g := graph.Wheel(12)
 	for _, k := range []int{3, 4, 5, 6} {
 		prog := &Tester{K: k, Reps: 6}
-		res, err := congest.Run(g, prog, congest.Config{Seed: 77})
+		res, err := runOnce(g, prog, network.Options{}, 77)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +305,7 @@ func TestTesterPanicsOnBadParams(t *testing.T) {
 		}()
 		fn()
 	}
-	info := congest.NodeInfo{ID: 0, N: 2, NeighborIDs: []congest.ID{1}, Rand: xrand.New(1)}
+	info := network.NodeInfo{ID: 0, N: 2, NeighborIDs: []network.ID{1}, Rand: xrand.New(1)}
 	assertPanics("k<3", func() { (&Tester{K: 2, Reps: 1}).NewNode(info) })
 	assertPanics("no eps no reps", func() { (&Tester{K: 3}).NewNode(info) })
 	assertPanics("bad eps", func() { (&Tester{K: 3, Eps: 1.5}).NewNode(info) })

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cycledetect/internal/congest"
+	"cycledetect/internal/network"
 	"cycledetect/internal/wire"
 )
 
@@ -29,7 +29,7 @@ type TriangleTester struct {
 	Reps int
 }
 
-var _ congest.Program = (*TriangleTester)(nil)
+var _ network.Program = (*TriangleTester)(nil)
 
 // Repetitions returns the number of probe rounds.
 func (t *TriangleTester) Repetitions() int {
@@ -43,11 +43,11 @@ func (t *TriangleTester) Repetitions() int {
 	return int(27.0/(t.Eps*t.Eps)*1.0986122886681098) + 1
 }
 
-// Rounds implements congest.Program: one probe per repetition.
+// Rounds implements network.Program: one probe per repetition.
 func (t *TriangleTester) Rounds(n, m int) int { return t.Repetitions() }
 
 // NewNode builds per-node state.
-func (t *TriangleTester) NewNode(info congest.NodeInfo) congest.Node {
+func (t *TriangleTester) NewNode(info network.NodeInfo) network.Node {
 	tn := &triangleNode{info: info}
 	tn.neighborSet = make(map[ID]int, info.Degree())
 	for p, id := range info.NeighborIDs {
@@ -57,7 +57,7 @@ func (t *TriangleTester) NewNode(info congest.NodeInfo) congest.Node {
 }
 
 type triangleNode struct {
-	info        congest.NodeInfo
+	info        network.NodeInfo
 	neighborSet map[ID]int
 	rejected    bool
 	witness     []ID

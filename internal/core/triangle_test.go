@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"cycledetect/internal/central"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
@@ -25,7 +25,7 @@ func TestTriangleTesterOneSided(t *testing.T) {
 			t.Fatalf("test setup: graph %d has triangles", gi)
 		}
 		for seed := uint64(0); seed < 6; seed++ {
-			res, err := congest.Run(g, &TriangleTester{Reps: 50}, congest.Config{Seed: seed})
+			res, err := runOnce(g, &TriangleTester{Reps: 50}, network.Options{}, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestTriangleTesterDetects(t *testing.T) {
 	hits := 0
 	const trials = 10
 	for s := 0; s < trials; s++ {
-		res, err := congest.Run(g, &TriangleTester{Eps: 0.08}, congest.Config{Seed: uint64(s)})
+		res, err := runOnce(g, &TriangleTester{Eps: 0.08}, network.Options{}, uint64(s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestTriangleTesterRoundGap(t *testing.T) {
 func TestTriangleTesterBandwidth(t *testing.T) {
 	rng := xrand.New(3)
 	g := graph.ConnectedGNM(200, 800, rng)
-	res, err := congest.Run(g, &TriangleTester{Reps: 20}, congest.Config{Seed: 1})
+	res, err := runOnce(g, &TriangleTester{Reps: 20}, network.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestTriangleTesterBandwidth(t *testing.T) {
 // reject.
 func TestTriangleTesterDegenerate(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Path(2), graph.Star(5), graph.Path(3)} {
-		res, err := congest.Run(g, &TriangleTester{Reps: 10}, congest.Config{Seed: 2})
+		res, err := runOnce(g, &TriangleTester{Reps: 10}, network.Options{}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
@@ -32,13 +31,13 @@ type cancelProg struct {
 }
 
 func (p *cancelProg) Rounds(n, m int) int { return p.rounds }
-func (p *cancelProg) NewNode(info congest.NodeInfo) congest.Node {
+func (p *cancelProg) NewNode(info network.NodeInfo) network.Node {
 	return &cancelNode{p: p, id: info.ID}
 }
 
 type cancelNode struct {
 	p  *cancelProg
-	id congest.ID
+	id network.ID
 }
 
 func (cn *cancelNode) Send(round int, out [][]byte) {
@@ -177,13 +176,13 @@ type cancelPanicProg struct {
 }
 
 func (p *cancelPanicProg) Rounds(n, m int) int { return p.rounds }
-func (p *cancelPanicProg) NewNode(info congest.NodeInfo) congest.Node {
+func (p *cancelPanicProg) NewNode(info network.NodeInfo) network.Node {
 	return &cancelPanicNode{p: p, id: info.ID, n: info.N}
 }
 
 type cancelPanicNode struct {
 	p  *cancelPanicProg
-	id congest.ID
+	id network.ID
 	n  int
 }
 
@@ -214,7 +213,7 @@ func TestConcurrentCancelsOneCompiled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := congest.RunWith(engine, g, &core.Tester{K: 5, Reps: 2}, congest.Config{Seed: 7})
+			want, err := runOnce(g, &core.Tester{K: 5, Reps: 2}, network.Options{Engine: engine}, 7)
 			if err != nil {
 				t.Fatal(err)
 			}

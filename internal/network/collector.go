@@ -56,7 +56,7 @@ type RunCollector interface {
 // recordRun assembles the run's RunMetrics and hands it to the collector.
 // res is the engine's Result on success and ignored otherwise.
 func (nw *Instance) recordRun(c RunCollector, res *Result, err error, injected bool) {
-	m := RunMetrics{Engine: nw.Engine(), Injected: injected}
+	m := RunMetrics{Engine: nw.engine(), Injected: injected}
 	switch e := err.(type) {
 	case nil:
 		m.Rounds = res.Stats.Rounds

@@ -10,9 +10,13 @@ import (
 // network's configuration: everything that goes into the compiled core and
 // is therefore common to every Instance attached to it.
 type CompileOptions struct {
-	// IDs optionally assigns identifiers to vertices (see Config).
+	// IDs optionally assigns identifiers to vertices (IDs[v] is vertex v's
+	// identifier). Identifiers must be distinct and non-negative. If nil,
+	// vertex v gets ID v.
 	IDs []ID
-	// BandwidthBits, if positive, is a hard per-message budget in bits.
+	// BandwidthBits, if positive, is a hard per-message budget in bits;
+	// exceeding it aborts the run with ErrBandwidth. Zero disables
+	// enforcement (sizes are still recorded in Stats).
 	BandwidthBits int
 }
 
@@ -28,25 +32,21 @@ type CompileOptions struct {
 // Compiled produce results byte-identical to N sequential fresh runs
 // (locked by TestConcurrentInstancesMatchSequential).
 type Compiled struct {
-	g       *graph.Graph
-	topo    *Topology
-	opts    CompileOptions
-	memSize int64
+	g             *graph.Graph
+	topo          *topology
+	bandwidthBits int
+	memSize       int64
 }
 
 // Compile validates opts against g and precomputes the shared immutable
 // core. The returned Compiled never changes; attach per-run state with
 // NewInstance.
 func Compile(g *graph.Graph, opts CompileOptions) (*Compiled, error) {
-	cfg := Config{IDs: opts.IDs, BandwidthBits: opts.BandwidthBits}
-	topo, err := BuildTopology(g, &cfg)
+	topo, err := buildTopology(g, opts.IDs)
 	if err != nil {
 		return nil, err
 	}
-	// BuildTopology materializes the default assignment when IDs is nil;
-	// keep the resolved slice so every Instance sees the same assignment.
-	opts.IDs = topo.IDs()
-	c := &Compiled{g: g, topo: topo, opts: opts}
+	c := &Compiled{g: g, topo: topo, bandwidthBits: opts.BandwidthBits}
 	c.memSize = g.MemSize() + topo.memSize()
 	return c, nil
 }
@@ -59,17 +59,9 @@ func (c *Compiled) MemSize() int64 { return c.memSize }
 // Graph returns the graph the core was compiled from.
 func (c *Compiled) Graph() *graph.Graph { return c.g }
 
-// Topology returns the compiled port topology. Immutable; shared by every
-// Instance.
-func (c *Compiled) Topology() *Topology { return c.topo }
-
-// IDs returns the resolved ID assignment (IDs()[v] is vertex v's
-// identifier). The slice is owned by the Compiled and must not be modified.
-func (c *Compiled) IDs() []ID { return c.topo.IDs() }
-
 // BandwidthBits returns the per-message budget the core was compiled with
 // (0 means unenforced).
-func (c *Compiled) BandwidthBits() int { return c.opts.BandwidthBits }
+func (c *Compiled) BandwidthBits() int { return c.bandwidthBits }
 
 // InstanceOptions fixes the per-instance configuration: the execution
 // engine and its parallelism. Unlike CompileOptions these do not affect the

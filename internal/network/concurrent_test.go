@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
@@ -18,13 +17,13 @@ import (
 )
 
 // sequentialWant collects fresh one-shot results for every seed. Each
-// congest.RunWith builds its own single-use network, so the returned
+// runOnce builds its own single-use network, so the returned
 // Results are independent of each other and of any shared Compiled.
-func sequentialWant(t *testing.T, engine congest.Engine, g *graph.Graph, k int, reps int, seeds []uint64) map[uint64]*congest.Result {
+func sequentialWant(t *testing.T, engine network.Engine, g *graph.Graph, k int, reps int, seeds []uint64) map[uint64]*network.Result {
 	t.Helper()
-	want := make(map[uint64]*congest.Result, len(seeds))
+	want := make(map[uint64]*network.Result, len(seeds))
 	for _, seed := range seeds {
-		res, err := congest.RunWith(engine, g, &core.Tester{K: k, Reps: reps}, congest.Config{Seed: seed})
+		res, err := runOnce(g, &core.Tester{K: k, Reps: reps}, network.Options{Engine: engine}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,14 +99,14 @@ func TestCompiledSharedAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := map[congest.Engine]map[uint64]*congest.Result{}
+	wants := map[network.Engine]map[uint64]*network.Result{}
 	for _, engine := range engines {
 		wants[engine] = sequentialWant(t, engine, far, k, reps, seeds)
 	}
 	var wg sync.WaitGroup
 	for _, engine := range engines {
 		wg.Add(1)
-		go func(engine congest.Engine) {
+		go func(engine network.Engine) {
 			defer wg.Done()
 			inst, err := compiled.NewInstance(network.InstanceOptions{Engine: engine, Workers: 1})
 			if err != nil {
@@ -142,7 +141,7 @@ func TestInstanceCloseLeavesCompiledUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := &core.Tester{K: 9, Reps: 2}
-	want, err := congest.Run(g, &core.Tester{K: 9, Reps: 2}, congest.Config{Seed: 7})
+	want, err := runOnce(g, &core.Tester{K: 9, Reps: 2}, network.Options{}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestInstanceCloseLeavesCompiledUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := compiled.NewInstance(network.InstanceOptions{Engine: congest.EngineChannels})
+	b, err := compiled.NewInstance(network.InstanceOptions{Engine: network.EngineChannels})
 	if err != nil {
 		t.Fatal(err)
 	}

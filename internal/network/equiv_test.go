@@ -1,9 +1,8 @@
-// Equivalence, error-semantics, and allocation tests for the single-source
-// engine loops. This file is package network_test so it can drive the
-// internal/congest one-shot wrappers (which import network) against reused
-// Networks: every assertion that a reused Network matches congest.RunWith
-// is now an assertion that the warm, node-cached path of the one loop
-// matches its own single-use path.
+// Equivalence and allocation tests for the engine loops: every assertion
+// that a reused Instance matches runOnce is an assertion that the warm,
+// node-cached path of the one loop matches its own single-use path. The
+// file is package network_test so it can run internal/core's programs
+// (core imports network).
 package network_test
 
 import (
@@ -12,14 +11,25 @@ import (
 	"testing"
 	"time"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
-var engines = []congest.Engine{congest.EngineBSP, congest.EngineChannels}
+var engines = []network.Engine{network.EngineBSP, network.EngineChannels}
+
+// runOnce is the single-use reference run: a fresh Instance, one program,
+// Close. The Result stays valid after Close (only the engine goroutines are
+// released), and nothing else holds the Instance, so the caller owns it.
+func runOnce(g *graph.Graph, p network.Program, opts network.Options, seed uint64) (*network.Result, error) {
+	nw, err := network.New(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer nw.Close()
+	return nw.RunProgram(p, seed)
+}
 
 // testGraphs returns the cross-engine equivalence fixtures: an accepting
 // tree, a rejecting ε-far instance (exercises witness state), a random
@@ -37,8 +47,8 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// TestRunProgramMatchesCongest locks the tentpole contract: a reused
-// Network produces results byte-identical to a fresh congest.RunWith for
+// TestRunProgramMatchesCongest locks the reuse contract: a reused
+// Network produces results byte-identical to a fresh single-use run for
 // every graph, engine, program, and seed — including runs late in the
 // Network's life, after many node reuses with different seeds.
 func TestRunProgramMatchesCongest(t *testing.T) {
@@ -53,7 +63,7 @@ func TestRunProgramMatchesCongest(t *testing.T) {
 				// One Program value reused across seeds: the node-cache path.
 				prog := &core.Tester{K: 5, Reps: 2}
 				for seed := uint64(0); seed < 6; seed++ {
-					want, err := congest.RunWith(engine, g, &core.Tester{K: 5, Reps: 2}, congest.Config{Seed: seed})
+					want, err := runOnce(g, &core.Tester{K: 5, Reps: 2}, network.Options{Engine: engine}, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -66,7 +76,7 @@ func TestRunProgramMatchesCongest(t *testing.T) {
 				// Even k takes the sent-arena detect path; also a program
 				// switch on a live network (cache invalidation).
 				prog6 := &core.Tester{K: 6, Reps: 2}
-				want, err := congest.RunWith(engine, g, &core.Tester{K: 6, Reps: 2}, congest.Config{Seed: 11})
+				want, err := runOnce(g, &core.Tester{K: 6, Reps: 2}, network.Options{Engine: engine}, 11)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,9 +96,9 @@ func TestRunProgramMatchesCongestDetector(t *testing.T) {
 	rng := xrand.New(7)
 	g := graph.ConnectedGNM(32, 96, rng)
 	e := g.Edges()[3]
-	ids := make([]congest.ID, g.N())
+	ids := make([]network.ID, g.N())
 	for v := range ids {
-		ids[v] = congest.ID(1000 + 3*v) // arbitrary distinct assignment
+		ids[v] = network.ID(1000 + 3*v) // arbitrary distinct assignment
 	}
 	prog := &core.EdgeDetector{K: 6, U: ids[e.U], V: ids[e.V]}
 	for _, engine := range engines {
@@ -97,8 +107,7 @@ func TestRunProgramMatchesCongestDetector(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := uint64(0); seed < 3; seed++ {
-			want, err := congest.RunWith(engine, g, &core.EdgeDetector{K: 6, U: ids[e.U], V: ids[e.V]},
-				congest.Config{Seed: seed, IDs: ids})
+			want, err := runOnce(g, &core.EdgeDetector{K: 6, U: ids[e.U], V: ids[e.V]}, network.Options{Engine: engine, IDs: ids}, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +134,7 @@ func TestRunProgramSingleWorker(t *testing.T) {
 	defer nw.Close()
 	prog := &core.Tester{K: 7, Reps: 2}
 	for seed := uint64(0); seed < 4; seed++ {
-		want, err := congest.Run(g, &core.Tester{K: 7, Reps: 2}, congest.Config{Seed: seed})
+		want, err := runOnce(g, &core.Tester{K: 7, Reps: 2}, network.Options{}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +146,7 @@ func TestRunProgramSingleWorker(t *testing.T) {
 	}
 }
 
-func assertResultsEqual(t *testing.T, seed uint64, want, got *congest.Result) {
+func assertResultsEqual(t *testing.T, seed uint64, want, got *network.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(want.IDs, got.IDs) {
 		t.Fatalf("seed %d: ID assignment differs", seed)
@@ -214,7 +223,7 @@ func TestChannelsRunSpawnsNoGoroutines(t *testing.T) {
 	// least n after Close).
 	g := graph.Cycle(32)
 	before := runtime.NumGoroutine()
-	nw, err := network.New(g, network.Options{Engine: congest.EngineChannels})
+	nw, err := network.New(g, network.Options{Engine: network.EngineChannels})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
@@ -19,11 +18,11 @@ import (
 // bandwidth violations at different (round, vertex) points.
 type schedTalker struct {
 	rounds int
-	sched  map[congest.ID]int // ID -> round of its oversized send (0 = never)
+	sched  map[network.ID]int // ID -> round of its oversized send (0 = never)
 }
 
 func (p *schedTalker) Rounds(n, m int) int { return p.rounds }
-func (p *schedTalker) NewNode(info congest.NodeInfo) congest.Node {
+func (p *schedTalker) NewNode(info network.NodeInfo) network.Node {
 	return &schedNode{at: p.sched[info.ID]}
 }
 
@@ -44,12 +43,12 @@ func (s *schedNode) Output() any           { return nil }
 // phasePanic panics in Send and/or Receive at per-node chosen rounds.
 type phasePanic struct {
 	rounds int
-	sendAt map[congest.ID]int // ID -> round of its Send panic (0 = never)
-	recvAt map[congest.ID]int // ID -> round of its Receive panic
+	sendAt map[network.ID]int // ID -> round of its Send panic (0 = never)
+	recvAt map[network.ID]int // ID -> round of its Receive panic
 }
 
 func (p *phasePanic) Rounds(n, m int) int { return p.rounds }
-func (p *phasePanic) NewNode(info congest.NodeInfo) congest.Node {
+func (p *phasePanic) NewNode(info network.NodeInfo) network.Node {
 	return &panicNode{sendAt: p.sendAt[info.ID], recvAt: p.recvAt[info.ID]}
 }
 
@@ -77,16 +76,16 @@ func (pn *panicNode) Output() any { return nil }
 // over the whole run, which would pick vertex 0's round-2 violation here).
 func TestBandwidthEarliestRound(t *testing.T) {
 	g := graph.Path(4) // 0-1-2-3; oversized sends from 3 hit receiver 2
-	prog := func() congest.Program {
-		return &schedTalker{rounds: 5, sched: map[congest.ID]int{3: 1, 0: 2}}
+	prog := func() network.Program {
+		return &schedTalker{rounds: 5, sched: map[network.ID]int{3: 1, 0: 2}}
 	}
 	for _, engine := range engines {
 		t.Run(string(engine), func(t *testing.T) {
-			_, err := congest.RunWith(engine, g, prog(), congest.Config{BandwidthBits: 64})
+			_, err := runOnce(g, prog(), network.Options{Engine: engine, BandwidthBits: 64}, 0)
 			if err == nil {
 				t.Fatal("expected a bandwidth error")
 			}
-			be, ok := err.(*congest.ErrBandwidth)
+			be, ok := err.(*network.ErrBandwidth)
 			if !ok {
 				t.Fatalf("wrong error type %T: %v", err, err)
 			}
@@ -103,9 +102,9 @@ func TestBandwidthLowestVertexTie(t *testing.T) {
 	g := graph.Path(4)
 	for _, engine := range engines {
 		t.Run(string(engine), func(t *testing.T) {
-			prog := &schedTalker{rounds: 3, sched: map[congest.ID]int{0: 1, 3: 1}}
-			_, err := congest.RunWith(engine, g, prog, congest.Config{BandwidthBits: 64})
-			be, ok := err.(*congest.ErrBandwidth)
+			prog := &schedTalker{rounds: 3, sched: map[network.ID]int{0: 1, 3: 1}}
+			_, err := runOnce(g, prog, network.Options{Engine: engine, BandwidthBits: 64}, 0)
+			be, ok := err.(*network.ErrBandwidth)
 			if !ok {
 				t.Fatalf("wrong error %v", err)
 			}
@@ -125,8 +124,8 @@ func TestPanicIsolationBothEngines(t *testing.T) {
 	var msgs []string
 	for _, engine := range engines {
 		t.Run(string(engine), func(t *testing.T) {
-			prog := &phasePanic{rounds: 4, sendAt: map[congest.ID]int{2: 2}}
-			_, err := congest.RunWith(engine, g, prog, congest.Config{})
+			prog := &phasePanic{rounds: 4, sendAt: map[network.ID]int{2: 2}}
+			_, err := runOnce(g, prog, network.Options{Engine: engine}, 0)
 			if err == nil {
 				t.Fatal("expected the panic to surface as an error")
 			}
@@ -152,10 +151,10 @@ func TestSameRoundPhaseOrdering(t *testing.T) {
 		t.Run(string(engine), func(t *testing.T) {
 			prog := &phasePanic{
 				rounds: 4,
-				sendAt: map[congest.ID]int{3: 2},
-				recvAt: map[congest.ID]int{1: 2},
+				sendAt: map[network.ID]int{3: 2},
+				recvAt: map[network.ID]int{1: 2},
 			}
-			_, err := congest.RunWith(engine, g, prog, congest.Config{})
+			_, err := runOnce(g, prog, network.Options{Engine: engine}, 0)
 			if err == nil {
 				t.Fatal("expected an error")
 			}
@@ -175,13 +174,13 @@ type lenProbe struct {
 }
 
 func (p *lenProbe) Rounds(n, m int) int { return p.rounds }
-func (p *lenProbe) NewNode(info congest.NodeInfo) congest.Node {
+func (p *lenProbe) NewNode(info network.NodeInfo) network.Node {
 	return &lenProbeNode{p: p, id: info.ID}
 }
 
 type lenProbeNode struct {
 	p  *lenProbe
-	id congest.ID
+	id network.ID
 }
 
 func (n *lenProbeNode) Send(round int, out [][]byte) {
@@ -209,7 +208,7 @@ func TestOverBudgetPayloadNeverDelivered(t *testing.T) {
 	for _, engine := range engines {
 		t.Run(string(engine), func(t *testing.T) {
 			prog := &lenProbe{rounds: 3, maxLen: make([]int, g.N())}
-			_, err := congest.RunWith(engine, g, prog, congest.Config{BandwidthBits: 64})
+			_, err := runOnce(g, prog, network.Options{Engine: engine, BandwidthBits: 64}, 0)
 			if err == nil {
 				t.Fatal("expected a bandwidth error")
 			}
@@ -236,8 +235,7 @@ func TestRunProgramBandwidthError(t *testing.T) {
 			}
 			defer nw.Close()
 			prog := &core.Tester{K: 6, Reps: 2, Mode: core.ModeNaive}
-			_, wantErr := congest.RunWith(engine, g, &core.Tester{K: 6, Reps: 2, Mode: core.ModeNaive},
-				congest.Config{Seed: 3, BandwidthBits: 40})
+			_, wantErr := runOnce(g, &core.Tester{K: 6, Reps: 2, Mode: core.ModeNaive}, network.Options{Engine: engine, BandwidthBits: 40}, 3)
 			if wantErr == nil {
 				t.Fatal("expected a bandwidth violation from the naive tester")
 			}
@@ -251,7 +249,7 @@ func TestRunProgramBandwidthError(t *testing.T) {
 }
 
 // TestNetworkReuseAfterPanic: after a node panic aborts a run, the next
-// RunProgram on the same Network must match a fresh congest.RunWith
+// RunProgram on the same Network must match a fresh single-use run
 // byte-for-byte, on both engines.
 func TestNetworkReuseAfterPanic(t *testing.T) {
 	g := graph.CompleteBipartite(6, 6)
@@ -268,7 +266,7 @@ func TestNetworkReuseAfterPanic(t *testing.T) {
 			if _, err := nw.RunProgram(warm, 1); err != nil {
 				t.Fatal(err)
 			}
-			bad := &phasePanic{rounds: 3, sendAt: map[congest.ID]int{4: 2}}
+			bad := &phasePanic{rounds: 3, sendAt: map[network.ID]int{4: 2}}
 			if _, err := nw.RunProgram(bad, 2); err == nil {
 				t.Fatal("expected the panic to surface as an error")
 			}
@@ -280,12 +278,11 @@ func TestNetworkReuseAfterPanic(t *testing.T) {
 // assertMatchesFresh runs a fresh tester program on nw and demands
 // byte-identical results (decisions, outputs, stats) with a fresh one-shot
 // run of the same configuration — the post-error reuse contract.
-func assertMatchesFresh(t *testing.T, nw *network.Instance, engine congest.Engine,
+func assertMatchesFresh(t *testing.T, nw *network.Instance, engine network.Engine,
 	g *graph.Graph, seed uint64, budget int) {
 	t.Helper()
 	prog := &core.Tester{K: 6, Reps: 1}
-	want, wantErr := congest.RunWith(engine, g, &core.Tester{K: 6, Reps: 1},
-		congest.Config{Seed: seed, BandwidthBits: budget})
+	want, wantErr := runOnce(g, &core.Tester{K: 6, Reps: 1}, network.Options{Engine: engine, BandwidthBits: budget}, seed)
 	got, gotErr := nw.RunProgram(prog, seed)
 	switch {
 	case wantErr != nil:

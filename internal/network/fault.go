@@ -199,12 +199,12 @@ func (nw *Instance) fireFaultCancel() {
 //
 //ckvet:allocs fault-injection path, never on a production run
 func (nw *Instance) injectedBandwidthErr(v, round int) error {
-	ids := nw.c.topo.IDs()
+	ids := nw.c.topo.ids
 	from := ids[v]
 	if ns := nw.c.g.Neighbors(v); len(ns) > 0 {
 		from = ids[int(ns[0])]
 	}
-	budget := nw.c.opts.BandwidthBits
+	budget := nw.c.bandwidthBits
 	return &ErrInjected{Kind: FaultBandwidth, Err: &ErrBandwidth{
 		Round: round, From: from, To: ids[v],
 		Bits: budget + 8, BudgetBit: budget,

@@ -1,11 +1,9 @@
 package network
 
-// This file holds the CONGEST model's vocabulary — node programs, run
-// configuration, traffic statistics, the precomputed topology, and the
-// run errors. It moved here from internal/congest when the engine loops
-// were single-sourced under Network; internal/congest re-exports every
-// name via type aliases, so the public surface (and its "congest:" error
-// strings) is unchanged.
+// This file holds the CONGEST model's vocabulary (§2.1 of the paper):
+// node identifiers and programs, traffic statistics, the precomputed port
+// topology, and the run errors. The errors say "congest:" because they
+// describe the model's rules, not this package's.
 
 import (
 	"fmt"
@@ -76,21 +74,6 @@ type ReusableNode interface {
 	Reset(info NodeInfo)
 }
 
-// Config controls a simulation run.
-type Config struct {
-	// Seed seeds every node's private coin stream (per-node streams are
-	// derived deterministically from Seed and the node's ID).
-	Seed uint64
-	// IDs optionally assigns identifiers to vertices (IDs[v] is vertex v's
-	// identifier). Identifiers must be distinct and non-negative. If nil,
-	// vertex v gets ID v.
-	IDs []ID
-	// BandwidthBits, if positive, is a hard per-message budget in bits;
-	// exceeding it aborts the run with ErrBandwidth. Zero disables
-	// enforcement (sizes are still recorded in Stats).
-	BandwidthBits int
-}
-
 // Engine selects an execution engine by name.
 type Engine string
 
@@ -112,9 +95,9 @@ type Stats struct {
 	AvgMessageBits   float64 // TotalBits / MessagesSent (0 if no messages)
 }
 
-// NewStats returns a zeroed Stats with per-round arrays sized for the given
+// newStats returns a zeroed Stats with per-round arrays sized for the given
 // round count.
-func NewStats(rounds int) Stats {
+func newStats(rounds int) Stats {
 	return Stats{
 		Rounds:           rounds,
 		PerRoundMaxBits:  make([]int, rounds),
@@ -123,10 +106,10 @@ func NewStats(rounds int) Stats {
 	}
 }
 
-// NewStatsSlab returns count Stats whose per-round arrays are carved from
+// newStatsSlab returns count Stats whose per-round arrays are carved from
 // three shared backing slices, so per-node (or per-worker) accounting costs
 // a constant number of allocations instead of O(count).
-func NewStatsSlab(count, rounds int) []Stats {
+func newStatsSlab(count, rounds int) []Stats {
 	ss := make([]Stats, count)
 	maxb := make([]int, count*rounds)
 	bits := make([]int64, count*rounds)
@@ -143,9 +126,9 @@ func NewStatsSlab(count, rounds int) []Stats {
 	return ss
 }
 
-// Reset zeroes s in place for reuse across runs, keeping the per-round
+// reset zeroes s in place for reuse across runs, keeping the per-round
 // slices (they must already have the right length for the next run).
-func (s *Stats) Reset() {
+func (s *Stats) reset() {
 	s.MessagesSent = 0
 	s.TotalBits = 0
 	s.MaxMessageBits = 0
@@ -161,9 +144,9 @@ func (s *Stats) Reset() {
 	}
 }
 
-// Observe records one sent payload of the given size at the given round
+// observe records one sent payload of the given size at the given round
 // (1-based).
-func (s *Stats) Observe(round int, bits int) {
+func (s *Stats) observe(round int, bits int) {
 	s.MessagesSent++
 	s.TotalBits += int64(bits)
 	if bits > s.MaxMessageBits {
@@ -176,16 +159,16 @@ func (s *Stats) Observe(round int, bits int) {
 	s.PerRoundMessages[round-1]++
 }
 
-// Finalize fills the derived fields after the last Observe/Merge.
-func (s *Stats) Finalize() {
+// finalize fills the derived fields after the last observe/merge.
+func (s *Stats) finalize() {
 	if s.MessagesSent > 0 {
 		s.AvgMessageBits = float64(s.TotalBits) / float64(s.MessagesSent)
 	}
 }
 
-// Merge folds other into s (used by the engines to combine per-node or
+// merge folds other into s (used by the engines to combine per-node or
 // per-worker stats).
-func (s *Stats) Merge(other *Stats) {
+func (s *Stats) merge(other *Stats) {
 	s.MessagesSent += other.MessagesSent
 	s.TotalBits += other.TotalBits
 	if other.MaxMessageBits > s.MaxMessageBits {
@@ -244,21 +227,21 @@ func (e *ErrBandwidth) Error() string {
 		e.Round, e.From, e.To, e.Bits, e.BudgetBit)
 }
 
-// Topology is the precomputed port structure shared by both engines: the ID
+// topology is the precomputed port structure shared by both engines: the ID
 // assignment, per-port neighbor IDs, and the reverse-port table. Building it
-// validates the ID assignment; once built it is immutable, so a Topology can
+// validates the ID assignment; once built it is immutable, so a topology can
 // be shared by many runs on the same graph.
-type Topology struct {
+type topology struct {
 	g       *graph.Graph
 	ids     []ID
 	revPort [][]int32 // revPort[v][p] = the port of v on the neighbor reached via v's port p
 	nbrIDs  [][]ID    // nbrIDs[v][p] = the ID of v's port-p neighbor
 }
 
-// BuildTopology validates cfg.IDs and precomputes the port structure for g.
-func BuildTopology(g *graph.Graph, cfg *Config) (*Topology, error) {
+// buildTopology validates ids (nil means vertex v gets ID v) and
+// precomputes the port structure for g.
+func buildTopology(g *graph.Graph, ids []ID) (*topology, error) {
 	n := g.N()
-	ids := cfg.IDs
 	if ids == nil {
 		ids = make([]ID, n)
 		for v := range ids {
@@ -279,7 +262,7 @@ func BuildTopology(g *graph.Graph, cfg *Config) (*Topology, error) {
 			seen[id] = struct{}{}
 		}
 	}
-	t := &Topology{g: g, ids: ids, revPort: make([][]int32, n), nbrIDs: make([][]ID, n)}
+	t := &topology{g: g, ids: ids, revPort: make([][]int32, n), nbrIDs: make([][]ID, n)}
 	// Adjacency lists are sorted, so a neighbor's reverse port is found by
 	// binary search; the per-vertex slices are carved from two flat backing
 	// arrays to keep setup allocations independent of n.
@@ -300,16 +283,12 @@ func BuildTopology(g *graph.Graph, cfg *Config) (*Topology, error) {
 	return t, nil
 }
 
-// IDs returns the ID assignment (IDs()[v] is vertex v's identifier). The
-// slice is owned by the Topology and must not be modified.
-func (t *Topology) IDs() []ID { return t.ids }
-
 // memSize is the topology's resident size in bytes: the flat reverse-port
 // and neighbor-ID slabs (Θ(m)), the per-vertex slice headers carved over
 // them, and the resolved ID assignment. Anchored to the actual field types
 // via unsafe.Sizeof so the byte-weighted serve cache cannot silently drift
 // from the real footprint if a representation changes.
-func (t *Topology) memSize() int64 {
+func (t *topology) memSize() int64 {
 	var (
 		port   int32
 		id     ID
@@ -321,15 +300,11 @@ func (t *Topology) memSize() int64 {
 	return slabs + headers + n*int64(unsafe.Sizeof(id))
 }
 
-// RevPorts returns the reverse-port table of v: RevPorts(v)[p] is the port
-// of v on the neighbor reached via v's port p. Engine-owned; read-only.
-func (t *Topology) RevPorts(v int) []int32 { return t.revPort[v] }
-
-// Info assembles vertex v's NodeInfo around a caller-owned RNG. The caller
+// info assembles vertex v's NodeInfo around a caller-owned RNG. The caller
 // must seed r to the node's coin stream — SeedStream(runSeed, uint64(ID)) —
 // which is how an Instance reuses one RNG value per node across runs instead
 // of allocating a fresh stream per run.
-func (t *Topology) Info(v int, r *xrand.RNG) NodeInfo {
+func (t *topology) info(v int, r *xrand.RNG) NodeInfo {
 	return NodeInfo{
 		ID:          t.ids[v],
 		N:           t.g.N(),

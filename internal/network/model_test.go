@@ -1,4 +1,7 @@
-package congest
+// Model-semantics tests: delivery along ports, traffic accounting, ID
+// validation, per-node coins, engine dispatch, and degenerate networks, run
+// on fresh single-use instances (runOnce).
+package network_test
 
 import (
 	"encoding/binary"
@@ -7,6 +10,7 @@ import (
 	"testing"
 
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
 )
 
@@ -19,12 +23,12 @@ type echoProgram struct {
 
 func (p *echoProgram) Rounds(n, m int) int { return p.rounds }
 
-func (p *echoProgram) NewNode(info NodeInfo) Node {
+func (p *echoProgram) NewNode(info network.NodeInfo) network.Node {
 	return &echoNode{info: info}
 }
 
 type echoNode struct {
-	info NodeInfo
+	info network.NodeInfo
 	log  string
 }
 
@@ -53,7 +57,7 @@ func (e *echoNode) Output() any { return e.log }
 
 func TestDeliveryMatchesTopology(t *testing.T) {
 	g := graph.Cycle(5)
-	res, err := Run(g, &echoProgram{rounds: 3}, Config{})
+	res, err := runOnce(g, &echoProgram{rounds: 3}, network.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +80,11 @@ func TestEnginesIdenticalOnEcho(t *testing.T) {
 			m = max
 		}
 		g := graph.ConnectedGNM(n, m, rng)
-		a, err := Run(g, &echoProgram{rounds: 4}, Config{})
+		a, err := runOnce(g, &echoProgram{rounds: 4}, network.Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunChannels(g, &echoProgram{rounds: 4}, Config{})
+		b, err := runOnce(g, &echoProgram{rounds: 4}, network.Options{Engine: network.EngineChannels}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +101,7 @@ func TestEnginesIdenticalOnEcho(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	g := graph.Complete(4) // 6 edges, 12 directed
-	res, err := Run(g, &echoProgram{rounds: 2}, Config{})
+	res, err := runOnce(g, &echoProgram{rounds: 2}, network.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +126,12 @@ func TestStatsAccounting(t *testing.T) {
 type bigTalker struct{ size int }
 
 func (p *bigTalker) Rounds(n, m int) int { return 3 }
-func (p *bigTalker) NewNode(info NodeInfo) Node {
+func (p *bigTalker) NewNode(info network.NodeInfo) network.Node {
 	return &bigTalkerNode{info: info, size: p.size}
 }
 
 type bigTalkerNode struct {
-	info NodeInfo
+	info network.NodeInfo
 	size int
 }
 
@@ -143,12 +147,13 @@ func (b *bigTalkerNode) Output() any           { return nil }
 
 func TestBandwidthEnforcement(t *testing.T) {
 	g := graph.Path(3)
-	for _, run := range []func(*graph.Graph, Program, Config) (*Result, error){Run, RunChannels} {
-		_, err := run(g, &bigTalker{size: 100}, Config{BandwidthBits: 64})
+	for _, engine := range engines {
+		opts := network.Options{Engine: engine, BandwidthBits: 64}
+		_, err := runOnce(g, &bigTalker{size: 100}, opts, 0)
 		if err == nil {
 			t.Fatal("expected bandwidth error")
 		}
-		be, ok := err.(*ErrBandwidth)
+		be, ok := err.(*network.ErrBandwidth)
 		if !ok {
 			t.Fatalf("wrong error type %T: %v", err, err)
 		}
@@ -156,7 +161,7 @@ func TestBandwidthEnforcement(t *testing.T) {
 			t.Fatalf("bad error detail %+v", be)
 		}
 		// Under the budget: must succeed.
-		if _, err := run(g, &bigTalker{size: 4}, Config{BandwidthBits: 64}); err != nil {
+		if _, err := runOnce(g, &bigTalker{size: 4}, opts, 0); err != nil {
 			t.Fatalf("under-budget run failed: %v", err)
 		}
 	}
@@ -164,26 +169,26 @@ func TestBandwidthEnforcement(t *testing.T) {
 
 func TestIDValidation(t *testing.T) {
 	g := graph.Path(3)
-	cases := map[string][]ID{
+	cases := map[string][]network.ID{
 		"short":    {1, 2},
 		"dup":      {1, 1, 2},
 		"negative": {-1, 0, 1},
 	}
 	for name, ids := range cases {
-		if _, err := Run(g, &echoProgram{rounds: 1}, Config{IDs: ids}); err == nil {
+		if _, err := runOnce(g, &echoProgram{rounds: 1}, network.Options{IDs: ids}, 0); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	if _, err := Run(g, &echoProgram{rounds: 1}, Config{IDs: []ID{10, 5, 99}}); err != nil {
+	if _, err := runOnce(g, &echoProgram{rounds: 1}, network.Options{IDs: []network.ID{10, 5, 99}}, 0); err != nil {
 		t.Errorf("valid custom IDs rejected: %v", err)
 	}
 }
 
 func TestNodeInfoContents(t *testing.T) {
 	g := graph.Star(4) // center 0
-	var captured []NodeInfo
+	var captured []network.NodeInfo
 	probe := &probeProgram{capture: &captured}
-	if _, err := Run(g, probe, Config{Seed: 9, IDs: []ID{100, 200, 300, 400}}); err != nil {
+	if _, err := runOnce(g, probe, network.Options{IDs: []network.ID{100, 200, 300, 400}}, 9); err != nil {
 		t.Fatal(err)
 	}
 	if len(captured) != 4 {
@@ -197,7 +202,7 @@ func TestNodeInfoContents(t *testing.T) {
 			if info.Degree() != 3 {
 				t.Fatalf("center degree %d", info.Degree())
 			}
-			want := map[ID]bool{200: true, 300: true, 400: true}
+			want := map[network.ID]bool{200: true, 300: true, 400: true}
 			for _, nb := range info.NeighborIDs {
 				if !want[nb] {
 					t.Fatalf("unexpected neighbor %d", nb)
@@ -212,10 +217,10 @@ func TestNodeInfoContents(t *testing.T) {
 	}
 }
 
-type probeProgram struct{ capture *[]NodeInfo }
+type probeProgram struct{ capture *[]network.NodeInfo }
 
 func (p *probeProgram) Rounds(n, m int) int { return 1 }
-func (p *probeProgram) NewNode(info NodeInfo) Node {
+func (p *probeProgram) NewNode(info network.NodeInfo) network.Node {
 	*p.capture = append(*p.capture, info)
 	return &silentNode{}
 }
@@ -229,11 +234,11 @@ func (*silentNode) Output() any           { return nil }
 // TestPerNodeRandomnessDeterministic: same seed -> same coins; different
 // seeds -> (overwhelmingly) different coins; coins depend on ID.
 func TestPerNodeRandomnessDeterministic(t *testing.T) {
-	draw := func(seed uint64, ids []ID) []uint64 {
+	draw := func(seed uint64, ids []network.ID) []uint64 {
 		g := graph.Path(3)
 		var vals []uint64
 		p := &coinProgram{out: &vals}
-		if _, err := Run(g, p, Config{Seed: seed, IDs: ids}); err != nil {
+		if _, err := runOnce(g, p, network.Options{IDs: ids}, seed); err != nil {
 			t.Fatal(err)
 		}
 		return vals
@@ -260,23 +265,21 @@ func TestPerNodeRandomnessDeterministic(t *testing.T) {
 type coinProgram struct{ out *[]uint64 }
 
 func (p *coinProgram) Rounds(n, m int) int { return 1 }
-func (p *coinProgram) NewNode(info NodeInfo) Node {
+func (p *coinProgram) NewNode(info network.NodeInfo) network.Node {
 	*p.out = append(*p.out, info.Rand.Uint64())
 	return &silentNode{}
 }
 
-func TestRunWithDispatch(t *testing.T) {
+// TestEngineDispatch: New accepts both engines and the empty name (the BSP
+// default) and refuses an unknown one.
+func TestEngineDispatch(t *testing.T) {
 	g := graph.Path(2)
-	if _, err := RunWith(EngineBSP, g, &echoProgram{rounds: 1}, Config{}); err != nil {
-		t.Fatal(err)
+	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels, ""} {
+		if _, err := runOnce(g, &echoProgram{rounds: 1}, network.Options{Engine: engine}, 0); err != nil {
+			t.Fatalf("engine %q: %v", engine, err)
+		}
 	}
-	if _, err := RunWith(EngineChannels, g, &echoProgram{rounds: 1}, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunWith("", g, &echoProgram{rounds: 1}, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunWith("bogus", g, &echoProgram{rounds: 1}, Config{}); err == nil {
+	if _, err := network.New(g, network.Options{Engine: "bogus"}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 }
@@ -286,16 +289,16 @@ func TestRunWithDispatch(t *testing.T) {
 type panicProgram struct{}
 
 func (panicProgram) Rounds(n, m int) int { return 2 }
-func (panicProgram) NewNode(info NodeInfo) Node {
+func (panicProgram) NewNode(info network.NodeInfo) network.Node {
 	if info.ID == 0 {
-		return panicNode{}
+		return boomNode{}
 	}
 	return &silentNode{}
 }
 
-type panicNode struct{}
+type boomNode struct{}
 
-func (panicNode) Send(round int, out [][]byte) {
+func (boomNode) Send(round int, out [][]byte) {
 	if round == 2 {
 		panic("boom")
 	}
@@ -303,14 +306,14 @@ func (panicNode) Send(round int, out [][]byte) {
 		out[i] = []byte{1}
 	}
 }
-func (panicNode) Receive(int, [][]byte) {}
-func (panicNode) Output() any           { return nil }
+func (boomNode) Receive(int, [][]byte) {}
+func (boomNode) Output() any           { return nil }
 
 func TestChannelEnginePanicRecovery(t *testing.T) {
 	// Star: panicking center would deadlock leaves without nil-delivery on
 	// panic. Use a 2-node graph so the surviving node finishes regardless.
 	g := graph.Path(2)
-	_, err := RunChannels(g, panicProgram{}, Config{})
+	_, err := runOnce(g, panicProgram{}, network.Options{Engine: network.EngineChannels}, 0)
 	if err == nil {
 		t.Fatal("expected panic to surface as error")
 	}
@@ -325,7 +328,7 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	runWith := func(procs int) []any {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		res, err := Run(g, &echoProgram{rounds: 5}, Config{Seed: 7})
+		res, err := runOnce(g, &echoProgram{rounds: 5}, network.Options{}, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,10 +347,10 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // outputs and empty stats.
 type zeroProgram struct{}
 
-func (zeroProgram) Rounds(n, m int) int        { return 0 }
-func (zeroProgram) NewNode(info NodeInfo) Node { return constNode{info.ID} }
+func (zeroProgram) Rounds(n, m int) int                        { return 0 }
+func (zeroProgram) NewNode(info network.NodeInfo) network.Node { return constNode{info.ID} }
 
-type constNode struct{ id ID }
+type constNode struct{ id network.ID }
 
 func (c constNode) Send(int, [][]byte)    {}
 func (c constNode) Receive(int, [][]byte) {}
@@ -355,8 +358,8 @@ func (c constNode) Output() any           { return c.id }
 
 func TestZeroRoundProgram(t *testing.T) {
 	g := graph.Path(4)
-	for _, run := range []func(*graph.Graph, Program, Config) (*Result, error){Run, RunChannels} {
-		res, err := run(g, zeroProgram{}, Config{})
+	for _, engine := range engines {
+		res, err := runOnce(g, zeroProgram{}, network.Options{Engine: engine}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +367,7 @@ func TestZeroRoundProgram(t *testing.T) {
 			t.Fatalf("stats %+v", res.Stats)
 		}
 		for v, o := range res.Outputs {
-			if o.(ID) != ID(v) {
+			if o.(network.ID) != network.ID(v) {
 				t.Fatalf("output %v at vertex %d", o, v)
 			}
 		}
@@ -374,7 +377,7 @@ func TestZeroRoundProgram(t *testing.T) {
 // TestSingleNodeGraph: a 1-vertex network (no edges) runs without issue.
 func TestSingleNodeGraph(t *testing.T) {
 	g := graph.NewBuilder(1).Build()
-	res, err := Run(g, &echoProgram{rounds: 3}, Config{})
+	res, err := runOnce(g, &echoProgram{rounds: 3}, network.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +391,8 @@ func TestSingleNodeGraph(t *testing.T) {
 func TestPerRoundStatsConsistency(t *testing.T) {
 	rng := xrand.New(55)
 	g := graph.ConnectedGNM(12, 30, rng)
-	for _, run := range []func(*graph.Graph, Program, Config) (*Result, error){Run, RunChannels} {
-		res, err := run(g, &echoProgram{rounds: 4}, Config{})
+	for _, engine := range engines {
+		res, err := runOnce(g, &echoProgram{rounds: 4}, network.Options{Engine: engine}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,30 +1,36 @@
-// Package network is the home of the CONGEST simulator's execution
-// engines. The expensive, immutable part of a network — the graph, the
-// validated ID assignment, the precomputed port topology — is compiled ONCE
-// into a shareable Compiled core; per-run mutable state (payload tables,
-// coin streams, node cache, stats slabs, and a persistent execution engine)
-// lives in an Instance attached to that core. Many programs are executed
-// against one Instance via RunProgram, and many Instances — on either
-// engine — attach to one Compiled with zero copying of the graph, which is
-// what lets N concurrent queries share one cached topology (see
-// internal/serve). The one-shot entry points in internal/congest (Run,
-// RunChannels, RunWith) are thin wrappers over New + RunProgram, so each
-// engine loop — including bandwidth accounting, panic isolation, and error
-// selection — exists exactly once, here.
+// Package network simulates the CONGEST model (Peleg 2000) that the
+// paper's tester is stated in (§2.1): nodes of a connected simple graph hold
+// distinct O(log n)-bit identifiers, run the same program, and proceed in
+// synchronous rounds, each sending one message per incident edge per round.
+// The package is the model's one home — its vocabulary (model.go) and both
+// engines — and Instance.RunProgram / RunProgramCtx are the only way to run
+// a program. EngineBSP is a lockstep reference engine; EngineChannels runs
+// one goroutine per node with a capacity-1 channel per directed edge (an
+// α-synchronizer). Both account every message's size in bits and can
+// enforce a hard per-message budget.
+//
+// The expensive, immutable part of a network — the graph, the validated ID
+// assignment, the precomputed port topology — is compiled ONCE into a
+// shareable Compiled core; per-run mutable state (payload tables, coin
+// streams, node cache, stats slabs, and a persistent execution engine)
+// lives in an Instance attached to that core. Many programs run against one
+// Instance, and many Instances — on either engine — attach to one Compiled
+// with zero copying of the graph, which is what lets N concurrent queries
+// share one cached topology (see internal/serve). New compiles and attaches
+// in one step.
 //
 // The paper's tester is cheap per repetition — O(1/ε) rounds — so sweep
-// workloads (the E4/E11 harnesses, examples/sweep, cmd/sweep) are dominated
-// by re-building the same network hundreds of times when driven through
-// congest.Run. An Instance amortizes every per-run allocation that
-// congest.Run pays: topology and ID validation (shared via the Compiled),
-// the flat payload tables, per-node RNG streams (reseeded in place per
-// run), the stats slabs, the engine itself — the BSP worker pool or the
-// channels engine's per-node goroutines, which park between runs — and,
-// when the same Program value is run repeatedly and its nodes implement
+// workloads (the E4/E11 harnesses, examples/sweep, cmd/sweep) would be
+// dominated by re-building the same network per run. An Instance amortizes
+// all of it: topology and ID validation (shared via the Compiled), the flat
+// payload tables, per-node RNG streams (reseeded in place per run), the
+// stats slabs, the engine itself — the BSP worker pool or the channels
+// engine's per-node goroutines, which park between runs — and, when the
+// same Program value is run repeatedly and its nodes implement
 // ReusableNode, the per-node program state. In that steady state RunProgram
 // performs zero heap allocations per run and spawns zero goroutines on BOTH
 // engines (locked by TestNetworkRunAllocFree) while producing results
-// byte-identical across engines and entry points (locked by
+// byte-identical to a fresh Instance's (locked by
 // TestRunProgramMatchesCongest).
 //
 // Error semantics are identical on both engines: a node panic is isolated
@@ -63,20 +69,18 @@ import (
 	"cycledetect/internal/xrand"
 )
 
-// Options fixes the whole per-network configuration in one struct — the
-// union of CompileOptions and InstanceOptions, kept for the build-and-run
-// callers (congest's one-shot wrappers, sweep workers) that neither share a
-// Compiled nor vary the engine.
+// Options is New's configuration: the fields of CompileOptions and
+// InstanceOptions in one struct, for callers that run on a graph without
+// sharing its Compiled core (the public cycledetect API, cmd/ckfree, the
+// experiment harness).
 type Options struct {
 	// Engine selects the execution engine; empty means EngineBSP.
 	Engine Engine
-	// IDs optionally assigns identifiers to vertices (see Config).
+	// IDs optionally assigns identifiers to vertices (see CompileOptions).
 	IDs []ID
 	// BandwidthBits, if positive, is a hard per-message budget in bits.
 	BandwidthBits int
-	// Workers caps the BSP worker pool (0 means GOMAXPROCS). Sweep
-	// schedulers that run many Networks concurrently set this low so the
-	// product of networks and workers matches the hardware.
+	// Workers caps the BSP worker pool (see InstanceOptions).
 	Workers int
 }
 
@@ -150,7 +154,7 @@ type Instance struct {
 	out, in [][][]byte
 
 	// BSP engine state.
-	pool                               *WorkerPool
+	pool                               *workerPool
 	workers                            int
 	hasErr                             []bool // per-worker failure flag, scanned at each round barrier
 	round                              int    // current round, read by the phase closures
@@ -204,7 +208,7 @@ func (nw *Instance) init() {
 	g := nw.c.g
 	n := g.N()
 	nw.rngs = make([]xrand.RNG, n)
-	nw.res.IDs = nw.c.topo.IDs()
+	nw.res.IDs = nw.c.topo.ids
 	nw.res.Outputs = make([]any, n)
 	nw.errs = make([]nodeErr, n)
 	nw.failed = make([]bool, n)
@@ -228,8 +232,8 @@ func (nw *Instance) Graph() *graph.Graph { return nw.c.g }
 // Compiled returns the immutable core this instance is attached to.
 func (nw *Instance) Compiled() *Compiled { return nw.c }
 
-// Engine returns the engine the instance executes on.
-func (nw *Instance) Engine() Engine {
+// engine returns the engine the instance executes on.
+func (nw *Instance) engine() Engine {
 	if nw.iopts.Engine == "" {
 		return EngineBSP
 	}
@@ -237,13 +241,13 @@ func (nw *Instance) Engine() Engine {
 }
 
 // Workers returns the instance's effective engine parallelism: the BSP
-// worker-pool width after clamping (requested width capped by GOMAXPROCS
-// and the vertex count). The channels engine runs one goroutine per node
+// worker-pool width after clamping (the requested width, or GOMAXPROCS when
+// none was requested, capped by the vertex count). The channels engine runs one goroutine per node
 // regardless of the requested width, so it reports 1. Schedulers that
 // hand out width budgets (internal/sweep's CoreProvider handshake) read
 // this to verify the width they asked for is the width they got.
 func (nw *Instance) Workers() int {
-	if nw.Engine() == EngineChannels || nw.workers < 1 {
+	if nw.engine() == EngineChannels || nw.workers < 1 {
 		return 1
 	}
 	return nw.workers
@@ -254,7 +258,7 @@ func (nw *Instance) Workers() int {
 // its Compiled remains valid (other instances may still be attached).
 func (nw *Instance) Close() {
 	if nw.pool != nil {
-		nw.pool.Close()
+		nw.pool.close()
 		nw.pool = nil
 	}
 	for _, c := range nw.chStart {
@@ -281,7 +285,7 @@ func (nw *Instance) buildBSP() {
 	nw.workers = workers
 	nw.hasErr = make([]bool, workers)
 	if workers > 1 {
-		nw.pool = NewWorkerPool(workers, n)
+		nw.pool = newWorkerPool(workers, n)
 	}
 
 	//ckvet:allocfree
@@ -304,7 +308,7 @@ func (nw *Instance) buildBSP() {
 	//ckvet:allocfree
 	nw.deliverPhase = func(w, lo, hi int) {
 		st := &nw.perWorker[w]
-		budget := nw.c.opts.BandwidthBits
+		budget := nw.c.bandwidthBits
 		for v := lo; v < hi; v++ {
 			// An injected bandwidth violation is recorded before the real
 			// delivery scan, at the same receiver-side rank a real oversized
@@ -316,7 +320,7 @@ func (nw *Instance) buildBSP() {
 				nw.hasErr[w] = true
 			}
 			ns := g.Neighbors(v)
-			rp := nw.c.topo.RevPorts(v)
+			rp := nw.c.topo.revPort[v]
 			for pt := range nw.in[v] {
 				u := int(ns[pt])
 				payload := nw.out[u][rp[pt]]
@@ -325,9 +329,9 @@ func (nw *Instance) buildBSP() {
 					continue
 				}
 				bits := 8 * len(payload)
-				st.Observe(nw.round, bits)
+				st.observe(nw.round, bits)
 				if budget > 0 && bits > budget && nw.errs[v].err == nil {
-					ids := nw.c.topo.IDs()
+					ids := nw.c.topo.ids
 					nw.errs[v] = nodeErr{rank: sendRank(nw.round), err: &ErrBandwidth{ //ckvet:ignore budget-violation abort path, the run is over
 						Round: nw.round, From: ids[u], To: ids[v],
 						Bits: bits, BudgetBit: budget,
@@ -451,16 +455,16 @@ func (nw *Instance) prepare(p Program, seed uint64) int {
 	rounds := p.Rounds(n, nw.c.g.M())
 	if rounds != nw.rounds {
 		nw.rounds = rounds
-		nw.res.Stats = NewStats(rounds)
+		nw.res.Stats = newStats(rounds)
 		slab := nw.workers
-		if nw.Engine() == EngineChannels {
+		if nw.engine() == EngineChannels {
 			slab = n
 		}
-		nw.perWorker = NewStatsSlab(slab, rounds)
+		nw.perWorker = newStatsSlab(slab, rounds)
 	} else {
-		nw.res.Stats.Reset()
+		nw.res.Stats.reset()
 		for i := range nw.perWorker {
-			nw.perWorker[i].Reset()
+			nw.perWorker[i].reset()
 		}
 	}
 
@@ -475,13 +479,13 @@ func (nw *Instance) prepare(p Program, seed uint64) int {
 		}
 	}
 
-	ids := nw.c.topo.IDs()
+	ids := nw.c.topo.ids
 	for v := 0; v < n; v++ {
 		nw.rngs[v].SeedStream(seed, uint64(ids[v]))
 	}
 	if sameProgram(p, nw.lastProg) && nw.reusable {
 		for v := 0; v < n; v++ {
-			nw.nodes[v].(ReusableNode).Reset(nw.c.topo.Info(v, &nw.rngs[v]))
+			nw.nodes[v].(ReusableNode).Reset(nw.c.topo.info(v, &nw.rngs[v]))
 		}
 		return rounds
 	}
@@ -490,7 +494,7 @@ func (nw *Instance) prepare(p Program, seed uint64) int {
 	}
 	nw.reusable = true
 	for v := 0; v < n; v++ {
-		nw.nodes[v] = p.NewNode(nw.c.topo.Info(v, &nw.rngs[v]))
+		nw.nodes[v] = p.NewNode(nw.c.topo.info(v, &nw.rngs[v]))
 		if _, ok := nw.nodes[v].(ReusableNode); !ok {
 			nw.reusable = false
 		}
@@ -499,9 +503,10 @@ func (nw *Instance) prepare(p Program, seed uint64) int {
 	return rounds
 }
 
-// RunProgram executes p against the network with the given seed. Results
-// are byte-identical to congest.RunWith(engine, g, p, cfg) for the same
-// configuration and seed (those entry points are wrappers over this one).
+// RunProgram executes p against the network with the given seed, which
+// seeds every node's private coin stream (each node's stream derives
+// deterministically from seed and the node's ID). Results are
+// byte-identical on both engines and on a fresh or reused Instance.
 //
 // The returned Result (including its Outputs and Stats slices) is owned by
 // the Instance and is overwritten by the next RunProgram call; callers that
@@ -539,7 +544,7 @@ func (nw *Instance) RunProgramCtx(ctx context.Context, p Program, seed uint64) (
 	}
 	var res *Result
 	var err error
-	if nw.Engine() == EngineChannels {
+	if nw.engine() == EngineChannels {
 		res, err = nw.runChannels(ctx, rounds)
 	} else {
 		res, err = nw.runBSP(ctx, rounds)
@@ -625,7 +630,7 @@ func (nw *Instance) runBSP(ctx context.Context, rounds int) (*Result, error) {
 			fn(0, 0, n)
 			return
 		}
-		nw.pool.Run(fn)
+		nw.pool.run(fn)
 	}
 	for nw.round = 1; nw.round <= rounds; nw.round++ {
 		// An injected cancellation fires at its chosen round's barrier,
@@ -673,9 +678,9 @@ func (nw *Instance) runBSP(ctx context.Context, rounds int) (*Result, error) {
 		return nil, nw.runFailed()
 	}
 	for w := range nw.perWorker {
-		nw.res.Stats.Merge(&nw.perWorker[w])
+		nw.res.Stats.merge(&nw.perWorker[w])
 	}
-	nw.res.Stats.Finalize()
+	nw.res.Stats.finalize()
 	return &nw.res, nil
 }
 
@@ -725,9 +730,9 @@ func (nw *Instance) runChannels(ctx context.Context, rounds int) (*Result, error
 		return nil, nw.runFailed()
 	}
 	for v := 0; v < n; v++ {
-		nw.res.Stats.Merge(&nw.perWorker[v])
+		nw.res.Stats.merge(&nw.perWorker[v])
 	}
-	nw.res.Stats.Finalize()
+	nw.res.Stats.finalize()
 	return &nw.res, nil
 }
 
@@ -890,7 +895,7 @@ func (cn *chanNode) run() {
 	rp := nw.c.topo.revPort[v]
 	deg := len(ns)
 	out, in := nw.out[v], nw.in[v]
-	budget := nw.c.opts.BandwidthBits
+	budget := nw.c.bandwidthBits
 	ids := nw.c.topo.ids
 	rounds := nw.chRounds
 	ctxDone := nw.ctxDone
@@ -956,7 +961,7 @@ func (cn *chanNode) run() {
 			// attribute a violation to the same (round, receiver) and the
 			// shared selection in runFailed yields the identical error.
 			bits := 8 * len(payload)
-			st.Observe(r, bits)
+			st.observe(r, bits)
 			if budget > 0 && bits > budget {
 				if nw.errs[v].err == nil {
 					cn.recordFailure(sendRank(r), &ErrBandwidth{ //ckvet:ignore budget-violation abort path, the run is over

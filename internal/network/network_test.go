@@ -4,8 +4,7 @@ import "testing"
 
 // TestSameProgram exercises the node-cache guard, including the
 // non-comparable program type that a bare == would panic on. The
-// behavioral Network tests live in equiv_test.go (package network_test, so
-// they can drive the internal/congest wrappers against the same loops).
+// behavioral tests live in the external network_test package.
 func TestSameProgram(t *testing.T) {
 	a := &countProgram{}
 	b := &countProgram{}

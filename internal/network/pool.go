@@ -2,14 +2,14 @@ package network
 
 import "sync"
 
-// WorkerPool is a persistent worker pool for BSP-style execution: workers
+// workerPool is a persistent worker pool for BSP-style execution: workers
 // are spawned once and execute one phase function per barrier, each over a
 // static contiguous shard of the vertex range. The seed implementation
 // re-created goroutines and a work channel for every phase (3× per round);
 // the pool replaces that with one channel send per worker per phase. A
-// WorkerPool outlives individual runs — an Instance keeps one alive across
-// many RunProgram calls — so Close must be called when done.
-type WorkerPool struct {
+// workerPool outlives individual runs — an Instance keeps one alive across
+// many RunProgram calls — so close must be called when done.
+type workerPool struct {
 	workers int
 	lo, hi  []int           // shard bounds per worker
 	start   []chan struct{} // one wake-up channel per worker
@@ -17,9 +17,9 @@ type WorkerPool struct {
 	fn      func(w, lo, hi int) // current phase; written before wake-up
 }
 
-// NewWorkerPool spawns workers goroutines sharding the range [0, n).
-func NewWorkerPool(workers, n int) *WorkerPool {
-	p := &WorkerPool{
+// newWorkerPool spawns workers goroutines sharding the range [0, n).
+func newWorkerPool(workers, n int) *workerPool {
+	p := &workerPool{
 		workers: workers,
 		lo:      make([]int, workers),
 		hi:      make([]int, workers),
@@ -39,13 +39,10 @@ func NewWorkerPool(workers, n int) *WorkerPool {
 	return p
 }
 
-// Workers returns the worker count the pool was built with.
-func (p *WorkerPool) Workers() int { return p.workers }
-
-// Run executes fn(w, lo, hi) on every worker's shard and waits for all of
+// run executes fn(w, lo, hi) on every worker's shard and waits for all of
 // them (the BSP barrier). The channel sends order p.fn's write before each
 // worker's read.
-func (p *WorkerPool) Run(fn func(w, lo, hi int)) {
+func (p *workerPool) run(fn func(w, lo, hi int)) {
 	p.fn = fn
 	p.wg.Add(p.workers)
 	for _, c := range p.start {
@@ -54,8 +51,8 @@ func (p *WorkerPool) Run(fn func(w, lo, hi int)) {
 	p.wg.Wait()
 }
 
-// Close terminates the workers.
-func (p *WorkerPool) Close() {
+// close terminates the workers.
+func (p *workerPool) close() {
 	for _, c := range p.start {
 		close(c)
 	}

@@ -13,7 +13,7 @@ package network
 // The codec carries NO integrity machinery of its own — framing, checksums,
 // and atomic installation belong to the segment files in
 // internal/corestore. What it does validate is semantic: version, graph CSR
-// invariants (via graph.DecodeBinary), and — through BuildTopology inside
+// invariants (via graph.DecodeBinary), and — through buildTopology inside
 // Compile — ID uniqueness and range. Arbitrary bytes therefore decode to an
 // error, never a malformed core (FuzzDecodeSnapshot feeds it garbage).
 
@@ -49,8 +49,8 @@ func (c *Compiled) AppendSnapshot(buf []byte) []byte {
 	word(snapshotMagic)
 	word(snapshotVersion)
 	buf = c.g.AppendBinary(buf)
-	word(uint64(c.opts.BandwidthBits))
-	ids := c.topo.IDs()
+	word(uint64(c.bandwidthBits))
+	ids := c.topo.ids
 	word(uint64(len(ids)))
 	for _, id := range ids {
 		word(uint64(id))
@@ -60,7 +60,7 @@ func (c *Compiled) AppendSnapshot(buf []byte) []byte {
 
 // SnapshotSize returns len(c.AppendSnapshot(nil)) without encoding.
 func (c *Compiled) SnapshotSize() int {
-	return 8 + 8 + c.g.BinarySize() + 8 + 8 + 8*len(c.topo.IDs())
+	return 8 + 8 + c.g.BinarySize() + 8 + 8 + 8*len(c.topo.ids)
 }
 
 // DecodeSnapshot parses a snapshot and recompiles the core it describes.

@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/network"
 	"cycledetect/internal/sweep"
@@ -71,10 +70,10 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 	// kind errors the run).
 	want := make([]core.Decision, clients*perClient)
 	for i := range want {
-		want[i] = freshDecision(t, g, congest.EngineBSP, 5, 2, 0, uint64(i))
+		want[i] = freshDecision(t, g, network.EngineBSP, 5, 2, 0, uint64(i))
 	}
 
-	engines := []congest.Engine{congest.EngineBSP, congest.EngineChannels}
+	engines := []network.Engine{network.EngineBSP, network.EngineChannels}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	var got200, got429 atomic.Int64

@@ -14,17 +14,22 @@ import (
 	"testing"
 	"time"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
+	"cycledetect/internal/network"
 	"cycledetect/internal/sweep"
 )
 
-// freshDecision runs the same query as a one-shot congest run and
+// freshDecision runs the same query on a fresh single-use network and
 // summarizes it — the ground truth a served query must reproduce exactly.
-func freshDecision(t *testing.T, g *graph.Graph, engine congest.Engine, k, reps int, eps float64, seed uint64) core.Decision {
+func freshDecision(t *testing.T, g *graph.Graph, engine network.Engine, k, reps int, eps float64, seed uint64) core.Decision {
 	t.Helper()
-	res, err := congest.RunWith(engine, g, &core.Tester{K: k, Eps: eps, Reps: reps}, congest.Config{Seed: seed})
+	nw, err := network.New(g, network.Options{Engine: engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	res, err := nw.RunProgram(&core.Tester{K: k, Eps: eps, Reps: reps}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +46,7 @@ func TestQueryMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []congest.Engine{congest.EngineBSP, congest.EngineChannels} {
+	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			resp, err := s.Query(context.Background(), &QueryRequest{
 				Graph: GraphRequest{Family: "gnm", N: 64, M: 256, Seed: 3},
@@ -83,7 +88,7 @@ func TestConcurrentQueriesDeterministic(t *testing.T) {
 	const seeds = 24
 	want := make([]core.Decision, seeds)
 	for i := range want {
-		want[i] = freshDecision(t, g, congest.EngineBSP, 5, 2, 0, uint64(i))
+		want[i] = freshDecision(t, g, network.EngineBSP, 5, 2, 0, uint64(i))
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < seeds; i++ {
@@ -142,6 +147,29 @@ func TestDetectQuery(t *testing.T) {
 	}
 	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("fingerprint keying should dedupe permuted edge lists: %+v", st)
+	}
+}
+
+// TestFamilyQueryIgnoresUnreadFields: a family request that differs from a
+// cached one only in a field the generator never reads (m for a tree, the
+// seed for a cycle) names the same graph, so it must hit the cached core
+// instead of compiling and caching a copy.
+func TestFamilyQueryIgnoresUnreadFields(t *testing.T) {
+	pairs := map[string][2]GraphRequest{
+		"tree m":     {{Family: "tree", N: 64, Seed: 1}, {Family: "tree", N: 64, M: 5, Seed: 1}},
+		"cycle seed": {{Family: "cycle", N: 64, Seed: 1}, {Family: "cycle", N: 64, Seed: 2}},
+	}
+	for name, pair := range pairs {
+		s := NewServer(Options{})
+		for _, gr := range pair {
+			if _, err := s.Query(context.Background(), &QueryRequest{Graph: gr, K: 5, Reps: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := s.Stats(); st.Hits != 1 || st.Compiles != 1 || st.GraphsCached != 1 {
+			t.Errorf("%s: second request should hit the first one's core: %+v", name, st)
+		}
+		s.Close()
 	}
 }
 

@@ -9,10 +9,14 @@ import (
 // FamilyKey is the canonical cache key of a generated graph — the shared
 // vocabulary between every layer that caches compiled cores over
 // BuildGraph's families (corestore's LRU, serve's /query resolution, the
-// snapshot manifest's key field). Only the "far" family depends on
-// (k, eps) — mirroring the scheduler's graph keying — so tester runs with
-// different parameters share the same cached gnm/tree/cycle/complete graph.
+// snapshot manifest's key field). It names only what BuildGraph reads, so
+// two specs that build the same graph share one key: m only for gnm (with
+// its 4n default resolved), the seed for every family but the fixed cycle
+// and complete graphs, and (k, eps) only for "far" — mirroring the
+// scheduler's graph keying — so tester runs with different parameters share
+// the same cached gnm/tree/cycle/complete graph.
 func FamilyKey(gs GraphSpec, k int, eps float64, seed uint64) string {
+	gs = gs.canonical()
 	var b strings.Builder
 	b.WriteString(gs.Family)
 	b.WriteString("/n=")
@@ -21,8 +25,10 @@ func FamilyKey(gs GraphSpec, k int, eps float64, seed uint64) string {
 		b.WriteString("/m=")
 		b.WriteString(strconv.Itoa(gs.M))
 	}
-	b.WriteString("/seed=")
-	b.WriteString(strconv.FormatUint(seed, 10))
+	if gs.seeded() {
+		b.WriteString("/seed=")
+		b.WriteString(strconv.FormatUint(seed, 10))
+	}
 	if gs.Family == "far" {
 		fmt.Fprintf(&b, "/k=%d/eps=%g", k, eps)
 	}

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"cycledetect/internal/combin"
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
@@ -69,6 +68,24 @@ func (gs GraphSpec) resolvedM() int {
 		return gs.M
 	}
 	return 4 * gs.N
+}
+
+// canonical reduces gs to the fields BuildGraph reads: gnm keeps its
+// resolved edge count, every other family drops M. Specs with equal
+// canonical forms build the same graph from the same seed.
+func (gs GraphSpec) canonical() GraphSpec {
+	if gs.Family == "gnm" {
+		gs.M = gs.resolvedM()
+	} else {
+		gs.M = 0
+	}
+	return gs
+}
+
+// seeded reports whether BuildGraph's output depends on its seed; the cycle
+// and complete families are fixed graphs.
+func (gs GraphSpec) seeded() bool {
+	return gs.Family != "cycle" && gs.Family != "complete"
 }
 
 // Spec is a declarative sweep: the cross product of Graphs × K × Eps ×
@@ -138,7 +155,7 @@ type Job struct {
 	Graph   GraphSpec      `json:"graph"`
 	K       int            `json:"k"`
 	Eps     float64        `json:"eps"`
-	Engine  congest.Engine `json:"engine"`
+	Engine  network.Engine `json:"engine"`
 }
 
 // Result aggregates one job's trials.
@@ -217,11 +234,11 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if len(s.Engines) == 0 {
-		s.Engines = []string{string(congest.EngineBSP)}
+		s.Engines = []string{string(network.EngineBSP)}
 	}
 	for _, e := range s.Engines {
-		switch congest.Engine(e) {
-		case congest.EngineBSP, congest.EngineChannels:
+		switch network.Engine(e) {
+		case network.EngineBSP, network.EngineChannels:
 		default:
 			return fmt.Errorf("sweep: unknown engine %q", e)
 		}
@@ -271,7 +288,7 @@ func (s *Spec) Jobs() (jobs []Job, skipped int) {
 				for _, eng := range s.Engines {
 					jobs = append(jobs, Job{
 						Index: idx, SeedKey: combo, Graph: gs, K: k, Eps: eps,
-						Engine: congest.Engine(eng),
+						Engine: network.Engine(eng),
 					})
 					idx++
 				}
@@ -301,15 +318,16 @@ type graphKey struct {
 	eps float64
 }
 
-// key identifies the point's built graph. Only the "far" family depends on
-// (k, eps); every other family is shared across the whole grid — which is
-// also what lets a serving provider share one cached core between a sweep's
-// whole (k, ε) grid and its query traffic.
+// key identifies the point's built graph by its canonical spec. Only the
+// "far" family depends on (k, eps); every other family is shared across the
+// whole grid — which is also what lets a serving provider share one cached
+// core between a sweep's whole (k, ε) grid and its query traffic.
 func (pt TrialPoint) key() graphKey {
-	if pt.Graph.Family == "far" {
-		return graphKey{gs: pt.Graph, k: pt.K, eps: pt.Eps}
+	gs := pt.Graph.canonical()
+	if gs.Family == "far" {
+		return graphKey{gs: gs, k: pt.K, eps: pt.Eps}
 	}
-	return graphKey{gs: pt.Graph}
+	return graphKey{gs: gs}
 }
 
 // buildGraph constructs the graph for a key, deterministically from the
@@ -788,7 +806,7 @@ var errUnwinding = errors.New("sweep: unwinding")
 // them into its Result row.
 func runJob(ctx context.Context, inst *network.Instance, spec *Spec, pr *Progress, job Job) (Result, error) {
 	g := inst.Graph()
-	// One Program value for all trials: with congest.ReusableNode support
+	// One Program value for all trials: with network.ReusableNode support
 	// the instance re-binds the cached per-node state instead of rebuilding
 	// it, making steady-state trials allocation-free.
 	prog := &core.Tester{K: job.K, Eps: job.Eps, Reps: spec.Reps}

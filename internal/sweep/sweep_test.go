@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"cycledetect/internal/congest"
 	"cycledetect/internal/core"
 	"cycledetect/internal/network"
 )
@@ -111,8 +110,8 @@ func TestSweepOrderAndSkip(t *testing.T) {
 }
 
 // TestSweepMatchesDirectRuns: the scheduler's aggregates — through network
-// reuse, node caching, and worker sharding — equal per-trial fresh
-// congest.Run executions summed by hand.
+// reuse, node caching, and worker sharding — equal per-trial runs on fresh
+// single-use networks, summed by hand.
 func TestSweepMatchesDirectRuns(t *testing.T) {
 	spec := demoSpec()
 	jobs, _ := spec.Jobs()
@@ -126,9 +125,12 @@ func TestSweepMatchesDirectRuns(t *testing.T) {
 		var msgs int64
 		for tr := 0; tr < spec.Trials; tr++ {
 			prog := &core.Tester{K: job.K, Eps: job.Eps}
-			res, err := congest.RunWith(job.Engine, g, prog, congest.Config{
-				Seed: trialSeed(spec.Seed, job.SeedKey, tr),
-			})
+			nw, err := network.New(g, network.Options{Engine: job.Engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := nw.RunProgram(prog, trialSeed(spec.Seed, job.SeedKey, tr))
+			nw.Close()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cycledetect/internal/core"
-	"cycledetect/internal/network"
 )
 
 // CycleProfile is the per-k outcome of ProfileCycles.
@@ -35,11 +34,7 @@ func ProfileCycles(g *Graph, kmax int, opts Options) ([]CycleProfile, error) {
 	if err := validate(g, &probe, true); err != nil {
 		return nil, err
 	}
-	nw, err := network.New(g.build(), network.Options{
-		Engine:        opts.Engine,
-		IDs:           opts.IDs,
-		BandwidthBits: opts.BandwidthBits,
-	})
+	nw, err := opts.instance(g)
 	if err != nil {
 		return nil, err
 	}
