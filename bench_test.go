@@ -1,9 +1,9 @@
 package cycledetect
 
-// One benchmark per reproduced table/figure (E1–E12, see DESIGN.md and
-// EXPERIMENTS.md), plus micro-benchmarks of the hot paths. Each experiment
-// benchmark runs the corresponding harness experiment in quick mode and
-// aborts on claim violations, so `go test -bench=.` doubles as a
+// One benchmark per reproduced table/figure (E1–E12, indexed in README
+// "Experiments (E1–E12)"), plus micro-benchmarks of the hot paths. Each
+// experiment benchmark runs the corresponding harness experiment in quick
+// mode and aborts on claim violations, so `go test -bench=.` doubles as a
 // reproduction run.
 
 import (
@@ -75,8 +75,9 @@ func BenchmarkTesterByK(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginesCompare contrasts the lockstep and the goroutine/channel
-// engines on identical workloads.
+// BenchmarkEnginesCompare times fresh single-use tester runs on a 128-node
+// graph. Its one row keeps the name "bsp" so the snapshot trajectory from
+// BENCH_1.json continues.
 func BenchmarkEnginesCompare(b *testing.B) {
 	rng := xrand.New(2)
 	g := graph.ConnectedGNM(128, 512, rng)
@@ -88,26 +89,15 @@ func BenchmarkEnginesCompare(b *testing.B) {
 			}
 		}
 	})
-	b.Run("channels", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := runOnce(g, prog, network.Options{Engine: network.EngineChannels}, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkNetworkReuse is the sweep-workload benchmark behind the
 // internal/network subsystem: 100 single-repetition tester runs (different
 // seeds) on one 256-node G(n,4n) graph, executed on a fresh single-use
 // network per repetition (runOnce) versus on one reused Network with a
-// cached Program, on both engines. ("fresh"/"reused" are the BSP variants,
-// keeping the snapshot trajectory from BENCH_2.json;
-// "fresh-channels"/"reused-channels" additionally pay, or amortize, the
-// channel fabric and the per-node goroutines, which park between runs on a
-// reused Network.) Both paths are verified to produce identical decisions
-// and stats before timing. The reused paths must be ≥5× cheaper in
-// allocs/op (they are ~0 per repetition in steady state; see
+// cached Program. Both paths are verified to produce identical decisions
+// and stats before timing. The reused path must be ≥5× cheaper in
+// allocs/op (it is ~0 per repetition in steady state; see
 // TestNetworkRunAllocFree).
 func BenchmarkNetworkReuse(b *testing.B) {
 	rng := xrand.New(10)
@@ -115,59 +105,53 @@ func BenchmarkNetworkReuse(b *testing.B) {
 	const reps = 100
 	const k = 7
 
-	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
-		suffix := ""
-		if engine == network.EngineChannels {
-			suffix = "-" + string(engine)
-		}
-		nw, err := network.New(g, network.Options{Engine: engine})
+	nw, err := network.New(g, network.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nw.Close()
+
+	// Cross-check: every seed's decision and stats must match between the
+	// fresh-run and reused-network paths.
+	checkProg := &core.Tester{K: k, Reps: 1}
+	for s := uint64(0); s < reps; s++ {
+		want, err := runOnce(g, &core.Tester{K: k, Reps: 1}, network.Options{}, s)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer nw.Close()
+		got, err := nw.RunProgram(checkProg, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wd, gd := core.Summarize(want.Outputs, want.IDs), core.Summarize(got.Outputs, got.IDs)
+		if wd.Reject != gd.Reject || !reflect.DeepEqual(want.Stats, got.Stats) {
+			b.Fatalf("seed %d: reused network diverged from a fresh run", s)
+		}
+	}
 
-		// Cross-check: every seed's decision and stats must match between
-		// the fresh-run and reused-network paths.
-		checkProg := &core.Tester{K: k, Reps: 1}
-		for s := uint64(0); s < reps; s++ {
-			want, err := runOnce(g, &core.Tester{K: k, Reps: 1}, network.Options{Engine: engine}, s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := nw.RunProgram(checkProg, s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wd, gd := core.Summarize(want.Outputs, want.IDs), core.Summarize(got.Outputs, got.IDs)
-			if wd.Reject != gd.Reject || !reflect.DeepEqual(want.Stats, got.Stats) {
-				b.Fatalf("%s seed %d: reused network diverged from a fresh run", engine, s)
+	b.Run("fresh", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for s := uint64(0); s < reps; s++ {
+				prog := &core.Tester{K: k, Reps: 1}
+				if _, err := runOnce(g, prog, network.Options{}, s); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-
-		b.Run("fresh"+suffix, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for s := uint64(0); s < reps; s++ {
-					prog := &core.Tester{K: k, Reps: 1}
-					if _, err := runOnce(g, prog, network.Options{Engine: engine}, s); err != nil {
-						b.Fatal(err)
-					}
+	})
+	b.Run("reused", func(b *testing.B) {
+		// checkProg's nodes were built by the cross-check above. A new
+		// Program value here would rebuild them inside the timed loop, and
+		// that one-off build divided by b.N would make allocs/op depend on
+		// the b.N the host's speed picks.
+		for i := 0; i < b.N; i++ {
+			for s := uint64(0); s < reps; s++ {
+				if _, err := nw.RunProgram(checkProg, s); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-		b.Run("reused"+suffix, func(b *testing.B) {
-			// checkProg's nodes were built by the cross-check above. A new
-			// Program value here would rebuild them inside the timed loop,
-			// and that one-off build divided by b.N would make allocs/op
-			// depend on the b.N the host's speed picks.
-			for i := 0; i < b.N; i++ {
-				for s := uint64(0); s < reps; s++ {
-					if _, err := nw.RunProgram(checkProg, s); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // cancelAtProg cancels its own run context from node 0's Send in round 1,
@@ -197,106 +181,92 @@ func (cn *cancelAtNode) Output() any           { return nil }
 
 // BenchmarkCancelLatency is the rounds-to-abort benchmark: the program
 // cancels its own context in round 1 of a 4096-round run, so each
-// iteration prices the whole abort path — round-barrier detection, the
-// channels engine's stop-round agreement, failure-state bookkeeping, and
-// the node rebuild the next run pays — and NOT 4095 burned rounds. The
-// rounds-over-cancel metric reports how many rounds past the trigger the
-// engine executed before parking, and every iteration HARD-ASSERTS the
-// O(1)-round abort contract: at most 1 round on the BSP barrier; at most
-// two StopRoundStride commit blocks on the channels engine (nodes reserve
-// rounds a block at a time, and bounded inter-node drift can let one more
-// block slip in before the first observer freezes the stop round).
+// iteration prices the whole abort path — round-barrier detection,
+// failure-state bookkeeping, and the node rebuild the next run pays — and
+// NOT 4095 burned rounds. The rounds-over-cancel metric reports how many
+// rounds past the trigger the engine executed before stopping, and every
+// iteration HARD-ASSERTS the one-round abort contract. The row keeps the
+// name "bsp" so the snapshot trajectory continues.
 func BenchmarkCancelLatency(b *testing.B) {
 	rng := xrand.New(11)
 	g := graph.ConnectedGNM(256, 1024, rng)
-	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
-		maxOver := 1
-		if engine == network.EngineChannels {
-			maxOver = 2 * network.StopRoundStride
+	b.Run("bsp", func(b *testing.B) {
+		nw, err := network.New(g, network.Options{})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(string(engine), func(b *testing.B) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				b.Fatal(err)
+		defer nw.Close()
+		prog := &cancelAtProg{rounds: 4096}
+		run := func(seed uint64) *network.ErrCanceled {
+			ctx, cancel := context.WithCancel(context.Background())
+			prog.cancel = cancel
+			_, err := nw.RunProgramCtx(ctx, prog, seed)
+			cancel()
+			var ce *network.ErrCanceled
+			if !errors.As(err, &ce) {
+				b.Fatalf("want ErrCanceled, got %v", err)
 			}
-			defer nw.Close()
-			prog := &cancelAtProg{rounds: 4096}
-			run := func(seed uint64) *network.ErrCanceled {
-				ctx, cancel := context.WithCancel(context.Background())
-				prog.cancel = cancel
-				_, err := nw.RunProgramCtx(ctx, prog, seed)
-				cancel()
-				var ce *network.ErrCanceled
-				if !errors.As(err, &ce) {
-					b.Fatalf("want ErrCanceled, got %v", err)
-				}
-				return ce
+			return ce
+		}
+		run(0) // warm the per-run slabs sized by the round count
+		var over float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ce := run(uint64(i) + 1)
+			if ce.Round-1 > 1 {
+				b.Fatalf("aborted %d rounds past the trigger; contract allows 1", ce.Round-1)
 			}
-			run(0) // warm the per-run slabs sized by the round count
-			var over float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ce := run(uint64(i) + 1)
-				if ce.Round-1 > maxOver {
-					b.Fatalf("aborted %d rounds past the trigger; contract allows %d",
-						ce.Round-1, maxOver)
-				}
-				over += float64(ce.Round - 1)
-			}
-			b.ReportMetric(over/float64(b.N), "rounds-over-cancel")
-		})
-	}
+			over += float64(ce.Round - 1)
+		}
+		b.ReportMetric(over/float64(b.N), "rounds-over-cancel")
+	})
 }
 
 // BenchmarkCancelOverhead prices the cancellation hook on the steady-state
 // round loop: the same warm reused tester run with a never-cancellable
 // context (the polls compile away) versus a LIVE cancellable context (one
-// channel poll per BSP round; on channels, a poll per node round plus one
-// commit CAS per StopRoundStride-round block, so the armed path no longer
-// contends on the shared agreement word every round — the trade is the
-// ≤ StopRoundStride-round abort latency BenchmarkCancelLatency asserts).
-// Both variants must stay 0 allocs/op — the acceptance bar the alloc tests
-// pin and the bench gate enforces across snapshots.
+// channel poll per round). Both variants must stay 0 allocs/op — the
+// acceptance bar the alloc tests pin and the bench gate enforces across
+// snapshots. The rows keep their "-bsp" suffix so the snapshot trajectory
+// continues.
 func BenchmarkCancelOverhead(b *testing.B) {
 	rng := xrand.New(12)
 	g := graph.RandomTree(256, rng) // accepting workload: 0-alloc steady state
 	const k, reps = 7, 8
-	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
-		nw, err := network.New(g, network.Options{Engine: engine})
-		if err != nil {
+	nw, err := network.New(g, network.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nw.Close()
+	prog := &core.Tester{K: k, Reps: reps}
+	for s := uint64(0); s < 3; s++ { // warm arenas and the node cache
+		if _, err := nw.RunProgram(prog, s); err != nil {
 			b.Fatal(err)
 		}
-		defer nw.Close()
-		prog := &core.Tester{K: k, Reps: reps}
-		for s := uint64(0); s < 3; s++ { // warm arenas and the node cache
-			if _, err := nw.RunProgram(prog, s); err != nil {
+	}
+	b.Run("background-bsp", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := nw.RunProgram(prog, uint64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.Run("background-"+string(engine), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := nw.RunProgram(prog, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
+	})
+	b.Run("armed-bsp", func(b *testing.B) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if _, err := nw.RunProgramCtx(ctx, prog, 0); err != nil {
+			b.Fatal(err) // warm ctx.Done's lazily allocated channel
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := nw.RunProgramCtx(ctx, prog, uint64(i)); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run("armed-"+string(engine), func(b *testing.B) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			if _, err := nw.RunProgramCtx(ctx, prog, 0); err != nil {
-				b.Fatal(err) // warm ctx.Done's lazily allocated channel
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := nw.RunProgramCtx(ctx, prog, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkPruning measures the representative-selection hot path at the
@@ -396,9 +366,10 @@ func BenchmarkPublicAPI(b *testing.B) {
 	}
 }
 
-// BenchmarkPrunerVsBrute is the ablation for DESIGN.md §3.4: the bounded
-// hitting-set pruner versus the paper-literal 𝒳-materializing greedy on
-// identical inputs (small enough that the brute force terminates).
+// BenchmarkPrunerVsBrute is the pruning ablation: the bounded hitting-set
+// search Representatives uses versus the paper-literal 𝒳-materializing
+// greedy (RepresentativesBrute) on identical inputs (small enough that the
+// brute force terminates).
 func BenchmarkPrunerVsBrute(b *testing.B) {
 	rng := xrand.New(8)
 	lists := make([][]int64, 24)

@@ -5,7 +5,7 @@
 //
 //	ckfree -k 5 -eps 0.1 -gen cycle:12
 //	ckfree -k 4 -eps 0.05 -gen gnm:200,800 -seed 7
-//	ckfree -k 6 -graph my.graph -engine channels
+//	ckfree -k 6 -graph my.graph
 //	ckfree -k 7 -gen wheel:20 -edge 0,1        # deterministic Phase-2 only
 package main
 
@@ -31,7 +31,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 		file    = flag.String("graph", "", "graph file (edge-list format)")
 		gen     = flag.String("gen", "", "generator spec, e.g. cycle:12, gnm:100,400, wheel:9, grid:4,6, far:120,0.05")
-		engine  = flag.String("engine", "bsp", "simulation engine: bsp or channels")
 		edge    = flag.String("edge", "", "run the deterministic per-edge detector for 'u,v' instead of the full tester")
 		naive   = flag.Bool("naive", false, "disable pruning (ablation mode)")
 		oracle  = flag.Bool("oracle", false, "also run the centralized oracle and compare")
@@ -64,7 +63,7 @@ func main() {
 
 	// Build-once/run-once through the reusable-network layer (a future
 	// multi-query mode would reuse nw across runs).
-	nw, err := network.New(g, network.Options{Engine: network.Engine(*engine)})
+	nw, err := network.New(g, network.Options{})
 	if err != nil {
 		fatal(err)
 	}

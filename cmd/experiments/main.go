@@ -1,7 +1,7 @@
-// Command experiments regenerates every reproduced table and figure
-// (E1–E12; see DESIGN.md for the index and EXPERIMENTS.md for the recorded
-// results). Each table prints the paper's claim, the measured values, and a
-// PASS/FAIL line; the process exits non-zero if any claim is violated.
+// Command experiments regenerates every reproduced table and figure (E1–E12;
+// README "Experiments (E1–E12)" indexes them). Each table prints the paper's
+// claim, the measured values, and a PASS/FAIL line; the process exits
+// non-zero if any claim is violated.
 //
 //	experiments             # full sweeps (about a minute)
 //	experiments -quick      # reduced sweeps (seconds)

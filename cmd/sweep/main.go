@@ -1,5 +1,5 @@
 // Command sweep runs a declarative parameter sweep end-to-end: it reads a
-// JSON spec file (grids over graph family, k, ε, engine, trials), fans the
+// JSON spec file (grids over graph family, k, ε, trials), fans the
 // jobs across a worker pool of reusable networks, and streams per-job
 // aggregates incrementally to stdout (or a file) as CSV or JSON lines.
 //
@@ -23,7 +23,6 @@
 //	  ],
 //	  "k": [3, 5, 7],
 //	  "eps": [0.15, 0.08, 0.04],
-//	  "engines": ["bsp"],
 //	  "trials": 15,
 //	  "seed": 11
 //	}
@@ -52,7 +51,6 @@ const exampleSpec = `{
   ],
   "k": [3, 5, 7],
   "eps": [0.15, 0.08, 0.04],
-  "engines": ["bsp"],
   "trials": 15,
   "seed": 11
 }

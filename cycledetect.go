@@ -3,10 +3,9 @@
 // property-testing algorithm that decides Ck-freeness for every k ≥ 3 in
 // O(1/ε) rounds of the CONGEST model.
 //
-// The package simulates the CONGEST network (one goroutine per node with a
-// channel per edge, or a lockstep engine), runs the paper's two-phase tester
-// on it, and reports the network's verdict together with traffic statistics
-// that verify the paper's bandwidth claims.
+// The package simulates the CONGEST network in synchronous lockstep rounds,
+// runs the paper's two-phase tester on it, and reports the network's verdict
+// together with traffic statistics that verify the paper's bandwidth claims.
 //
 // # Quick start
 //
@@ -73,16 +72,6 @@ func (g *Graph) M() int { return g.b.M() }
 // build freezes the graph for simulation.
 func (g *Graph) build() *graph.Graph { return g.b.Build() }
 
-// Engine names a simulation engine.
-type Engine = network.Engine
-
-// Available engines. EngineBSP is a lockstep reference engine; EngineChannels
-// runs one goroutine per node with a buffered channel per directed edge.
-const (
-	EngineBSP      = network.EngineBSP
-	EngineChannels = network.EngineChannels
-)
-
 // Options configures Test and DetectThroughEdge.
 type Options struct {
 	// K is the cycle length to test for (K >= 3). Required.
@@ -96,8 +85,6 @@ type Options struct {
 	Reps int
 	// Seed seeds all node coins; runs are deterministic per seed.
 	Seed uint64
-	// Engine selects the simulation engine; empty means EngineBSP.
-	Engine Engine
 	// IDs optionally assigns node identifiers (distinct, non-negative,
 	// IDs[v] for vertex v). Nil means vertex v has ID v.
 	IDs []int64
@@ -120,7 +107,6 @@ func (o *Options) mode() core.Mode {
 // caller runs on it and closes it.
 func (o *Options) instance(g *Graph) (*network.Instance, error) {
 	return network.New(g.build(), network.Options{
-		Engine:        o.Engine,
 		IDs:           o.IDs,
 		BandwidthBits: o.BandwidthBits,
 	})

@@ -74,22 +74,6 @@ func TestPublicAPIDetectThroughEdge(t *testing.T) {
 	}
 }
 
-func TestPublicAPIEngines(t *testing.T) {
-	g := ring(8)
-	for _, eng := range []Engine{EngineBSP, EngineChannels, ""} {
-		res, err := Test(g, Options{K: 8, Epsilon: 0.1, Engine: eng, Seed: 4})
-		if err != nil {
-			t.Fatalf("engine %q: %v", eng, err)
-		}
-		if !res.Rejected {
-			t.Fatalf("engine %q missed the C8", eng)
-		}
-	}
-	if _, err := Test(g, Options{K: 8, Epsilon: 0.1, Engine: "warp"}); err == nil {
-		t.Fatal("bogus engine accepted")
-	}
-}
-
 func TestPublicAPIValidation(t *testing.T) {
 	g := ring(5)
 	cases := map[string]func() error{

@@ -56,7 +56,6 @@ func main() {
 		queries  = flag.Int("queries", 25, "queries per client")
 		k        = flag.Int("k", 7, "cycle length")
 		eps      = flag.Float64("eps", 0.1, "property-testing parameter")
-		engine   = flag.String("engine", "bsp", "simulation engine")
 		overload = flag.Bool("overload", false, "shrink the in-process server's budget far below the offered load and demonstrate shed/retry behavior")
 		restart  = flag.Bool("restart", true, "after the load phases (in-process only), kill the server and warm-restart it from its store dir")
 	)
@@ -102,11 +101,10 @@ func main() {
 	// Every client queries the SAME graph spec: one compile, shared by all.
 	reqBody := func(seed uint64) []byte {
 		b, _ := json.Marshal(map[string]any{
-			"graph":  map[string]any{"family": "gnm", "n": 256, "m": 1024, "seed": 7},
-			"k":      *k,
-			"eps":    *eps,
-			"seed":   seed,
-			"engine": *engine,
+			"graph": map[string]any{"family": "gnm", "n": 256, "m": 1024, "seed": 7},
+			"k":     *k,
+			"eps":   *eps,
+			"seed":  seed,
 		})
 		return b
 	}
@@ -116,8 +114,8 @@ func main() {
 	if *overload {
 		mode = ", OVERLOAD (budget 2 instances / 4 concurrent / queue 2)"
 	}
-	fmt.Printf("%d clients × %d queries, k=%d eps=%g engine=%s, one shared gnm(256,1024) graph%s\n",
-		*clients, *queries, *k, *eps, *engine, mode)
+	fmt.Printf("%d clients × %d queries, k=%d eps=%g, one shared gnm(256,1024) graph%s\n",
+		*clients, *queries, *k, *eps, mode)
 
 	// Baseline scrape: the phase table below prints per-phase deltas of the
 	// server's own counters, straight from the Prometheus exposition.

@@ -1,6 +1,6 @@
 // Package analysis is the home of ckvet, the repo's domain-specific
 // static-analyzer suite. The codebase's hardest-won properties — 0-alloc
-// steady-state runs on both engines, context cancellation reaching every
+// steady-state engine runs, context cancellation reaching every
 // round barrier, every metric series registered up front with constant
 // labels, transient errors that survive wrapping — are runtime-tested
 // today (TestRunAllocFree, cancel_test.go, ...); the analyzers here

@@ -13,8 +13,8 @@ package analysis
 //   - Name, help, and label arguments to Registry constructors and
 //     metrics.L must be constant strings. A variable label value makes
 //     the series set dynamic (unbounded cardinality) and defeats
-//     registration-time escaping review; the rare closed-set exception
-//     (per-engine labels) is suppressed explicitly with //ckvet:ignore.
+//     registration-time escaping review; a rare closed-set exception
+//     is suppressed explicitly with //ckvet:ignore.
 //   - Registering the same (name, labels) twice, or one name under two
 //     constructor kinds, panics at runtime; both are reported statically
 //     when the arguments are constants.

@@ -1,7 +1,8 @@
-// Package bench is the experiment harness: one runner per experiment in
-// DESIGN.md's index (E1–E12), each regenerating the paper-shaped table or
-// figure for that claim. The cmd/experiments binary prints all of them, and
-// the repository-root benchmarks wrap each runner in a testing.B target.
+// Package bench is the experiment harness: one runner per experiment of
+// README's "Experiments (E1–E12)" index, each regenerating the paper-shaped
+// table or figure for that claim. The cmd/experiments binary prints all of
+// them, and the repository-root benchmarks wrap each runner in a testing.B
+// target.
 //
 // The paper is theory-only, so "reproducing its evaluation" means measuring
 // the quantities its theorems and lemmas bound — round counts, message
@@ -16,7 +17,7 @@ import (
 
 // Table is one reproduced table or figure.
 type Table struct {
-	// ID is the experiment identifier from DESIGN.md (e.g. "E2").
+	// ID is the experiment identifier (e.g. "E2").
 	ID string
 	// Title is a human-readable name.
 	Title string
@@ -120,7 +121,7 @@ type Runner struct {
 	Run  func(Config) *Table
 }
 
-// All lists every experiment in DESIGN.md order.
+// All lists every experiment in index order (E1 first).
 func All() []Runner {
 	return []Runner{
 		{"E1", "RoundComplexity", RunE1},

@@ -8,8 +8,8 @@
 // sequence; keeping L covers every such X. The paper implements this by
 // materializing the collection 𝒳 of all q-subsets, which is exponential in
 // |I|; Representatives implements the identical selection with a bounded
-// hitting-set search (see DESIGN.md §3.4), and RepresentativesBrute keeps the
-// paper-literal version for cross-validation.
+// hitting-set search that never materializes 𝒳, and RepresentativesBrute
+// keeps the paper-literal version for cross-validation.
 //
 // The same greedy computes Erdős–Hajnal–Moon q-representative subfamilies
 // (the lemma the paper cites in §1.2), exposed here as well.

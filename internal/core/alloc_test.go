@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"cycledetect/internal/graph"
@@ -68,6 +69,53 @@ func (ls *lockstep) round(r int, afterSend func()) {
 	for v, nd := range ls.nodes {
 		nd.Receive(r, ls.in[v])
 		clear(ls.in[v])
+	}
+}
+
+// runLockstep runs prog to completion in the lockstep harness and returns
+// every node's Output plus the run's message count and bit volume, counted
+// after each Send phase.
+func runLockstep(g *graph.Graph, prog network.Program, seed uint64) (outs []any, msgs, bits int64) {
+	ls := newLockstep(g, prog, seed)
+	count := func() {
+		for _, out := range ls.out {
+			for _, payload := range out {
+				if payload != nil {
+					msgs++
+					bits += 8 * int64(len(payload))
+				}
+			}
+		}
+	}
+	for r := 1; r <= prog.Rounds(g.N(), g.M()); r++ {
+		ls.round(r, count)
+	}
+	outs = make([]any, g.N())
+	for v, nd := range ls.nodes {
+		outs[v] = nd.Output()
+	}
+	return outs, msgs, bits
+}
+
+// assertMatchesLockstep runs prog on a sharded engine instance and in the
+// lockstep harness, an independently written delivery loop, and demands
+// identical per-node outputs and traffic totals.
+func assertMatchesLockstep(t *testing.T, g *graph.Graph, prog network.Program, seed uint64) {
+	t.Helper()
+	res, err := runOnce(g, prog, network.Options{Workers: 4}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, msgs, bits := runLockstep(g, prog, seed)
+	for v := range outs {
+		if !reflect.DeepEqual(res.Outputs[v], outs[v]) {
+			t.Fatalf("seed %d: node %d output differs from the lockstep harness:\n engine   %+v\n lockstep %+v",
+				seed, v, res.Outputs[v], outs[v])
+		}
+	}
+	if res.Stats.MessagesSent != msgs || res.Stats.TotalBits != bits {
+		t.Fatalf("seed %d: traffic differs from the lockstep harness: engine %d msgs / %d bits, lockstep %d / %d",
+			seed, res.Stats.MessagesSent, res.Stats.TotalBits, msgs, bits)
 	}
 }
 

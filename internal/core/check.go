@@ -317,7 +317,7 @@ func (cs *checkState) sendSeqs(t int) int {
 // Set semantics match the paper's "R ← set of all ordered sequences
 // received" — duplicates were already dropped on arrival by absorbView —
 // and the processing order of the greedy is explicitly arbitrary (§3.3);
-// arrival order is deterministic, identical across both engines, and
+// arrival order is deterministic, identical for any worker count, and
 // independent of the scheduler, so it is a valid reproducible choice that
 // costs nothing (the seed sorted lexicographically here, a hot-path sort
 // with no semantic payoff).
@@ -353,9 +353,10 @@ func (cs *checkState) seq(ref seqRef) []ID {
 //
 // Implementation of line 35 (even k): the paper's Lemma 2 requires pairing a
 // sequence L1 ∈ S (length k/2, containing myid) with a sequence L2 of length
-// k/2 received at round ⌊k/2⌋ that does not contain myid; see DESIGN.md §3.1
-// for why the literal transcription ("received at round ⌊k/2⌋−1") cannot be
-// meant. The size condition |L1 ∪ L2 ∪ {myid}| = k then reduces to exact
+// k/2 received at round ⌊k/2⌋ that does not contain myid. The literal
+// transcription ("received at round ⌊k/2⌋−1") cannot be meant: it misses
+// every even-k cycle (TestEvenOddFinalCheckRegression pins this). The size
+// condition |L1 ∪ L2 ∪ {myid}| = k then reduces to exact
 // disjointness, which is what we check; every reported pair reconstructs a
 // genuine cycle because each sequence is a simple path ending at its sender
 // (Lemma 1), so the algorithm remains 1-sided.

@@ -237,34 +237,17 @@ func paperBound(k, t int) uint64 {
 	return res
 }
 
-// TestDetectorEnginesAgree cross-checks the BSP and channel engines on the
-// deterministic detector: identical outputs, identical traffic stats.
-func TestDetectorEnginesAgree(t *testing.T) {
+// TestDetectorMatchesLockstep cross-checks a sharded engine run against
+// the lockstep harness on the deterministic detector: identical outputs,
+// identical traffic.
+func TestDetectorMatchesLockstep(t *testing.T) {
 	rng := xrand.New(11)
-	for trial := 0; trial < 15; trial++ {
+	for trial := 0; trial < 6; trial++ {
 		n := 6 + rng.Intn(6)
 		g := graph.ConnectedGNM(n, n+rng.Intn(n), rng)
-		for k := 3; k <= 6; k++ {
+		for k := 3; k <= 7; k++ {
 			for _, e := range g.Edges() {
-				prog := &EdgeDetector{K: k, U: ID(e.U), V: ID(e.V)}
-				a, err := runOnce(g, prog, network.Options{}, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := runOnce(g, prog, network.Options{Engine: network.EngineChannels}, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				da := Summarize(a.Outputs, a.IDs)
-				db := Summarize(b.Outputs, b.IDs)
-				if da.Reject != db.Reject {
-					t.Fatalf("engines disagree: bsp=%v channels=%v", da.Reject, db.Reject)
-				}
-				if a.Stats.TotalBits != b.Stats.TotalBits ||
-					a.Stats.MessagesSent != b.Stats.MessagesSent ||
-					a.Stats.MaxMessageBits != b.Stats.MaxMessageBits {
-					t.Fatalf("traffic stats disagree: %+v vs %+v", a.Stats, b.Stats)
-				}
+				assertMatchesLockstep(t, g, &EdgeDetector{K: k, U: ID(e.U), V: ID(e.V)}, 0)
 			}
 		}
 	}

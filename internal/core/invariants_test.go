@@ -141,9 +141,10 @@ func TestTesterSwitchesHappen(t *testing.T) {
 	}
 }
 
-// TestEvenOddFinalCheckRegression pins the DESIGN.md §3.1 correction with
-// the smallest cases: C4 and C6 detection (even k) and C5/C7 (odd k) on
-// pure cycles, which the literal pseudocode transcription would miss
+// TestEvenOddFinalCheckRegression pins the even-k final-check correction
+// (pair with sequences received at round ⌊k/2⌋, not the literal ⌊k/2⌋−1)
+// with the smallest cases: C4 and C6 detection (even k) and C5/C7 (odd k)
+// on pure cycles, which the literal pseudocode transcription would miss
 // entirely for even k.
 func TestEvenOddFinalCheckRegression(t *testing.T) {
 	for _, k := range []int{4, 5, 6, 7, 8, 9, 10, 11} {

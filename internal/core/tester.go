@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"cycledetect/internal/network"
 	"cycledetect/internal/ptest"
@@ -60,21 +61,28 @@ func (t *Tester) NewNode(info network.NodeInfo) network.Node {
 	if t.Reps <= 0 && (t.Eps <= 0 || t.Eps >= 1) {
 		panic("core: Tester needs Reps > 0 or Eps in (0,1)")
 	}
-	nn := uint64(info.N)
-	rankMax := nn * nn * nn * nn // [1, n⁴] ⊇ [1, m²]; see DESIGN.md §3.2
-	if rankMax == 0 {
-		rankMax = 1
-	}
 	n := &testerNode{
 		prog:      t,
 		info:      info,
-		rankMax:   rankMax,
+		rankMax:   rankRange(info.N),
 		edgeRanks: make([]uint64, info.Degree()),
 		mine:      make([]bool, info.Degree()),
 	}
 	n.cs.prealloc(t.K, info.Degree())
 	n.checkBuf = make([]byte, 0, 256)
 	return n
+}
+
+// rankRange is the upper end of Phase 1's rank range on an n-vertex
+// network: n⁴, since [1, n⁴] ⊇ [1, m²] because m ≤ n². n⁴ overflows uint64
+// from n = 2^16 on, so the range saturates at MaxUint64 there, which still
+// covers m² for every m < 2^32.
+func rankRange(n int) uint64 {
+	if n >= 1<<16 {
+		return math.MaxUint64
+	}
+	nn := uint64(n)
+	return max(nn*nn*nn*nn, 1)
 }
 
 type testerNode struct {
@@ -93,9 +101,9 @@ type testerNode struct {
 	metrics  NodeMetrics
 	verdict  Verdict // cached output, returned by pointer from Output
 
-	// Reusable outgoing-payload buffers. The engines guarantee payloads are
-	// consumed before the next Send (BSP by its barriers, the channel engine
-	// by copying into per-edge buffers), so one buffer per kind suffices.
+	// Reusable outgoing-payload buffers. The engine's barriers guarantee
+	// payloads are consumed before the next Send, so one buffer per kind
+	// suffices.
 	rankBuf  []byte
 	checkBuf []byte
 }

@@ -145,6 +145,26 @@ func TestTesterPerRepetitionRate(t *testing.T) {
 	}
 }
 
+// TestRankRange pins Phase 1's rank range: exactly n⁴ while that fits in
+// uint64, saturated at MaxUint64 from n = 2^16 on, and never below n².
+// Computing n⁴ in uint64 wraps to 0 at every multiple of 2^16, which
+// collapsed the range to [1, 1].
+func TestRankRange(t *testing.T) {
+	for _, n := range []int{1, 2, 2048, 65535, 65536, 131072, 1 << 20} {
+		nn := uint64(n)
+		got := rankRange(n)
+		if n < 1<<16 && got != nn*nn*nn*nn {
+			t.Errorf("rankRange(%d) = %d, want n⁴ = %d", n, got, nn*nn*nn*nn)
+		}
+		if n >= 1<<16 && got != math.MaxUint64 {
+			t.Errorf("rankRange(%d) = %d, want the saturated MaxUint64", n, got)
+		}
+		if got < nn*nn {
+			t.Errorf("rankRange(%d) = %d, below n² = %d", n, got, nn*nn)
+		}
+	}
+}
+
 // TestTesterRoundsFormula checks the round complexity: reps*(1+⌊k/2⌋),
 // independent of n and m — the O(1/ε) of Theorem 1.
 func TestTesterRoundsFormula(t *testing.T) {
@@ -217,28 +237,16 @@ func TestTesterMessageBoundUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestTesterEnginesAgree: with the same seed the BSP and channel engines
-// must produce identical verdicts (determinism of the whole stack).
-func TestTesterEnginesAgree(t *testing.T) {
+// TestTesterMatchesLockstep: with the same seed a sharded engine run and
+// the lockstep harness must produce identical node outputs and traffic
+// (determinism of the whole stack against a second delivery loop).
+func TestTesterMatchesLockstep(t *testing.T) {
 	rng := xrand.New(43)
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 6; trial++ {
 		n := 10 + rng.Intn(15)
 		g := graph.ConnectedGNM(n, n+rng.Intn(2*n), rng)
-		prog := &Tester{K: 5, Reps: 3}
-		a, err := runOnce(g, prog, network.Options{}, uint64(trial))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := runOnce(g, prog, network.Options{Engine: network.EngineChannels}, uint64(trial))
-		if err != nil {
-			t.Fatal(err)
-		}
-		da, db := Summarize(a.Outputs, a.IDs), Summarize(b.Outputs, b.IDs)
-		if da.Reject != db.Reject || da.MaxSeqs != db.MaxSeqs {
-			t.Fatalf("trial=%d: engines disagree: %+v vs %+v", trial, da, db)
-		}
-		if a.Stats.TotalBits != b.Stats.TotalBits {
-			t.Fatalf("trial=%d: traffic differs: %d vs %d bits", trial, a.Stats.TotalBits, b.Stats.TotalBits)
+		for k := 3; k <= 7; k++ {
+			assertMatchesLockstep(t, g, &Tester{K: k, Reps: 3}, uint64(trial))
 		}
 	}
 }

@@ -71,7 +71,7 @@ type Decision struct {
 	Switches int
 }
 
-// Summarize folds per-node outputs (as returned by the network engines, one
+// Summarize folds per-node outputs (as returned by the network engine, one
 // Verdict per vertex) into a Decision. ids[v] is vertex v's identifier.
 func Summarize(outputs []any, ids []ID) Decision {
 	var d Decision

@@ -1,6 +1,6 @@
 // Package corestore is the compiled-core store behind the serving tier: an
 // LRU of immutable network.Compiled cores (byte-weighted by
-// Compiled.MemSize), per-(graph, engine, width) pools of warm
+// Compiled.MemSize), per-(graph, width) pools of warm
 // network.Instances under one store-wide two-dimensional instance budget
 // (count and pinned bytes) with coldest-graph idle reclaim — and, when
 // given a directory, durable snapshots of the working set with warm
@@ -223,33 +223,26 @@ type Store struct {
 }
 
 // entry is one cached graph: its immutable compiled core plus the warm
-// instance pools attached to it, one per (engine, width).
+// instance pools attached to it, one per instance width.
 type entry struct {
 	key      string
 	elem     *list.Element
 	g        *graph.Graph
 	compiled *network.Compiled
-	fp       string // canonical graph fingerprint: the snapshot manifest key
-	pools    map[poolKey]*instPool
+	fp       string            // canonical graph fingerprint: the snapshot manifest key
+	pools    map[int]*instPool // by instance width
 	evicted  bool
 	warm     bool      // loaded from a snapshot rather than compiled here
 	hits     int64     // lookups served by this entry (guarded by Store.mu)
 	created  time.Time // when the entry entered the cache
 }
 
-// poolKey names one warm-instance pool of an entry: engine AND engine
-// width. Width is part of the identity because an instance's BSP pool is
-// sized at spawn — handing a query-width instance to a sweep job budgeted
-// wider (or vice versa) would silently run at the wrong parallelism.
-type poolKey struct {
-	engine  network.Engine
-	workers int
-}
-
-// instPool holds the idle warm handles of one (graph, engine, width). All
-// bookkeeping is guarded by Store.mu; blocked acquirers wait on Store.cond,
-// because a store-wide budget means a release anywhere can unblock a waiter
-// everywhere.
+// instPool holds the idle warm handles of one (graph, width). Width names
+// the pool because an instance's worker pool is sized at spawn — handing a
+// query-width instance to a sweep job budgeted wider (or vice versa) would
+// silently run at the wrong parallelism. All bookkeeping is guarded by
+// Store.mu; blocked acquirers wait on Store.cond, because a store-wide
+// budget means a release anywhere can unblock a waiter everywhere.
 type instPool struct {
 	idle []*Handle
 }
@@ -262,8 +255,8 @@ type Handle struct {
 	Inst    *network.Instance
 	Scratch any
 
-	e  *entry
-	pk poolKey
+	e     *entry
+	width int // the pool the handle returns to
 }
 
 // New returns a Store. When opts.Dir is set and the persist interval is not
@@ -384,7 +377,7 @@ func (s *Store) lookup(key string, build func() (*graph.Graph, error)) (*entry, 
 	}
 	e := &entry{
 		key: key, g: g, compiled: compiled, fp: fp,
-		pools: map[poolKey]*instPool{}, created: time.Now(),
+		pools: map[int]*instPool{}, created: time.Now(),
 	}
 	s.insertLocked(e)
 	s.misses.Add(1)
@@ -416,25 +409,28 @@ func (s *Store) insertLocked(e *entry) {
 var errEvicted = errors.New("corestore: cache entry evicted")
 
 // Checkout returns an exclusive warm handle on an instance of the graph
-// cached under key (compiling via build on a miss) for the given engine and
-// width (width <= 0 uses Options.DefaultWorkers). hit reports whether the
-// core was already cached. The checkout spawns when the store-wide budget
-// allows, reclaims an idle instance from the coldest graph when it does
-// not, or waits — bounded by ctx AND by the queue bound: a full wait queue
-// fails fast with *ErrSaturated. Entries evicted mid-checkout are retried
-// transparently against the live cache.
+// cached under key (compiling via build on a miss) at the given width
+// (width <= 0 uses Options.DefaultWorkers). engine must be "" or
+// network.EngineBSP, the only engine; any other name is refused before the
+// lookup. hit reports whether the core was already cached. The checkout
+// spawns when the store-wide budget allows, reclaims an idle instance from
+// the coldest graph when it does not, or waits — bounded by ctx AND by the
+// queue bound: a full wait queue fails fast with *ErrSaturated. Entries
+// evicted mid-checkout are retried transparently against the live cache.
 func (s *Store) Checkout(ctx context.Context, key string, build func() (*graph.Graph, error),
 	engine network.Engine, workers int) (h *Handle, hit bool, err error) {
+	if engine != "" && engine != network.EngineBSP {
+		return nil, false, fmt.Errorf("corestore: unknown engine %q", engine)
+	}
 	if workers <= 0 {
 		workers = s.opts.defaultWorkers()
 	}
-	pk := poolKey{engine: engine, workers: workers}
 	for {
 		e, wasHit, err := s.lookup(key, build)
 		if err != nil {
 			return nil, false, err
 		}
-		h, err := s.acquire(ctx, e, pk)
+		h, err := s.acquire(ctx, e, workers)
 		if err == nil {
 			return h, wasHit, nil
 		}
@@ -450,18 +446,18 @@ func (s *Store) Checkout(ctx context.Context, key string, build func() (*graph.G
 	}
 }
 
-// acquire checks a warm handle out of e's pool for pk, observing the
+// acquire checks a warm handle out of e's pool for width, observing the
 // acquire-latency hook on success.
-func (s *Store) acquire(ctx context.Context, e *entry, pk poolKey) (*Handle, error) {
+func (s *Store) acquire(ctx context.Context, e *entry, width int) (*Handle, error) {
 	start := time.Now()
-	h, err := s.acquireInner(ctx, e, pk)
+	h, err := s.acquireInner(ctx, e, width)
 	if err == nil && s.opts.ObserveAcquire != nil {
 		s.opts.ObserveAcquire(time.Since(start))
 	}
 	return h, err
 }
 
-func (s *Store) acquireInner(ctx context.Context, e *entry, pk poolKey) (*Handle, error) {
+func (s *Store) acquireInner(ctx context.Context, e *entry, width int) (*Handle, error) {
 	need := e.compiled.MemSize()
 	maxBytes := s.opts.maxInstanceBytes()
 	s.mu.Lock()
@@ -474,10 +470,10 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, pk poolKey) (*Handle
 			s.mu.Unlock()
 			return nil, errEvicted
 		}
-		p, ok := e.pools[pk]
+		p, ok := e.pools[width]
 		if !ok {
 			p = &instPool{}
-			e.pools[pk] = p
+			e.pools[width] = p
 		}
 		if n := len(p.idle); n > 0 {
 			h := p.idle[n-1]
@@ -495,8 +491,7 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, pk poolKey) (*Handle
 			s.instBytes += need
 			s.mu.Unlock()
 			inst, err := e.compiled.NewInstance(network.InstanceOptions{
-				Engine:    pk.engine,
-				Workers:   pk.workers,
+				Workers:   width,
 				Faults:    s.opts.Faults,
 				Collector: s.opts.Collector,
 			})
@@ -508,7 +503,7 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, pk poolKey) (*Handle
 				s.mu.Unlock()
 				return nil, err
 			}
-			return &Handle{Inst: inst, e: e, pk: pk}, nil
+			return &Handle{Inst: inst, e: e, width: width}, nil
 		}
 		// Budget exhausted. Degrade gracefully: reclaim an idle instance
 		// from the coldest pool (its warmth is worth less than this
@@ -551,7 +546,7 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, pk poolKey) (*Handle
 // entry that has one and returns whether budget was freed. The pool the
 // caller is acquiring for is empty (that is why it got here), so the scan
 // can only ever reclaim a DIFFERENT pool's warmth — possibly the same
-// graph's other engine. Callers hold s.mu.
+// graph's at another width. Callers hold s.mu.
 func (s *Store) reclaimIdleLocked() bool {
 	for el := s.lru.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*entry)
@@ -605,7 +600,7 @@ func (s *Store) Release(h *Handle) {
 		s.instBytes -= e.compiled.MemSize()
 		h.Inst.Close()
 	} else {
-		p := e.pools[h.pk]
+		p := e.pools[h.width]
 		p.idle = append(p.idle, h)
 	}
 	s.cond.Broadcast()
@@ -629,7 +624,7 @@ func (s *Store) Acquire(ctx context.Context, pt sweep.TrialPoint) (*network.Inst
 	if max := runtime.GOMAXPROCS(0); width > max {
 		width = max
 	}
-	h, _, err := s.Checkout(ctx, key, build, pt.Engine, width)
+	h, _, err := s.Checkout(ctx, key, build, network.EngineBSP, width)
 	if err != nil {
 		return nil, nil, err
 	}

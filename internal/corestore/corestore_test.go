@@ -243,10 +243,9 @@ func TestSweepProviderSharesCache(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	pt := sweep.TrialPoint{
-		Graph:  sweep.GraphSpec{Family: "cycle", N: 20},
-		K:      5,
-		Seed:   3,
-		Engine: network.EngineBSP,
+		Graph: sweep.GraphSpec{Family: "cycle", N: 20},
+		K:     5,
+		Seed:  3,
 	}
 	inst, release, err := s.Acquire(context.Background(), pt)
 	if err != nil {
@@ -284,6 +283,28 @@ func TestCheckoutRetriesAcrossEviction(t *testing.T) {
 		t.Fatal("checkout of evicted entry claimed a hit")
 	}
 	s.Release(ha)
+}
+
+// Checkout refuses any engine name but the one engine's, before the
+// lookup: a cached entry does not let it through, and a miss compiles
+// nothing.
+func TestCheckoutRefusesUnknownEngine(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	h, _ := mustCheckout(t, s, "a", cycleBuild(16))
+	s.Release(h)
+	for _, key := range []string{"a", "b"} {
+		_, _, err := s.Checkout(context.Background(), key, func() (*graph.Graph, error) {
+			t.Fatal("a refused checkout must not build")
+			return nil, nil
+		}, "channels", 1)
+		if want := `corestore: unknown engine "channels"`; err == nil || err.Error() != want {
+			t.Fatalf("key %q: err = %v, want %s", key, err, want)
+		}
+	}
+	if s.Compiles() != 1 {
+		t.Fatalf("compiles = %d, want 1", s.Compiles())
+	}
 }
 
 func TestCloseFailsCheckouts(t *testing.T) {

@@ -323,7 +323,7 @@ func (s *Store) WarmStart(dir string) int {
 		}
 		e := &entry{
 			key: me.Key, g: c.Graph(), compiled: c, fp: me.Fingerprint,
-			pools: map[poolKey]*instPool{}, created: time.Now(), warm: true,
+			pools: map[int]*instPool{}, created: time.Now(), warm: true,
 		}
 		// PushBack, not insertLocked's PushFront: the manifest iterates
 		// hottest-first, so appending preserves the previous process's

@@ -37,22 +37,18 @@ func runTester(t *testing.T, h *Handle, seed uint64) *network.Result {
 // TestPersistWarmStartRoundTrip is the warm-restart acceptance pin: a
 // store persisted and reloaded into a fresh process serves the same
 // working set — cache hits, zero compiles — and a query on a warm-loaded
-// core is byte-identical to the same query on the freshly compiled core,
-// on both engines.
+// core is byte-identical to the same query on the freshly compiled core.
 func TestPersistWarmStartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s1 := New(Options{Dir: dir, PersistInterval: -1})
 	fillStore(t, s1)
-	// Fresh-compiled reference results, one per engine.
-	want := map[network.Engine]*network.Result{}
-	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
-		h, _, err := s1.Checkout(t.Context(), key(64), cycleBuild(64), engine, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[engine] = runTester(t, h, 11)
-		s1.Release(h)
+	// The fresh-compiled reference result.
+	h, _, err := s1.Checkout(t.Context(), key(64), cycleBuild(64), network.EngineBSP, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := runTester(t, h, 11)
+	s1.Release(h)
 	if err := s1.Persist(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,22 +76,20 @@ func TestPersistWarmStartRoundTrip(t *testing.T) {
 			st.Entries[0].N, st.Entries[1].N, st.Entries[2].N)
 	}
 
-	for engine, wantRes := range want {
-		h, hit, err := s2.Checkout(t.Context(), key(64), func() (*graph.Graph, error) {
-			t.Fatal("warm entry must not rebuild")
-			return nil, nil
-		}, engine, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !hit {
-			t.Fatalf("%s: warm-started entry missed", engine)
-		}
-		got := runTester(t, h, 11)
-		s2.Release(h)
-		if !reflect.DeepEqual(got, wantRes) {
-			t.Fatalf("%s: warm-loaded run differs from fresh-compiled run", engine)
-		}
+	h, hit, err := s2.Checkout(t.Context(), key(64), func() (*graph.Graph, error) {
+		t.Fatal("warm entry must not rebuild")
+		return nil, nil
+	}, network.EngineBSP, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit {
+		t.Fatal("warm-started entry missed")
+	}
+	got := runTester(t, h, 11)
+	s2.Release(h)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("warm-loaded run differs from fresh-compiled run")
 	}
 	if s2.Compiles() != 0 {
 		t.Fatalf("warm store compiled %d times serving its working set, want 0", s2.Compiles())

@@ -1,8 +1,6 @@
 // Cancellation tests for RunProgramCtx: a cancelled run must abort within
-// one round on the BSP engine and within one stop-round commit block
-// (StopRoundStride rounds, plus the bounded inter-node drift) on the
-// channels engine, surface as *ErrCanceled (transparent to errors.Is on
-// the context error), and leave the Instance reusable — its next run
+// one round, surface as *ErrCanceled (transparent to errors.Is on the
+// context error), and leave the Instance reusable — its next run
 // byte-identical to a fresh one, the same contract the error-semantics
 // tests pin for panics and bandwidth violations.
 package network_test
@@ -22,8 +20,8 @@ import (
 )
 
 // cancelProg cancels its own run context from inside node 0's Send at a
-// chosen round — the only way to hit an exact round deterministically on
-// both engines (an external goroutine races the round loop).
+// chosen round — the only way to hit an exact round deterministically (an
+// external goroutine races the round loop).
 type cancelProg struct {
 	rounds int
 	at     int // round whose Send triggers the cancellation
@@ -51,61 +49,48 @@ func (cn *cancelNode) Send(round int, out [][]byte) {
 func (cn *cancelNode) Receive(int, [][]byte) {}
 func (cn *cancelNode) Output() any           { return nil }
 
-// TestCancelMidRunBothEngines cancels at randomized rounds and demands the
-// O(1)-round abort contract: ErrCanceled within one round of the trigger on
-// the BSP engine, within one StopRoundStride block (plus the graph's
-// diameter of drift) on the channels engine, then a reused run
-// byte-identical to fresh. Rand is deterministically seeded so failures
-// reproduce.
-func TestCancelMidRunBothEngines(t *testing.T) {
+// TestCancelMidRun cancels at randomized rounds and demands the one-round
+// abort contract: ErrCanceled within one round of the trigger, then a
+// reused run byte-identical to fresh. Rand is deterministically seeded so
+// failures reproduce.
+func TestCancelMidRun(t *testing.T) {
 	g := graph.CompleteBipartite(5, 5)
 	rng := rand.New(rand.NewSource(17))
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
+	t.Run(engineName, func(t *testing.T) {
+		nw, err := network.New(g, network.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		const rounds = 20
+		for trial := 0; trial < 8; trial++ {
+			at := 1 + rng.Intn(rounds)
+			ctx, cancel := context.WithCancel(context.Background())
+			prog := &cancelProg{rounds: rounds, at: at, cancel: cancel}
+			_, err := nw.RunProgramCtx(ctx, prog, uint64(trial))
+			cancel()
+			if err == nil {
+				t.Fatalf("trial %d (at=%d): cancelled run returned no error", trial, at)
 			}
-			defer nw.Close()
-			const rounds = 20
-			for trial := 0; trial < 8; trial++ {
-				at := 1 + rng.Intn(rounds)
-				ctx, cancel := context.WithCancel(context.Background())
-				prog := &cancelProg{rounds: rounds, at: at, cancel: cancel}
-				_, err := nw.RunProgramCtx(ctx, prog, uint64(trial))
-				cancel()
-				if err == nil {
-					t.Fatalf("trial %d (at=%d): cancelled run returned no error", trial, at)
-				}
-				var ce *network.ErrCanceled
-				if !errors.As(err, &ce) {
-					t.Fatalf("trial %d: error is %T, want *ErrCanceled: %v", trial, err, err)
-				}
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("trial %d: ErrCanceled must unwrap to context.Canceled: %v", trial, err)
-				}
-				// The trigger fires inside round at's Send. On the BSP
-				// engine the abort lands at the next barrier: round at
-				// completes, nothing beyond at+1. On the channels engine
-				// nodes reserve rounds in StopRoundStride blocks and the
-				// stop freezes at the furthest committed block end, so the
-				// bound is at + stride + drift (CompleteBipartite(5,5) has
-				// diameter 2).
-				limit := at + 1
-				if engine == network.EngineChannels {
-					limit = at + network.StopRoundStride + 2
-				}
-				if ce.Round < at-1 || ce.Round > limit {
-					t.Fatalf("trial %d: cancelled at round %d but aborted after round %d (want in [%d,%d])",
-						trial, at, ce.Round, at-1, limit)
-				}
-				// The reused instance's next run must be byte-identical to a
-				// fresh one — on every trial, so cancel points at different
-				// rounds all recover.
-				assertMatchesFresh(t, nw, engine, g, uint64(100+trial), 0)
+			var ce *network.ErrCanceled
+			if !errors.As(err, &ce) {
+				t.Fatalf("trial %d: error is %T, want *ErrCanceled: %v", trial, err, err)
 			}
-		})
-	}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("trial %d: ErrCanceled must unwrap to context.Canceled: %v", trial, err)
+			}
+			// The trigger fires inside round at's Send; the abort lands at
+			// the next barrier: round at completes, nothing beyond at+1.
+			if ce.Round < at-1 || ce.Round > at+1 {
+				t.Fatalf("trial %d: cancelled at round %d but aborted after round %d (want in [%d,%d])",
+					trial, at, ce.Round, at-1, at+1)
+			}
+			// The reused instance's next run must be byte-identical to a
+			// fresh one — on every trial, so cancel points at different
+			// rounds all recover.
+			assertMatchesFresh(t, nw, g, uint64(100+trial), 0)
+		}
+	})
 }
 
 // TestCancelBeforeRun: a context that is already done aborts before any
@@ -113,26 +98,24 @@ func TestCancelMidRunBothEngines(t *testing.T) {
 // and the instance still warm and correct.
 func TestCancelBeforeRun(t *testing.T) {
 	g := graph.Cycle(12)
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
-			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-			defer cancel()
-			_, err = nw.RunProgramCtx(ctx, &core.Tester{K: 5, Reps: 2}, 1)
-			var ce *network.ErrCanceled
-			if !errors.As(err, &ce) || ce.Round != 0 {
-				t.Fatalf("pre-cancelled run: got %v, want ErrCanceled at round 0", err)
-			}
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("ErrCanceled must unwrap to the context error: %v", err)
-			}
-			assertMatchesFresh(t, nw, engine, g, 2, 0)
-		})
-	}
+	t.Run(engineName, func(t *testing.T) {
+		nw, err := network.New(g, network.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		defer cancel()
+		_, err = nw.RunProgramCtx(ctx, &core.Tester{K: 5, Reps: 2}, 1)
+		var ce *network.ErrCanceled
+		if !errors.As(err, &ce) || ce.Round != 0 {
+			t.Fatalf("pre-cancelled run: got %v, want ErrCanceled at round 0", err)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("ErrCanceled must unwrap to the context error: %v", err)
+		}
+		assertMatchesFresh(t, nw, g, 2, 0)
+	})
 }
 
 // TestCancelAfterFailure: a run that records a node failure before being
@@ -141,30 +124,28 @@ func TestCancelBeforeRun(t *testing.T) {
 // run must not leak the recorded failure state.
 func TestCancelAfterFailure(t *testing.T) {
 	g := graph.Path(4)
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			// Node 3 panics at round 1; node 0 cancels at round 1 too. The
-			// BSP engine sees both at the same barrier; either way the
-			// contract is ErrCanceled and clean reuse.
-			prog := &cancelPanicProg{rounds: 6, cancelAt: 1, panicAt: 1, cancel: cancel}
-			_, err = nw.RunProgramCtx(ctx, prog, 1)
-			if err == nil {
-				t.Fatal("expected an error")
-			}
-			var ce *network.ErrCanceled
-			if !errors.As(err, &ce) {
-				t.Fatalf("cancellation must take precedence, got %T: %v", err, err)
-			}
-			assertMatchesFresh(t, nw, engine, g, 3, 0)
-		})
-	}
+	t.Run(engineName, func(t *testing.T) {
+		nw, err := network.New(g, network.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// Node 3 panics at round 1; node 0 cancels at round 1 too. The
+		// engine sees both at the same barrier; the contract is
+		// ErrCanceled and clean reuse.
+		prog := &cancelPanicProg{rounds: 6, cancelAt: 1, panicAt: 1, cancel: cancel}
+		_, err = nw.RunProgramCtx(ctx, prog, 1)
+		if err == nil {
+			t.Fatal("expected an error")
+		}
+		var ce *network.ErrCanceled
+		if !errors.As(err, &ce) {
+			t.Fatalf("cancellation must take precedence, got %T: %v", err, err)
+		}
+		assertMatchesFresh(t, nw, g, 3, 0)
+	})
 }
 
 // cancelPanicProg combines a Send panic on the highest node with a
@@ -207,88 +188,83 @@ func (cn *cancelPanicNode) Output() any           { return nil }
 func TestConcurrentCancelsOneCompiled(t *testing.T) {
 	rng := xrand.New(23)
 	g := graph.ConnectedGNM(32, 4*32, rng)
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			compiled, err := network.Compile(g, network.CompileOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := runOnce(g, &core.Tester{K: 5, Reps: 2}, network.Options{Engine: engine}, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for i := 0; i < 4; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					inst, err := compiled.NewInstance(network.InstanceOptions{Engine: engine, Workers: 1})
+	t.Run(engineName, func(t *testing.T) {
+		compiled, err := network.Compile(g, network.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runOnce(g, &core.Tester{K: 5, Reps: 2}, network.Options{}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				inst, err := compiled.NewInstance(network.InstanceOptions{Workers: 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer inst.Close()
+				prog := &core.Tester{K: 7, Reps: 6}
+				for it := 0; it < 10; it++ {
+					ctx, cancel := context.WithCancel(context.Background())
+					go func() { cancel() }() // races the round loop on purpose
+					_, err := inst.RunProgramCtx(ctx, prog, uint64(it))
+					cancel()
 					if err != nil {
-						t.Error(err)
-						return
-					}
-					defer inst.Close()
-					prog := &core.Tester{K: 7, Reps: 6}
-					for it := 0; it < 10; it++ {
-						ctx, cancel := context.WithCancel(context.Background())
-						go func() { cancel() }() // races the round loop on purpose
-						_, err := inst.RunProgramCtx(ctx, prog, uint64(it))
-						cancel()
-						if err != nil {
-							var ce *network.ErrCanceled
-							if !errors.As(err, &ce) {
-								t.Errorf("instance %d run %d: %v", i, it, err)
-								return
-							}
+						var ce *network.ErrCanceled
+						if !errors.As(err, &ce) {
+							t.Errorf("instance %d run %d: %v", i, it, err)
+							return
 						}
 					}
-					// After the churn, a clean run must match fresh exactly.
-					got, err := inst.RunProgram(&core.Tester{K: 5, Reps: 2}, 7)
-					if err != nil {
-						t.Errorf("instance %d final run: %v", i, err)
-						return
-					}
-					assertResultsEqual(t, 7, want, got)
-				}(i)
-			}
-			wg.Wait()
-		})
-	}
+				}
+				// After the churn, a clean run must match fresh exactly.
+				got, err := inst.RunProgram(&core.Tester{K: 5, Reps: 2}, 7)
+				if err != nil {
+					t.Errorf("instance %d final run: %v", i, err)
+					return
+				}
+				assertResultsEqual(t, 7, want, got)
+			}(i)
+		}
+		wg.Wait()
+	})
 }
 
 // TestRunCtxAllocFree locks the acceptance bar for the hook itself: a
 // steady-state reused run through RunProgramCtx with a LIVE cancellable
-// context (never fired) must still allocate nothing, on both engines — the
-// per-round check is a channel poll, plus (channels engine) one commit CAS
-// every StopRoundStride rounds.
+// context (never fired) must still allocate nothing — the per-round check
+// is a channel poll.
 func TestRunCtxAllocFree(t *testing.T) {
 	rng := xrand.New(5)
 	g := graph.RandomTree(64, rng)
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
+	t.Run(engineName, func(t *testing.T) {
+		nw, err := network.New(g, network.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		prog := &core.Tester{K: 5, Reps: 4}
+		seed := uint64(0)
+		for ; seed < 5; seed++ { // warm arenas, node cache, and ctx.Done's lazy channel
+			if _, err := nw.RunProgramCtx(ctx, prog, seed); err != nil {
 				t.Fatal(err)
 			}
-			defer nw.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			prog := &core.Tester{K: 5, Reps: 4}
-			seed := uint64(0)
-			for ; seed < 5; seed++ { // warm arenas, node cache, and ctx.Done's lazy channel
-				if _, err := nw.RunProgramCtx(ctx, prog, seed); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				seed++
-				if _, err := nw.RunProgramCtx(ctx, prog, seed); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 0 {
-				t.Fatalf("steady-state RunProgramCtx allocates %.1f times; want 0", allocs)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			seed++
+			if _, err := nw.RunProgramCtx(ctx, prog, seed); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		if allocs > 0 {
+			t.Fatalf("steady-state RunProgramCtx allocates %.1f times; want 0", allocs)
+		}
+	})
 }

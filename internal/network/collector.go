@@ -14,17 +14,15 @@ package network
 // call and hit the heap every run), so the reused-run 0 allocs/op invariant
 // holds with collection on (locked by TestRunCollectorAllocFree).
 
-// RunMetrics is one run's cost and disposition, in the engines' native
+// RunMetrics is one run's cost and disposition, in the engine's native
 // units (counts and bits). Exactly one of the success path (the count
 // fields filled from the run's Stats) or the Canceled/Failed flags
 // describes the outcome; Injected marks runs whose failure or cancellation
 // was forced by a FaultPlan rather than earned.
 type RunMetrics struct {
-	// Engine that executed the run.
-	Engine Engine
 	// Rounds executed: the program's full round count on success, the
 	// abort round for a canceled run, 0 for a failed one (a failed run's
-	// partial stats are not meaningful — the engines abort mid-phase).
+	// partial stats are not meaningful — the engine aborts mid-round).
 	Rounds int
 	// Messages delivered (non-nil payloads), success only.
 	Messages int64
@@ -54,9 +52,9 @@ type RunCollector interface {
 }
 
 // recordRun assembles the run's RunMetrics and hands it to the collector.
-// res is the engine's Result on success and ignored otherwise.
+// res is the run's Result on success and ignored otherwise.
 func (nw *Instance) recordRun(c RunCollector, res *Result, err error, injected bool) {
-	m := RunMetrics{Engine: nw.engine(), Injected: injected}
+	m := RunMetrics{Injected: injected}
 	switch e := err.(type) {
 	case nil:
 		m.Rounds = res.Stats.Rounds

@@ -40,41 +40,36 @@ func (c *captureCollector) last(t *testing.T) network.RunMetrics {
 
 // TestRunCollectorSuccess: a successful run reports the same rounds,
 // message count, bit volume, and bandwidth high-water the Result's Stats
-// carry, tagged with the executing engine.
+// carry.
 func TestRunCollectorSuccess(t *testing.T) {
 	g := graph.ConnectedGNM(48, 4*48, xrand.New(7))
 	comp, err := network.Compile(g, network.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			col := &captureCollector{}
-			inst, err := comp.NewInstance(network.InstanceOptions{Engine: engine, Collector: col})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer inst.Close()
-			res, err := inst.RunProgram(&core.Tester{K: 5, Reps: 2}, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := col.last(t)
-			if m.Engine != engine {
-				t.Errorf("Engine = %q, want %q", m.Engine, engine)
-			}
-			if m.Canceled || m.Failed || m.Injected {
-				t.Errorf("clean run flagged: %+v", m)
-			}
-			if m.Rounds != res.Stats.Rounds || m.Messages != res.Stats.MessagesSent ||
-				m.Bits != res.Stats.TotalBits || m.MaxMessageBits != res.Stats.MaxMessageBits {
-				t.Errorf("metrics %+v do not match stats %+v", m, res.Stats)
-			}
-			if m.Messages <= 0 || m.Rounds <= 0 {
-				t.Errorf("implausible run record: %+v", m)
-			}
-		})
-	}
+	t.Run(engineName, func(t *testing.T) {
+		col := &captureCollector{}
+		inst, err := comp.NewInstance(network.InstanceOptions{Collector: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		res, err := inst.RunProgram(&core.Tester{K: 5, Reps: 2}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := col.last(t)
+		if m.Canceled || m.Failed || m.Injected {
+			t.Errorf("clean run flagged: %+v", m)
+		}
+		if m.Rounds != res.Stats.Rounds || m.Messages != res.Stats.MessagesSent ||
+			m.Bits != res.Stats.TotalBits || m.MaxMessageBits != res.Stats.MaxMessageBits {
+			t.Errorf("metrics %+v do not match stats %+v", m, res.Stats)
+		}
+		if m.Messages <= 0 || m.Rounds <= 0 {
+			t.Errorf("implausible run record: %+v", m)
+		}
+	})
 }
 
 // TestRunCollectorCanceled: a pre-canceled context records nothing (the
@@ -139,39 +134,37 @@ func TestRunCollectorFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			col := &captureCollector{}
-			fireOnce := true
-			plan := &network.FaultPlan{Decide: func(seed uint64, n, rounds int) (network.FaultDecision, bool) {
-				if fireOnce {
-					fireOnce = false
-					return network.FaultDecision{Kind: network.FaultPanic, Round: 1, Node: 3}, true
-				}
-				return network.FaultDecision{}, false
-			}}
-			inst, err := comp.NewInstance(network.InstanceOptions{Engine: engine, Collector: col, Faults: plan})
-			if err != nil {
-				t.Fatal(err)
+	t.Run(engineName, func(t *testing.T) {
+		col := &captureCollector{}
+		fireOnce := true
+		plan := &network.FaultPlan{Decide: func(seed uint64, n, rounds int) (network.FaultDecision, bool) {
+			if fireOnce {
+				fireOnce = false
+				return network.FaultDecision{Kind: network.FaultPanic, Round: 1, Node: 3}, true
 			}
-			defer inst.Close()
-			prog := &core.Tester{K: 5, Reps: 2}
-			if _, err := inst.RunProgram(prog, 1); err == nil {
-				t.Fatal("expected injected panic to fail the run")
-			}
-			m := col.last(t)
-			if !m.Failed || m.Canceled || !m.Injected {
-				t.Errorf("failed run record = %+v, want Failed && Injected", m)
-			}
-			if _, err := inst.RunProgram(prog, 2); err != nil {
-				t.Fatalf("recovery run: %v", err)
-			}
-			m = col.last(t)
-			if m.Failed || m.Canceled || m.Injected || m.Rounds == 0 {
-				t.Errorf("recovery run record = %+v, want clean success", m)
-			}
-		})
-	}
+			return network.FaultDecision{}, false
+		}}
+		inst, err := comp.NewInstance(network.InstanceOptions{Collector: col, Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		prog := &core.Tester{K: 5, Reps: 2}
+		if _, err := inst.RunProgram(prog, 1); err == nil {
+			t.Fatal("expected injected panic to fail the run")
+		}
+		m := col.last(t)
+		if !m.Failed || m.Canceled || !m.Injected {
+			t.Errorf("failed run record = %+v, want Failed && Injected", m)
+		}
+		if _, err := inst.RunProgram(prog, 2); err != nil {
+			t.Fatalf("recovery run: %v", err)
+		}
+		m = col.last(t)
+		if m.Failed || m.Canceled || m.Injected || m.Rounds == 0 {
+			t.Errorf("recovery run record = %+v, want clean success", m)
+		}
+	})
 }
 
 // countingCollector is the cheapest realistic collector — a few atomic-free
@@ -187,7 +180,7 @@ func (c *countingCollector) RecordRun(m network.RunMetrics) {
 }
 
 // TestRunCollectorAllocFree pins the tentpole pricing claim: steady-state
-// reused runs stay at 0 allocs/op with a collector ARMED, on both engines.
+// reused runs stay at 0 allocs/op with a collector ARMED.
 // RunMetrics travels by value into the interface call; if it ever regresses
 // to a pointer (or the record path boxes), this fails.
 func TestRunCollectorAllocFree(t *testing.T) {
@@ -197,63 +190,55 @@ func TestRunCollectorAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			col := &countingCollector{}
-			inst, err := comp.NewInstance(network.InstanceOptions{Engine: engine, Collector: col})
-			if err != nil {
+	t.Run(engineName, func(t *testing.T) {
+		col := &countingCollector{}
+		inst, err := comp.NewInstance(network.InstanceOptions{Collector: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		prog := &core.Tester{K: 5, Reps: 4}
+		seed := uint64(0)
+		for ; seed < 5; seed++ { // warm arenas, rank buffers, node cache
+			if _, err := inst.RunProgram(prog, seed); err != nil {
 				t.Fatal(err)
 			}
-			defer inst.Close()
-			prog := &core.Tester{K: 5, Reps: 4}
-			seed := uint64(0)
-			for ; seed < 5; seed++ { // warm arenas, rank buffers, node cache
-				if _, err := inst.RunProgram(prog, seed); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				seed++
-				if _, err := inst.RunProgram(prog, seed); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 0 {
-				t.Fatalf("armed-collector RunProgram allocates %.1f times; want 0", allocs)
-			}
-			if col.runs == 0 {
-				t.Fatal("collector never invoked")
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			seed++
+			if _, err := inst.RunProgram(prog, seed); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		if allocs > 0 {
+			t.Fatalf("armed-collector RunProgram allocates %.1f times; want 0", allocs)
+		}
+		if col.runs == 0 {
+			t.Fatal("collector never invoked")
+		}
+	})
 }
 
 // TestInstanceWorkers pins the width accessor the sweep handshake reads:
-// BSP instances report their clamped pool width, channels instances
-// report 1.
+// instances report their clamped pool width.
 func TestInstanceWorkers(t *testing.T) {
 	g := graph.Cycle(16)
 	comp, err := network.Compile(g, network.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		engine network.Engine
-		ask    int
-		want   int
-	}{
-		{network.EngineBSP, 2, 2},
-		{network.EngineBSP, 1, 1},
-		{network.EngineBSP, 1 << 20, 16}, // clamped to n
-		{network.EngineChannels, 8, 1},
+	cases := []struct{ ask, want int }{
+		{2, 2},
+		{1, 1},
+		{1 << 20, 16}, // clamped to n
 	}
 	for _, c := range cases {
-		inst, err := comp.NewInstance(network.InstanceOptions{Engine: c.engine, Workers: c.ask})
+		inst, err := comp.NewInstance(network.InstanceOptions{Workers: c.ask})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := inst.Workers(); got != c.want {
-			t.Errorf("%s workers=%d: Workers() = %d, want %d", c.engine, c.ask, got, c.want)
+			t.Errorf("workers=%d: Workers() = %d, want %d", c.ask, got, c.want)
 		}
 		inst.Close()
 	}

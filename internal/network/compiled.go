@@ -23,9 +23,8 @@ type CompileOptions struct {
 // Compiled is the immutable, shareable core of a network: the graph, the
 // validated ID assignment, and the precomputed port topology. Compiling is
 // the expensive, O(m) part of network construction; a Compiled is built
-// once per graph and then any number of Instances — including Instances on
-// different engines — attach to it with zero copying of the graph or the
-// topology.
+// once per graph and then any number of Instances attach to it with zero
+// copying of the graph or the topology.
 //
 // A Compiled is immutable after Compile returns and is safe for concurrent
 // use: N goroutines each running their own Instance over one shared
@@ -63,13 +62,15 @@ func (c *Compiled) Graph() *graph.Graph { return c.g }
 // (0 means unenforced).
 func (c *Compiled) BandwidthBits() int { return c.bandwidthBits }
 
-// InstanceOptions fixes the per-instance configuration: the execution
-// engine and its parallelism. Unlike CompileOptions these do not affect the
-// compiled core, so instances on different engines share one Compiled.
+// InstanceOptions fixes the per-instance configuration: the engine's
+// parallelism and its optional hooks. Unlike CompileOptions these do not
+// affect the compiled core, so instances with different options share one
+// Compiled.
 type InstanceOptions struct {
-	// Engine selects the execution engine; empty means EngineBSP.
+	// Engine names the execution engine. EngineBSP, the only one, and the
+	// empty name are accepted; NewInstance refuses any other.
 	Engine Engine
-	// Workers caps the BSP worker pool (0 means GOMAXPROCS). Schedulers
+	// Workers caps the worker pool (0 means GOMAXPROCS). Schedulers
 	// that run many Instances concurrently set this low so the product of
 	// instances and workers matches the hardware.
 	Workers int
@@ -88,21 +89,17 @@ type InstanceOptions struct {
 }
 
 // NewInstance attaches a fresh per-run state slab — payload tables, coin
-// streams, node cache, stats, and a persistent execution engine — to the
-// compiled core. Instances are independent: each owns its engine goroutines
-// and every mutable byte of a run, so concurrent RunProgram calls on
-// distinct Instances of one Compiled are race-free. Call Close on the
-// returned Instance to release its engine.
+// streams, node cache, stats, and a persistent worker pool — to the
+// compiled core. Instances are independent: each owns its worker
+// goroutines and every mutable byte of a run, so concurrent RunProgram
+// calls on distinct Instances of one Compiled are race-free. Call Close on
+// the returned Instance to release its pool.
 func (c *Compiled) NewInstance(opts InstanceOptions) (*Instance, error) {
-	nw := &Instance{c: c, iopts: opts, rounds: -1}
-	nw.init()
-	switch opts.Engine {
-	case EngineBSP, "":
-		nw.buildBSP()
-	case EngineChannels:
-		nw.buildChannels()
-	default:
+	if opts.Engine != "" && opts.Engine != EngineBSP {
 		return nil, fmt.Errorf("network: unknown engine %q", opts.Engine)
 	}
+	nw := &Instance{c: c, iopts: opts, rounds: -1}
+	nw.init()
+	nw.buildEngine()
 	return nw, nil
 }

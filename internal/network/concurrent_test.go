@@ -19,11 +19,11 @@ import (
 // sequentialWant collects fresh one-shot results for every seed. Each
 // runOnce builds its own single-use network, so the returned
 // Results are independent of each other and of any shared Compiled.
-func sequentialWant(t *testing.T, engine network.Engine, g *graph.Graph, k int, reps int, seeds []uint64) map[uint64]*network.Result {
+func sequentialWant(t *testing.T, g *graph.Graph, k int, reps int, seeds []uint64) map[uint64]*network.Result {
 	t.Helper()
 	want := make(map[uint64]*network.Result, len(seeds))
 	for _, seed := range seeds {
-		res, err := runOnce(g, &core.Tester{K: k, Reps: reps}, network.Options{Engine: engine}, seed)
+		res, err := runOnce(g, &core.Tester{K: k, Reps: reps}, network.Options{}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func sequentialWant(t *testing.T, engine network.Engine, g *graph.Graph, k int, 
 // TestConcurrentInstancesMatchSequential is the concurrency contract of
 // the serving layer: N goroutines running distinct seeds over one shared
 // Compiled (one Instance each) produce verdicts and stats byte-identical
-// to sequential fresh runs — on both engines. Comparisons happen inside
+// to sequential fresh runs. Comparisons happen inside
 // the goroutines, before an instance's next run overwrites its Result.
 func TestConcurrentInstancesMatchSequential(t *testing.T) {
 	rng := xrand.New(21)
@@ -46,89 +46,42 @@ func TestConcurrentInstancesMatchSequential(t *testing.T) {
 		seeds[i] = uint64(i)
 	}
 
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			want := sequentialWant(t, engine, g, k, reps, seeds)
-			compiled, err := network.Compile(g, network.CompileOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < goroutines; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					inst, err := compiled.NewInstance(network.InstanceOptions{Engine: engine, Workers: 1})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					defer inst.Close()
-					prog := &core.Tester{K: k, Reps: reps}
-					for i := w; i < len(seeds); i += goroutines {
-						seed := seeds[i]
-						got, err := inst.RunProgram(prog, seed)
-						if err != nil {
-							t.Errorf("seed %d: %v", seed, err)
-							return
-						}
-						if !reflect.DeepEqual(want[seed].Outputs, got.Outputs) {
-							t.Errorf("engine %s seed %d: outputs differ from sequential fresh run", engine, seed)
-						}
-						if !reflect.DeepEqual(want[seed].Stats, got.Stats) {
-							t.Errorf("engine %s seed %d: stats differ from sequential fresh run", engine, seed)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		})
-	}
-}
-
-// TestCompiledSharedAcrossEngines pins the design point that made Engine an
-// InstanceOption: instances on DIFFERENT engines attach to one Compiled and
-// run concurrently, each matching its engine's sequential fresh run.
-func TestCompiledSharedAcrossEngines(t *testing.T) {
-	rng := xrand.New(33)
-	far, _ := graph.FarFromCkFree(40, 5, 0.05, rng)
-	const k, reps = 5, 3
-	seeds := []uint64{1, 2, 3, 4, 5, 6}
-
-	compiled, err := network.Compile(far, network.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wants := map[network.Engine]map[uint64]*network.Result{}
-	for _, engine := range engines {
-		wants[engine] = sequentialWant(t, engine, far, k, reps, seeds)
-	}
-	var wg sync.WaitGroup
-	for _, engine := range engines {
-		wg.Add(1)
-		go func(engine network.Engine) {
-			defer wg.Done()
-			inst, err := compiled.NewInstance(network.InstanceOptions{Engine: engine, Workers: 1})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer inst.Close()
-			prog := &core.Tester{K: k, Reps: reps}
-			for _, seed := range seeds {
-				got, err := inst.RunProgram(prog, seed)
+	t.Run(engineName, func(t *testing.T) {
+		want := sequentialWant(t, g, k, reps, seeds)
+		compiled, err := network.Compile(g, network.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < goroutines; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				inst, err := compiled.NewInstance(network.InstanceOptions{Workers: 1})
 				if err != nil {
-					t.Errorf("%s seed %d: %v", engine, seed, err)
+					t.Error(err)
 					return
 				}
-				if !reflect.DeepEqual(wants[engine][seed].Outputs, got.Outputs) ||
-					!reflect.DeepEqual(wants[engine][seed].Stats, got.Stats) {
-					t.Errorf("%s seed %d: concurrent shared-core run differs from sequential fresh run", engine, seed)
+				defer inst.Close()
+				prog := &core.Tester{K: k, Reps: reps}
+				for i := w; i < len(seeds); i += goroutines {
+					seed := seeds[i]
+					got, err := inst.RunProgram(prog, seed)
+					if err != nil {
+						t.Errorf("seed %d: %v", seed, err)
+						return
+					}
+					if !reflect.DeepEqual(want[seed].Outputs, got.Outputs) {
+						t.Errorf("seed %d: outputs differ from sequential fresh run", seed)
+					}
+					if !reflect.DeepEqual(want[seed].Stats, got.Stats) {
+						t.Errorf("seed %d: stats differ from sequential fresh run", seed)
+					}
 				}
-			}
-		}(engine)
-	}
-	wg.Wait()
+			}(w)
+		}
+		wg.Wait()
+	})
 }
 
 // TestInstanceCloseLeavesCompiledUsable: closing one instance must not
@@ -150,7 +103,7 @@ func TestInstanceCloseLeavesCompiledUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := compiled.NewInstance(network.InstanceOptions{Engine: network.EngineChannels})
+	b, err := compiled.NewInstance(network.InstanceOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

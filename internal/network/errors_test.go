@@ -1,5 +1,5 @@
 // Error-semantics tests: bandwidth violations and node panics must surface
-// identically on both engines — earliest violating round first, ties broken
+// deterministically — earliest violating round and phase first, ties broken
 // by lowest vertex — and a Network must recover byte-for-byte after either
 // kind of aborted run.
 package network_test
@@ -71,103 +71,126 @@ func (pn *panicNode) Output() any { return nil }
 
 // TestBandwidthEarliestRound stages violations so that the lowest vertex is
 // NOT the earliest violator: vertex 3 violates at round 1, vertex 0 at
-// round 2. Both engines must report the round-1 violation (the channels
-// engine historically ran to completion and reported the lowest node ID
-// over the whole run, which would pick vertex 0's round-2 violation here).
+// round 2. The run must report the round-1 violation, not the lowest node
+// ID over the whole run (which would pick vertex 0's round-2 violation).
 func TestBandwidthEarliestRound(t *testing.T) {
 	g := graph.Path(4) // 0-1-2-3; oversized sends from 3 hit receiver 2
 	prog := func() network.Program {
 		return &schedTalker{rounds: 5, sched: map[network.ID]int{3: 1, 0: 2}}
 	}
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			_, err := runOnce(g, prog(), network.Options{Engine: engine, BandwidthBits: 64}, 0)
-			if err == nil {
-				t.Fatal("expected a bandwidth error")
-			}
-			be, ok := err.(*network.ErrBandwidth)
-			if !ok {
-				t.Fatalf("wrong error type %T: %v", err, err)
-			}
-			if be.Round != 1 || be.From != 3 || be.To != 2 || be.Bits != 800 {
-				t.Fatalf("want the round-1 violation 3->2, got %+v", be)
-			}
-		})
-	}
+	t.Run(engineName, func(t *testing.T) {
+		_, err := runOnce(g, prog(), network.Options{BandwidthBits: 64}, 0)
+		if err == nil {
+			t.Fatal("expected a bandwidth error")
+		}
+		be, ok := err.(*network.ErrBandwidth)
+		if !ok {
+			t.Fatalf("wrong error type %T: %v", err, err)
+		}
+		if be.Round != 1 || be.From != 3 || be.To != 2 || be.Bits != 800 {
+			t.Fatalf("want the round-1 violation 3->2, got %+v", be)
+		}
+	})
 }
 
 // TestBandwidthLowestVertexTie: two violations in the same round must
-// resolve to the lowest receiving vertex on both engines.
+// resolve to the lowest receiving vertex.
 func TestBandwidthLowestVertexTie(t *testing.T) {
 	g := graph.Path(4)
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			prog := &schedTalker{rounds: 3, sched: map[network.ID]int{0: 1, 3: 1}}
-			_, err := runOnce(g, prog, network.Options{Engine: engine, BandwidthBits: 64}, 0)
-			be, ok := err.(*network.ErrBandwidth)
-			if !ok {
-				t.Fatalf("wrong error %v", err)
-			}
-			if be.Round != 1 || be.From != 0 || be.To != 1 {
-				t.Fatalf("want round-1 violation 0->1 (lowest receiver), got %+v", be)
-			}
-		})
-	}
+	t.Run(engineName, func(t *testing.T) {
+		prog := &schedTalker{rounds: 3, sched: map[network.ID]int{0: 1, 3: 1}}
+		_, err := runOnce(g, prog, network.Options{BandwidthBits: 64}, 0)
+		be, ok := err.(*network.ErrBandwidth)
+		if !ok {
+			t.Fatalf("wrong error %v", err)
+		}
+		if be.Round != 1 || be.From != 0 || be.To != 1 {
+			t.Fatalf("want round-1 violation 0->1 (lowest receiver), got %+v", be)
+		}
+	})
 }
 
-// TestPanicIsolationBothEngines: a node panic surfaces as the same error on
-// both engines instead of crashing the process (the BSP engine historically
-// let panics kill the worker), and a panic at an earlier round beats a
-// bandwidth violation at a later one.
-func TestPanicIsolationBothEngines(t *testing.T) {
+// TestPanicIsolation: a node panic surfaces as an error instead of
+// crashing the process (the engine historically let panics kill the
+// worker), and a panic at an earlier round beats a bandwidth violation at a
+// later one.
+func TestPanicIsolation(t *testing.T) {
 	g := graph.Path(4)
-	var msgs []string
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			prog := &phasePanic{rounds: 4, sendAt: map[network.ID]int{2: 2}}
-			_, err := runOnce(g, prog, network.Options{Engine: engine}, 0)
-			if err == nil {
-				t.Fatal("expected the panic to surface as an error")
-			}
-			if !strings.Contains(err.Error(), "node 2 panicked in Send (round 2)") {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			msgs = append(msgs, err.Error())
-		})
-	}
-	if len(msgs) == 2 && msgs[0] != msgs[1] {
-		t.Fatalf("engines disagree on the panic error:\n bsp      %s\n channels %s", msgs[0], msgs[1])
-	}
+	t.Run(engineName, func(t *testing.T) {
+		prog := &phasePanic{rounds: 4, sendAt: map[network.ID]int{2: 2}}
+		_, err := runOnce(g, prog, network.Options{}, 0)
+		if err == nil {
+			t.Fatal("expected the panic to surface as an error")
+		}
+		if !strings.Contains(err.Error(), "node 2 panicked in Send (round 2)") {
+			t.Fatalf("unexpected error: %v", err)
+		}
+	})
 }
 
 // TestSameRoundPhaseOrdering: within one round, a Send-phase failure must
-// outrank a Receive-phase one on both engines, even when the Receive
-// panicker has the lower vertex — the BSP engine aborts between delivery
-// and Receive, so the channels engine must not let a Receive failure it
-// happened to record win the selection.
+// outrank a Receive-phase one, even when the Receive panicker has the lower
+// vertex — the engine aborts between delivery and Receive.
 func TestSameRoundPhaseOrdering(t *testing.T) {
 	g := graph.Path(4)
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			prog := &phasePanic{
-				rounds: 4,
-				sendAt: map[network.ID]int{3: 2},
-				recvAt: map[network.ID]int{1: 2},
-			}
-			_, err := runOnce(g, prog, network.Options{Engine: engine}, 0)
-			if err == nil {
-				t.Fatal("expected an error")
-			}
-			if !strings.Contains(err.Error(), "node 3 panicked in Send (round 2)") {
-				t.Fatalf("want the Send-phase panic to win the same-round selection, got: %v", err)
-			}
-		})
+	t.Run(engineName, func(t *testing.T) {
+		prog := &phasePanic{
+			rounds: 4,
+			sendAt: map[network.ID]int{3: 2},
+			recvAt: map[network.ID]int{1: 2},
+		}
+		_, err := runOnce(g, prog, network.Options{}, 0)
+		if err == nil {
+			t.Fatal("expected an error")
+		}
+		if !strings.Contains(err.Error(), "node 3 panicked in Send (round 2)") {
+			t.Fatalf("want the Send-phase panic to win the same-round selection, got: %v", err)
+		}
+	})
+}
+
+// sendProbe records, per node, the last round its Send ran, and makes
+// vertex 3 panic in Receive at round 2.
+type sendProbe struct{ lastSend []int } // indexed by vertex ID; one writer per slot
+
+func (p *sendProbe) Rounds(n, m int) int { return 4 }
+func (p *sendProbe) NewNode(info network.NodeInfo) network.Node {
+	return &sendProbeNode{p: p, id: info.ID}
+}
+
+type sendProbeNode struct {
+	p  *sendProbe
+	id network.ID
+}
+
+func (n *sendProbeNode) Send(round int, out [][]byte) { n.p.lastSend[n.id] = round }
+func (n *sendProbeNode) Receive(round int, in [][]byte) {
+	if n.id == 3 && round == 2 {
+		panic("boom")
+	}
+}
+func (n *sendProbeNode) Output() any { return nil }
+
+// TestReceivePanicAbortsItsRound: a Receive panic aborts the run at the
+// barrier after that Receive phase, so no node sends in the next round and
+// the error names the Receive round.
+func TestReceivePanicAbortsItsRound(t *testing.T) {
+	g := graph.Path(5)
+	prog := &sendProbe{lastSend: make([]int, g.N())}
+	_, err := runOnce(g, prog, network.Options{Workers: 2}, 0)
+	if err == nil || !strings.Contains(err.Error(), "node 3 panicked in Receive (round 2)") {
+		t.Fatalf("want the round-2 Receive panic, got: %v", err)
+	}
+	for v, r := range prog.lastSend {
+		if r != 2 {
+			t.Fatalf("vertex %d last sent in round %d; the run must stop after round 2", v, r)
+		}
 	}
 }
 
 // lenProbe records, per node, the largest payload its Receive ever saw, to
-// verify programs never observe budget-violating messages on either engine
-// (BSP aborts before Receive; the channels engine must nil the payload).
+// verify programs never observe budget-violating messages (the engine
+// aborts before Receive).
 type lenProbe struct {
 	rounds int
 	maxLen []int // indexed by vertex ID; one writer per slot
@@ -201,88 +224,81 @@ func (n *lenProbeNode) Receive(round int, in [][]byte) {
 }
 func (n *lenProbeNode) Output() any { return nil }
 
-// TestOverBudgetPayloadNeverDelivered: on both engines, no node's Receive
+// TestOverBudgetPayloadNeverDelivered: no node's Receive
 // may ever observe a payload over the configured budget.
 func TestOverBudgetPayloadNeverDelivered(t *testing.T) {
 	g := graph.Path(3)
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			prog := &lenProbe{rounds: 3, maxLen: make([]int, g.N())}
-			_, err := runOnce(g, prog, network.Options{Engine: engine, BandwidthBits: 64}, 0)
-			if err == nil {
-				t.Fatal("expected a bandwidth error")
+	t.Run(engineName, func(t *testing.T) {
+		prog := &lenProbe{rounds: 3, maxLen: make([]int, g.N())}
+		_, err := runOnce(g, prog, network.Options{BandwidthBits: 64}, 0)
+		if err == nil {
+			t.Fatal("expected a bandwidth error")
+		}
+		for v, l := range prog.maxLen {
+			if l > 64/8 {
+				t.Fatalf("node %d observed a %d-byte payload over the 8-byte budget", v, l)
 			}
-			for v, l := range prog.maxLen {
-				if l > 64/8 {
-					t.Fatalf("node %d observed a %d-byte payload over the 8-byte budget", v, l)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRunProgramBandwidthError checks that budget violations on a REUSED
 // network surface the same deterministic error as the one-shot entry
-// points, on both engines, and that the Network recovers on the next run
+// points, and that the Network recovers on the next run
 // (nodes are rebuilt after an aborted run).
 func TestRunProgramBandwidthError(t *testing.T) {
 	g := graph.CompleteBipartite(8, 8)
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine, BandwidthBits: 40})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
-			prog := &core.Tester{K: 6, Reps: 2, Mode: core.ModeNaive}
-			_, wantErr := runOnce(g, &core.Tester{K: 6, Reps: 2, Mode: core.ModeNaive}, network.Options{Engine: engine, BandwidthBits: 40}, 3)
-			if wantErr == nil {
-				t.Fatal("expected a bandwidth violation from the naive tester")
-			}
-			_, gotErr := nw.RunProgram(prog, 3)
-			if gotErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Fatalf("error mismatch:\n got  %v\n want %v", gotErr, wantErr)
-			}
-			assertMatchesFresh(t, nw, engine, g, 4, 40)
-		})
-	}
+	t.Run(engineName, func(t *testing.T) {
+		nw, err := network.New(g, network.Options{BandwidthBits: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		prog := &core.Tester{K: 6, Reps: 2, Mode: core.ModeNaive}
+		_, wantErr := runOnce(g, &core.Tester{K: 6, Reps: 2, Mode: core.ModeNaive}, network.Options{BandwidthBits: 40}, 3)
+		if wantErr == nil {
+			t.Fatal("expected a bandwidth violation from the naive tester")
+		}
+		_, gotErr := nw.RunProgram(prog, 3)
+		if gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("error mismatch:\n got  %v\n want %v", gotErr, wantErr)
+		}
+		assertMatchesFresh(t, nw, g, 4, 40)
+	})
 }
 
 // TestNetworkReuseAfterPanic: after a node panic aborts a run, the next
 // RunProgram on the same Network must match a fresh single-use run
-// byte-for-byte, on both engines.
+// byte-for-byte.
 func TestNetworkReuseAfterPanic(t *testing.T) {
 	g := graph.CompleteBipartite(6, 6)
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			nw, err := network.New(g, network.Options{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
-			// Warm the node cache with a clean run first, so the post-panic
-			// run exercises recovery from the cached-node path too.
-			warm := &core.Tester{K: 6, Reps: 1}
-			if _, err := nw.RunProgram(warm, 1); err != nil {
-				t.Fatal(err)
-			}
-			bad := &phasePanic{rounds: 3, sendAt: map[network.ID]int{4: 2}}
-			if _, err := nw.RunProgram(bad, 2); err == nil {
-				t.Fatal("expected the panic to surface as an error")
-			}
-			assertMatchesFresh(t, nw, engine, g, 5, 0)
-		})
-	}
+	t.Run(engineName, func(t *testing.T) {
+		nw, err := network.New(g, network.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		// Warm the node cache with a clean run first, so the post-panic
+		// run exercises recovery from the cached-node path too.
+		warm := &core.Tester{K: 6, Reps: 1}
+		if _, err := nw.RunProgram(warm, 1); err != nil {
+			t.Fatal(err)
+		}
+		bad := &phasePanic{rounds: 3, sendAt: map[network.ID]int{4: 2}}
+		if _, err := nw.RunProgram(bad, 2); err == nil {
+			t.Fatal("expected the panic to surface as an error")
+		}
+		assertMatchesFresh(t, nw, g, 5, 0)
+	})
 }
 
 // assertMatchesFresh runs a fresh tester program on nw and demands
 // byte-identical results (decisions, outputs, stats) with a fresh one-shot
 // run of the same configuration — the post-error reuse contract.
-func assertMatchesFresh(t *testing.T, nw *network.Instance, engine network.Engine,
-	g *graph.Graph, seed uint64, budget int) {
+func assertMatchesFresh(t *testing.T, nw *network.Instance, g *graph.Graph, seed uint64, budget int) {
 	t.Helper()
 	prog := &core.Tester{K: 6, Reps: 1}
-	want, wantErr := runOnce(g, &core.Tester{K: 6, Reps: 1}, network.Options{Engine: engine, BandwidthBits: budget}, seed)
+	want, wantErr := runOnce(g, &core.Tester{K: 6, Reps: 1}, network.Options{BandwidthBits: budget}, seed)
 	got, gotErr := nw.RunProgram(prog, seed)
 	switch {
 	case wantErr != nil:

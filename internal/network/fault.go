@@ -1,17 +1,16 @@
 package network
 
-// Fault injection: a FaultPlan on InstanceOptions lets resilience tests
-// (and chaos-mode servers) force per-node panics, bandwidth violations,
-// and cancellations into otherwise-healthy runs, at chosen rounds, on
-// BOTH engines. The hooks ride the engines' existing failure machinery —
-// an injected panic goes through the same catch/recordFailure path a real
-// one does, an injected bandwidth violation is recorded at the same
-// receiver-side rank a real oversized payload would earn, and an injected
-// cancellation cancels the run's own context — so everything the engines
-// guarantee about real faults (deterministic cross-engine error
-// selection, instance reusability, byte-identical post-fault runs) holds
-// for injected ones by construction. A nil plan costs nothing: the only
-// hot-path overhead is one bool load per guarded site.
+// Fault injection: a FaultPlan on InstanceOptions lets resilience tests (and
+// chaos-mode servers) force per-node panics, bandwidth violations, and
+// cancellations into otherwise-healthy runs, at chosen rounds. The hooks
+// ride the engine's existing failure machinery — an injected panic goes
+// through the same catchNode path a real one does, an injected bandwidth
+// violation is recorded in the same delivery phase a real oversized payload
+// would be, and an injected cancellation cancels the run's own context — so
+// everything the engine guarantees about real faults (deterministic error
+// selection, instance reusability, byte-identical post-fault runs) holds for
+// injected ones by construction. A nil plan costs nothing: the only hot-path
+// overhead is one bool load per guarded site.
 
 import (
 	"context"
@@ -131,13 +130,12 @@ type injectedPanic struct{}
 
 func (injectedPanic) String() string { return "injected fault" }
 
-// armFault consults the plan for this run and arms the engine hooks. It
-// is called after prepare (the round count is needed) and before the
-// engine loop starts; the engines' own start barriers (the BSP pool
-// hand-off, the chStart sends) order the writes before any node reads
-// them. For FaultCancel it derives a cancellable context the run executes
-// under, so the injected cancellation is indistinguishable from a real
-// client abandon.
+// armFault consults the plan for this run and arms the engine hooks. It is
+// called after prepare (the round count is needed) and before the engine
+// loop starts; the worker pool's phase hand-off orders the writes before any
+// node reads them. For FaultCancel it derives a cancellable context the run
+// executes under, so the injected cancellation is indistinguishable from a
+// real client abandon.
 func (nw *Instance) armFault(ctx context.Context, seed uint64, rounds int) context.Context {
 	nw.faultOn = false
 	plan := nw.iopts.Faults
@@ -169,10 +167,9 @@ func (nw *Instance) armFault(ctx context.Context, seed uint64, rounds int) conte
 	return ctx
 }
 
-// disarmFault clears the armed fault after the run; both engines have
-// quiesced by the time it is called (runBSP is synchronous, runChannels
-// returns after chWG.Wait), so no node goroutine can still observe the
-// stale decision.
+// disarmFault clears the armed fault after the run; the run is synchronous
+// and every phase has passed its barrier by the time it is called, so no
+// worker can still observe the stale decision.
 func (nw *Instance) disarmFault() {
 	nw.faultOn = false
 	if nw.faultCancel != nil {
@@ -182,9 +179,9 @@ func (nw *Instance) disarmFault() {
 }
 
 // fireFaultCancel cancels the run's derived context with an ErrInjected
-// cause. Safe to call from multiple node goroutines; only the first
-// cause sticks — and it unwraps to context.Canceled, so the usual
-// cancellation checks (errors.Is(err, context.Canceled)) still hold.
+// cause. Only the first cause sticks — and it unwraps to context.Canceled,
+// so the usual cancellation checks (errors.Is(err, context.Canceled)) still
+// hold.
 //
 //ckvet:allocs fault-injection path, never on a production run
 func (nw *Instance) fireFaultCancel() {
@@ -194,8 +191,8 @@ func (nw *Instance) fireFaultCancel() {
 // injectedBandwidthErr fabricates the violation FaultBandwidth records at
 // (v, round): an over-budget payload arriving at v from its first
 // neighbor, shaped exactly like a real receiver-side detection — same
-// error type, same rank at the recording site — so the deterministic
-// cross-engine error selection treats it identically to the real thing.
+// error type, recorded in the same phase — so the deterministic error
+// selection treats it identically to the real thing.
 //
 //ckvet:allocs fault-injection path, never on a production run
 func (nw *Instance) injectedBandwidthErr(v, round int) error {

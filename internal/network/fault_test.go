@@ -1,6 +1,6 @@
 // Fault-injection tests: an injected panic, bandwidth violation, or
-// cancellation must surface as a recognizable ErrInjected with identical
-// semantics on both engines, must bump the plan's counter, and must leave
+// cancellation must surface as a recognizable ErrInjected, must bump the
+// plan's counter, and must leave
 // the Instance byte-identical to a fresh network on its next run — the
 // same recovery contract real faults carry.
 package network_test
@@ -8,7 +8,6 @@ package network_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"cycledetect/internal/core"
@@ -29,108 +28,72 @@ func seedPlan(kind network.FaultKind, round, node int, faultSeed uint64) *networ
 	}
 }
 
-// TestFaultInjectionRecovery drives every fault kind through both engines
-// on a warm instance (cached nodes, mid-steady-state) and checks the
+// TestFaultInjectionRecovery drives every fault kind through a warm
+// instance (cached nodes, mid-steady-state) and checks the
 // error's type and tagging, the plan counter, and post-fault recovery.
 func TestFaultInjectionRecovery(t *testing.T) {
 	g := graph.CompleteBipartite(6, 6)
 	const faultSeed = 7
 	for _, kind := range []network.FaultKind{network.FaultPanic, network.FaultBandwidth, network.FaultCancel} {
-		for _, engine := range engines {
-			t.Run(fmt.Sprintf("%s/%s", kind, engine), func(t *testing.T) {
-				plan := seedPlan(kind, 2, 3, faultSeed)
-				c, err := network.Compile(g, network.CompileOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				nw, err := c.NewInstance(network.InstanceOptions{Engine: engine, Faults: plan})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer nw.Close()
-
-				// A clean run first: the plan must cost nothing when it
-				// declines, and the fault then hits the cached-node path.
-				warm := &core.Tester{K: 6, Reps: 1}
-				if _, err := nw.RunProgram(warm, 1); err != nil {
-					t.Fatalf("clean run under a declining plan failed: %v", err)
-				}
-				if plan.Injected() != 0 {
-					t.Fatalf("declining plan counted %d injections", plan.Injected())
-				}
-
-				_, ferr := nw.RunProgram(&core.Tester{K: 6, Reps: 2}, faultSeed)
-				if ferr == nil {
-					t.Fatal("expected the injected fault to surface as an error")
-				}
-				var inj *network.ErrInjected
-				if !errors.As(ferr, &inj) {
-					t.Fatalf("want ErrInjected in the chain, got %T: %v", ferr, ferr)
-				}
-				if inj.Kind != kind {
-					t.Fatalf("want kind %v, got %v (%v)", kind, inj.Kind, ferr)
-				}
-				if !inj.Transient() {
-					t.Fatal("injected faults must be transient (retryable)")
-				}
-				if plan.Injected() != 1 {
-					t.Fatalf("want 1 injection counted, got %d", plan.Injected())
-				}
-				switch kind {
-				case network.FaultCancel:
-					var ce *network.ErrCanceled
-					if !errors.As(ferr, &ce) {
-						t.Fatalf("injected cancel must surface as ErrCanceled, got %v", ferr)
-					}
-					if !errors.Is(ferr, context.Canceled) {
-						t.Fatalf("injected cancel must unwrap to context.Canceled: %v", ferr)
-					}
-				case network.FaultBandwidth:
-					var be *network.ErrBandwidth
-					if !errors.As(ferr, &be) || be.Round != 2 {
-						t.Fatalf("want a fabricated round-2 ErrBandwidth, got %v", ferr)
-					}
-				}
-
-				// The recovery contract: the next run on the same instance is
-				// byte-identical to a fresh network's.
-				assertMatchesFresh(t, nw, engine, g, 5, 0)
-			})
-		}
-	}
-}
-
-// TestFaultErrorsIdenticalAcrossEngines locks the cross-engine
-// determinism of injected panic and bandwidth errors: the same plan on
-// the same run must yield the same error string on both engines.
-// (Cancellation is excluded: its completed-round count is timing-shaped
-// by design, on real cancels too.)
-func TestFaultErrorsIdenticalAcrossEngines(t *testing.T) {
-	g := graph.CompleteBipartite(6, 6)
-	for _, kind := range []network.FaultKind{network.FaultPanic, network.FaultBandwidth} {
-		var msgs []string
-		for _, engine := range engines {
-			plan := seedPlan(kind, 2, 3, 7)
-			nw, err := network.New(g, network.Options{Engine: engine})
+		t.Run(kind.String()+"/"+engineName, func(t *testing.T) {
+			plan := seedPlan(kind, 2, 3, faultSeed)
+			c, err := network.Compile(g, network.CompileOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, err := nw.Compiled().NewInstance(network.InstanceOptions{Engine: engine, Faults: plan})
+			nw, err := c.NewInstance(network.InstanceOptions{Faults: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, ferr := inst.RunProgram(&core.Tester{K: 6, Reps: 2}, 7)
+			defer nw.Close()
+
+			// A clean run first: the plan must cost nothing when it
+			// declines, and the fault then hits the cached-node path.
+			warm := &core.Tester{K: 6, Reps: 1}
+			if _, err := nw.RunProgram(warm, 1); err != nil {
+				t.Fatalf("clean run under a declining plan failed: %v", err)
+			}
+			if plan.Injected() != 0 {
+				t.Fatalf("declining plan counted %d injections", plan.Injected())
+			}
+
+			_, ferr := nw.RunProgram(&core.Tester{K: 6, Reps: 2}, faultSeed)
 			if ferr == nil {
-				t.Fatalf("%s/%s: expected an injected fault", kind, engine)
+				t.Fatal("expected the injected fault to surface as an error")
 			}
-			msgs = append(msgs, ferr.Error())
-			inst.Close()
-			nw.Close()
-		}
-		if msgs[0] != msgs[1] {
-			t.Fatalf("%s: engines disagree on the injected error:\n bsp      %s\n channels %s",
-				kind, msgs[0], msgs[1])
-		}
+			var inj *network.ErrInjected
+			if !errors.As(ferr, &inj) {
+				t.Fatalf("want ErrInjected in the chain, got %T: %v", ferr, ferr)
+			}
+			if inj.Kind != kind {
+				t.Fatalf("want kind %v, got %v (%v)", kind, inj.Kind, ferr)
+			}
+			if !inj.Transient() {
+				t.Fatal("injected faults must be transient (retryable)")
+			}
+			if plan.Injected() != 1 {
+				t.Fatalf("want 1 injection counted, got %d", plan.Injected())
+			}
+			switch kind {
+			case network.FaultCancel:
+				var ce *network.ErrCanceled
+				if !errors.As(ferr, &ce) {
+					t.Fatalf("injected cancel must surface as ErrCanceled, got %v", ferr)
+				}
+				if !errors.Is(ferr, context.Canceled) {
+					t.Fatalf("injected cancel must unwrap to context.Canceled: %v", ferr)
+				}
+			case network.FaultBandwidth:
+				var be *network.ErrBandwidth
+				if !errors.As(ferr, &be) || be.Round != 2 {
+					t.Fatalf("want a fabricated round-2 ErrBandwidth, got %v", ferr)
+				}
+			}
+
+			// The recovery contract: the next run on the same instance is
+			// byte-identical to a fresh network's.
+			assertMatchesFresh(t, nw, g, 5, 0)
+		})
 	}
 }
 

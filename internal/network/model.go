@@ -44,9 +44,8 @@ func (ni *NodeInfo) Degree() int { return len(ni.NeighborIDs) }
 //
 // Payload lifetime contract: a payload placed in out is consumed by the
 // engine before the node's next Send call, so a node may reuse one
-// per-node buffer for its outgoing payloads round after round (the BSP
-// engine guarantees this with its barriers, the channel engine by copying
-// payloads into per-edge buffers). Symmetrically, the slices passed to
+// per-node buffer for its outgoing payloads round after round (the engine's
+// phase barriers guarantee this). Symmetrically, the slices passed to
 // Receive are only valid for the duration of that call; a node that needs
 // received bytes later must copy them.
 type Node interface {
@@ -74,14 +73,13 @@ type ReusableNode interface {
 	Reset(info NodeInfo)
 }
 
-// Engine selects an execution engine by name.
+// Engine names an execution engine.
 type Engine string
 
-// Engines.
-const (
-	EngineBSP      Engine = "bsp"
-	EngineChannels Engine = "channels"
-)
+// EngineBSP is the lockstep engine, the only one. Its name survives for
+// callers that spell it out (InstanceOptions.Engine, corestore.Checkout,
+// the sweep spec's engines and serve's engine field).
+const EngineBSP Engine = "bsp"
 
 // Stats aggregates message traffic over a run.
 type Stats struct {
@@ -166,8 +164,8 @@ func (s *Stats) finalize() {
 	}
 }
 
-// merge folds other into s (used by the engines to combine per-node or
-// per-worker stats).
+// merge folds other into s (used by the engine to combine per-worker
+// stats).
 func (s *Stats) merge(other *Stats) {
 	s.MessagesSent += other.MessagesSent
 	s.TotalBits += other.TotalBits
@@ -201,7 +199,7 @@ type Result struct {
 // error, so errors.Is(err, context.Canceled) and errors.Is(err,
 // context.DeadlineExceeded) both see through it. A canceled Instance is
 // immediately reusable: its next RunProgram is byte-identical to a fresh
-// run (the engines force a node rebuild, same as after a panic).
+// run (the engine forces a node rebuild, same as after a panic).
 type ErrCanceled struct {
 	Round int
 	Cause error
@@ -227,8 +225,8 @@ func (e *ErrBandwidth) Error() string {
 		e.Round, e.From, e.To, e.Bits, e.BudgetBit)
 }
 
-// topology is the precomputed port structure shared by both engines: the ID
-// assignment, per-port neighbor IDs, and the reverse-port table. Building it
+// topology is the precomputed port structure shared by every instance: the
+// ID assignment, per-port neighbor IDs, and the reverse-port table. Building it
 // validates the ID assignment; once built it is immutable, so a topology can
 // be shared by many runs on the same graph.
 type topology struct {

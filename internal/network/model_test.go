@@ -71,34 +71,6 @@ func TestDeliveryMatchesTopology(t *testing.T) {
 	}
 }
 
-func TestEnginesIdenticalOnEcho(t *testing.T) {
-	rng := xrand.New(1)
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(20)
-		m := n - 1 + rng.Intn(n)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
-		g := graph.ConnectedGNM(n, m, rng)
-		a, err := runOnce(g, &echoProgram{rounds: 4}, network.Options{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := runOnce(g, &echoProgram{rounds: 4}, network.Options{Engine: network.EngineChannels}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range a.Outputs {
-			if a.Outputs[v] != b.Outputs[v] {
-				t.Fatalf("node %d outputs differ:\nbsp: %v\nchan: %v", v, a.Outputs[v], b.Outputs[v])
-			}
-		}
-		if a.Stats.TotalBits != b.Stats.TotalBits || a.Stats.MessagesSent != b.Stats.MessagesSent {
-			t.Fatalf("stats differ: %+v vs %+v", a.Stats, b.Stats)
-		}
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	g := graph.Complete(4) // 6 edges, 12 directed
 	res, err := runOnce(g, &echoProgram{rounds: 2}, network.Options{}, 0)
@@ -147,23 +119,21 @@ func (b *bigTalkerNode) Output() any           { return nil }
 
 func TestBandwidthEnforcement(t *testing.T) {
 	g := graph.Path(3)
-	for _, engine := range engines {
-		opts := network.Options{Engine: engine, BandwidthBits: 64}
-		_, err := runOnce(g, &bigTalker{size: 100}, opts, 0)
-		if err == nil {
-			t.Fatal("expected bandwidth error")
-		}
-		be, ok := err.(*network.ErrBandwidth)
-		if !ok {
-			t.Fatalf("wrong error type %T: %v", err, err)
-		}
-		if be.Round != 2 || be.From != 0 || be.Bits != 800 {
-			t.Fatalf("bad error detail %+v", be)
-		}
-		// Under the budget: must succeed.
-		if _, err := runOnce(g, &bigTalker{size: 4}, opts, 0); err != nil {
-			t.Fatalf("under-budget run failed: %v", err)
-		}
+	opts := network.Options{BandwidthBits: 64}
+	_, err := runOnce(g, &bigTalker{size: 100}, opts, 0)
+	if err == nil {
+		t.Fatal("expected bandwidth error")
+	}
+	be, ok := err.(*network.ErrBandwidth)
+	if !ok {
+		t.Fatalf("wrong error type %T: %v", err, err)
+	}
+	if be.Round != 2 || be.From != 0 || be.Bits != 800 {
+		t.Fatalf("bad error detail %+v", be)
+	}
+	// Under the budget: must succeed.
+	if _, err := runOnce(g, &bigTalker{size: 4}, opts, 0); err != nil {
+		t.Fatalf("under-budget run failed: %v", err)
 	}
 }
 
@@ -270,57 +240,33 @@ func (p *coinProgram) NewNode(info network.NodeInfo) network.Node {
 	return &silentNode{}
 }
 
-// TestEngineDispatch: New accepts both engines and the empty name (the BSP
-// default) and refuses an unknown one.
+// TestEngineDispatch: NewInstance accepts the engine's name and the empty
+// name and refuses any other.
 func TestEngineDispatch(t *testing.T) {
-	g := graph.Path(2)
-	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels, ""} {
-		if _, err := runOnce(g, &echoProgram{rounds: 1}, network.Options{Engine: engine}, 0); err != nil {
+	c, err := network.Compile(graph.Path(2), network.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []network.Engine{network.EngineBSP, ""} {
+		inst, err := c.NewInstance(network.InstanceOptions{Engine: engine})
+		if err != nil {
 			t.Fatalf("engine %q: %v", engine, err)
 		}
+		if _, err := inst.RunProgram(&echoProgram{rounds: 1}, 0); err != nil {
+			t.Fatalf("engine %q: %v", engine, err)
+		}
+		inst.Close()
 	}
-	if _, err := network.New(g, network.Options{Engine: "bogus"}); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
-// panicProgram checks the channel engine converts node panics into errors
-// rather than crashing the process or deadlocking.
-type panicProgram struct{}
-
-func (panicProgram) Rounds(n, m int) int { return 2 }
-func (panicProgram) NewNode(info network.NodeInfo) network.Node {
-	if info.ID == 0 {
-		return boomNode{}
-	}
-	return &silentNode{}
-}
-
-type boomNode struct{}
-
-func (boomNode) Send(round int, out [][]byte) {
-	if round == 2 {
-		panic("boom")
-	}
-	for i := range out {
-		out[i] = []byte{1}
-	}
-}
-func (boomNode) Receive(int, [][]byte) {}
-func (boomNode) Output() any           { return nil }
-
-func TestChannelEnginePanicRecovery(t *testing.T) {
-	// Star: panicking center would deadlock leaves without nil-delivery on
-	// panic. Use a 2-node graph so the surviving node finishes regardless.
-	g := graph.Path(2)
-	_, err := runOnce(g, panicProgram{}, network.Options{Engine: network.EngineChannels}, 0)
-	if err == nil {
-		t.Fatal("expected panic to surface as error")
+	for _, engine := range []network.Engine{"channels", "bogus"} {
+		_, err := c.NewInstance(network.InstanceOptions{Engine: engine})
+		if want := fmt.Sprintf("network: unknown engine %q", engine); err == nil || err.Error() != want {
+			t.Fatalf("engine %q: err = %v, want %s", engine, err, want)
+		}
 	}
 }
 
 // TestDeterminismAcrossGOMAXPROCS: outputs must not depend on scheduling —
-// the BSP engine parallelizes node calls, but nodes are independent within
+// the engine parallelizes node calls, but nodes are independent within
 // a round, so any worker count must give identical results.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	rng := xrand.New(123)
@@ -358,18 +304,16 @@ func (c constNode) Output() any           { return c.id }
 
 func TestZeroRoundProgram(t *testing.T) {
 	g := graph.Path(4)
-	for _, engine := range engines {
-		res, err := runOnce(g, zeroProgram{}, network.Options{Engine: engine}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.MessagesSent != 0 || res.Stats.Rounds != 0 {
-			t.Fatalf("stats %+v", res.Stats)
-		}
-		for v, o := range res.Outputs {
-			if o.(network.ID) != network.ID(v) {
-				t.Fatalf("output %v at vertex %d", o, v)
-			}
+	res, err := runOnce(g, zeroProgram{}, network.Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.MessagesSent != 0 || res.Stats.Rounds != 0 {
+		t.Fatalf("stats %+v", res.Stats)
+	}
+	for v, o := range res.Outputs {
+		if o.(network.ID) != network.ID(v) {
+			t.Fatalf("output %v at vertex %d", o, v)
 		}
 	}
 }
@@ -386,33 +330,30 @@ func TestSingleNodeGraph(t *testing.T) {
 	}
 }
 
-// TestPerRoundStatsConsistency: per-round traffic must sum to the totals,
-// in both engines.
+// TestPerRoundStatsConsistency: per-round traffic must sum to the totals.
 func TestPerRoundStatsConsistency(t *testing.T) {
 	rng := xrand.New(55)
 	g := graph.ConnectedGNM(12, 30, rng)
-	for _, engine := range engines {
-		res, err := runOnce(g, &echoProgram{rounds: 4}, network.Options{Engine: engine}, 0)
-		if err != nil {
-			t.Fatal(err)
+	res, err := runOnce(g, &echoProgram{rounds: 4}, network.Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bits, msgs int64
+	maxBits := 0
+	for r := 0; r < res.Stats.Rounds; r++ {
+		bits += res.Stats.PerRoundBits[r]
+		msgs += res.Stats.PerRoundMessages[r]
+		if res.Stats.PerRoundMaxBits[r] > maxBits {
+			maxBits = res.Stats.PerRoundMaxBits[r]
 		}
-		var bits, msgs int64
-		maxBits := 0
-		for r := 0; r < res.Stats.Rounds; r++ {
-			bits += res.Stats.PerRoundBits[r]
-			msgs += res.Stats.PerRoundMessages[r]
-			if res.Stats.PerRoundMaxBits[r] > maxBits {
-				maxBits = res.Stats.PerRoundMaxBits[r]
-			}
-		}
-		if bits != res.Stats.TotalBits || msgs != res.Stats.MessagesSent || maxBits != res.Stats.MaxMessageBits {
-			t.Fatalf("per-round stats inconsistent: %+v", res.Stats)
-		}
-		// Echo sends on every directed edge every round.
-		for r := 0; r < res.Stats.Rounds; r++ {
-			if res.Stats.PerRoundMessages[r] != int64(2*g.M()) {
-				t.Fatalf("round %d: %d messages want %d", r+1, res.Stats.PerRoundMessages[r], 2*g.M())
-			}
+	}
+	if bits != res.Stats.TotalBits || msgs != res.Stats.MessagesSent || maxBits != res.Stats.MaxMessageBits {
+		t.Fatalf("per-round stats inconsistent: %+v", res.Stats)
+	}
+	// Echo sends on every directed edge every round.
+	for r := 0; r < res.Stats.Rounds; r++ {
+		if res.Stats.PerRoundMessages[r] != int64(2*g.M()) {
+			t.Fatalf("round %d: %d messages want %d", r+1, res.Stats.PerRoundMessages[r], 2*g.M())
 		}
 	}
 }

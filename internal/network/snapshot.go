@@ -8,7 +8,7 @@ package network
 // deterministic function of (graph, options), the decoded core is
 // indistinguishable from the original. In particular a program run on a
 // warm-started core is byte-identical to the same run on a freshly compiled
-// one (locked by TestSnapshotRoundTripRuns on both engines).
+// one (locked by TestSnapshotRoundTripRuns).
 //
 // The codec carries NO integrity machinery of its own — framing, checksums,
 // and atomic installation belong to the segment files in

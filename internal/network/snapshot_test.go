@@ -38,7 +38,7 @@ func snapshotCore(t *testing.T) *network.Compiled {
 
 // TestSnapshotRoundTripRuns is the acceptance pin for warm restarts: a
 // program run on a DecodeSnapshot'd core must be byte-identical to the same
-// run on the original core, on both engines — outputs, stats, and the
+// run on the original core — outputs, stats, and the
 // per-vertex detection results all included.
 func TestSnapshotRoundTripRuns(t *testing.T) {
 	orig := snapshotCore(t)
@@ -59,20 +59,18 @@ func TestSnapshotRoundTripRuns(t *testing.T) {
 	if dec.MemSize() != orig.MemSize() {
 		t.Fatalf("MemSize %d, want %d (cache weights must survive restart)", dec.MemSize(), orig.MemSize())
 	}
-	for _, engine := range engines {
-		t.Run(string(engine), func(t *testing.T) {
-			for seed := uint64(0); seed < 3; seed++ {
-				want := runOn(t, orig, engine, seed)
-				got := runOn(t, dec, engine, seed)
-				assertResultsEqual(t, seed, want, got)
-			}
-		})
-	}
+	t.Run(engineName, func(t *testing.T) {
+		for seed := uint64(0); seed < 3; seed++ {
+			want := runOn(t, orig, seed)
+			got := runOn(t, dec, seed)
+			assertResultsEqual(t, seed, want, got)
+		}
+	})
 }
 
-func runOn(t *testing.T, c *network.Compiled, engine network.Engine, seed uint64) *network.Result {
+func runOn(t *testing.T, c *network.Compiled, seed uint64) *network.Result {
 	t.Helper()
-	inst, err := c.NewInstance(network.InstanceOptions{Engine: engine, Workers: 2})
+	inst, err := c.NewInstance(network.InstanceOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

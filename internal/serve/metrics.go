@@ -30,7 +30,7 @@ import (
 	"cycledetect/internal/network"
 )
 
-// engineMetrics is one engine's per-run series, pre-registered so
+// engineMetrics is the engine's per-run series, pre-registered so
 // RecordRun is pure atomic bumps.
 type engineMetrics struct {
 	runs     *metrics.Counter
@@ -64,7 +64,7 @@ type serveMetrics struct {
 	shedInst     *metrics.Counter
 	shedDeadline *metrics.Counter
 
-	engines map[network.Engine]*engineMetrics
+	engine engineMetrics
 }
 
 // newServeMetrics registers the full catalog against s. The fn-backed
@@ -171,24 +171,22 @@ func newServeMetrics(s *Server) *serveMetrics {
 		"Sweep end to end, successes.",
 		metrics.DurationBounds, metrics.DurationScale)
 
-	// Per-engine run metrics, fed by RecordRun via the instances' collector
-	// hook — the paper's own cost measures (rounds, messages) per run.
-	m.engines = map[network.Engine]*engineMetrics{}
-	for _, eng := range []network.Engine{network.EngineBSP, network.EngineChannels} {
-		l := metrics.L("engine", string(eng)) //ckvet:ignore closed two-engine set, not unbounded cardinality
-		m.engines[eng] = &engineMetrics{
-			runs:     r.Counter("engine_runs_total", "Engine runs completed, any outcome.", l),
-			rounds:   r.Counter("engine_rounds_total", "CONGEST rounds executed.", l),
-			messages: r.Counter("engine_messages_total", "Messages delivered (non-nil payloads).", l),
-			bits:     r.Counter("engine_bits_total", "Total payload volume, bits.", l),
-			canceled: r.Counter("engine_canceled_total", "Runs aborted by their context.", l),
-			failed:   r.Counter("engine_failed_total", "Runs aborted by a node failure.", l),
-			faults:   r.Counter("engine_fault_runs_total", "Runs that had a fault injected.", l),
-			msgHist: r.Histogram("engine_run_messages", "Messages delivered per successful run.",
-				metrics.Pow2Buckets(64, 20), 0, l),
-			maxBits: r.Gauge("engine_max_message_bits",
-				"Largest single payload observed, bits (CONGEST bandwidth high-water).", l),
-		}
+	// Engine run metrics, fed by RecordRun via the instances' collector
+	// hook — the paper's own cost measures (rounds, messages) per run. The
+	// engine label keeps the series names scrapers already know.
+	l := metrics.L("engine", "bsp")
+	m.engine = engineMetrics{
+		runs:     r.Counter("engine_runs_total", "Engine runs completed, any outcome.", l),
+		rounds:   r.Counter("engine_rounds_total", "CONGEST rounds executed.", l),
+		messages: r.Counter("engine_messages_total", "Messages delivered (non-nil payloads).", l),
+		bits:     r.Counter("engine_bits_total", "Total payload volume, bits.", l),
+		canceled: r.Counter("engine_canceled_total", "Runs aborted by their context.", l),
+		failed:   r.Counter("engine_failed_total", "Runs aborted by a node failure.", l),
+		faults:   r.Counter("engine_fault_runs_total", "Runs that had a fault injected.", l),
+		msgHist: r.Histogram("engine_run_messages", "Messages delivered per successful run.",
+			metrics.Pow2Buckets(64, 20), 0, l),
+		maxBits: r.Gauge("engine_max_message_bits",
+			"Largest single payload observed, bits (CONGEST bandwidth high-water).", l),
 	}
 
 	// Sweep progress: the server-wide Progress every admitted sweep adds
@@ -211,10 +209,7 @@ func newServeMetrics(s *Server) *serveMetrics {
 // spawns reports each run here. Pure atomic bumps — it executes on the
 // run's own goroutine, inside the query's latency budget.
 func (m *serveMetrics) RecordRun(rm network.RunMetrics) {
-	e := m.engines[rm.Engine]
-	if e == nil {
-		return
-	}
+	e := &m.engine
 	e.runs.Inc()
 	e.rounds.Add(int64(rm.Rounds))
 	if rm.Injected {

@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"cycledetect/internal/network"
 	"cycledetect/internal/sweep"
 )
 
@@ -406,7 +405,6 @@ func TestSweepWidthHandshake(t *testing.T) {
 	pt := sweep.TrialPoint{
 		Graph: sweep.GraphSpec{Family: "cycle", N: 16},
 		K:     5, Eps: 0.2, Seed: 1,
-		Engine: network.EngineBSP,
 	}
 
 	pt.Workers = 2

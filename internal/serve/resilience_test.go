@@ -43,11 +43,11 @@ func assert429(t *testing.T, resp *http.Response) {
 
 // TestSoakOverloadWithFaults is the chaos drill: offered load several times
 // the instance budget, engine faults (panics, bandwidth violations,
-// cancellations) injected into ~15% of runs on BOTH engines, and sweep
-// traffic mixed in. The server must shed the excess with well-formed 429s,
-// never deadlock or crash, return every instance to its pool, and — the
-// determinism contract under fire — answer every admitted clean run
-// byte-identically to a fresh one-shot run, including after faults.
+// cancellations) injected into ~15% of runs, and sweep traffic mixed in. The
+// server must shed the excess with well-formed 429s, never deadlock or
+// crash, return every instance to its pool, and — the determinism contract
+// under fire — answer every admitted clean run byte-identically to a fresh
+// one-shot run, including after faults.
 func TestSoakOverloadWithFaults(t *testing.T) {
 	plan := &network.FaultPlan{Decide: network.RandomFaults(0.15)}
 	s := NewServer(Options{
@@ -70,10 +70,11 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 	// kind errors the run).
 	want := make([]core.Decision, clients*perClient)
 	for i := range want {
-		want[i] = freshDecision(t, g, network.EngineBSP, 5, 2, 0, uint64(i))
+		want[i] = freshDecision(t, g, 5, 2, 0, uint64(i))
 	}
 
-	engines := []network.Engine{network.EngineBSP, network.EngineChannels}
+	// Half the bodies name the engine, half leave it to the default.
+	engineField := [2]string{``, `,"engine":"bsp"`}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	var got200, got429 atomic.Int64
@@ -85,8 +86,8 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				seed := c*perClient + i
 				body := fmt.Sprintf(
-					`{"graph":{"family":"gnm","n":48,"m":192,"seed":9},"k":5,"reps":2,"seed":%d,"engine":%q}`,
-					seed, engines[(c+i)%2])
+					`{"graph":{"family":"gnm","n":48,"m":192,"seed":9},"k":5,"reps":2,"seed":%d%s}`,
+					seed, engineField[(c+i)%2])
 				resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
 				if err != nil {
 					t.Errorf("client %d query %d: %v", c, i, err)
@@ -183,8 +184,8 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 	}
 
 	// Post-fault determinism: a seed the plan provably leaves clean must
-	// answer byte-identically to a fresh run on BOTH engines, on the very
-	// instances the faults ran through.
+	// answer byte-identically to a fresh run, on the very instances the
+	// faults ran through.
 	cleanSeed := uint64(0)
 	for sd := uint64(1000); ; sd++ {
 		if _, ok := plan.Decide(sd, g.N(), 8); !ok {
@@ -192,20 +193,18 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 			break
 		}
 	}
-	for _, engine := range engines {
-		resp, err := s.Query(context.Background(), &QueryRequest{
-			Graph: GraphRequest{Family: "gnm", N: 48, M: 192, Seed: 9},
-			K:     5, Reps: 2, Seed: cleanSeed, Engine: string(engine),
-		})
-		if err != nil {
-			t.Fatalf("post-soak %s query: %v", engine, err)
-		}
-		fresh := freshDecision(t, g, engine, 5, 2, 0, cleanSeed)
-		if resp.Rejected != fresh.Reject ||
-			!reflect.DeepEqual(resp.RejectingIDs, fresh.RejectingIDs) ||
-			!reflect.DeepEqual(resp.Witness, fresh.Witness) {
-			t.Fatalf("%s: post-fault served verdict differs from fresh run", engine)
-		}
+	resp, err := s.Query(context.Background(), &QueryRequest{
+		Graph: GraphRequest{Family: "gnm", N: 48, M: 192, Seed: 9},
+		K:     5, Reps: 2, Seed: cleanSeed,
+	})
+	if err != nil {
+		t.Fatalf("post-soak query: %v", err)
+	}
+	fresh := freshDecision(t, g, 5, 2, 0, cleanSeed)
+	if resp.Rejected != fresh.Reject ||
+		!reflect.DeepEqual(resp.RejectingIDs, fresh.RejectingIDs) ||
+		!reflect.DeepEqual(resp.Witness, fresh.Witness) {
+		t.Fatal("post-fault served verdict differs from fresh run")
 	}
 }
 

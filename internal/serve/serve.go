@@ -8,7 +8,7 @@
 // building the graph, validating IDs, compiling the port topology, and
 // spawning an engine. All of that amortization lives in
 // internal/corestore: an LRU of compiled cores weighted by the bytes they
-// hold, per-(graph, engine, width) pools of warm instances under one
+// hold, per-(graph, width) pools of warm instances under one
 // store-wide budget with coldest-graph reclaim, and — when Options.StoreDir
 // is set — durable snapshots with warm restart, so a restarted server
 // serves its previous working set without recompiling it. The Server keeps
@@ -77,7 +77,7 @@ type Options struct {
 	// evicted, so one over-budget giant graph still serves.
 	MaxCacheBytes int64
 	// MaxInstances is the SERVER-WIDE budget of live instances — idle in
-	// pools plus in-flight — across all graphs and engines (default
+	// pools plus in-flight — across all graphs and widths (default
 	// GOMAXPROCS). Equivalently, the number of runs that can execute
 	// concurrently. When the budget is exhausted, a query first reclaims
 	// an idle instance from the coldest cached graph, then waits (bounded
@@ -377,8 +377,8 @@ func (s *Server) Close() {
 // shed counter, the per-reason metric, and an *ErrOverloaded carrying a
 // Retry-After hint.
 func (s *Server) checkout(ctx context.Context, key string, build func() (*graph.Graph, error),
-	engine network.Engine, workers int) (*corestore.Handle, bool, error) {
-	h, hit, err := s.store.Checkout(ctx, key, build, engine, workers)
+	workers int) (*corestore.Handle, bool, error) {
+	h, hit, err := s.store.Checkout(ctx, key, build, network.EngineBSP, workers)
 	if err != nil {
 		// The errors.As target lives inside the guard: boxing &sat would
 		// otherwise cost the happy path a heap allocation per query.
@@ -436,7 +436,7 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 	fl := s.trackInflight(ctx, "query")
 	defer fl.done(s)
 
-	key, build, engine, err := req.resolve()
+	key, build, err := req.resolve()
 	if err != nil {
 		s.failures.Add(1)
 		return nil, err
@@ -464,7 +464,7 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 	// instance-budget wait by ctx; a full wait queue surfaces here as a
 	// shed (see checkout).
 	fl.setStage(stageAcquire)
-	h, hit, err := s.checkout(ctx, key, build, engine, s.opts.networkWorkers())
+	h, hit, err := s.checkout(ctx, key, build, s.opts.networkWorkers())
 	if err != nil {
 		var ov *ErrOverloaded
 		if !errors.As(err, &ov) { // shedded already counted the shed
@@ -610,7 +610,7 @@ type EntryStats struct {
 	Hits int64 `json:"hits"`
 	// AgeSeconds is the time since the entry entered the cache.
 	AgeSeconds float64 `json:"age_seconds"`
-	// InstancesIdle is the entry's parked warm instances, all engines.
+	// InstancesIdle is the entry's parked warm instances, all widths.
 	InstancesIdle int `json:"instances_idle"`
 	// Warm marks entries loaded from a snapshot rather than compiled by
 	// this process — a warm restart shows the previous working set here.

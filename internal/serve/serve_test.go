@@ -22,9 +22,9 @@ import (
 
 // freshDecision runs the same query on a fresh single-use network and
 // summarizes it — the ground truth a served query must reproduce exactly.
-func freshDecision(t *testing.T, g *graph.Graph, engine network.Engine, k, reps int, eps float64, seed uint64) core.Decision {
+func freshDecision(t *testing.T, g *graph.Graph, k, reps int, eps float64, seed uint64) core.Decision {
 	t.Helper()
-	nw, err := network.New(g, network.Options{Engine: engine})
+	nw, err := network.New(g, network.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,27 +46,24 @@ func TestQueryMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []network.Engine{network.EngineBSP, network.EngineChannels} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			resp, err := s.Query(context.Background(), &QueryRequest{
-				Graph: GraphRequest{Family: "gnm", N: 64, M: 256, Seed: 3},
-				K:     5, Eps: 0.1, Seed: seed,
-				Engine: string(engine),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := freshDecision(t, g, engine, 5, 0, 0.1, seed)
-			if resp.Rejected != want.Reject ||
-				!reflect.DeepEqual(resp.RejectingIDs, want.RejectingIDs) ||
-				!reflect.DeepEqual(resp.Witness, want.Witness) ||
-				resp.MaxSeqs != want.MaxSeqs {
-				t.Fatalf("engine %s seed %d: served verdict differs from fresh run:\n got  %+v\n want %+v",
-					engine, seed, resp, want)
-			}
-			if resp.N != g.N() || resp.M != g.M() {
-				t.Fatalf("graph dims: got n=%d m=%d, want n=%d m=%d", resp.N, resp.M, g.N(), g.M())
-			}
+	for seed := uint64(1); seed <= 4; seed++ {
+		resp, err := s.Query(context.Background(), &QueryRequest{
+			Graph: GraphRequest{Family: "gnm", N: 64, M: 256, Seed: 3},
+			K:     5, Eps: 0.1, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := freshDecision(t, g, 5, 0, 0.1, seed)
+		if resp.Rejected != want.Reject ||
+			!reflect.DeepEqual(resp.RejectingIDs, want.RejectingIDs) ||
+			!reflect.DeepEqual(resp.Witness, want.Witness) ||
+			resp.MaxSeqs != want.MaxSeqs {
+			t.Fatalf("seed %d: served verdict differs from fresh run:\n got  %+v\n want %+v",
+				seed, resp, want)
+		}
+		if resp.N != g.N() || resp.M != g.M() {
+			t.Fatalf("graph dims: got n=%d m=%d, want n=%d m=%d", resp.N, resp.M, g.N(), g.M())
 		}
 	}
 	st := s.Stats()
@@ -88,7 +85,7 @@ func TestConcurrentQueriesDeterministic(t *testing.T) {
 	const seeds = 24
 	want := make([]core.Decision, seeds)
 	for i := range want {
-		want[i] = freshDecision(t, g, network.EngineBSP, 5, 2, 0, uint64(i))
+		want[i] = freshDecision(t, g, 5, 2, 0, uint64(i))
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < seeds; i++ {
@@ -448,15 +445,16 @@ func TestQueryValidation(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()
 	bad := []QueryRequest{
-		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 2, Eps: 0.1},                    // k too small
-		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4},                              // no eps, no reps
-		{Graph: GraphRequest{Family: "nope", N: 16}, K: 4, Eps: 0.1},                   // unknown family
-		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Op: "zap"},         // unknown op
-		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Op: OpDetect},      // detect without edge
-		{Graph: GraphRequest{N: 4, Edges: [][2]int{{0, 1}, {2, 3}}}, K: 4, Eps: 0.1},   // disconnected
-		{Graph: GraphRequest{N: 50_000_000, Edges: [][2]int{{0, 1}}}, K: 4, Eps: 0.1},  // too few edges to connect n
-		{Graph: GraphRequest{}, K: 4, Eps: 0.1},                                        // no graph at all
-		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Engine: "quantum"}, // unknown engine
+		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 2, Eps: 0.1},                     // k too small
+		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4},                               // no eps, no reps
+		{Graph: GraphRequest{Family: "nope", N: 16}, K: 4, Eps: 0.1},                    // unknown family
+		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Op: "zap"},          // unknown op
+		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Op: OpDetect},       // detect without edge
+		{Graph: GraphRequest{N: 4, Edges: [][2]int{{0, 1}, {2, 3}}}, K: 4, Eps: 0.1},    // disconnected
+		{Graph: GraphRequest{N: 50_000_000, Edges: [][2]int{{0, 1}}}, K: 4, Eps: 0.1},   // too few edges to connect n
+		{Graph: GraphRequest{}, K: 4, Eps: 0.1},                                         // no graph at all
+		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Engine: "quantum"},  // unknown engine
+		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Engine: "channels"}, // no such engine
 		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Op: OpDetect,
 			Edge: &[2]int64{5, 5}}, // detect with equal endpoints (matches DetectThroughEdge)
 	}
@@ -489,6 +487,17 @@ func TestQueryValidation(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
 		if rec.Code != tc.code {
 			t.Errorf("edge %s: HTTP %d, want %d (%s)", tc.last, rec.Code, tc.code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+
+	// The engine field still decodes: "bsp" is served, any other name is a
+	// 400.
+	for engine, code := range map[string]int{"bsp": http.StatusOK, "channels": http.StatusBadRequest} {
+		body := `{"graph":{"family":"cycle","n":8},"k":3,"reps":1,"engine":"` + engine + `"}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if rec.Code != code {
+			t.Errorf("engine %q: HTTP %d, want %d (%s)", engine, rec.Code, code, strings.TrimSpace(rec.Body.String()))
 		}
 	}
 }

@@ -155,7 +155,7 @@ type QueryRequest struct {
 	Reps int `json:"reps,omitempty"`
 	// Seed seeds the run's coin streams; runs are deterministic per seed.
 	Seed uint64 `json:"seed,omitempty"`
-	// Engine is "bsp" (default) or "channels".
+	// Engine may name "bsp", the only engine; any other value is refused.
 	Engine string `json:"engine,omitempty"`
 	// Edge is the detector's candidate edge as two node IDs (detect only).
 	Edge *[2]int64 `json:"edge,omitempty"`
@@ -182,55 +182,49 @@ type QueryResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// resolve validates the request and returns the cache key, a graph builder
-// for misses, and the engine. Family keys are computed without building the
+// resolve validates the request and returns the cache key and a graph
+// builder for misses. Family keys are computed without building the
 // graph (hits skip construction entirely); explicit edge lists are built
 // eagerly and keyed by canonical fingerprint.
-func (req *QueryRequest) resolve() (key string, build func() (*graph.Graph, error), engine network.Engine, err error) {
+func (req *QueryRequest) resolve() (key string, build func() (*graph.Graph, error), err error) {
 	switch req.Op {
 	case "", OpTest:
 		req.Op = OpTest
 	case OpDetect:
 		if req.Edge == nil {
-			return "", nil, "", fmt.Errorf("serve: op %q needs \"edge\": [u, v]", OpDetect)
+			return "", nil, fmt.Errorf("serve: op %q needs \"edge\": [u, v]", OpDetect)
 		}
 		if req.Edge[0] == req.Edge[1] {
-			return "", nil, "", fmt.Errorf("serve: candidate edge endpoints equal (%d)", req.Edge[0])
+			return "", nil, fmt.Errorf("serve: candidate edge endpoints equal (%d)", req.Edge[0])
 		}
 	default:
-		return "", nil, "", fmt.Errorf("serve: unknown op %q (want %q or %q)", req.Op, OpTest, OpDetect)
+		return "", nil, fmt.Errorf("serve: unknown op %q (want %q or %q)", req.Op, OpTest, OpDetect)
 	}
 	if req.K < 3 {
-		return "", nil, "", fmt.Errorf("serve: k must be at least 3, got %d", req.K)
+		return "", nil, fmt.Errorf("serve: k must be at least 3, got %d", req.K)
 	}
 	if req.Op == OpTest && req.Reps <= 0 && (req.Eps <= 0 || req.Eps >= 1) {
-		return "", nil, "", fmt.Errorf("serve: eps %v outside (0,1) and no reps given", req.Eps)
+		return "", nil, fmt.Errorf("serve: eps %v outside (0,1) and no reps given", req.Eps)
 	}
 	if req.Reps < 0 {
-		return "", nil, "", fmt.Errorf("serve: negative reps %d", req.Reps)
+		return "", nil, fmt.Errorf("serve: negative reps %d", req.Reps)
 	}
-	switch network.Engine(req.Engine) {
-	case network.EngineBSP, network.EngineChannels, "":
-		engine = network.Engine(req.Engine)
-		if engine == "" {
-			engine = network.EngineBSP
-		}
-	default:
-		return "", nil, "", fmt.Errorf("serve: unknown engine %q", req.Engine)
+	if req.Engine != "" && network.Engine(req.Engine) != network.EngineBSP {
+		return "", nil, fmt.Errorf("serve: unknown engine %q", req.Engine)
 	}
 
 	gr := req.Graph
 	switch {
 	case gr.Family != "" && len(gr.Edges) > 0:
-		return "", nil, "", fmt.Errorf("serve: graph gives both a family and explicit edges")
+		return "", nil, fmt.Errorf("serve: graph gives both a family and explicit edges")
 	case gr.Family != "":
 		switch gr.Family {
 		case "gnm", "far", "tree", "cycle", "complete":
 		default:
-			return "", nil, "", fmt.Errorf("serve: unknown graph family %q", gr.Family)
+			return "", nil, fmt.Errorf("serve: unknown graph family %q", gr.Family)
 		}
 		if gr.N < 2 {
-			return "", nil, "", fmt.Errorf("serve: graph %s(n=%d) needs n >= 2", gr.Family, gr.N)
+			return "", nil, fmt.Errorf("serve: graph %s(n=%d) needs n >= 2", gr.Family, gr.N)
 		}
 		gs := sweep.GraphSpec{Family: gr.Family, N: gr.N, M: gr.M}
 		key = sweep.FamilyKey(gs, req.K, req.Eps, gr.Seed)
@@ -239,14 +233,14 @@ func (req *QueryRequest) resolve() (key string, build func() (*graph.Graph, erro
 	case len(gr.Edges) > 0:
 		g, err := buildExplicit(gr.N, gr.Edges)
 		if err != nil {
-			return "", nil, "", err
+			return "", nil, err
 		}
 		key = "fp:" + g.Fingerprint()
 		build = func() (*graph.Graph, error) { return g, nil }
 	default:
-		return "", nil, "", fmt.Errorf("serve: graph needs a family or an edge list")
+		return "", nil, fmt.Errorf("serve: graph needs a family or an edge list")
 	}
-	return key, build, engine, nil
+	return key, build, nil
 }
 
 // errNotConnected refuses an explicit graph the CONGEST model cannot run.

@@ -1,5 +1,5 @@
 // Package sweep is a concurrent parameter-sweep scheduler over compiled
-// network cores: a declarative Spec (grids over graph family, k, ε, engine,
+// network cores: a declarative Spec (grids over graph family, k, ε,
 // trials) is expanded into jobs, fanned across a sharded worker pool, and
 // the per-job aggregates are streamed incrementally, in job order, to
 // CSV/JSON sinks.
@@ -8,7 +8,7 @@
 // exclusive warm network.Instances over shared immutable network.Compiled
 // cores, one checkout per job. The default (standalone) provider compiles
 // each distinct graph exactly once for the whole sweep and pools warm
-// instances per (graph, engine); a serving layer can substitute its own
+// instances per graph; a serving layer can substitute its own
 // provider so sweep trials run on the SAME cached cores and warm pools its
 // query traffic uses (internal/serve does exactly that for /sweep).
 //
@@ -94,7 +94,9 @@ type Spec struct {
 	// Name labels the sweep in logs and summaries.
 	Name string `json:"name,omitempty"`
 	// Graphs, K, Eps and Engines span the grid. Engines defaults to
-	// ["bsp"]. Combinations that are not runnable (ε ≥ 1/k for the "far"
+	// ["bsp"], the only engine; Validate refuses any other name, and
+	// Engines stays so specs that spell the engine out keep working.
+	// Combinations that are not runnable (ε ≥ 1/k for the "far"
 	// family, whose construction needs ε < 1/k) are skipped, not errors.
 	Graphs  []GraphSpec `json:"graphs"`
 	K       []int       `json:"k"`
@@ -148,9 +150,8 @@ type Job struct {
 	// Index is the job's position in expansion order (Graphs × K × Eps ×
 	// Engines, innermost last); results are emitted in this order.
 	Index int `json:"index"`
-	// SeedKey identifies the engine-independent (graph, k, eps) grid point;
-	// trial seeds derive from it, so engine variants of the same point run
-	// on identical coin streams and must produce identical decisions.
+	// SeedKey identifies the (graph, k, eps) grid point; trial seeds
+	// derive from it.
 	SeedKey int            `json:"seed_key"`
 	Graph   GraphSpec      `json:"graph"`
 	K       int            `json:"k"`
@@ -237,9 +238,7 @@ func (s *Spec) Validate() error {
 		s.Engines = []string{string(network.EngineBSP)}
 	}
 	for _, e := range s.Engines {
-		switch network.Engine(e) {
-		case network.EngineBSP, network.EngineChannels:
-		default:
+		if network.Engine(e) != network.EngineBSP {
 			return fmt.Errorf("sweep: unknown engine %q", e)
 		}
 	}
@@ -278,9 +277,8 @@ func (s *Spec) Jobs() (jobs []Job, skipped int) {
 		for _, k := range s.K {
 			for _, eps := range s.Eps {
 				combo++
-				// Runnability is engine-independent, so a non-runnable
-				// point counts as ONE skipped grid point however many
-				// engines the spec crosses it with.
+				// A non-runnable point counts as ONE skipped grid point
+				// however many engine entries the spec crosses it with.
 				if !runnable(gs, k, eps) {
 					skipped++
 					continue
@@ -373,9 +371,9 @@ func trialSeed(base uint64, job, trial int) uint64 {
 }
 
 // TrialPoint names the execution substrate one job's trials need: the graph
-// (as built from Seed, the sweep seed), the engine, and the per-message
-// budget the core must be compiled with. It is the vocabulary between the
-// scheduler and a CoreProvider.
+// (as built from Seed, the sweep seed) and the per-message budget the core
+// must be compiled with. It is the vocabulary between the scheduler and a
+// CoreProvider.
 type TrialPoint struct {
 	Graph GraphSpec
 	// K and Eps matter to graph identity only for the "far" family, whose
@@ -384,8 +382,6 @@ type TrialPoint struct {
 	Eps float64
 	// Seed is the sweep seed the graph is deterministically built from.
 	Seed uint64
-	// Engine selects the execution engine of the checked-out instance.
-	Engine network.Engine
 	// BandwidthBits is the per-message budget the core enforces (0 = none).
 	BandwidthBits int
 	// Workers is the engine width the scheduler budgeted for this job's
@@ -477,14 +473,14 @@ type CoreProvider interface {
 
 // localProvider is the standalone substrate: one Compiled per distinct
 // graph for the whole sweep (built under a per-key Once, so distinct graphs
-// compile concurrently) and a pool of warm instances per (graph, engine).
+// compile concurrently) and a pool of warm instances per graph.
 type localProvider struct {
 	seed    uint64
 	workers int // BSP width per instance
 
 	mu    sync.Mutex
 	cores map[graphKey]*coreEntry
-	idle  map[localInstKey][]*network.Instance
+	idle  map[graphKey][]*network.Instance
 }
 
 type coreEntry struct {
@@ -493,17 +489,12 @@ type coreEntry struct {
 	err  error
 }
 
-type localInstKey struct {
-	gk     graphKey
-	engine network.Engine
-}
-
 func newLocalProvider(spec *Spec, nwWorkers int) *localProvider {
 	return &localProvider{
 		seed:    spec.Seed,
 		workers: nwWorkers,
 		cores:   map[graphKey]*coreEntry{},
-		idle:    map[localInstKey][]*network.Instance{},
+		idle:    map[graphKey][]*network.Instance{},
 	}
 }
 
@@ -512,14 +503,13 @@ func newLocalProvider(spec *Spec, nwWorkers int) *localProvider {
 // population is bounded by the worker count.
 func (p *localProvider) Acquire(ctx context.Context, pt TrialPoint) (*network.Instance, func(), error) {
 	gk := pt.key()
-	ik := localInstKey{gk: gk, engine: pt.Engine}
 
 	p.mu.Lock()
-	if pool := p.idle[ik]; len(pool) > 0 {
+	if pool := p.idle[gk]; len(pool) > 0 {
 		inst := pool[len(pool)-1]
-		p.idle[ik] = pool[:len(pool)-1]
+		p.idle[gk] = pool[:len(pool)-1]
 		p.mu.Unlock()
-		return inst, func() { p.release(ik, inst) }, nil
+		return inst, func() { p.release(gk, inst) }, nil
 	}
 	e, ok := p.cores[gk]
 	if !ok {
@@ -546,20 +536,20 @@ func (p *localProvider) Acquire(ctx context.Context, pt TrialPoint) (*network.In
 	if width <= 0 {
 		width = p.workers
 	}
-	inst, err := e.c.NewInstance(network.InstanceOptions{Engine: pt.Engine, Workers: width})
+	inst, err := e.c.NewInstance(network.InstanceOptions{Workers: width})
 	if err != nil {
 		return nil, nil, err
 	}
-	return inst, func() { p.release(ik, inst) }, nil
+	return inst, func() { p.release(gk, inst) }, nil
 }
 
-func (p *localProvider) release(ik localInstKey, inst *network.Instance) {
+func (p *localProvider) release(gk graphKey, inst *network.Instance) {
 	p.mu.Lock()
-	p.idle[ik] = append(p.idle[ik], inst)
+	p.idle[gk] = append(p.idle[gk], inst)
 	p.mu.Unlock()
 }
 
-// close releases every pooled engine. Callers (RunCtx) only invoke it after
+// close releases every pooled instance. Callers (RunCtx) only invoke it after
 // all workers have released their instances.
 func (p *localProvider) close() {
 	p.mu.Lock()
@@ -569,7 +559,7 @@ func (p *localProvider) close() {
 			inst.Close()
 		}
 	}
-	p.idle = map[localInstKey][]*network.Instance{}
+	p.idle = map[graphKey][]*network.Instance{}
 }
 
 // Run executes the sweep on the standalone substrate and streams per-job
@@ -586,7 +576,7 @@ func Run(spec *Spec, sinks ...Sink) (*Summary, error) {
 // round, not at trial boundaries — and RunCtx returns the context's error.
 // provider supplies compiled cores and warm instances for the trials; nil
 // selects the standalone per-sweep provider (compile each distinct graph
-// once, pool instances per graph and engine).
+// once, pool instances per graph).
 func RunCtx(ctx context.Context, spec *Spec, provider CoreProvider, sinks ...Sink) (*Summary, error) {
 	return RunCtxProgress(ctx, spec, provider, nil, sinks...)
 }
@@ -751,7 +741,7 @@ func worker(ctx context.Context, spec *Spec, provider CoreProvider, instWorkers 
 		for attempt := 0; ; attempt++ {
 			inst, release, err := provider.Acquire(ctx, TrialPoint{
 				Graph: job.Graph, K: job.K, Eps: job.Eps,
-				Seed: spec.Seed, Engine: job.Engine, BandwidthBits: spec.BandwidthBits,
+				Seed: spec.Seed, BandwidthBits: spec.BandwidthBits,
 				Workers: instWorkers,
 			})
 			if err != nil {

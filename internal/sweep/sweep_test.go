@@ -89,12 +89,12 @@ func TestSweepOrderAndSkip(t *testing.T) {
 			t.Fatalf("result %d has job index %d; streaming must be in job order", i, r.Index)
 		}
 	}
-	// Runnability is engine-independent: crossing the grid with a second
-	// engine must not double the skip count.
+	// Skips count grid points, not jobs: a spec that lists the engine
+	// twice must not double the skip count.
 	two := demoSpec()
-	two.Engines = []string{"bsp", "channels"}
+	two.Engines = []string{"bsp", "bsp"}
 	if _, skipped := two.Jobs(); skipped != 2 {
-		t.Fatalf("want 2 skipped grid points with two engines, got %d", skipped)
+		t.Fatalf("want 2 skipped grid points with two engine entries, got %d", skipped)
 	}
 	// Exact feasibility boundary (generator needs strict q > ε·m): the
 	// point must be SKIPPED by the feasibility filter, never reach the
@@ -125,7 +125,7 @@ func TestSweepMatchesDirectRuns(t *testing.T) {
 		var msgs int64
 		for tr := 0; tr < spec.Trials; tr++ {
 			prog := &core.Tester{K: job.K, Eps: job.Eps}
-			nw, err := network.New(g, network.Options{Engine: job.Engine})
+			nw, err := network.New(g, network.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,27 +167,6 @@ func TestSweepDetectionHolds(t *testing.T) {
 	}
 }
 
-// TestSweepEngineGrid runs both engines through the scheduler and demands
-// identical decisions (the engines are semantically equivalent).
-func TestSweepEngineGrid(t *testing.T) {
-	spec := &Spec{
-		Graphs:  []GraphSpec{{Family: "gnm", N: 24, M: 72}},
-		K:       []int{5},
-		Eps:     []float64{0.15},
-		Engines: []string{"bsp", "channels"},
-		Trials:  3,
-		Seed:    5,
-	}
-	out := collect(t, spec)
-	if len(out) != 2 {
-		t.Fatalf("want 2 jobs, got %d", len(out))
-	}
-	a, b := out[0], out[1]
-	if a.Rejects != b.Rejects || a.AvgMessages != b.AvgMessages || a.AvgBits != b.AvgBits {
-		t.Fatalf("engines disagree:\n bsp      %+v\n channels %+v", a, b)
-	}
-}
-
 func TestSpecValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -202,6 +181,7 @@ func TestSpecValidation(t *testing.T) {
 		{"no eps", func(s *Spec) { s.Eps = nil }, "no eps"},
 		{"eps range", func(s *Spec) { s.Eps = []float64{1.5} }, "outside (0,1)"},
 		{"bad engine", func(s *Spec) { s.Engines = []string{"quantum"} }, "unknown engine"},
+		{"channels engine", func(s *Spec) { s.Engines = []string{"bsp", "channels"} }, `unknown engine "channels"`},
 		{"no trials", func(s *Spec) { s.Trials = 0 }, "trials must be positive"},
 	}
 	for _, tc := range cases {

@@ -170,7 +170,8 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 }
 
 // Rank draws a rank in [1, max] inclusive, matching the paper's Phase-1 rank
-// draw r(e) ∈ [1, m²] (we use [1, n⁴]; see DESIGN.md §3.2).
+// draw r(e) ∈ [1, m²] (the tester uses [1, n⁴], which contains [1, m²]
+// because m ≤ n², saturated at MaxUint64 for n ≥ 2^16).
 func (r *RNG) Rank(max uint64) uint64 {
 	return 1 + r.Uint64n(max)
 }
