@@ -4,7 +4,6 @@
 //
 //	serve                         # listen on :8344
 //	serve -addr :9000 -max-cache-bytes 67108864 -max-instances 8 -timeout 10s
-//	serve -store-dir /var/lib/ckserve   # durable snapshots + warm restart
 //
 // Example session:
 //
@@ -21,10 +20,7 @@
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight queries
 // and sweep streams finish (bounded by -drain), new connections are
-// refused, and every pooled engine is released. With -store-dir set,
-// shutdown also takes a final snapshot of the compiled-core working set,
-// and the next start with the same directory warm-loads it — the restarted
-// server serves its previous graphs as cache hits with zero compiles.
+// refused, and every pooled engine is released.
 package main
 
 import (
@@ -53,11 +49,6 @@ func main() {
 		nwWorkers     = flag.Int("network-workers", 1, "BSP workers inside each instance")
 		bandwidth     = flag.Int("bandwidth-bits", 0, "per-message budget in bits (0 = unenforced)")
 		drain         = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-
-		// Durability (see the README's "Warm restart" runbook): snapshot the
-		// compiled-core working set and reload it on the next start.
-		storeDir        = flag.String("store-dir", "", "directory for durable compiled-core snapshots; warm-starts from it and persists to it (empty = in-memory only)")
-		persistInterval = flag.Duration("persist-interval", 0, "background snapshot interval when -store-dir is set (0 = default 30s, negative = only on shutdown)")
 
 		// Overload controls (see the README's "Overload behavior" runbook):
 		// what saturates answers 429 + Retry-After instead of parking to 504.
@@ -90,8 +81,6 @@ func main() {
 		MaxQueueDepth:        *maxQueue,
 		MaxConcurrentQueries: *maxQueries,
 		MaxConcurrentSweeps:  *maxSweeps,
-		StoreDir:             *storeDir,
-		PersistInterval:      *persistInterval,
 		Faults:               faults,
 		DisableMetrics:       !*metricsOn,
 		EnablePprof:          *pprofOn,

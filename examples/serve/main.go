@@ -1,11 +1,12 @@
 // Load generator for the serving layer: M concurrent clients hammer one
 // cached 256-node graph with tester queries over real HTTP, demonstrating
-// that the first query compiles the network once (cache miss) and every
-// later query — from any client — reuses the shared immutable topology and
-// a warm pooled instance (cache hits, near-zero per-query allocation). A
-// final /sweep over the same graph streams its rows off the query-warmed
-// core — zero additional compiles — and the closing /stats dump shows the
-// byte-weighted cache and the server-wide instance budget.
+// that the first queries compile the network (cache misses: clients that
+// arrive together each compile once) and every later query — from any
+// client — reuses the shared immutable topology and a warm pooled instance
+// (cache hits, near-zero per-query allocation). A final /sweep over the
+// same graph streams its rows off the query-warmed core — zero additional
+// compiles — and the closing /stats dump shows the byte-weighted cache and
+// the server-wide instance budget.
 //
 //	go run ./examples/serve                      # in-process server
 //	go run ./examples/serve -addr host:8344      # against a running cmd/serve
@@ -22,11 +23,6 @@
 // back off by the server's Retry-After hint (jittered) and retry, and the
 // demo prints the shed/retry counts next to the server's own resilience
 // counters — the overload runbook, live.
-//
-// With -restart (the default, in-process only) the demo ends by killing
-// the server and starting a fresh one on the same snapshot directory: the
-// working set warm-loads off disk and the first query after restart is a
-// cache hit with zero compiles — the warm-restart runbook, live.
 package main
 
 import (
@@ -57,45 +53,28 @@ func main() {
 		k        = flag.Int("k", 7, "cycle length")
 		eps      = flag.Float64("eps", 0.1, "property-testing parameter")
 		overload = flag.Bool("overload", false, "shrink the in-process server's budget far below the offered load and demonstrate shed/retry behavior")
-		restart  = flag.Bool("restart", true, "after the load phases (in-process only), kill the server and warm-restart it from its store dir")
 	)
 	flag.Parse()
-
-	// The in-process server is durable: it snapshots its compiled-core
-	// working set into a temp store dir, and the -restart phase below
-	// proves a new process serves that working set without recompiling.
-	var opts serve.Options
-	shutdown := func() {} // closes the current in-process server (final snapshot included)
-	startInProc := func() string {
-		s := serve.NewServer(opts)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		hs := &http.Server{Handler: s.Handler()}
-		go hs.Serve(ln)
-		shutdown = func() { hs.Close(); s.Close() }
-		return "http://" + ln.Addr().String()
-	}
 
 	base := "http://" + *addr
 	if *addr == "" {
 		// One command, no daemon: serve from inside the process over a real
 		// loopback socket, so the demo still exercises HTTP end to end.
-		storeDir, err := os.MkdirTemp("", "ckserve-demo-*")
+		opts := serve.Options{}
+		if *overload {
+			opts = serve.Options{MaxInstances: 2, MaxConcurrentQueries: 4, MaxQueueDepth: 2}
+		}
+		srv := serve.NewServer(opts)
+		defer srv.Close()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			fatal(err)
 		}
-		defer os.RemoveAll(storeDir)
-		// PersistInterval < 0: snapshot only on Close — the demo's restart
-		// models a graceful kill, not a background persist race.
-		opts = serve.Options{StoreDir: storeDir, PersistInterval: -1}
-		if *overload {
-			opts.MaxInstances, opts.MaxConcurrentQueries, opts.MaxQueueDepth = 2, 4, 2
-		}
-		base = startInProc()
-		defer func() { shutdown() }()
-		fmt.Printf("in-process server on %s (store-dir %s)\n", base, storeDir)
+		hs := &http.Server{Handler: srv.Handler()}
+		go hs.Serve(ln)
+		defer hs.Close()
+		base = "http://" + ln.Addr().String()
+		fmt.Printf("in-process server on %s\n", base)
 	}
 
 	// Every client queries the SAME graph spec: one compile, shared by all.
@@ -193,7 +172,7 @@ func main() {
 
 	fmt.Printf("done: %d queries in %v (%.0f q/s)\n", total, elapsed.Round(time.Millisecond),
 		float64(total)/elapsed.Seconds())
-	fmt.Printf("cache: %d hits / %d queries (every query after the first shares one compiled topology)\n",
+	fmt.Printf("cache: %d hits / %d queries (misses are first queries that compiled concurrently; every later query shares one compiled topology)\n",
 		hits, total)
 	fmt.Printf("latency: p50=%v p90=%v p99=%v max=%v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond),
@@ -271,42 +250,6 @@ func main() {
 	for _, e := range st.Entries {
 		fmt.Printf("  entry %s: n=%d m=%d bytes=%d hits=%d age=%.1fs idle=%d\n",
 			e.Key, e.N, e.M, e.Bytes, e.Hits, e.AgeSeconds, e.InstancesIdle)
-	}
-
-	// Kill-and-restart: shut the server down (which snapshots its working
-	// set), start a fresh one on the same store dir, and show the first
-	// query after restart served as a cache hit with ZERO compiles — the
-	// compiled topology came off disk, not out of network.Compile.
-	if *addr == "" && *restart {
-		fmt.Println("kill → warm restart (same store dir):")
-		shutdown()
-		base = startInProc()
-		warm := fetchStats(base)
-		fmt.Printf("  restarted: warm_loads=%d load_failures=%d disk_bytes=%d graphs_cached=%d compiles=%d\n",
-			warm.WarmLoads, warm.LoadFailures, warm.DiskBytes, warm.GraphsCached, warm.Compiles)
-		if warm.WarmLoads == 0 {
-			fatal(fmt.Errorf("restart: no cores warm-loaded from the store dir"))
-		}
-		resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(reqBody(1)))
-		if err != nil {
-			fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			fatal(fmt.Errorf("restart query: HTTP %d: %s", resp.StatusCode, body))
-		}
-		var qr serve.QueryResponse
-		if err := json.Unmarshal(body, &qr); err != nil {
-			fatal(err)
-		}
-		after := fetchStats(base)
-		fmt.Printf("  first query after restart: cache=%s, compiles=%d (served from the warm-loaded core)\n",
-			qr.Cache, after.Compiles)
-		if qr.Cache != "hit" || after.Compiles != 0 {
-			fatal(fmt.Errorf("restart: expected a zero-compile cache hit, got cache=%s compiles=%d",
-				qr.Cache, after.Compiles))
-		}
 	}
 }
 

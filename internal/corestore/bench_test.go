@@ -2,7 +2,6 @@ package corestore
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"cycledetect/internal/graph"
@@ -30,66 +29,5 @@ func BenchmarkCorestoreCheckout(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.Release(h)
-	}
-}
-
-// BenchmarkCorestorePersist measures a steady-state persist pass over an
-// unchanged working set: the generation check makes it a near-free no-op,
-// which is what lets the background loop run frequently.
-func BenchmarkCorestorePersist(b *testing.B) {
-	dir := b.TempDir()
-	s := New(Options{Dir: dir, PersistInterval: -1})
-	defer s.Close()
-	for _, n := range []int{64, 128, 256} {
-		h, _, err := s.Checkout(context.Background(), graph.Cycle(n).Fingerprint(), func() (*graph.Graph, error) {
-			return graph.Cycle(n), nil
-		}, network.EngineBSP, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Release(h)
-	}
-	if err := s.Persist(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Persist(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCorestoreWarmStart measures a full restart: manifest read,
-// segment decode (CRC + snapshot + recompile), cache install — the fixed
-// cost a durable server pays once at boot instead of once per graph at
-// serve time.
-func BenchmarkCorestoreWarmStart(b *testing.B) {
-	dir := b.TempDir()
-	seedStore := New(Options{Dir: dir, PersistInterval: -1})
-	for _, n := range []int{64, 128, 256} {
-		h, _, err := seedStore.Checkout(context.Background(), graph.Cycle(n).Fingerprint(), func() (*graph.Graph, error) {
-			return graph.Cycle(n), nil
-		}, network.EngineBSP, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		seedStore.Release(h)
-	}
-	seedStore.Close()
-	if _, err := os.Stat(dir); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := New(Options{})
-		if n := s.WarmStart(dir); n != 3 {
-			b.Fatalf("loaded %d, want 3", n)
-		}
-		b.StopTimer()
-		s.Close()
-		b.StartTimer()
 	}
 }

@@ -1,10 +1,8 @@
 // Package corestore is the compiled-core store behind the serving tier: an
-// LRU of immutable network.Compiled cores (byte-weighted by
-// Compiled.MemSize), per-(graph, width) pools of warm
+// in-memory LRU of immutable network.Compiled cores (byte-weighted by
+// Compiled.MemSize) and per-(graph, width) pools of warm
 // network.Instances under one store-wide two-dimensional instance budget
-// (count and pinned bytes) with coldest-graph idle reclaim — and, when
-// given a directory, durable snapshots of the working set with warm
-// restart.
+// (count and pinned bytes) with coldest-graph idle reclaim.
 //
 // The store is the substrate both serve traffic classes already shared
 // (PRs 4–7 grew it inside serve.Server; this package is its extraction):
@@ -16,14 +14,9 @@
 // core and instance decision here, which is also what a future
 // sharded/replicated tier will talk to.
 //
-// Durability (see persist.go): Persist writes each cached core as a
-// CRC-checksummed segment file under a manifest keyed by the graph's
-// canonical fingerprint, atomically (temp + rename) and rate-limited in
-// the background; WarmStart loads the previous working set back in LRU
-// order within the byte budget, falling back to recompile-on-demand for
-// anything corrupt, truncated, or version-mismatched. Because a snapshot
-// round-trips through network.Compile, a query served from a warm-loaded
-// core is byte-identical to one served from a freshly compiled core.
+// Every cached core is a pure function of the request that built it (a
+// family spec and seed, or an uploaded edge list), so nothing here outlives
+// the process: a restarted store recompiles on first touch.
 package corestore
 
 import (
@@ -68,8 +61,7 @@ type Options struct {
 	// one (default 1).
 	DefaultWorkers int
 	// BandwidthBits, if positive, compiles a hard per-message budget into
-	// every cached core — and gates WarmStart: snapshots written under a
-	// different budget are recompiled, not loaded.
+	// every cached core.
 	BandwidthBits int
 	// Faults, when non-nil, is passed to every spawned instance (the chaos
 	// mode of the soak tests).
@@ -77,17 +69,6 @@ type Options struct {
 	// Collector, when non-nil, receives per-run metrics from every spawned
 	// instance.
 	Collector network.RunCollector
-	// Dir, when non-empty, enables durability: Close (and the background
-	// loop, see PersistInterval) snapshots the working set there, and
-	// WarmStart can reload it.
-	Dir string
-	// PersistInterval rate-limits the background persist loop (default 30s
-	// when Dir is set; negative disables the loop — Persist can still be
-	// called directly, and Close still snapshots).
-	PersistInterval time.Duration
-	// Logf, when non-nil, receives diagnostic logging (snapshot load
-	// failures, persist errors). nil discards.
-	Logf func(format string, args ...any)
 
 	// Observer hooks, all optional: the serving layer wires its queue-depth
 	// accounting and latency histograms through these so the store stays
@@ -102,9 +83,6 @@ type Options struct {
 
 // defaultBytes bounds the cache and the instance bytes when unset.
 const defaultBytes = 256 << 20
-
-// defaultPersistInterval rate-limits the background persist loop.
-const defaultPersistInterval = 30 * time.Second
 
 func (o Options) maxGraphs() int {
 	if o.MaxGraphs > 0 {
@@ -160,16 +138,6 @@ func (o Options) defaultWorkers() int {
 	return 1
 }
 
-func (o Options) persistInterval() time.Duration {
-	if o.PersistInterval > 0 {
-		return o.PersistInterval
-	}
-	if o.PersistInterval < 0 {
-		return 0
-	}
-	return defaultPersistInterval
-}
-
 // ErrSaturated reports a checkout rejected because the instance budget is
 // exhausted AND its wait queue is full. It is transient (sweep.IsTransient):
 // callers back off and retry, or translate it into their own overload
@@ -203,23 +171,11 @@ type Store struct {
 	instBytes     int64      // summed MemSize pinned by live instances
 	budgetWaiters int        // checkouts parked on the instance-budget wait
 	closed        bool
-	gen           int64 // bumped on insert/evict; persist skips when unchanged
 
-	// persistMu serializes persist passes (the background loop, explicit
-	// Persist calls, and Close) without holding mu across file IO.
-	persistMu    sync.Mutex
-	persistedGen int64
-	loopStop     chan struct{}
-	loopDone     chan struct{}
-
-	hits         atomic.Int64
-	misses       atomic.Int64
-	compiles     atomic.Int64
-	evictions    atomic.Int64
-	persists     atomic.Int64 // snapshot passes that wrote a manifest
-	warmLoads    atomic.Int64 // cores loaded from snapshots by WarmStart
-	loadFailures atomic.Int64 // snapshot segments/manifests rejected by WarmStart
-	diskBytes    atomic.Int64 // bytes the current on-disk snapshot occupies
+	hits      atomic.Int64
+	misses    atomic.Int64
+	compiles  atomic.Int64
+	evictions atomic.Int64
 }
 
 // entry is one cached graph: its immutable compiled core plus the warm
@@ -229,10 +185,8 @@ type entry struct {
 	elem     *list.Element
 	g        *graph.Graph
 	compiled *network.Compiled
-	fp       string            // canonical graph fingerprint: the snapshot manifest key
 	pools    map[int]*instPool // by instance width
 	evicted  bool
-	warm     bool      // loaded from a snapshot rather than compiled here
 	hits     int64     // lookups served by this entry (guarded by Store.mu)
 	created  time.Time // when the entry entered the cache
 }
@@ -259,9 +213,7 @@ type Handle struct {
 	width int // the pool the handle returns to
 }
 
-// New returns a Store. When opts.Dir is set and the persist interval is not
-// negative, a background goroutine snapshots the working set every
-// interval; Close always takes a final snapshot.
+// New returns an empty Store.
 func New(opts Options) *Store {
 	s := &Store{
 		opts:    opts,
@@ -269,38 +221,13 @@ func New(opts Options) *Store {
 		lru:     list.New(),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if opts.Dir != "" {
-		if iv := opts.persistInterval(); iv > 0 {
-			s.loopStop = make(chan struct{})
-			s.loopDone = make(chan struct{})
-			go s.persistLoop(iv)
-		}
-	}
 	return s
 }
 
-// logf routes diagnostic logging through Options.Logf when set; the store
-// never logs through the global logger on its own.
-func (s *Store) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
-}
-
-// Close stops the persist loop, takes a final snapshot when durability is
-// configured, then evicts every cached graph and closes all idle instances.
-// Checked-out handles stay valid; their instances are closed on Release.
-// Further checkouts fail.
+// Close evicts every cached graph and closes all idle instances. Checked-out
+// handles stay valid; their instances are closed on Release. Further
+// checkouts fail.
 func (s *Store) Close() {
-	if s.loopStop != nil {
-		close(s.loopStop)
-		<-s.loopDone
-	}
-	if s.opts.Dir != "" {
-		if err := s.Persist(); err != nil {
-			s.logf("corestore: final persist: %v", err)
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
@@ -318,7 +245,6 @@ func (s *Store) Close() {
 func (s *Store) evictLocked(e *entry) {
 	e.evicted = true
 	s.cacheBytes -= e.compiled.MemSize()
-	s.gen++
 	for _, p := range e.pools {
 		for _, h := range p.idle {
 			s.spawned--
@@ -333,8 +259,10 @@ func (s *Store) evictLocked(e *entry) {
 // lookup returns the cache entry for key, compiling (via build) on a miss,
 // and counts the hit/miss (store-wide and per entry). The graph build and
 // compile run outside the lock, so a slow generator stalls only the
-// checkouts that need it; a concurrent duplicate build loses the insert
-// race and is dropped.
+// checkouts that need it. A concurrent duplicate build loses the insert
+// race: its core is dropped and the winner's entry is returned, but the
+// checkout still paid for a compile, so it reports and counts a miss:
+// every compile that finds the store open counts as one miss.
 func (s *Store) lookup(key string, build func() (*graph.Graph, error)) (*entry, bool, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -359,28 +287,22 @@ func (s *Store) lookup(key string, build func() (*graph.Graph, error)) (*entry, 
 		return nil, false, err
 	}
 	s.compiles.Add(1)
-	// The fingerprint is the snapshot manifest key; computing it here, once
-	// per compile and outside the lock, keeps Persist a pure file-writing
-	// pass over already-keyed entries.
-	fp := g.Fingerprint()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, false, fmt.Errorf("corestore: store closed")
 	}
+	s.misses.Add(1)
 	if e, ok := s.entries[key]; ok { // lost the build race: reuse the winner
 		s.lru.MoveToFront(e.elem)
-		e.hits++
-		s.hits.Add(1)
-		return e, true, nil
+		return e, false, nil
 	}
 	e := &entry{
-		key: key, g: g, compiled: compiled, fp: fp,
+		key: key, g: g, compiled: compiled,
 		pools: map[int]*instPool{}, created: time.Now(),
 	}
 	s.insertLocked(e)
-	s.misses.Add(1)
 	return e, false, nil
 }
 
@@ -392,7 +314,6 @@ func (s *Store) insertLocked(e *entry) {
 	e.elem = s.lru.PushFront(e)
 	s.entries[e.key] = e
 	s.cacheBytes += e.compiled.MemSize()
-	s.gen++
 	for s.lru.Len() > 1 &&
 		(s.cacheBytes > s.opts.maxCacheBytes() || s.lru.Len() > s.opts.maxGraphs()) {
 		victim := s.lru.Back().Value.(*entry)
@@ -412,11 +333,13 @@ var errEvicted = errors.New("corestore: cache entry evicted")
 // cached under key (compiling via build on a miss) at the given width
 // (width <= 0 uses Options.DefaultWorkers). engine must be "" or
 // network.EngineBSP, the only engine; any other name is refused before the
-// lookup. hit reports whether the core was already cached. The checkout
-// spawns when the store-wide budget allows, reclaims an idle instance from
-// the coldest graph when it does not, or waits — bounded by ctx AND by the
-// queue bound: a full wait queue fails fast with *ErrSaturated. Entries
-// evicted mid-checkout are retried transparently against the live cache.
+// lookup. hit reports whether the checkout found the core cached; one that
+// compiled reports false even when a concurrent build of the same key
+// reached the cache first. The checkout spawns when the store-wide budget
+// allows, reclaims an idle instance from the coldest graph when it does
+// not, or waits — bounded by ctx AND by the queue bound: a full wait queue
+// fails fast with *ErrSaturated. Entries evicted mid-checkout are retried
+// transparently against the live cache.
 func (s *Store) Checkout(ctx context.Context, key string, build func() (*graph.Graph, error),
 	engine network.Engine, workers int) (h *Handle, hit bool, err error) {
 	if engine != "" && engine != network.EngineBSP {
@@ -640,25 +563,11 @@ func (s *Store) Hits() int64 { return s.hits.Load() }
 // Misses returns lookups that had to compile.
 func (s *Store) Misses() int64 { return s.misses.Load() }
 
-// Compiles returns topology compilations ever performed (warm loads do not
-// count: WarmStart's recompile happens inside DecodeSnapshot and is the
-// restart's fixed cost, not cache churn).
+// Compiles returns topology compilations ever performed.
 func (s *Store) Compiles() int64 { return s.compiles.Load() }
 
 // Evictions returns cores evicted from the LRU.
 func (s *Store) Evictions() int64 { return s.evictions.Load() }
-
-// Persists returns snapshot passes that wrote a manifest.
-func (s *Store) Persists() int64 { return s.persists.Load() }
-
-// WarmLoads returns cores loaded from snapshots by WarmStart.
-func (s *Store) WarmLoads() int64 { return s.warmLoads.Load() }
-
-// LoadFailures returns snapshot segments/manifests WarmStart rejected.
-func (s *Store) LoadFailures() int64 { return s.loadFailures.Load() }
-
-// DiskBytes returns the bytes the on-disk snapshot currently occupies.
-func (s *Store) DiskBytes() int64 { return s.diskBytes.Load() }
 
 // GraphsCached returns the number of cached cores.
 func (s *Store) GraphsCached() int {
@@ -714,9 +623,6 @@ func (s *Store) MaxInstanceBytes() int64 { return s.opts.maxInstanceBytes() }
 type EntryStats struct {
 	// Key is the cache key (family spec or "fp:"-prefixed fingerprint).
 	Key string `json:"key"`
-	// Fingerprint is the canonical graph fingerprint — the snapshot
-	// manifest key of this entry.
-	Fingerprint string `json:"fingerprint"`
 	// N and M are the graph's dimensions.
 	N int `json:"n"`
 	M int `json:"m"`
@@ -728,11 +634,11 @@ type EntryStats struct {
 	AgeSeconds float64 `json:"age_seconds"`
 	// InstancesIdle is the entry's parked warm instances, all pools.
 	InstancesIdle int `json:"instances_idle"`
-	// Warm marks entries loaded from a snapshot rather than compiled here.
-	Warm bool `json:"warm,omitempty"`
 }
 
-// Stats is a point-in-time snapshot of the store.
+// Stats is a point-in-time snapshot of the store. Each counter and gauge
+// reads like the accessor of the same name (InstanceBudget is
+// MaxInstances); Entries lists the cached graphs, most recent first.
 type Stats struct {
 	GraphsCached     int          `json:"graphs_cached"`
 	CacheBytes       int64        `json:"cache_bytes"`
@@ -746,10 +652,6 @@ type Stats struct {
 	Misses           int64        `json:"misses"`
 	Compiles         int64        `json:"compiles"`
 	Evictions        int64        `json:"evictions"`
-	Persists         int64        `json:"persists"`
-	WarmLoads        int64        `json:"warm_loads"`
-	LoadFailures     int64        `json:"load_failures"`
-	DiskBytes        int64        `json:"disk_bytes"`
 	Entries          []EntryStats `json:"entries,omitempty"`
 }
 
@@ -764,10 +666,6 @@ func (s *Store) Stats() Stats {
 		Misses:           s.misses.Load(),
 		Compiles:         s.compiles.Load(),
 		Evictions:        s.evictions.Load(),
-		Persists:         s.persists.Load(),
-		WarmLoads:        s.warmLoads.Load(),
-		LoadFailures:     s.loadFailures.Load(),
-		DiskBytes:        s.diskBytes.Load(),
 	}
 	now := time.Now()
 	s.mu.Lock()
@@ -778,14 +676,12 @@ func (s *Store) Stats() Stats {
 	for el := s.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
 		es := EntryStats{
-			Key:         e.key,
-			Fingerprint: e.fp,
-			N:           e.g.N(),
-			M:           e.g.M(),
-			Bytes:       e.compiled.MemSize(),
-			Hits:        e.hits,
-			AgeSeconds:  now.Sub(e.created).Seconds(),
-			Warm:        e.warm,
+			Key:        e.key,
+			N:          e.g.N(),
+			M:          e.g.M(),
+			Bytes:      e.compiled.MemSize(),
+			Hits:       e.hits,
+			AgeSeconds: now.Sub(e.created).Seconds(),
 		}
 		for _, p := range e.pools {
 			es.InstancesIdle += len(p.idle)

@@ -266,6 +266,46 @@ func TestSweepProviderSharesCache(t *testing.T) {
 	}
 }
 
+// Two concurrent first checkouts of one key both build and compile. The
+// one that loses the insert race still paid for its compile, so it reports
+// and counts a miss, not a hit: Compiles() == Misses().
+func TestLostBuildRaceCountsMiss(t *testing.T) {
+	s := New(Options{MaxInstances: 2})
+	defer s.Close()
+	var inside sync.WaitGroup
+	inside.Add(2)
+	build := func() (*graph.Graph, error) {
+		inside.Done()
+		inside.Wait() // both checkouts have missed the cache
+		return graph.Cycle(16), nil
+	}
+	hits := make([]bool, 2)
+	var wg sync.WaitGroup
+	for i := range hits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, hit, err := s.Checkout(context.Background(), "g", build, network.EngineBSP, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			hits[i] = hit
+			s.Release(h)
+		}()
+	}
+	wg.Wait()
+	if hits[0] || hits[1] {
+		t.Errorf("hit flags = %v, want both false: each checkout compiled", hits)
+	}
+	if s.Compiles() != 2 || s.Misses() != 2 || s.Hits() != 0 {
+		t.Fatalf("compiles=%d misses=%d hits=%d, want 2/2/0", s.Compiles(), s.Misses(), s.Hits())
+	}
+	if st := s.Stats(); st.GraphsCached != 1 || st.Entries[0].Hits != 0 {
+		t.Fatalf("graphs_cached=%d entry hits=%d, want 1/0", st.GraphsCached, st.Entries[0].Hits)
+	}
+}
+
 // An entry evicted while its checkout waits must not strand the waiter:
 // Checkout retries against the live cache and succeeds.
 func TestCheckoutRetriesAcrossEviction(t *testing.T) {

@@ -6,15 +6,13 @@ package graph
 // graphs with the same vertex count and edge set encode to the same bytes
 // regardless of how their edges were inserted, and
 // DecodeBinary(g.AppendBinary(nil)).Fingerprint() == g.Fingerprint() by
-// construction. The compiled-core snapshot store (internal/corestore)
-// persists graphs in this form and keys its manifest by the fingerprint of
-// the same bytes.
+// construction. No package in this module stores graphs; the codec is a
+// self-contained format for callers that do.
 //
 // DecodeBinary fully validates the CSR invariants Graph methods rely on
 // (monotone offsets, sorted deduplicated neighbor lists, no self-loops,
 // symmetric adjacency), so a decoded graph is indistinguishable from a
-// Builder-built one even when the input bytes are corrupt or adversarial
-// (the snapshot fuzz target feeds it arbitrary bytes).
+// Builder-built one even when the input bytes are corrupt or adversarial.
 
 import (
 	"encoding/binary"
@@ -22,7 +20,7 @@ import (
 )
 
 // binaryVersion tags the graph encoding; bump it when the layout changes so
-// stale snapshots fail loudly instead of decoding garbage.
+// stale encodings fail loudly instead of decoding garbage.
 const binaryVersion = 1
 
 // maxBinaryVertices bounds the vertex/edge counts DecodeBinary accepts

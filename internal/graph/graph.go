@@ -107,17 +107,12 @@ func (g *Graph) MaxDegree() int {
 }
 
 // Fingerprint returns the CANONICAL identity of the graph: a hex-encoded
-// SHA-256 over (n, m, CSR offsets, CSR adjacency) — exactly the fields
-// AppendBinary serializes, so a graph, its encoding, and its decoded copy
-// all share one fingerprint. Because construction always goes through
-// Builder — which sorts and deduplicates neighbor lists — two graphs with
-// the same vertex count and edge set produce the same fingerprint
-// regardless of edge insertion order, and distinct edge sets produce
-// distinct fingerprints (up to hash collision). The serving layer keys its
-// cache of compiled networks on this, and the snapshot store
-// (internal/corestore) keys its on-disk manifest by the same value, so a
-// warm-started cache indexes exactly like the live one
-// (TestManifestKeyMatchesServeCacheKey pins the equality).
+// SHA-256 over (n, m, CSR offsets, CSR adjacency). Because construction
+// always goes through Builder — which sorts and deduplicates neighbor
+// lists — two graphs with the same vertex count and edge set produce the
+// same fingerprint regardless of edge insertion order, and distinct edge
+// sets produce distinct fingerprints (up to hash collision). The serving
+// layer keys its cache of compiled networks for explicit graphs on this.
 //
 // The words are hashed a 4 KB buffer at a time. The digest depends only on
 // the word sequence, and TestFingerprintPinned fixes it.

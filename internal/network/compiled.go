@@ -58,10 +58,6 @@ func (c *Compiled) MemSize() int64 { return c.memSize }
 // Graph returns the graph the core was compiled from.
 func (c *Compiled) Graph() *graph.Graph { return c.g }
 
-// BandwidthBits returns the per-message budget the core was compiled with
-// (0 means unenforced).
-func (c *Compiled) BandwidthBits() int { return c.bandwidthBits }
-
 // InstanceOptions fixes the per-instance configuration: the engine's
 // parallelism and its optional hooks. Unlike CompileOptions these do not
 // affect the compiled core, so instances with different options share one

@@ -133,15 +133,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 	r.GaugeFunc("serve_instance_bytes_max", "The byte cap on live instances.",
 		func() int64 { return s.store.MaxInstanceBytes() })
 
-	// Durable-store series (all zero unless Options.StoreDir is set).
-	r.CounterFunc("corestore_persists_total", "Snapshot passes that wrote a manifest.",
-		func() int64 { return s.store.Persists() })
-	r.CounterFunc("corestore_warm_loads_total", "Compiled cores loaded from snapshots at warm start.",
-		func() int64 { return s.store.WarmLoads() })
-	r.CounterFunc("corestore_load_failures_total", "Snapshot files rejected as corrupt or mismatched.",
-		func() int64 { return s.store.LoadFailures() })
-	r.GaugeFunc("corestore_disk_bytes", "Bytes the on-disk snapshot currently occupies.",
-		func() int64 { return s.store.DiskBytes() })
 	r.CounterFunc("serve_faults_injected_total", "Engine faults armed by the fault plan.",
 		func() int64 {
 			if s.opts.Faults == nil {

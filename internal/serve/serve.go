@@ -8,11 +8,9 @@
 // building the graph, validating IDs, compiling the port topology, and
 // spawning an engine. All of that amortization lives in
 // internal/corestore: an LRU of compiled cores weighted by the bytes they
-// hold, per-(graph, width) pools of warm instances under one
-// store-wide budget with coldest-graph reclaim, and — when Options.StoreDir
-// is set — durable snapshots with warm restart, so a restarted server
-// serves its previous working set without recompiling it. The Server keeps
-// what is genuinely serving: admission control (gates, deadline-aware
+// hold, and per-(graph, width) pools of warm instances under one
+// store-wide budget with coldest-graph reclaim. The Server keeps what is
+// genuinely serving: admission control (gates, deadline-aware
 // shedding, Retry-After hints), HTTP framing, request tracing, and metrics
 // exposition; every cache and instance decision is delegated to the store.
 //
@@ -32,14 +30,12 @@
 // Concurrency: Instances attached to one Compiled are independent, so N
 // queries over one cached graph run genuinely in parallel while reading
 // one shared topology. Results are deterministic per (graph, program,
-// seed) — identical to a fresh sequential run, whatever the interleaving —
-// and, because a snapshot round-trips through network.Compile, identical
-// whether the core was warm-loaded from disk or compiled in-process.
+// seed) — identical to a fresh sequential run, whatever the interleaving.
 //
 // The HTTP surface (see Handler) is POST /query for single runs, POST
 // /sweep for declarative parameter sweeps streamed row-by-row (SSE or JSON
 // lines via sweep.HTTPSink), and GET /stats for cache and in-flight
-// counters including per-entry size, hits, age, and warm-load provenance.
+// counters including per-entry size, hits, and age.
 package serve
 
 import (
@@ -120,19 +116,6 @@ type Options struct {
 	// negative disables the gate). Sweeps are long-lived and fan out over
 	// the shared instance budget, so the default is deliberately small.
 	MaxConcurrentSweeps int
-	// StoreDir, when non-empty, makes the compiled-core store durable:
-	// NewServer warm-starts from any snapshot already there (a restarted
-	// server serves its previous working set with zero compiles), the
-	// store snapshots the working set in the background every
-	// PersistInterval, and Close takes a final snapshot. Snapshots are
-	// CRC-checksummed and atomically replaced; anything corrupt is
-	// skipped, logged, and counted (corestore_load_failures_total) — the
-	// server just starts colder.
-	StoreDir string
-	// PersistInterval rate-limits the background snapshot loop when
-	// StoreDir is set (default 30s; negative disables the loop — Close
-	// still snapshots).
-	PersistInterval time.Duration
 	// Faults, when non-nil, injects engine faults into served runs via
 	// network.InstanceOptions — the soak tests' chaos mode. Production
 	// servers leave it nil.
@@ -227,7 +210,7 @@ func (o Options) maxConcurrentSweeps() int {
 
 // storeOptions maps the server's options onto the core store's, wiring the
 // server's observability (queue-depth accounting, latency histograms, the
-// run collector, diagnostic logging) through the store's hooks.
+// run collector) through the store's hooks.
 func (s *Server) storeOptions() corestore.Options {
 	return corestore.Options{
 		MaxGraphs:        s.opts.MaxGraphs,
@@ -239,9 +222,6 @@ func (s *Server) storeOptions() corestore.Options {
 		BandwidthBits:    s.opts.BandwidthBits,
 		Faults:           s.opts.Faults,
 		Collector:        s.met,
-		Dir:              s.opts.StoreDir,
-		PersistInterval:  s.opts.PersistInterval,
-		Logf:             s.logf,
 		OnQueueEnter:     s.enterQueue,
 		OnQueueLeave:     s.leaveQueue,
 		ObserveWait:      func(d time.Duration) { s.met.queueWaitInst.Observe(int64(d)) },
@@ -255,9 +235,8 @@ func (s *Server) storeOptions() corestore.Options {
 type Server struct {
 	opts Options
 
-	// store owns everything compiled: the core LRU, the warm-instance
-	// pools and their budget, and (when StoreDir is set) the durable
-	// snapshots behind warm restart.
+	// store owns everything compiled: the core LRU and the warm-instance
+	// pools and their budget.
 	store *corestore.Store
 
 	// Admission control (see admission.go): per-endpoint gates. The
@@ -321,10 +300,7 @@ type queryOutcome struct {
 	err  error
 }
 
-// NewServer returns a Server with the given options. When Options.StoreDir
-// holds a snapshot from a previous process, the compiled-core store is
-// warm-started from it before the first request: the previous working set
-// serves as cache hits with zero compiles.
+// NewServer returns a Server with the given options.
 func NewServer(opts Options) *Server {
 	s := &Server{
 		opts:     opts,
@@ -333,11 +309,6 @@ func NewServer(opts Options) *Server {
 	}
 	s.met = newServeMetrics(s)
 	s.store = corestore.New(s.storeOptions())
-	if opts.StoreDir != "" {
-		if n := s.store.WarmStart(opts.StoreDir); n > 0 {
-			s.logf("serve: warm start: %d compiled cores loaded from %s", n, opts.StoreDir)
-		}
-	}
 	s.queryGate = newGate(s, "query", opts.maxConcurrentQueries(), opts.maxQueueDepth(), s.met.queueWaitQuery)
 	s.sweepGate = newGate(s, "sweep", opts.maxConcurrentSweeps(), opts.maxQueueDepth(), s.met.queueWaitSweep)
 	return s
@@ -351,10 +322,6 @@ func (s *Server) Metrics() interface {
 	return s.met.reg
 }
 
-// Store exposes the server's compiled-core store — for operators that want
-// to trigger a snapshot (Store.Persist) or read store stats directly.
-func (s *Server) Store() *corestore.Store { return s.store }
-
 // logf routes diagnostic logging through Options.Logf when set.
 func (s *Server) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
@@ -364,8 +331,7 @@ func (s *Server) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
-// Close releases the compiled-core store: the persist loop stops, a final
-// snapshot is taken when StoreDir is set, and every cached graph and idle
+// Close releases the compiled-core store: every cached graph and idle
 // instance is released. In-flight queries finish; their instances are
 // closed on release. Further queries fail.
 func (s *Server) Close() {
@@ -594,60 +560,16 @@ func (w *worker) run() {
 	}}
 }
 
-// EntryStats describes one cached graph in a Stats snapshot.
-type EntryStats struct {
-	// Key is the cache key (family spec or canonical fingerprint).
-	Key string `json:"key"`
-	// Fingerprint is the graph's canonical fingerprint — the snapshot
-	// manifest key of this entry when the store is durable.
-	Fingerprint string `json:"fingerprint,omitempty"`
-	// N and M are the graph's dimensions.
-	N int `json:"n"`
-	M int `json:"m"`
-	// Bytes is the compiled core's size (Compiled.MemSize).
-	Bytes int64 `json:"bytes"`
-	// Hits counts lookups served by this entry since it entered the cache.
-	Hits int64 `json:"hits"`
-	// AgeSeconds is the time since the entry entered the cache.
-	AgeSeconds float64 `json:"age_seconds"`
-	// InstancesIdle is the entry's parked warm instances, all widths.
-	InstancesIdle int `json:"instances_idle"`
-	// Warm marks entries loaded from a snapshot rather than compiled by
-	// this process — a warm restart shows the previous working set here.
-	Warm bool `json:"warm,omitempty"`
-}
-
-// Stats is a point-in-time snapshot of the server's counters.
+// Stats is a point-in-time snapshot of the server's counters: the
+// compiled-core store's own Stats (cache, instance budget, per-entry
+// detail) plus the serving layer's traffic and resilience counters.
 type Stats struct {
-	GraphsCached  int   `json:"graphs_cached"`
-	CacheBytes    int64 `json:"cache_bytes"`     // summed compiled size of cached cores
-	MaxCacheBytes int64 `json:"max_cache_bytes"` // the byte budget eviction enforces
-	// InstanceBudget is the server-wide cap on live instances;
-	// InstancesLive (idle + in-flight) never exceeds it.
-	InstanceBudget int   `json:"instance_budget"`
-	InstancesIdle  int   `json:"instances_idle"`
-	InstancesLive  int   `json:"instances_live"`
-	Queries        int64 `json:"queries"`
-	Hits           int64 `json:"hits"`
-	Misses         int64 `json:"misses"`
-	Compiles       int64 `json:"compiles"` // topology compilations ever performed
-	Evictions      int64 `json:"evictions"`
-	Timeouts       int64 `json:"timeouts"`
-	Failures       int64 `json:"failures"`
-	Sweeps         int64 `json:"sweeps"`
-	InFlight       int64 `json:"in_flight"`
-	// InstanceBytes / MaxInstanceBytes mirror the byte dimension of the
-	// instance budget: bytes pinned by live instances vs the configured cap.
-	InstanceBytes    int64 `json:"instance_bytes"`
-	MaxInstanceBytes int64 `json:"max_instance_bytes"`
-	// Durability counters (zero unless StoreDir is set): Persists counts
-	// snapshot passes that wrote a manifest, WarmLoads counts cores loaded
-	// from disk at startup, LoadFailures counts snapshot files rejected as
-	// corrupt/mismatched, DiskBytes is the snapshot's current on-disk size.
-	Persists     int64 `json:"persists,omitempty"`
-	WarmLoads    int64 `json:"warm_loads,omitempty"`
-	LoadFailures int64 `json:"load_failures,omitempty"`
-	DiskBytes    int64 `json:"disk_bytes,omitempty"`
+	corestore.Stats
+	Queries  int64 `json:"queries"`
+	Timeouts int64 `json:"timeouts"`
+	Failures int64 `json:"failures"`
+	Sweeps   int64 `json:"sweeps"`
+	InFlight int64 `json:"in_flight"`
 	// Resilience counters (see admission.go): Shed counts requests rejected
 	// with 429, QueueDepth/QueueHighWater track parked requests across all
 	// wait queues, Retries counts transient sweep-trial failures absorbed by
@@ -662,9 +584,6 @@ type Stats struct {
 	PanicsRecovered int64 `json:"panics_recovered"`
 	// HitRate is Hits / (Hits + Misses), 0 before the first lookup.
 	HitRate float64 `json:"hit_rate"`
-	// Entries lists the cached graphs in recency order (most recent
-	// first), with per-entry size, hit count, and age.
-	Entries []EntryStats `json:"entries,omitempty"`
 	// InFlightRequests lists run-ID-tracked requests currently inside the
 	// server, oldest first, with the stage each is in — the "where is my
 	// slow request" view (only requests whose context carries a run-ID
@@ -674,53 +593,24 @@ type Stats struct {
 
 // Stats returns a snapshot of the cache and traffic counters.
 func (s *Server) Stats() Stats {
-	cs := s.store.Stats()
 	st := Stats{
-		GraphsCached:     cs.GraphsCached,
-		CacheBytes:       cs.CacheBytes,
-		MaxCacheBytes:    cs.MaxCacheBytes,
-		InstanceBudget:   cs.InstanceBudget,
-		InstancesIdle:    cs.InstancesIdle,
-		InstancesLive:    cs.InstancesLive,
-		InstanceBytes:    cs.InstanceBytes,
-		MaxInstanceBytes: cs.MaxInstanceBytes,
-		Hits:             cs.Hits,
-		Misses:           cs.Misses,
-		Compiles:         cs.Compiles,
-		Evictions:        cs.Evictions,
-		Persists:         cs.Persists,
-		WarmLoads:        cs.WarmLoads,
-		LoadFailures:     cs.LoadFailures,
-		DiskBytes:        cs.DiskBytes,
-		Queries:          s.queries.Load(),
-		Timeouts:         s.timeouts.Load(),
-		Failures:         s.failures.Load(),
-		Sweeps:           s.sweeps.Load(),
-		InFlight:         s.inFlight.Load(),
-		Shed:             s.shed.Load(),
-		QueueDepth:       s.queueDepth.Load(),
-		QueueHighWater:   s.queueHighWater.Load(),
-		Retries:          s.sweepRetries.Load(),
-		PanicsRecovered:  s.panics.Load(),
+		Stats:           s.store.Stats(),
+		Queries:         s.queries.Load(),
+		Timeouts:        s.timeouts.Load(),
+		Failures:        s.failures.Load(),
+		Sweeps:          s.sweeps.Load(),
+		InFlight:        s.inFlight.Load(),
+		Shed:            s.shed.Load(),
+		QueueDepth:      s.queueDepth.Load(),
+		QueueHighWater:  s.queueHighWater.Load(),
+		Retries:         s.sweepRetries.Load(),
+		PanicsRecovered: s.panics.Load(),
 	}
 	if s.opts.Faults != nil {
 		st.FaultsInjected = s.opts.Faults.Injected()
 	}
 	if lookups := st.Hits + st.Misses; lookups > 0 {
 		st.HitRate = float64(st.Hits) / float64(lookups)
-	}
-	for _, e := range cs.Entries {
-		st.Entries = append(st.Entries, EntryStats{
-			Key:           e.Key,
-			Fingerprint:   e.Fingerprint,
-			N:             e.N,
-			M:             e.M,
-			Bytes:         e.Bytes,
-			Hits:          e.Hits,
-			AgeSeconds:    e.AgeSeconds,
-			InstancesIdle: e.InstancesIdle,
-			Warm:          e.Warm,
-		})
 	}
 	st.InFlightRequests = s.inflightSnapshot(time.Now())
 	return st

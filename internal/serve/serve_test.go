@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -593,6 +594,53 @@ func TestHTTPQueryAndStats(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("payload %q: HTTP %d, want 400", bad, resp.StatusCode)
 		}
+	}
+}
+
+// TestStatsJSONKeys pins the /stats vocabulary after one query: the
+// store's counters and per-entry fields, promoted from corestore.Stats,
+// next to the server's own. Entry keys are listed as "entries[].<key>".
+func TestStatsJSONKeys(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	if _, err := s.Query(context.Background(), &QueryRequest{
+		Graph: GraphRequest{Family: "cycle", N: 16},
+		K:     5, Eps: 0.1, Seed: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(s.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var entries []map[string]json.RawMessage
+	if err := json.Unmarshal(doc["entries"], &entries); err != nil || len(entries) != 1 {
+		t.Fatalf("entries = %s (%v), want one entry", doc["entries"], err)
+	}
+	var got []string
+	for k := range doc {
+		got = append(got, k)
+	}
+	for k := range entries[0] {
+		got = append(got, "entries[]."+k)
+	}
+	slices.Sort(got)
+	want := []string{
+		"cache_bytes", "compiles", "entries",
+		"entries[].age_seconds", "entries[].bytes", "entries[].hits",
+		"entries[].instances_idle", "entries[].key", "entries[].m", "entries[].n",
+		"evictions", "failures", "faults_injected", "graphs_cached", "hit_rate",
+		"hits", "in_flight", "instance_budget", "instance_bytes", "instances_idle",
+		"instances_live", "max_cache_bytes", "max_instance_bytes", "misses",
+		"panics_recovered", "queries", "queue_depth", "queue_high_water",
+		"retries", "shed", "sweeps", "timeouts",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("/stats keys:\n got  %q\n want %q", got, want)
 	}
 }
 

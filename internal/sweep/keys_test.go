@@ -78,8 +78,8 @@ func TestFamilyKeyCanonical(t *testing.T) {
 		}
 	}
 
-	// The `make load` / CI warm-restart graph: a key a durable store may
-	// already hold, so it must not change.
+	// The `make load` graph: its key is what /stats lists for it, so it
+	// must not change.
 	if got := FamilyKey(GraphSpec{Family: "gnm", N: 256, M: 1024}, 7, 0.1, 7); got != "gnm/n=256/m=1024/seed=7" {
 		t.Errorf("make-load key = %q, want %q", got, "gnm/n=256/m=1024/seed=7")
 	}
