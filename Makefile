@@ -15,7 +15,7 @@ SNAPSHOT ?= BENCH_15.json
 # and stays informational.
 ALLOCS_REGRESS_BUDGET ?= 10
 
-.PHONY: all build test race vet fmt lint bench bench-compare bench-gate check serve load
+.PHONY: all build test race vet fmt lint layering bench bench-compare bench-gate check serve load
 
 all: check
 
@@ -42,7 +42,14 @@ fmt:
 lint:
 	go run ./cmd/ckvet ./...
 
-check: fmt vet lint test
+# layering fails when the compiled-core store depends on a layer above it.
+# corestore builds on graph and network alone; core, sweep and serve sit on
+# top of it (sweep.StoreProvider adapts a store to the sweep scheduler).
+layering:
+	@bad=$$(go list -deps ./internal/corestore | grep -xE 'cycledetect/internal/(core|sweep|serve)'); \
+	if [ -n "$$bad" ]; then echo "internal/corestore must not depend on:"; echo "$$bad"; exit 1; fi
+
+check: fmt vet lint layering test
 
 # serve starts the query-serving HTTP server (see cmd/serve and
 # internal/serve; README "Query-serving layer" has a curl session).

@@ -4,15 +4,15 @@
 // network.Instances under one store-wide two-dimensional instance budget
 // (count and pinned bytes) with coldest-graph idle reclaim.
 //
-// The store is the substrate both serve traffic classes already shared
-// (PRs 4–7 grew it inside serve.Server; this package is its extraction):
-// /query checks instances out per run through Checkout, and sweep trials
-// go through the same cache via the sweep.CoreProvider implementation, so
-// a sweep over a graph the query traffic compiled performs zero compiles
-// and vice versa. The serving layer keeps what is genuinely serving —
-// admission gates, HTTP framing, request tracing — and delegates every
-// core and instance decision here, which is also what a future
-// sharded/replicated tier will talk to.
+// The store is the one cache of compiled cores. Every caller checks
+// instances out through Checkout under a key of its choosing: serve's
+// /query per run, and sweep trials through sweep.StoreProvider, which keys
+// family graphs by sweep.FamilyKey. A server's /sweep and /query share its
+// store, so a sweep over a graph the query traffic compiled performs zero
+// compiles and vice versa; a standalone sweep runs on a private store. The
+// serving layer keeps what is genuinely serving — admission gates, HTTP
+// framing, request tracing — and delegates every core and instance
+// decision here. The store depends only on the graph and network layers.
 //
 // Every cached core is a pure function of the request that built it (a
 // family spec and seed, or an uploaded edge list), so nothing here outlives
@@ -31,7 +31,6 @@ import (
 
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
-	"cycledetect/internal/sweep"
 )
 
 // Options configures a Store. The zero value works with the defaults noted
@@ -139,9 +138,10 @@ func (o Options) defaultWorkers() int {
 }
 
 // ErrSaturated reports a checkout rejected because the instance budget is
-// exhausted AND its wait queue is full. It is transient (sweep.IsTransient):
-// callers back off and retry, or translate it into their own overload
-// vocabulary (serve maps it to *ErrOverloaded / HTTP 429).
+// exhausted AND its wait queue is full. It is transient (its Transient
+// method reports true, which sweep.IsTransient reads): callers back off and
+// retry, or translate it into their own overload vocabulary (serve maps it
+// to *ErrOverloaded / HTTP 429).
 type ErrSaturated struct {
 	// Instances is the budget that was saturated.
 	Instances int
@@ -527,31 +527,6 @@ func (s *Store) Release(h *Handle) {
 		p.idle = append(p.idle, h)
 	}
 	s.cond.Broadcast()
-}
-
-// Acquire implements sweep.CoreProvider directly on the store: sweep trials
-// check instances out of the same LRU of compiled cores and warm pools the
-// query traffic uses, under the same store-wide budget. The scheduler's
-// budgeted engine width (pt.Workers) is honored, clamped to the hardware;
-// width is part of the pool key, so sweep checkouts never poach a
-// query-width warm instance or vice versa.
-func (s *Store) Acquire(ctx context.Context, pt sweep.TrialPoint) (*network.Instance, func(), error) {
-	key := sweep.FamilyKey(pt.Graph, pt.K, pt.Eps, pt.Seed)
-	build := func() (*graph.Graph, error) {
-		return sweep.BuildGraph(pt.Graph, pt.K, pt.Eps, pt.Seed)
-	}
-	width := pt.Workers
-	if width <= 0 {
-		width = s.opts.defaultWorkers()
-	}
-	if max := runtime.GOMAXPROCS(0); width > max {
-		width = max
-	}
-	h, _, err := s.Checkout(ctx, key, build, network.EngineBSP, width)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h.Inst, func() { s.Release(h) }, nil
 }
 
 // Counter accessors: one source of truth for the serving layer's

@@ -12,7 +12,6 @@ import (
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
-	"cycledetect/internal/sweep"
 )
 
 func cycleBuild(n int) func() (*graph.Graph, error) {
@@ -155,7 +154,7 @@ func TestSaturationFailsFast(t *testing.T) {
 	if !errors.As(err, &sat) {
 		t.Fatalf("want *ErrSaturated, got %v", err)
 	}
-	if !sweep.IsTransient(err) {
+	if !sat.Transient() {
 		t.Fatal("saturation must be transient (sweep retries it)")
 	}
 	cancel()
@@ -232,37 +231,6 @@ func TestReclaimedInstanceCollectable(t *testing.T) {
 	runtime.GC()
 	if cold.Value() != nil {
 		t.Fatal("reclaimed instance is still reachable after GC")
-	}
-}
-
-// The store is a sweep.CoreProvider: a trial checkout lands in the same
-// cache as a Checkout under the same family key.
-func TestSweepProviderSharesCache(t *testing.T) {
-	var _ sweep.CoreProvider = (*Store)(nil)
-
-	s := New(Options{})
-	defer s.Close()
-	pt := sweep.TrialPoint{
-		Graph: sweep.GraphSpec{Family: "cycle", N: 20},
-		K:     5,
-		Seed:  3,
-	}
-	inst, release, err := s.Acquire(context.Background(), pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst == nil {
-		t.Fatal("nil instance")
-	}
-	release()
-
-	key := sweep.FamilyKey(pt.Graph, pt.K, pt.Eps, pt.Seed)
-	_, hit := mustCheckout(t, s, key, func() (*graph.Graph, error) {
-		t.Fatal("hit must not rebuild")
-		return nil, nil
-	})
-	if !hit {
-		t.Fatal("query checkout after sweep acquire missed: the two paths use different keys")
 	}
 }
 

@@ -213,7 +213,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &spec) {
 		return
 	}
-	if err := spec.Validate(); err != nil {
+	if err := s.validateSweep(&spec); err != nil {
 		httpError(w, r, http.StatusBadRequest, err)
 		return
 	}

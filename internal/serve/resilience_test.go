@@ -137,7 +137,6 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 					Graphs: []sweep.GraphSpec{{Family: "gnm", N: 48, M: 192}},
 					K:      []int{5}, Eps: []float64{0.25},
 					Trials: 2, Seed: uint64(9 + i), Workers: 2,
-					RetryBackoff: time.Millisecond,
 				}
 				_, err := s.RunSweep(context.Background(), spec,
 					sweep.FuncSink(func(*sweep.Result) error { return nil }))

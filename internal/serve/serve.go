@@ -16,7 +16,7 @@
 //
 // Both traffic classes run on the one store: /query checks a warm instance
 // out per run through corestore.Store.Checkout, and /sweep trials go
-// through the same cache via sweep.CoreProvider, so a sweep over a graph
+// through the same cache via sweep.StoreProvider, so a sweep over a graph
 // the query traffic already compiled performs zero compiles (and vice
 // versa).
 //
@@ -89,8 +89,8 @@ type Options struct {
 	// intra-run workers).
 	NetworkWorkers int
 	// BandwidthBits, if positive, compiles a hard per-message budget into
-	// every cached network. Sweep specs with a matching budget run on the
-	// shared cache; others fall back to private cores.
+	// every cached network. A /sweep spec's bandwidth_bits must be 0 (this
+	// budget applies) or equal to it.
 	BandwidthBits int
 	// SweepWorkers caps the scheduler workers of /sweep requests (default
 	// GOMAXPROCS; a spec asking for more is clamped).
@@ -616,21 +616,17 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// coreProvider adapts the server's store to sweep trials, translating the
-// store's saturation error into the server's overload vocabulary (shed
-// counters + *ErrOverloaded with a Retry-After hint) so sweep workers back
-// off exactly like shed queries do. The store itself implements
-// sweep.CoreProvider; this wrapper exists only for that translation.
+// coreProvider adapts the server's store to sweep trials through
+// sweep.StoreProvider, translating the store's saturation error into the
+// server's overload vocabulary (shed counters + *ErrOverloaded with a
+// Retry-After hint) so sweep workers back off exactly like shed queries do.
+// A sweep over a graph /query already cached performs zero compiles — and
+// leaves the graph hot for subsequent queries.
 type coreProvider struct{ s *Server }
 
-// Acquire implements sweep.CoreProvider over the shared store: a sweep
-// over a graph /query already cached performs zero compiles — and leaves
-// the graph hot for subsequent queries. The scheduler's budgeted engine
-// width (pt.Workers) is honored by the store, clamped to the hardware;
-// width is part of the pool key, so sweep checkouts never poach a
-// query-width warm instance or vice versa.
+// Acquire implements sweep.CoreProvider over the shared store.
 func (p coreProvider) Acquire(ctx context.Context, pt sweep.TrialPoint) (*network.Instance, func(), error) {
-	inst, release, err := p.s.store.Acquire(ctx, pt)
+	inst, release, err := sweep.StoreProvider(p.s.store).Acquire(ctx, pt)
 	if err != nil {
 		// Guarded like Server.checkout: boxing &sat costs an allocation.
 		var sat *corestore.ErrSaturated
@@ -646,16 +642,14 @@ func (p coreProvider) Acquire(ctx context.Context, pt sweep.TrialPoint) (*networ
 // RunSweep validates and executes a declarative sweep spec, streaming rows
 // to the sinks (the transport-independent core of POST /sweep). Trials run
 // on the server's own cached compiled cores and warm instance pools — the
-// same substrate /query uses — unless the spec asks for a per-message
-// budget different from the server's, in which case they fall back to
-// private cores compiled with the spec's budget. ctx cancels the sweep
-// mid-trial (a killed /sweep stream stops its CONGEST runs at the next
-// round barrier). The spec's worker count is clamped to
+// same substrate /query uses, under the same instance budget. ctx cancels
+// the sweep mid-trial (a killed /sweep stream stops its CONGEST runs at the
+// next round barrier). The spec's worker count is clamped to
 // Options.SweepWorkers; advisory warnings (for example a k beyond the
 // calibrated representative-selection range) are returned alongside
 // validation so callers can surface them before rows flow.
 func (s *Server) RunSweep(ctx context.Context, spec *sweep.Spec, sinks ...sweep.Sink) (*sweep.Summary, error) {
-	if err := spec.Validate(); err != nil {
+	if err := s.validateSweep(spec); err != nil {
 		s.failures.Add(1)
 		return nil, err
 	}
@@ -665,6 +659,21 @@ func (s *Server) RunSweep(ctx context.Context, spec *sweep.Spec, sinks ...sweep.
 	}
 	defer release()
 	return s.runSweep(ctx, spec, sinks...)
+}
+
+// validateSweep checks a spec before admission: the spec's own rules, and a
+// per-message budget that is 0 (the server's applies) or the server's own.
+// The trials run on the server's cores, which carry the server's budget, so
+// any other value could not be honored.
+func (s *Server) validateSweep(spec *sweep.Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	if spec.BandwidthBits != 0 && spec.BandwidthBits != s.opts.BandwidthBits {
+		return fmt.Errorf("serve: sweep bandwidth_bits %d differs from the server's per-message budget %d (omit it to use the server's)",
+			spec.BandwidthBits, s.opts.BandwidthBits)
+	}
+	return nil
 }
 
 // admitSweep passes the sweep gate: sweeps are long-lived and fan out over
@@ -691,11 +700,7 @@ func (s *Server) runSweep(ctx context.Context, spec *sweep.Spec, sinks ...sweep.
 	if cap := s.opts.sweepWorkers(); spec.Workers <= 0 || spec.Workers > cap {
 		spec.Workers = cap
 	}
-	var provider sweep.CoreProvider
-	if spec.BandwidthBits == s.opts.BandwidthBits {
-		provider = coreProvider{s: s}
-	}
-	sum, err := sweep.RunCtxProgress(ctx, spec, provider, &s.sweepProg, sinks...)
+	sum, err := sweep.RunCtxProgress(ctx, spec, coreProvider{s: s}, &s.sweepProg, sinks...)
 	if sum != nil {
 		s.sweepRetries.Add(sum.Retries)
 	}

@@ -458,6 +458,10 @@ func TestQueryValidation(t *testing.T) {
 		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Engine: "channels"}, // no such engine
 		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Op: OpDetect,
 			Edge: &[2]int64{5, 5}}, // detect with equal endpoints (matches DetectThroughEdge)
+		// Family graphs over sweep.MaxFamilyEdges, refused before they are built.
+		{Graph: GraphRequest{Family: "complete", N: 1449}, K: 3, Reps: 1},                         // 1,049,076 edges
+		{Graph: GraphRequest{Family: "gnm", N: 2048, M: sweep.MaxFamilyEdges + 1}, K: 3, Reps: 1}, // one edge over
+		{Graph: GraphRequest{Family: "tree", N: 1 << 40}, K: 3, Reps: 1},                          // n-1 edges
 	}
 	for i, req := range bad {
 		if _, err := s.Query(context.Background(), &req); err == nil {
@@ -728,6 +732,45 @@ func TestHTTPSweepStreams(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestSweepBandwidthMustMatchServer: /sweep trials run on the server's
+// cores, which carry the server's per-message budget. A spec naming another
+// budget is refused with a 400 before anything compiles; a spec that leaves
+// it unset runs under the server's budget, on the shared store.
+func TestSweepBandwidthMustMatchServer(t *testing.T) {
+	s := NewServer(Options{BandwidthBits: 4096})
+	defer s.Close()
+	h := s.Handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", strings.NewReader(body)))
+		return rec
+	}
+	const grid = `"graphs":[{"family":"cycle","n":12}],"k":[5],"eps":[0.2],"trials":2,"seed":1`
+
+	rec := post(`{` + grid + `,"bandwidth_bits":8192}`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bandwidth_bits") {
+		t.Fatalf("bandwidth_bits 8192: HTTP %d, want 400 naming bandwidth_bits (%s)", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	spec := &sweep.Spec{
+		Graphs: []sweep.GraphSpec{{Family: "cycle", N: 12}},
+		K:      []int{5}, Eps: []float64{0.2}, Trials: 2, Seed: 1, BandwidthBits: 8192,
+	}
+	if _, err := s.RunSweep(context.Background(), spec); err == nil {
+		t.Fatal("RunSweep accepted a budget other than the server's")
+	}
+	if c := s.Stats().Compiles; c != 0 {
+		t.Fatalf("refused sweeps compiled %d cores", c)
+	}
+
+	rec = post(`{` + grid + `}`)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"event":"summary"`) {
+		t.Fatalf("no bandwidth_bits: HTTP %d, want 200 and a summary (%s)", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	if c := s.Stats().Compiles; c != 1 {
+		t.Fatalf("compiles = %d, want 1: the sweep must run on the server's store", c)
+	}
 }
 
 func TestServerClosed(t *testing.T) {

@@ -218,15 +218,10 @@ func (req *QueryRequest) resolve() (key string, build func() (*graph.Graph, erro
 	case gr.Family != "" && len(gr.Edges) > 0:
 		return "", nil, fmt.Errorf("serve: graph gives both a family and explicit edges")
 	case gr.Family != "":
-		switch gr.Family {
-		case "gnm", "far", "tree", "cycle", "complete":
-		default:
-			return "", nil, fmt.Errorf("serve: unknown graph family %q", gr.Family)
-		}
-		if gr.N < 2 {
-			return "", nil, fmt.Errorf("serve: graph %s(n=%d) needs n >= 2", gr.Family, gr.N)
-		}
 		gs := sweep.GraphSpec{Family: gr.Family, N: gr.N, M: gr.M}
+		if err := gs.Validate(); err != nil {
+			return "", nil, err
+		}
 		key = sweep.FamilyKey(gs, req.K, req.Eps, gr.Seed)
 		k, eps, seed := req.K, req.Eps, gr.Seed
 		build = func() (*graph.Graph, error) { return sweep.BuildGraph(gs, k, eps, seed) }

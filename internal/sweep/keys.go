@@ -6,15 +6,14 @@ import (
 	"strings"
 )
 
-// FamilyKey is the canonical cache key of a generated graph — the shared
-// vocabulary between every layer that caches compiled cores over
-// BuildGraph's families (corestore's LRU, serve's /query resolution). It
-// names only what BuildGraph reads, so two specs that build the same graph
-// share one key: m only for gnm (with its 4n default resolved), the seed
-// for every family but the fixed cycle and complete graphs, and (k, eps)
-// only for "far" — mirroring the scheduler's graph keying — so tester runs
-// with different parameters share the same cached gnm/tree/cycle/complete
-// graph.
+// FamilyKey is the canonical cache key of a generated graph, the one key
+// under which sweep trials (StoreProvider) and serve's /query resolution
+// store BuildGraph's families in a corestore.Store. It names only what
+// BuildGraph reads, so two specs that build the same graph share one key:
+// m only for gnm (with its 4n default resolved), the seed for every family
+// but the fixed cycle and complete graphs, and (k, eps) only for "far", so
+// tester runs with different parameters share the same cached
+// gnm/tree/cycle/complete graph.
 func FamilyKey(gs GraphSpec, k int, eps float64, seed uint64) string {
 	gs = gs.canonical()
 	var b strings.Builder

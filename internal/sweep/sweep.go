@@ -6,11 +6,13 @@
 //
 // Trial execution runs on the CoreProvider substrate: a provider hands out
 // exclusive warm network.Instances over shared immutable network.Compiled
-// cores, one checkout per job. The default (standalone) provider compiles
-// each distinct graph exactly once for the whole sweep and pools warm
-// instances per graph; a serving layer can substitute its own
-// provider so sweep trials run on the SAME cached cores and warm pools its
-// query traffic uses (internal/serve does exactly that for /sweep).
+// cores, one checkout per job. Compiled cores live in a corestore.Store,
+// the one cache of them, and StoreProvider adapts any store to the
+// scheduler. A standalone sweep runs on a private store that compiles each
+// distinct graph once for the whole sweep and pools warm instances per
+// graph; a serving layer passes a provider over its own store so sweep
+// trials run on the SAME cached cores and warm pools its query traffic uses
+// (internal/serve does exactly that for /sweep).
 //
 // This is the workload the paper makes cheap: each trial costs O(1/ε)
 // CONGEST rounds (Theorem 1), so a sweep's cost is dominated by per-run
@@ -28,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,6 +38,7 @@ import (
 
 	"cycledetect/internal/combin"
 	"cycledetect/internal/core"
+	"cycledetect/internal/corestore"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 	"cycledetect/internal/xrand"
@@ -88,6 +92,50 @@ func (gs GraphSpec) seeded() bool {
 	return gs.Family != "cycle" && gs.Family != "complete"
 }
 
+// MaxFamilyEdges bounds the edge count of a generated graph. A spec names a
+// graph's size in a few bytes, so without a bound one small request could
+// make BuildGraph allocate without limit.
+const MaxFamilyEdges = 1 << 20
+
+// Validate checks that gs names a known family, at least 2 vertices and at
+// most MaxFamilyEdges edges. The edge count is read off the spec, so an
+// oversized graph is refused before anything is built.
+func (gs GraphSpec) Validate() error {
+	switch gs.Family {
+	case "gnm", "far", "tree", "cycle", "complete":
+	default:
+		return fmt.Errorf("sweep: unknown graph family %q", gs.Family)
+	}
+	if gs.N < 2 {
+		return fmt.Errorf("sweep: graph %s needs n >= 2", gs)
+	}
+	// Every family is connected, so n-1 edges is a floor; checking it first
+	// also keeps n(n-1) below overflow in maxEdges.
+	if gs.N-1 > MaxFamilyEdges || gs.maxEdges() > MaxFamilyEdges {
+		return fmt.Errorf("sweep: graph %s exceeds the limit of %d edges", gs, MaxFamilyEdges)
+	}
+	return nil
+}
+
+// maxEdges bounds from above the edge count of the graph BuildGraph builds
+// for gs. Callers have checked that n-1 <= MaxFamilyEdges.
+func (gs GraphSpec) maxEdges() int64 {
+	n := int64(gs.N)
+	switch gs.Family {
+	case "gnm":
+		return int64(gs.resolvedM())
+	case "complete":
+		return n * (n - 1) / 2
+	case "cycle":
+		return n
+	case "tree":
+		return n - 1
+	}
+	// far: q <= n/3 planted k-cycles (qk edges), q-1 connectors, and a
+	// pendant path through the other n-qk vertices: n+q-1 edges.
+	return n + n/3
+}
+
 // Spec is a declarative sweep: the cross product of Graphs × K × Eps ×
 // Engines, with Trials independently seeded tester runs per combination.
 type Spec struct {
@@ -110,40 +158,25 @@ type Spec struct {
 	// Seed makes the whole sweep deterministic: graph construction and
 	// every trial's coin streams derive from it.
 	Seed uint64 `json:"seed,omitempty"`
-	// BandwidthBits, when positive, enforces the hard per-message budget.
+	// BandwidthBits, when positive, enforces the hard per-message budget
+	// on a standalone run (RunCtx with a nil provider). A provider's cores
+	// are compiled with the budget of the store behind it.
 	BandwidthBits int `json:"bandwidth_bits,omitempty"`
 	// Workers is the scheduler's worker count (0 means GOMAXPROCS). Each
 	// worker owns its Networks; the per-network BSP pool is sized so that
 	// workers × pool ≈ GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-	// MaxRetries bounds per-job retries of TRANSIENT failures — a serving
-	// provider shedding load, an injected fault — before the sweep fails
-	// (see IsTransient). 0 means the default of 3; negative disables
-	// retries. Terminal failures (program panics, real bandwidth
-	// violations, the sweep's own cancellation) are never retried.
-	MaxRetries int `json:"max_retries,omitempty"`
-	// RetryBackoff is the base wait before a retry; attempt i waits
-	// base·2^(i-1), capped at 32×base, plus a deterministic jitter in
-	// [0, base). 0 means the default of 5ms.
-	RetryBackoff time.Duration `json:"retry_backoff_ns,omitempty"`
 }
 
-func (s *Spec) maxRetries() int {
-	if s.MaxRetries > 0 {
-		return s.MaxRetries
-	}
-	if s.MaxRetries < 0 {
-		return 0
-	}
-	return 3
-}
-
-func (s *Spec) retryBackoff() time.Duration {
-	if s.RetryBackoff > 0 {
-		return s.RetryBackoff
-	}
-	return 5 * time.Millisecond
-}
+// Transient failures — a serving provider shedding load, an injected fault
+// (see IsTransient) — are retried up to maxRetries times per job before the
+// sweep fails. Retry i waits retryBackoff·2^(i-1) plus a deterministic
+// jitter in [0, retryBackoff). Terminal failures (program panics, real
+// bandwidth violations, the sweep's own cancellation) are never retried.
+const (
+	maxRetries   = 3
+	retryBackoff = 5 * time.Millisecond
+)
 
 // Job is one grid point.
 type Job struct {
@@ -192,7 +225,7 @@ type Summary struct {
 	Skipped int // grid points skipped as not runnable
 	Trials  int
 	// Retries counts transient failures that were retried (and eventually
-	// absorbed) instead of failing the sweep — see Spec.MaxRetries.
+	// absorbed) instead of failing the sweep — see maxRetries.
 	Retries int64
 	Elapsed time.Duration
 }
@@ -209,13 +242,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: no graphs in spec")
 	}
 	for _, gs := range s.Graphs {
-		switch gs.Family {
-		case "gnm", "far", "tree", "cycle", "complete":
-		default:
-			return fmt.Errorf("sweep: unknown graph family %q", gs.Family)
-		}
-		if gs.N < 2 {
-			return fmt.Errorf("sweep: graph %s needs n >= 2", gs)
+		if err := gs.Validate(); err != nil {
+			return err
 		}
 	}
 	if len(s.K) == 0 {
@@ -300,38 +328,12 @@ func (s *Spec) Jobs() (jobs []Job, skipped int) {
 // ε-far family's feasibility rule lives next to its generator
 // (graph.FarFromCkFreeFeasible, replaying the generator's own packing
 // search — a closed-form approximation here disagreed at exact boundaries).
-// buildGraph's panic-to-error conversion remains the backstop.
+// BuildGraph's panic-to-error conversion remains the backstop.
 func runnable(gs GraphSpec, k int, eps float64) bool {
 	if gs.Family != "far" {
 		return true
 	}
 	return graph.FarFromCkFreeFeasible(gs.N, k, eps)
-}
-
-// graphKey identifies a built graph. Only the "far" family depends on the
-// job's (k, ε); every other family is shared across the whole grid.
-type graphKey struct {
-	gs  GraphSpec
-	k   int
-	eps float64
-}
-
-// key identifies the point's built graph by its canonical spec. Only the
-// "far" family depends on (k, eps); every other family is shared across the
-// whole grid — which is also what lets a serving provider share one cached
-// core between a sweep's whole (k, ε) grid and its query traffic.
-func (pt TrialPoint) key() graphKey {
-	gs := pt.Graph.canonical()
-	if gs.Family == "far" {
-		return graphKey{gs: gs, k: pt.K, eps: pt.Eps}
-	}
-	return graphKey{gs: gs}
-}
-
-// buildGraph constructs the graph for a key, deterministically from the
-// sweep seed.
-func buildGraph(key graphKey, seed uint64) (*graph.Graph, error) {
-	return BuildGraph(key.gs, key.k, key.eps, seed)
 }
 
 // BuildGraph constructs the graph a GraphSpec names, deterministically from
@@ -371,19 +373,17 @@ func trialSeed(base uint64, job, trial int) uint64 {
 }
 
 // TrialPoint names the execution substrate one job's trials need: the graph
-// (as built from Seed, the sweep seed) and the per-message budget the core
-// must be compiled with. It is the vocabulary between the scheduler and a
-// CoreProvider.
+// (as built from Seed, the sweep seed) and the engine width. It is the
+// vocabulary between the scheduler and a CoreProvider; the per-message
+// budget is the provider's, fixed when its cores are compiled.
 type TrialPoint struct {
 	Graph GraphSpec
 	// K and Eps matter to graph identity only for the "far" family, whose
-	// construction depends on them (mirroring the scheduler's graph keying).
+	// construction depends on them (see FamilyKey).
 	K   int
 	Eps float64
 	// Seed is the sweep seed the graph is deterministically built from.
 	Seed uint64
-	// BandwidthBits is the per-message budget the core enforces (0 = none).
-	BandwidthBits int
 	// Workers is the engine width the scheduler budgeted for this job's
 	// instance: the scheduler sizes it so that scheduler workers × engine
 	// width ≈ GOMAXPROCS. Providers should honor it (clamped to their own
@@ -427,18 +427,13 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// retryDelay is attempt i's backoff: base·2^(i-1) capped at 32×base,
-// plus a deterministic jitter in [0, base) derived from the sweep seed
-// and job index, so concurrent retries decorrelate without making runs
+// retryDelay is attempt i's backoff: retryBackoff·2^(i-1) plus a
+// deterministic jitter in [0, retryBackoff) derived from the sweep seed and
+// job index, so concurrent retries decorrelate without making runs
 // irreproducible.
-func retryDelay(spec *Spec, job Job, attempt int) time.Duration {
-	base := spec.retryBackoff()
-	d := base << min(attempt-1, 5)
-	if d > 32*base {
-		d = 32 * base
-	}
-	j := xrand.Mix64(spec.Seed ^ uint64(job.Index)<<20 ^ uint64(attempt))
-	return d + time.Duration(j%uint64(base))
+func retryDelay(seed uint64, job Job, attempt int) time.Duration {
+	j := xrand.Mix64(seed ^ uint64(job.Index)<<20 ^ uint64(attempt))
+	return retryBackoff<<(attempt-1) + time.Duration(j%uint64(retryBackoff))
 }
 
 // backoffWait sleeps d, cut short by the sweep's context or first-error
@@ -462,104 +457,34 @@ func backoffWait(ctx context.Context, cancel <-chan struct{}, d time.Duration) b
 // point. Acquire blocks (bounded by ctx) when the provider's instances are
 // exhausted; the returned release func MUST be called exactly once when the
 // job's trials are done and returns the instance to the provider — callers
-// never Close it. Implementations decide how cores are cached and shared:
-// the scheduler's default provider compiles each distinct graph once per
-// sweep, while internal/serve serves sweeps straight from the LRU of
-// compiled cores (and warm instance pools) its query traffic already keeps
-// hot.
+// never Close it. StoreProvider is the implementation over a
+// corestore.Store; a serving layer wraps it to translate the store's errors
+// into its own vocabulary, and tests wrap it to inject failures.
 type CoreProvider interface {
 	Acquire(ctx context.Context, pt TrialPoint) (*network.Instance, func(), error)
 }
 
-// localProvider is the standalone substrate: one Compiled per distinct
-// graph for the whole sweep (built under a per-key Once, so distinct graphs
-// compile concurrently) and a pool of warm instances per graph.
-type localProvider struct {
-	seed    uint64
-	workers int // BSP width per instance
+// StoreProvider adapts a corestore.Store to sweep trials: a point is cached
+// under its FamilyKey, so trials share cores with every other checkout of
+// the same graph from the same store. The scheduler's budgeted engine width
+// (pt.Workers) is honored, clamped to the hardware; width is part of the
+// store's pool key, so sweep checkouts never take a warm instance of
+// another width.
+func StoreProvider(s *corestore.Store) CoreProvider { return storeProvider{s} }
 
-	mu    sync.Mutex
-	cores map[graphKey]*coreEntry
-	idle  map[graphKey][]*network.Instance
-}
+type storeProvider struct{ s *corestore.Store }
 
-type coreEntry struct {
-	once sync.Once
-	c    *network.Compiled
-	err  error
-}
-
-func newLocalProvider(spec *Spec, nwWorkers int) *localProvider {
-	return &localProvider{
-		seed:    spec.Seed,
-		workers: nwWorkers,
-		cores:   map[graphKey]*coreEntry{},
-		idle:    map[graphKey][]*network.Instance{},
+func (p storeProvider) Acquire(ctx context.Context, pt TrialPoint) (*network.Instance, func(), error) {
+	key := FamilyKey(pt.Graph, pt.K, pt.Eps, pt.Seed)
+	build := func() (*graph.Graph, error) {
+		return BuildGraph(pt.Graph, pt.K, pt.Eps, pt.Seed)
 	}
-}
-
-// Acquire implements CoreProvider. It never blocks: the scheduler runs at
-// most `workers` jobs at once and each holds one instance, so the pool's
-// population is bounded by the worker count.
-func (p *localProvider) Acquire(ctx context.Context, pt TrialPoint) (*network.Instance, func(), error) {
-	gk := pt.key()
-
-	p.mu.Lock()
-	if pool := p.idle[gk]; len(pool) > 0 {
-		inst := pool[len(pool)-1]
-		p.idle[gk] = pool[:len(pool)-1]
-		p.mu.Unlock()
-		return inst, func() { p.release(gk, inst) }, nil
-	}
-	e, ok := p.cores[gk]
-	if !ok {
-		e = &coreEntry{}
-		p.cores[gk] = e
-	}
-	p.mu.Unlock()
-
-	e.once.Do(func() {
-		g, err := buildGraph(gk, p.seed)
-		if err != nil {
-			e.err = err
-			return
-		}
-		// The point's budget, not a provider-wide copy: the TrialPoint
-		// carries the full compile contract, so any CoreProvider that
-		// honors it the way this one does is interchangeable.
-		e.c, e.err = network.Compile(g, network.CompileOptions{BandwidthBits: pt.BandwidthBits})
-	})
-	if e.err != nil {
-		return nil, nil, e.err
-	}
-	width := pt.Workers
-	if width <= 0 {
-		width = p.workers
-	}
-	inst, err := e.c.NewInstance(network.InstanceOptions{Workers: width})
+	width := min(pt.Workers, runtime.GOMAXPROCS(0))
+	h, _, err := p.s.Checkout(ctx, key, build, network.EngineBSP, width)
 	if err != nil {
 		return nil, nil, err
 	}
-	return inst, func() { p.release(gk, inst) }, nil
-}
-
-func (p *localProvider) release(gk graphKey, inst *network.Instance) {
-	p.mu.Lock()
-	p.idle[gk] = append(p.idle[gk], inst)
-	p.mu.Unlock()
-}
-
-// close releases every pooled instance. Callers (RunCtx) only invoke it after
-// all workers have released their instances.
-func (p *localProvider) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, pool := range p.idle {
-		for _, inst := range pool {
-			inst.Close()
-		}
-	}
-	p.idle = map[graphKey][]*network.Instance{}
+	return h.Inst, func() { p.s.Release(h) }, nil
 }
 
 // Run executes the sweep on the standalone substrate and streams per-job
@@ -575,8 +500,9 @@ func Run(spec *Spec, sinks ...Sink) (*Summary, error) {
 // under ctx via RunProgramCtx, so in-flight CONGEST runs stop within one
 // round, not at trial boundaries — and RunCtx returns the context's error.
 // provider supplies compiled cores and warm instances for the trials; nil
-// selects the standalone per-sweep provider (compile each distinct graph
-// once, pool instances per graph).
+// runs them on a private corestore.Store that compiles each distinct graph
+// once with the spec's per-message budget, pools instances per graph, and
+// is closed when RunCtx returns.
 func RunCtx(ctx context.Context, spec *Spec, provider CoreProvider, sinks ...Sink) (*Summary, error) {
 	return RunCtxProgress(ctx, spec, provider, nil, sinks...)
 }
@@ -606,17 +532,24 @@ func RunCtxProgress(ctx context.Context, spec *Spec, provider CoreProvider, prog
 	}
 	// Split the cores between scheduler workers and each instance's engine
 	// pool, so total parallelism tracks the hardware. The width travels on
-	// every TrialPoint, so EVERY provider — not just the standalone one —
-	// sees the budgeted width and can honor it (the serve provider clamps
-	// it against its own budget; see serve.coreProvider).
+	// every TrialPoint, so every provider sees the budgeted width and can
+	// honor it (StoreProvider clamps it to the hardware).
 	instWorkers := runtime.GOMAXPROCS(0) / workers
 	if instWorkers < 1 {
 		instWorkers = 1
 	}
 	if provider == nil {
-		local := newLocalProvider(spec, instWorkers)
-		defer local.close()
-		provider = local
+		// The scheduler holds at most `workers` checkouts at once, so an
+		// unbounded private store never waits, reclaims or evicts.
+		store := corestore.New(corestore.Options{
+			MaxGraphs:        -1,
+			MaxCacheBytes:    -1,
+			MaxInstances:     math.MaxInt,
+			MaxInstanceBytes: -1,
+			BandwidthBits:    spec.BandwidthBits,
+		})
+		defer store.Close()
+		provider = StoreProvider(store)
 	}
 	if prog != nil {
 		prog.Jobs.Add(int64(len(jobs)))
@@ -718,15 +651,14 @@ func RunCtxProgress(ctx context.Context, spec *Spec, provider CoreProvider, prog
 // cuts work off mid-run.
 //
 // Transient failures — a shed from an overloaded serving provider, an
-// injected fault — are retried up to spec.MaxRetries times with jittered
+// injected fault — are retried up to maxRetries times with jittered
 // exponential backoff before failing the sweep, so a brief load spike on
 // the shared substrate does not kill a long sweep. Terminal failures
-// (and exhausted retries) fail the sweep immediately, as before.
+// (and exhausted retries) fail the sweep immediately.
 func worker(ctx context.Context, spec *Spec, provider CoreProvider, instWorkers int,
 	prog *Progress, jobCh <-chan Job, resCh chan<- Result, cancel <-chan struct{},
 	fail func(error), retries *atomic.Int64) {
 
-	maxRetries := spec.maxRetries()
 	for job := range jobCh {
 		select {
 		case <-cancel:
@@ -741,8 +673,7 @@ func worker(ctx context.Context, spec *Spec, provider CoreProvider, instWorkers 
 		for attempt := 0; ; attempt++ {
 			inst, release, err := provider.Acquire(ctx, TrialPoint{
 				Graph: job.Graph, K: job.K, Eps: job.Eps,
-				Seed: spec.Seed, BandwidthBits: spec.BandwidthBits,
-				Workers: instWorkers,
+				Seed: spec.Seed, Workers: instWorkers,
 			})
 			if err != nil {
 				err = fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s): %w",
@@ -762,7 +693,7 @@ func worker(ctx context.Context, spec *Spec, provider CoreProvider, instWorkers 
 			if prog != nil {
 				prog.Retries.Add(1)
 			}
-			if !backoffWait(ctx, cancel, retryDelay(spec, job, attempt+1)) {
+			if !backoffWait(ctx, cancel, retryDelay(spec.Seed, job, attempt+1)) {
 				jobErr = errUnwinding // the sweep's first error is already set
 				break
 			}

@@ -9,9 +9,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cycledetect/internal/core"
+	"cycledetect/internal/corestore"
+	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 )
 
@@ -44,6 +45,25 @@ func collect(t *testing.T, spec *Spec) []Result {
 		t.Fatalf("summary reports %d jobs, sink saw %d", sum.Jobs, len(out))
 	}
 	return out
+}
+
+// stripElapsed returns rs with the wall-time field zeroed, the one field
+// that differs between runs of the same spec.
+func stripElapsed(rs []Result) []Result {
+	out := make([]Result, len(rs))
+	for i, r := range rs {
+		r.Elapsed = 0
+		out[i] = r
+	}
+	return out
+}
+
+// testStore is a default-configured store for provider tests, closed when
+// the test ends.
+func testStore(t *testing.T) *corestore.Store {
+	s := corestore.New(corestore.Options{})
+	t.Cleanup(s.Close)
+	return s
 }
 
 // TestSweepDeterministic: two runs of the same spec produce identical
@@ -117,7 +137,7 @@ func TestSweepMatchesDirectRuns(t *testing.T) {
 	jobs, _ := spec.Jobs()
 	results := collect(t, spec)
 	for i, job := range jobs {
-		g, err := buildGraph(TrialPoint{Graph: job.Graph, K: job.K, Eps: job.Eps}.key(), spec.Seed)
+		g, err := BuildGraph(job.Graph, job.K, job.Eps, spec.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,6 +203,11 @@ func TestSpecValidation(t *testing.T) {
 		{"bad engine", func(s *Spec) { s.Engines = []string{"quantum"} }, "unknown engine"},
 		{"channels engine", func(s *Spec) { s.Engines = []string{"bsp", "channels"} }, `unknown engine "channels"`},
 		{"no trials", func(s *Spec) { s.Trials = 0 }, "trials must be positive"},
+		// Family graphs are bounded before they are built: 1449 vertices
+		// make a complete graph of 1,049,076 edges, just over the limit.
+		{"complete over the edge limit", func(s *Spec) { s.Graphs[0] = GraphSpec{Family: "complete", N: 1449} }, "limit of 1048576 edges"},
+		{"gnm over the edge limit", func(s *Spec) { s.Graphs[0] = GraphSpec{Family: "gnm", N: 2048, M: MaxFamilyEdges + 1} }, "limit of 1048576 edges"},
+		{"tree over the edge limit", func(s *Spec) { s.Graphs[0] = GraphSpec{Family: "tree", N: 1 << 40} }, "limit of 1048576 edges"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,6 +218,18 @@ func TestSpecValidation(t *testing.T) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}
 		})
+	}
+
+	// Graphs at or just under the edge limit still validate.
+	for _, gs := range []GraphSpec{
+		{Family: "complete", N: 1448},
+		{Family: "gnm", N: 2048, M: MaxFamilyEdges},
+		{Family: "tree", N: MaxFamilyEdges + 1},
+		{Family: "cycle", N: MaxFamilyEdges},
+	} {
+		if err := gs.Validate(); err != nil {
+			t.Errorf("%s: %v", gs, err)
+		}
 	}
 }
 
@@ -331,8 +368,7 @@ func TestRunCtxCustomProvider(t *testing.T) {
 	spec := demoSpec()
 	want := collect(t, spec)
 
-	prov := &countingProvider{inner: newLocalProvider(spec, 1)}
-	defer prov.inner.close()
+	prov := &countingProvider{inner: StoreProvider(testStore(t))}
 	var got []Result
 	if _, err := RunCtx(context.Background(), spec, prov, FuncSink(func(r *Result) error {
 		got = append(got, *r)
@@ -344,22 +380,14 @@ func TestRunCtxCustomProvider(t *testing.T) {
 		t.Fatalf("provider bookkeeping: %d acquires, %d releases",
 			prov.acquires.Load(), prov.releases.Load())
 	}
-	stripElapsed := func(rs []Result) []Result {
-		out := make([]Result, len(rs))
-		for i, r := range rs {
-			r.Elapsed = 0
-			out[i] = r
-		}
-		return out
-	}
 	if !reflect.DeepEqual(stripElapsed(want), stripElapsed(got)) {
 		t.Fatal("provider-substrate results differ from the standalone substrate")
 	}
 }
 
-// countingProvider wraps the local provider and counts checkouts.
+// countingProvider wraps a provider and counts checkouts.
 type countingProvider struct {
-	inner              *localProvider
+	inner              CoreProvider
 	acquires, releases atomic.Int64
 }
 
@@ -382,7 +410,7 @@ func (e transientErr) Transient() bool { return true }
 // flakyProvider fails its first `failures` Acquire calls with err before
 // delegating to the real substrate.
 type flakyProvider struct {
-	inner    *localProvider
+	inner    CoreProvider
 	failures int32
 	err      error
 	calls    atomic.Int32
@@ -424,9 +452,7 @@ func TestRetryTransientAcquire(t *testing.T) {
 	spec := demoSpec()
 	want := collect(t, spec)
 
-	spec.RetryBackoff = time.Microsecond
-	prov := &flakyProvider{inner: newLocalProvider(spec, 1), failures: 2, err: transientErr{"overloaded: shed"}}
-	defer prov.inner.close()
+	prov := &flakyProvider{inner: StoreProvider(testStore(t)), failures: 2, err: transientErr{"overloaded: shed"}}
 	var got []Result
 	sum, err := RunCtx(context.Background(), spec, prov, FuncSink(func(r *Result) error {
 		rr := *r
@@ -453,8 +479,7 @@ func TestRetryTransientAcquire(t *testing.T) {
 func TestTerminalAcquireNotRetried(t *testing.T) {
 	spec := demoSpec()
 	spec.Workers = 1
-	prov := &flakyProvider{inner: newLocalProvider(spec, 1), failures: 1 << 30, err: errors.New("boom")}
-	defer prov.inner.close()
+	prov := &flakyProvider{inner: StoreProvider(testStore(t)), failures: 1 << 30, err: errors.New("boom")}
 	_, err := RunCtx(context.Background(), spec, prov)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want the terminal error to surface, got: %v", err)
@@ -465,36 +490,75 @@ func TestTerminalAcquireNotRetried(t *testing.T) {
 }
 
 // TestRetriesExhausted: a persistently transient failure gives up after
-// MaxRetries attempts and fails the sweep with the underlying error.
+// maxRetries retries and fails the sweep with the underlying error.
 func TestRetriesExhausted(t *testing.T) {
 	spec := demoSpec()
 	spec.Workers = 1
-	spec.MaxRetries = 2
-	spec.RetryBackoff = time.Microsecond
-	prov := &flakyProvider{inner: newLocalProvider(spec, 1), failures: 1 << 30, err: transientErr{"always shed"}}
-	defer prov.inner.close()
+	prov := &flakyProvider{inner: StoreProvider(testStore(t)), failures: 1 << 30, err: transientErr{"always shed"}}
 	_, err := RunCtx(context.Background(), spec, prov)
 	if err == nil || !strings.Contains(err.Error(), "always shed") {
 		t.Fatalf("want the exhausted transient error to surface, got: %v", err)
 	}
-	if got := prov.calls.Load(); got != 3 { // 1 initial + MaxRetries
-		t.Fatalf("want 3 acquire attempts (1 + 2 retries), got %d", got)
+	if got := prov.calls.Load(); got != 1+maxRetries {
+		t.Fatalf("want %d acquire attempts (1 + %d retries), got %d", 1+maxRetries, maxRetries, got)
 	}
 }
 
-// TestRetriesDisabled: MaxRetries < 0 restores fail-fast behavior even
-// for transient errors.
-func TestRetriesDisabled(t *testing.T) {
-	spec := demoSpec()
-	spec.Workers = 1
-	spec.MaxRetries = -1
-	prov := &flakyProvider{inner: newLocalProvider(spec, 1), failures: 1 << 30, err: transientErr{"shed"}}
-	defer prov.inner.close()
-	_, err := RunCtx(context.Background(), spec, prov)
-	if err == nil {
-		t.Fatal("want the sweep to fail")
+// TestSweepProviderSharesCache: StoreProvider caches a trial point under
+// its FamilyKey, so a trial checkout lands in the same cache entry as a
+// Checkout under that key.
+func TestSweepProviderSharesCache(t *testing.T) {
+	s := testStore(t)
+	pt := TrialPoint{
+		Graph: GraphSpec{Family: "cycle", N: 20},
+		K:     5,
+		Seed:  3,
 	}
-	if got := prov.calls.Load(); got != 1 {
-		t.Fatalf("retries disabled: want 1 acquire attempt, got %d", got)
+	inst, release, err := StoreProvider(s).Acquire(context.Background(), pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst == nil {
+		t.Fatal("nil instance")
+	}
+	release()
+
+	key := FamilyKey(pt.Graph, pt.K, pt.Eps, pt.Seed)
+	h, hit, err := s.Checkout(context.Background(), key, func() (*graph.Graph, error) {
+		t.Fatal("hit must not rebuild")
+		return nil, nil
+	}, network.EngineBSP, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Release(h)
+	if !hit {
+		t.Fatal("query checkout after sweep acquire missed: the two paths use different keys")
+	}
+}
+
+// TestStandaloneBandwidthBudget: a standalone sweep compiles its private
+// cores with the spec's per-message budget. A budget every message breaks
+// fails the sweep with *network.ErrBandwidth, which is terminal and so not
+// retried; a budget no message reaches leaves every row as it is without
+// one.
+func TestStandaloneBandwidthBudget(t *testing.T) {
+	tight := demoSpec()
+	tight.Workers = 1
+	tight.BandwidthBits = 8
+	var prog Progress
+	_, err := RunCtxProgress(context.Background(), tight, nil, &prog)
+	var bw *network.ErrBandwidth
+	if !errors.As(err, &bw) {
+		t.Fatalf("want *network.ErrBandwidth, got %v", err)
+	}
+	if r := prog.Retries.Load(); r != 0 {
+		t.Fatalf("a bandwidth violation is terminal, but it was retried %d times", r)
+	}
+
+	wide := demoSpec()
+	wide.BandwidthBits = 1 << 20
+	if got, want := collect(t, wide), collect(t, demoSpec()); !reflect.DeepEqual(stripElapsed(got), stripElapsed(want)) {
+		t.Fatal("a budget no message reaches changed the rows")
 	}
 }
