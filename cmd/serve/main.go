@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"cycledetect/internal/network"
 	"cycledetect/internal/serve"
 )
 
@@ -56,7 +55,6 @@ func main() {
 		maxQueue     = flag.Int("max-queue-depth", 0, "bound on every admission wait queue; arrivals past it shed with 429 (0 = default 64, negative = unbounded)")
 		maxQueries   = flag.Int("max-concurrent-queries", 0, "queries in service at once (0 = default max(4*instances, 2*GOMAXPROCS), negative = ungated)")
 		maxSweeps    = flag.Int("max-concurrent-sweeps", 0, "sweeps in service at once (0 = default 8, negative = ungated)")
-		faultRate    = flag.Float64("fault-rate", 0, "CHAOS MODE: inject an engine fault (panic/bandwidth/cancel) into about this fraction of runs")
 
 		// Observability (see the README's "Observability" runbook).
 		metricsOn   = flag.Bool("metrics", true, "expose GET /metrics (Prometheus text format)")
@@ -65,11 +63,6 @@ func main() {
 	)
 	flag.Parse()
 
-	var faults *network.FaultPlan
-	if *faultRate > 0 {
-		faults = &network.FaultPlan{Decide: network.RandomFaults(*faultRate)}
-		log.Printf("serve: CHAOS MODE: injecting faults into ~%.0f%% of runs", *faultRate*100)
-	}
 	srv := serve.NewServer(serve.Options{
 		MaxGraphs:            *maxGraphs,
 		MaxCacheBytes:        *maxCacheBytes,
@@ -81,7 +74,6 @@ func main() {
 		MaxQueueDepth:        *maxQueue,
 		MaxConcurrentQueries: *maxQueries,
 		MaxConcurrentSweeps:  *maxSweeps,
-		Faults:               faults,
 		DisableMetrics:       !*metricsOn,
 		EnablePprof:          *pprofOn,
 		LogRequests:          *logRequests,

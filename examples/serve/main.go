@@ -245,8 +245,8 @@ func main() {
 	fmt.Printf("server: graphs_cached=%d cache_bytes=%d compiles=%d instances_live=%d/%d hit_rate=%.3f timeouts=%d failures=%d\n",
 		st.GraphsCached, st.CacheBytes, st.Compiles, st.InstancesLive, st.InstanceBudget,
 		st.HitRate, st.Timeouts, st.Failures)
-	fmt.Printf("server: shed=%d queue_high_water=%d retries=%d faults_injected=%d panics_recovered=%d\n",
-		st.Shed, st.QueueHighWater, st.Retries, st.FaultsInjected, st.PanicsRecovered)
+	fmt.Printf("server: shed=%d queue_high_water=%d retries=%d panics_recovered=%d\n",
+		st.Shed, st.QueueHighWater, st.Retries, st.PanicsRecovered)
 	for _, e := range st.Entries {
 		fmt.Printf("  entry %s: n=%d m=%d bytes=%d hits=%d age=%.1fs idle=%d\n",
 			e.Key, e.N, e.M, e.Bytes, e.Hits, e.AgeSeconds, e.InstancesIdle)

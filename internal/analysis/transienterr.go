@@ -1,9 +1,9 @@
 package analysis
 
 // transienterr guards the retryability contract. Errors advertising
-// `Transient() bool` (ErrInjected, ErrOverloaded) are what lets sweep
-// workers retry a shed or fault-injected trial instead of failing the
-// whole sweep; that classification runs through errors.As
+// `Transient() bool` (corestore's ErrSaturated, serve's ErrOverloaded) are
+// what lets sweep workers retry a shed instance checkout instead of failing
+// the whole sweep; that classification runs through errors.As
 // (sweep.IsTransient), which only works when the types flow consistently:
 //
 //   - constructed by pointer (&ErrX{...}): Transient is declared on the
@@ -12,8 +12,9 @@ package analysis
 //     becomes terminal;
 //   - matched with errors.Is/errors.As, never with == / != against an
 //     error-typed expression or a direct type assertion/type switch —
-//     those all miss wrapped errors (*ErrInjected wraps the injected
-//     cause, HTTP middlewares wrap everything).
+//     those all miss wrapped errors (the sweep worker wraps a failed
+//     checkout with its job's coordinates, HTTP middlewares wrap
+//     everything).
 //
 // The analyzer recognizes transient types structurally (any named type
 // whose pointer method set includes Transient() bool), so it covers the

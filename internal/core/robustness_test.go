@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cycledetect/internal/central"
 	"cycledetect/internal/graph"
@@ -153,5 +155,31 @@ func TestDetectorSilentNode(t *testing.T) {
 	}
 	if Summarize(res.Outputs, res.IDs).Reject {
 		t.Fatal("detection reported despite the relay being silenced")
+	}
+}
+
+// TestSummarizeManyRejectorsDescendingIDs: Summarize sorts the rejecting
+// IDs in O(r log r). The public API accepts any distinct ID assignment, so
+// rejecting vertices need not come in ID order; on this input (65,536
+// rejectors in descending ID order) a quadratic sort takes seconds, where
+// an O(r log r) one needs milliseconds.
+func TestSummarizeManyRejectorsDescendingIDs(t *testing.T) {
+	const n = 1 << 16
+	outputs := make([]any, n)
+	ids := make([]ID, n)
+	for v := range outputs {
+		ids[v] = ID(n - 1 - v)
+		outputs[v] = &Verdict{Reject: true, Witness: []ID{ids[v]}}
+	}
+	start := time.Now()
+	d := Summarize(outputs, ids)
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("Summarize of %d rejectors took %v; want well under a second", n, el)
+	}
+	if !d.Reject || len(d.RejectingIDs) != n || !slices.IsSorted(d.RejectingIDs) {
+		t.Fatalf("RejectingIDs not the %d ascending IDs (reject %v, %d IDs)", n, d.Reject, len(d.RejectingIDs))
+	}
+	if len(d.Witness) != 1 || d.Witness[0] != 0 {
+		t.Fatalf("witness %v, want the smallest rejecting ID's ([0])", d.Witness)
 	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Verdict is a node's final output. In the distributed-decision convention
 // of §2.2, the network accepts iff every node accepts; a single rejecting
 // node means a k-cycle was found.
@@ -110,7 +112,7 @@ func Summarize(outputs []any, ids []ID) Decision {
 		}
 		d.Switches += verdict.Metrics.Switches
 	}
-	sortIDs(d.RejectingIDs)
+	slices.Sort(d.RejectingIDs)
 	// The winning node's Witness aliases its reusable per-node buffer,
 	// which the next run on the same (pooled) instance overwrites; the
 	// Decision must stand on its own — serving code marshals it after
@@ -119,12 +121,4 @@ func Summarize(outputs []any, ids []ID) Decision {
 		d.Witness = append([]ID(nil), d.Witness...)
 	}
 	return d
-}
-
-func sortIDs(ids []ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

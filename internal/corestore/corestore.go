@@ -62,9 +62,6 @@ type Options struct {
 	// BandwidthBits, if positive, compiles a hard per-message budget into
 	// every cached core.
 	BandwidthBits int
-	// Faults, when non-nil, is passed to every spawned instance (the chaos
-	// mode of the soak tests).
-	Faults *network.FaultPlan
 	// Collector, when non-nil, receives per-run metrics from every spawned
 	// instance.
 	Collector network.RunCollector
@@ -415,7 +412,6 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, width int) (*Handle,
 			s.mu.Unlock()
 			inst, err := e.compiled.NewInstance(network.InstanceOptions{
 				Workers:   width,
-				Faults:    s.opts.Faults,
 				Collector: s.opts.Collector,
 			})
 			if err != nil {

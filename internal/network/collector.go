@@ -3,7 +3,7 @@ package network
 // Run metrics collection: an InstanceOptions-provided RunCollector receives
 // one RunMetrics record per completed RunProgram/RunProgramCtx call —
 // rounds executed, messages delivered, bandwidth high-water, and the run's
-// disposition (success / canceled / failed / fault-injected). The paper's
+// disposition (success / canceled / failed). The paper's
 // own cost measures for the distributed Ck-freeness tester are rounds and
 // messages, so these are first-class observables rather than something
 // scraped out of Result.Stats by each caller.
@@ -17,8 +17,7 @@ package network
 // RunMetrics is one run's cost and disposition, in the engine's native
 // units (counts and bits). Exactly one of the success path (the count
 // fields filled from the run's Stats) or the Canceled/Failed flags
-// describes the outcome; Injected marks runs whose failure or cancellation
-// was forced by a FaultPlan rather than earned.
+// describes the outcome.
 type RunMetrics struct {
 	// Rounds executed: the program's full round count on success, the
 	// abort round for a canceled run, 0 for a failed one (a failed run's
@@ -36,10 +35,6 @@ type RunMetrics struct {
 	// Failed marks a run aborted by a node failure (panic or bandwidth
 	// violation).
 	Failed bool
-	// Injected marks a run that had a fault injected by the instance's
-	// FaultPlan (whatever the outcome — an injected cancellation reports
-	// Canceled and Injected).
-	Injected bool
 }
 
 // RunCollector receives one record per run. Implementations must be safe
@@ -53,8 +48,8 @@ type RunCollector interface {
 
 // recordRun assembles the run's RunMetrics and hands it to the collector.
 // res is the run's Result on success and ignored otherwise.
-func (nw *Instance) recordRun(c RunCollector, res *Result, err error, injected bool) {
-	m := RunMetrics{Injected: injected}
+func (nw *Instance) recordRun(c RunCollector, res *Result, err error) {
+	var m RunMetrics
 	switch e := err.(type) {
 	case nil:
 		m.Rounds = res.Stats.Rounds

@@ -1,11 +1,12 @@
 // Tests for the per-run metrics collector hook: correctness of the
-// RunMetrics records across outcomes (success, cancellation, node failure,
-// injected fault) and the allocation invariant — an armed collector must
+// RunMetrics records across outcomes (success, cancellation, node failure)
+// and the allocation invariant — an armed collector must
 // not cost the steady-state run path a single heap allocation.
 package network_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestRunCollectorSuccess(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := col.last(t)
-		if m.Canceled || m.Failed || m.Injected {
+		if m.Canceled || m.Failed {
 			t.Errorf("clean run flagged: %+v", m)
 		}
 		if m.Rounds != res.Stats.Rounds || m.Messages != res.Stats.MessagesSent ||
@@ -100,34 +101,29 @@ func TestRunCollectorCanceled(t *testing.T) {
 		t.Fatalf("pre-canceled run recorded %d records, want 0 (nothing ran)", n)
 	}
 
-	// A fault-injected cancellation exercises the real mid-run abort path
-	// deterministically and must be flagged both Canceled and Injected.
-	plan := &network.FaultPlan{Decide: func(seed uint64, n, rounds int) (network.FaultDecision, bool) {
-		return network.FaultDecision{Kind: network.FaultCancel, Round: 2}, true
-	}}
-	finst, err := comp.NewInstance(network.InstanceOptions{Collector: col, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer finst.Close()
-	if _, err := finst.RunProgramCtx(context.Background(), &core.Tester{K: 5, Reps: 2}, 1); err == nil {
-		t.Fatal("expected injected cancellation")
+	// A program that cancels its own context inside round 2's Send hits
+	// the real mid-run abort path deterministically.
+	ctx, cancelRun := context.WithCancel(context.Background())
+	defer cancelRun()
+	_, err = inst.RunProgramCtx(ctx, &cancelProg{rounds: 5, at: 2, cancel: cancelRun}, 1)
+	var ce *network.ErrCanceled
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *ErrCanceled from the mid-run cancellation, got %v", err)
 	}
 	m := col.last(t)
-	if !m.Canceled || m.Failed || !m.Injected {
-		t.Errorf("injected cancel record = %+v, want Canceled && Injected", m)
+	if !m.Canceled || m.Failed {
+		t.Errorf("mid-run cancel record = %+v, want Canceled", m)
 	}
-	if m.Rounds < 1 {
-		t.Errorf("canceled run reports %d rounds, want the abort round (>=1)", m.Rounds)
+	if m.Rounds != ce.Round {
+		t.Errorf("canceled run reports %d rounds, want the abort round %d", m.Rounds, ce.Round)
 	}
 	if m.Messages != 0 || m.Bits != 0 {
 		t.Errorf("canceled run carries success stats: %+v", m)
 	}
 }
 
-// TestRunCollectorFailed: an injected panic records Failed+Injected; the
-// recovery run afterwards records clean success (the collector sees the
-// instance heal).
+// TestRunCollectorFailed: a node panic records Failed; the recovery run
+// afterwards records clean success (the collector sees the instance heal).
 func TestRunCollectorFailed(t *testing.T) {
 	g := graph.Cycle(24)
 	comp, err := network.Compile(g, network.CompileOptions{})
@@ -136,32 +132,25 @@ func TestRunCollectorFailed(t *testing.T) {
 	}
 	t.Run(engineName, func(t *testing.T) {
 		col := &captureCollector{}
-		fireOnce := true
-		plan := &network.FaultPlan{Decide: func(seed uint64, n, rounds int) (network.FaultDecision, bool) {
-			if fireOnce {
-				fireOnce = false
-				return network.FaultDecision{Kind: network.FaultPanic, Round: 1, Node: 3}, true
-			}
-			return network.FaultDecision{}, false
-		}}
-		inst, err := comp.NewInstance(network.InstanceOptions{Collector: col, Faults: plan})
+		inst, err := comp.NewInstance(network.InstanceOptions{Collector: col})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer inst.Close()
-		prog := &core.Tester{K: 5, Reps: 2}
-		if _, err := inst.RunProgram(prog, 1); err == nil {
-			t.Fatal("expected injected panic to fail the run")
+		bad := &phasePanic{rounds: 3, sendAt: map[network.ID]int{3: 1}}
+		if _, err := inst.RunProgram(bad, 1); err == nil {
+			t.Fatal("expected the node panic to fail the run")
 		}
 		m := col.last(t)
-		if !m.Failed || m.Canceled || !m.Injected {
-			t.Errorf("failed run record = %+v, want Failed && Injected", m)
+		if !m.Failed || m.Canceled {
+			t.Errorf("failed run record = %+v, want Failed", m)
 		}
+		prog := &core.Tester{K: 5, Reps: 2}
 		if _, err := inst.RunProgram(prog, 2); err != nil {
 			t.Fatalf("recovery run: %v", err)
 		}
 		m = col.last(t)
-		if m.Failed || m.Canceled || m.Injected || m.Rounds == 0 {
+		if m.Failed || m.Canceled || m.Rounds == 0 {
 			t.Errorf("recovery run record = %+v, want clean success", m)
 		}
 	})

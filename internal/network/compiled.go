@@ -70,12 +70,6 @@ type InstanceOptions struct {
 	// that run many Instances concurrently set this low so the product of
 	// instances and workers matches the hardware.
 	Workers int
-	// Faults, when non-nil, consults the plan before every run and injects
-	// the decided fault — a node panic, a forced bandwidth violation, or a
-	// cancellation — into the engine loop (see FaultPlan). Resilience
-	// tests and chaos-mode servers use it; production serving leaves it
-	// nil, which costs nothing per run.
-	Faults *FaultPlan
 	// Collector, when non-nil, receives one RunMetrics record per
 	// RunProgram/RunProgramCtx call (see RunCollector). nil costs one
 	// pointer load per run; armed collection adds zero heap allocations,

@@ -114,13 +114,6 @@ type Instance struct {
 	round                              int    // current round, read by the phase closures
 	sendPhase, deliverPhase, recvPhase func(w, lo, hi int)
 	outputPhase                        func(w, lo, hi int)
-
-	// Fault-injection state, armed per run by armFault from
-	// iopts.Faults (see fault.go). faultOn is false on every run of a
-	// plan-less instance, so the engine-loop guards cost one bool load.
-	fault       FaultDecision
-	faultOn     bool
-	faultCancel context.CancelCauseFunc
 }
 
 // New compiles g and attaches a single Instance in one step — the
@@ -224,14 +217,6 @@ func (nw *Instance) buildEngine() {
 		st := &nw.perWorker[w]
 		budget := nw.c.bandwidthBits
 		for v := lo; v < hi; v++ {
-			// An injected bandwidth violation is recorded before the real
-			// delivery scan, at the receiver a real oversized payload would
-			// be charged to, so it wins over one arriving at the same node.
-			if nw.faultOn && nw.fault.Kind == FaultBandwidth &&
-				nw.round == nw.fault.Round && v == nw.fault.Node && nw.errs[v] == nil {
-				nw.errs[v] = nw.injectedBandwidthErr(v, nw.round)
-				nw.hasErr[w] = true
-			}
 			ns := g.Neighbors(v)
 			rp := nw.c.topo.revPort[v]
 			for pt := range nw.in[v] {
@@ -281,12 +266,6 @@ func (nw *Instance) buildEngine() {
 //ckvet:allocfree
 func (nw *Instance) sendNode(w, v int) {
 	defer nw.catchNode(w, v, "Send")
-	if nw.faultOn && nw.fault.Kind == FaultPanic &&
-		nw.round == nw.fault.Round && v == nw.fault.Node {
-		// Panic inside the catch scope: an injected panic takes exactly the
-		// recovery path a program bug would.
-		panic(injectedPanic{})
-	}
 	nw.nodes[v].Send(nw.round, nw.out[v])
 }
 
@@ -317,11 +296,7 @@ func (nw *Instance) catchNode(w, v int, what string) {
 
 //ckvet:allocs recovery path, runs only when a node panicked
 func panicError(id ID, what string, round int, p any) error {
-	err := fmt.Errorf("congest: node %d panicked in %s (round %d): %v", id, what, round, p)
-	if _, ok := p.(injectedPanic); ok {
-		return &ErrInjected{Kind: FaultPanic, Err: err}
-	}
-	return err
+	return fmt.Errorf("congest: node %d panicked in %s (round %d): %v", id, what, round, p)
 }
 
 // prepare re-arms the per-run state: stats slabs sized to the program's
@@ -409,15 +384,9 @@ func (nw *Instance) RunProgramCtx(ctx context.Context, p Program, seed uint64) (
 		return nil, &ErrCanceled{Round: 0, Cause: context.Cause(ctx)}
 	}
 	rounds := nw.prepare(p, seed)
-	injected := false
-	if nw.iopts.Faults != nil {
-		ctx = nw.armFault(ctx, seed, rounds)
-		injected = nw.faultOn
-		defer nw.disarmFault()
-	}
 	res, err := nw.run(ctx, rounds)
 	if c := nw.iopts.Collector; c != nil {
-		nw.recordRun(c, res, err, injected)
+		nw.recordRun(c, res, err)
 	}
 	return res, err
 }
@@ -505,13 +474,6 @@ func (nw *Instance) run(ctx context.Context, rounds int) (*Result, error) {
 		nw.pool.run(fn)
 	}
 	for nw.round = 1; nw.round <= rounds; nw.round++ {
-		// An injected cancellation fires at its chosen round's barrier,
-		// through the run's own cancellable context, so everything below —
-		// the poll, the abort, the recovery — is the real client-abandon
-		// path, not a shortcut.
-		if nw.faultOn && nw.fault.Kind == FaultCancel && nw.round >= nw.fault.Round {
-			nw.fireFaultCancel()
-		}
 		// The cancellation check rides the existing round barrier: one
 		// non-blocking poll per round, before the round's first phase, so an
 		// abort never leaves a round half-executed.

@@ -39,7 +39,6 @@ type engineMetrics struct {
 	bits     *metrics.Counter
 	canceled *metrics.Counter
 	failed   *metrics.Counter
-	faults   *metrics.Counter
 	msgHist  *metrics.Histogram // messages per run, pow2 buckets
 	maxBits  *metrics.Gauge     // largest single payload ever, bits
 }
@@ -133,14 +132,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 	r.GaugeFunc("serve_instance_bytes_max", "The byte cap on live instances.",
 		func() int64 { return s.store.MaxInstanceBytes() })
 
-	r.CounterFunc("serve_faults_injected_total", "Engine faults armed by the fault plan.",
-		func() int64 {
-			if s.opts.Faults == nil {
-				return 0
-			}
-			return s.opts.Faults.Injected()
-		})
-
 	// Per-stage latency histograms.
 	waitHelp := "Admission wait before service, by queue."
 	m.queueWaitQuery = r.Histogram("serve_queue_wait_seconds", waitHelp,
@@ -173,7 +164,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 		bits:     r.Counter("engine_bits_total", "Total payload volume, bits.", l),
 		canceled: r.Counter("engine_canceled_total", "Runs aborted by their context.", l),
 		failed:   r.Counter("engine_failed_total", "Runs aborted by a node failure.", l),
-		faults:   r.Counter("engine_fault_runs_total", "Runs that had a fault injected.", l),
 		msgHist: r.Histogram("engine_run_messages", "Messages delivered per successful run.",
 			metrics.Pow2Buckets(64, 20), 0, l),
 		maxBits: r.Gauge("engine_max_message_bits",
@@ -188,7 +178,7 @@ func newServeMetrics(s *Server) *serveMetrics {
 		s.sweepProg.JobsDone.Load)
 	r.CounterFunc("sweep_trials_total", "Individual trials completed (sweep throughput).",
 		s.sweepProg.Trials.Load)
-	r.CounterFunc("sweep_retries_total", "Transient trial failures absorbed by retry.",
+	r.CounterFunc("sweep_retries_total", "Shed instance checkouts retried by sweep workers.",
 		s.sweepProg.Retries.Load)
 	r.GaugeFunc("sweep_active_workers", "Scheduler workers currently running a job's trials.",
 		s.sweepProg.ActiveWorkers.Load)
@@ -203,9 +193,6 @@ func (m *serveMetrics) RecordRun(rm network.RunMetrics) {
 	e := &m.engine
 	e.runs.Inc()
 	e.rounds.Add(int64(rm.Rounds))
-	if rm.Injected {
-		e.faults.Inc()
-	}
 	switch {
 	case rm.Canceled:
 		e.canceled.Inc()

@@ -104,12 +104,11 @@ func TestHTTPMetricsExposition(t *testing.T) {
 		"serve_cache_graphs", "serve_cache_bytes", "serve_cache_bytes_max",
 		"serve_instances_live", "serve_instances_idle", "serve_instance_budget",
 		"serve_instance_bytes", "serve_instance_bytes_max",
-		"serve_faults_injected_total",
 		"serve_queue_wait_seconds", "serve_acquire_seconds", "serve_run_seconds",
 		"serve_query_seconds", "serve_sweep_seconds",
 		"engine_runs_total", "engine_rounds_total", "engine_messages_total",
 		"engine_bits_total", "engine_canceled_total", "engine_failed_total",
-		"engine_fault_runs_total", "engine_run_messages", "engine_max_message_bits",
+		"engine_run_messages", "engine_max_message_bits",
 		"sweep_jobs_total", "sweep_jobs_done_total", "sweep_trials_total",
 		"sweep_retries_total", "sweep_active_workers",
 	} {

@@ -2,14 +2,14 @@ package serve
 
 // Resilience tests: admission control, load shedding, deadline-aware
 // rejection, the byte-denominated instance budget, panic isolation, and the
-// fault-injection soak that drives all of it at once.
+// overload soak that drives all of it at once on real faults (budget
+// violations and abandoned requests).
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"cycledetect/internal/core"
+	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 	"cycledetect/internal/sweep"
 )
@@ -41,20 +42,50 @@ func assert429(t *testing.T, resp *http.Response) {
 	}
 }
 
-// TestSoakOverloadWithFaults is the chaos drill: offered load several times
-// the instance budget, engine faults (panics, bandwidth violations,
-// cancellations) injected into ~15% of runs, and sweep traffic mixed in. The
-// server must shed the excess with well-formed 429s, never deadlock or
-// crash, return every instance to its pool, and — the determinism contract
-// under fire — answer every admitted clean run byte-identically to a fresh
-// one-shot run, including after faults.
+// soakBudget is the soak server's per-message budget in bits. Over the
+// soak's seeds (0-239), k=7 reps=2 runs on G(48,192, seed 9) peak at
+// 208-344 bits per message, so this budget fails 17 of them.
+const soakBudget = 280
+
+// soakRun is one seed's ground truth: a fresh run under soakBudget either
+// decides (Err "") or fails with this exact budget-violation text.
+type soakRun struct {
+	Dec core.Decision
+	Err string
+}
+
+func freshSoakRun(t *testing.T, g *graph.Graph, seed uint64) soakRun {
+	t.Helper()
+	nw, err := network.New(g, network.Options{BandwidthBits: soakBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	res, err := nw.RunProgram(&core.Tester{K: 7, Reps: 2}, seed)
+	if err != nil {
+		var be *network.ErrBandwidth
+		if !errors.As(err, &be) {
+			t.Fatalf("seed %d: fresh run failed with %v, want a budget violation or success", seed, err)
+		}
+		return soakRun{Err: err.Error()}
+	}
+	return soakRun{Dec: core.Summarize(res.Outputs, res.IDs)}
+}
+
+// TestSoakOverloadWithFaults is the overload drill on real faults: offered
+// load several times the instance budget, a per-message budget that some
+// seeds' runs exceed, clients abandoning requests mid-flight, and sweep
+// traffic mixed in. The server must shed the excess with well-formed 429s,
+// never deadlock or crash, return every instance to its pool, and — the
+// determinism contract under fire — answer every admitted run exactly as a
+// fresh run under the same budget does: the same verdict, or the same
+// budget violation.
 func TestSoakOverloadWithFaults(t *testing.T) {
-	plan := &network.FaultPlan{Decide: network.RandomFaults(0.15)}
 	s := NewServer(Options{
 		MaxInstances:         2,
 		MaxQueueDepth:        2,
 		MaxConcurrentQueries: 4,
-		Faults:               plan,
+		BandwidthBits:        soakBudget,
 	})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -65,19 +96,23 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	const clients, perClient = 12, 20
-	// Ground truth per seed, computed fault-free: any 200 the soak gets back
-	// must match it exactly (faulted runs never answer 200 — every fault
-	// kind errors the run).
-	want := make([]core.Decision, clients*perClient)
+	want := make([]soakRun, clients*perClient)
+	over := 0
 	for i := range want {
-		want[i] = freshDecision(t, g, 5, 2, 0, uint64(i))
+		if want[i] = freshSoakRun(t, g, uint64(i)); want[i].Err != "" {
+			over++
+		}
+	}
+	if over == 0 || over == len(want) {
+		t.Fatalf("budget %d fails %d of %d seeds; the soak needs both outcomes", soakBudget, over, len(want))
 	}
 
-	// Half the bodies name the engine, half leave it to the default.
+	// Half the bodies name the engine, half leave it to the default. Every
+	// seventh request is abandoned by its client shortly after it is sent.
 	engineField := [2]string{``, `,"engine":"bsp"`}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	var got200, got429 atomic.Int64
+	var got200, got400, got429, abandoned atomic.Int64
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -86,47 +121,74 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				seed := c*perClient + i
 				body := fmt.Sprintf(
-					`{"graph":{"family":"gnm","n":48,"m":192,"seed":9},"k":5,"reps":2,"seed":%d%s}`,
+					`{"graph":{"family":"gnm","n":48,"m":192,"seed":9},"k":7,"reps":2,"seed":%d%s}`,
 					seed, engineField[(c+i)%2])
-				resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
-				if err != nil {
-					t.Errorf("client %d query %d: %v", c, i, err)
-					return
-				}
-				switch resp.StatusCode {
-				case http.StatusOK:
-					var qr QueryResponse
-					if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+				func() {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					var abandon *time.Timer
+					if seed%7 == 3 {
+						abandon = time.AfterFunc(time.Duration(seed%5)*200*time.Microsecond, cancel)
+					}
+					req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/query", strings.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if abandon != nil && !abandon.Stop() {
+						// The client gave up mid-flight: whatever arrived is moot,
+						// but a failed request must have failed for that reason.
+						if err == nil {
+							resp.Body.Close()
+						} else if !errors.Is(err, context.Canceled) {
+							t.Errorf("seed %d: abandoned request failed with %v", seed, err)
+						}
+						abandoned.Add(1)
+						return
+					}
+					if err != nil {
 						t.Errorf("client %d query %d: %v", c, i, err)
-					} else if qr.Rejected != want[seed].Reject ||
-						!reflect.DeepEqual(qr.RejectingIDs, want[seed].RejectingIDs) ||
-						!reflect.DeepEqual(qr.Witness, want[seed].Witness) {
-						t.Errorf("seed %d: served verdict differs from fresh run under soak", seed)
+						return
 					}
-					got200.Add(1)
-				case http.StatusTooManyRequests:
-					assert429(t, resp)
-					got429.Add(1)
-				case http.StatusBadRequest:
-					// Injected panic or bandwidth fault surfacing through the
-					// run; anything else rejected here is a real bug.
-					b, _ := io.ReadAll(resp.Body)
-					if !strings.Contains(string(b), "injected") {
-						t.Errorf("seed %d: unexpected 400: %s", seed, b)
+					defer resp.Body.Close()
+					w := want[seed]
+					switch resp.StatusCode {
+					case http.StatusOK:
+						var qr QueryResponse
+						if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+							t.Errorf("client %d query %d: %v", c, i, err)
+						} else if w.Err != "" {
+							t.Errorf("seed %d: served a verdict, but a fresh run fails: %s", seed, w.Err)
+						} else if qr.Rejected != w.Dec.Reject ||
+							!reflect.DeepEqual(qr.RejectingIDs, w.Dec.RejectingIDs) ||
+							!reflect.DeepEqual(qr.Witness, w.Dec.Witness) {
+							t.Errorf("seed %d: served verdict differs from fresh run under soak", seed)
+						}
+						got200.Add(1)
+					case http.StatusTooManyRequests:
+						assert429(t, resp)
+						got429.Add(1)
+					case http.StatusBadRequest:
+						// Only a budget violation may fail a run, and it must be
+						// the one a fresh run reports.
+						var e map[string]string
+						if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e["error"] != w.Err || w.Err == "" {
+							t.Errorf("seed %d: 400 %q (decode err %v), want the fresh run's error %q", seed, e["error"], err, w.Err)
+						}
+						got400.Add(1)
+					case http.StatusGatewayTimeout:
+						// A deadline lost to queueing under overload: orderly.
+					default:
+						t.Errorf("seed %d: unexpected HTTP %d", seed, resp.StatusCode)
 					}
-				case http.StatusRequestTimeout, http.StatusGatewayTimeout:
-					// An injected cancellation (408) or a deadline lost to
-					// queueing under overload (504): both are orderly.
-				default:
-					t.Errorf("seed %d: unexpected HTTP %d", seed, resp.StatusCode)
-				}
-				resp.Body.Close()
+				}()
 			}
 		}(c)
 	}
 	// Sweep traffic over the same saturated budget: outcomes may be
-	// success, a shed, or an injected fault surviving its retries — but
-	// never a hang or an unexplained failure.
+	// success, a shed that outlived its retries, or a trial's budget
+	// violation — but never a hang or an unexplained failure.
 	for sw := 0; sw < 2; sw++ {
 		wg.Add(1)
 		go func(sw int) {
@@ -135,15 +197,15 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				spec := &sweep.Spec{
 					Graphs: []sweep.GraphSpec{{Family: "gnm", N: 48, M: 192}},
-					K:      []int{5}, Eps: []float64{0.25},
+					K:      []int{7}, Eps: []float64{0.25}, Reps: 2,
 					Trials: 2, Seed: uint64(9 + i), Workers: 2,
 				}
 				_, err := s.RunSweep(context.Background(), spec,
 					sweep.FuncSink(func(*sweep.Result) error { return nil }))
 				if err != nil {
 					var ov *ErrOverloaded
-					var inj *network.ErrInjected
-					if !errors.As(err, &ov) && !errors.As(err, &inj) && !errors.Is(err, context.Canceled) {
+					var be *network.ErrBandwidth
+					if !errors.As(err, &ov) && !errors.As(err, &be) {
 						t.Errorf("sweep %d/%d: %v", sw, i, err)
 					}
 				}
@@ -175,34 +237,33 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 	if got200.Load() == 0 {
 		t.Errorf("soak starved every request; overload must degrade, not deny all service")
 	}
-	if plan.Injected() == 0 || st.FaultsInjected == 0 {
-		t.Errorf("fault plan never fired: plan=%d stats=%+v", plan.Injected(), st)
+	if failed := s.met.engine.failed.Value(); failed == 0 {
+		t.Errorf("no run exceeded the budget: engine_failed_total=0 (400s=%d)", got400.Load())
 	}
 	if st.QueueHighWater < 1 {
 		t.Errorf("overload never queued anything: %+v", st)
 	}
+	t.Logf("soak: %d ok, %d over budget, %d shed, %d abandoned", got200.Load(), got400.Load(), got429.Load(), abandoned.Load())
 
-	// Post-fault determinism: a seed the plan provably leaves clean must
-	// answer byte-identically to a fresh run, on the very instances the
-	// faults ran through.
-	cleanSeed := uint64(0)
-	for sd := uint64(1000); ; sd++ {
-		if _, ok := plan.Decide(sd, g.N(), 8); !ok {
-			cleanSeed = sd
-			break
-		}
+	// Post-fault determinism: a seed whose fresh run fits the budget must
+	// answer byte-identically to it, on the very instances the failed and
+	// abandoned runs went through.
+	cleanSeed := uint64(1000)
+	fresh := freshSoakRun(t, g, cleanSeed)
+	for fresh.Err != "" {
+		cleanSeed++
+		fresh = freshSoakRun(t, g, cleanSeed)
 	}
 	resp, err := s.Query(context.Background(), &QueryRequest{
 		Graph: GraphRequest{Family: "gnm", N: 48, M: 192, Seed: 9},
-		K:     5, Reps: 2, Seed: cleanSeed,
+		K:     7, Reps: 2, Seed: cleanSeed,
 	})
 	if err != nil {
 		t.Fatalf("post-soak query: %v", err)
 	}
-	fresh := freshDecision(t, g, 5, 2, 0, cleanSeed)
-	if resp.Rejected != fresh.Reject ||
-		!reflect.DeepEqual(resp.RejectingIDs, fresh.RejectingIDs) ||
-		!reflect.DeepEqual(resp.Witness, fresh.Witness) {
+	if resp.Rejected != fresh.Dec.Reject ||
+		!reflect.DeepEqual(resp.RejectingIDs, fresh.Dec.RejectingIDs) ||
+		!reflect.DeepEqual(resp.Witness, fresh.Dec.Witness) {
 		t.Fatal("post-fault served verdict differs from fresh run")
 	}
 }
@@ -251,6 +312,57 @@ func TestBudgetReclaimAdmissionRace(t *testing.T) {
 	}
 	if st.Shed != shed.Load() {
 		t.Fatalf("shed counter %d disagrees with client-observed sheds %d", st.Shed, shed.Load())
+	}
+}
+
+// TestSweepRetriesCountedOnFailure: /stats and /metrics count the same
+// sweep retries, including those of a sweep that then fails. With the only
+// instance held and the one wait-queue slot taken, every checkout of the
+// sweep is shed: the first attempt and its three retries.
+func TestSweepRetriesCountedOnFailure(t *testing.T) {
+	s := NewServer(Options{MaxInstances: 1, MaxQueueDepth: 1})
+	defer s.Close()
+	req := &QueryRequest{Graph: GraphRequest{Family: "cycle", N: 10}, K: 5, Reps: 1}
+	key, build, err := req.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _, err := s.checkout(context.Background(), key, build, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := s.Query(context.Background(), req)
+		parked <- err
+	}()
+	for i := 0; s.queueDepth.Load() != 1; i++ {
+		if i > 2000 {
+			t.Fatal("the waiter never parked on the instance budget")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	_, err = s.RunSweep(context.Background(), &sweep.Spec{
+		Graphs: []sweep.GraphSpec{{Family: "cycle", N: 10}},
+		K:      []int{5}, Eps: []float64{0.25}, Trials: 1, Seed: 1, Workers: 1,
+	}, sweep.FuncSink(func(*sweep.Result) error { return nil }))
+	var ov *ErrOverloaded
+	if !errors.As(err, &ov) {
+		t.Fatalf("want the sweep shed after its retries, got %v", err)
+	}
+	s.release(h)
+	if err := <-parked; err != nil {
+		t.Fatalf("parked query after release: %v", err)
+	}
+
+	if got := s.Stats().Retries; got != 3 {
+		t.Errorf("Stats().Retries = %d, want 3", got)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if v := metricValue(scrape(t, ts.URL), "sweep_retries_total"); v != 3 {
+		t.Errorf("sweep_retries_total = %v, want 3", v)
 	}
 }
 

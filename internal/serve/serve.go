@@ -116,10 +116,6 @@ type Options struct {
 	// negative disables the gate). Sweeps are long-lived and fan out over
 	// the shared instance budget, so the default is deliberately small.
 	MaxConcurrentSweeps int
-	// Faults, when non-nil, injects engine faults into served runs via
-	// network.InstanceOptions — the soak tests' chaos mode. Production
-	// servers leave it nil.
-	Faults *network.FaultPlan
 	// DisableMetrics removes GET /metrics from the handler. Collection
 	// itself always runs (it is allocation-free on the hot paths); this
 	// only controls exposition.
@@ -220,7 +216,6 @@ func (s *Server) storeOptions() corestore.Options {
 		MaxQueueDepth:    s.opts.MaxQueueDepth,
 		DefaultWorkers:   s.opts.NetworkWorkers,
 		BandwidthBits:    s.opts.BandwidthBits,
-		Faults:           s.opts.Faults,
 		Collector:        s.met,
 		OnQueueEnter:     s.enterQueue,
 		OnQueueLeave:     s.leaveQueue,
@@ -270,7 +265,6 @@ type Server struct {
 	shed           atomic.Int64 // requests rejected by admission control (429s)
 	queueDepth     atomic.Int64 // requests parked in wait queues right now
 	queueHighWater atomic.Int64 // max queueDepth ever observed
-	sweepRetries   atomic.Int64 // transient trial failures absorbed by sweep retry
 	panics         atomic.Int64 // handler panics recovered by the HTTP middleware
 }
 
@@ -338,24 +332,30 @@ func (s *Server) Close() {
 	s.store.Close()
 }
 
-// checkout acquires a warm instance handle from the store, translating the
-// store's saturation error into the server's overload vocabulary — the
-// shed counter, the per-reason metric, and an *ErrOverloaded carrying a
-// Retry-After hint.
+// checkout acquires a warm instance handle from the store, translating its
+// saturation error (see shedSaturated).
 func (s *Server) checkout(ctx context.Context, key string, build func() (*graph.Graph, error),
 	workers int) (*corestore.Handle, bool, error) {
 	h, hit, err := s.store.Checkout(ctx, key, build, network.EngineBSP, workers)
 	if err != nil {
-		// The errors.As target lives inside the guard: boxing &sat would
-		// otherwise cost the happy path a heap allocation per query.
-		var sat *corestore.ErrSaturated
-		if errors.As(err, &sat) {
-			return nil, false, s.shedded("instances", fmt.Sprintf(
-				"instance budget (%d) saturated and its wait queue (%d) full",
-				sat.Instances, sat.QueueDepth))
-		}
+		return nil, false, s.shedSaturated(err)
 	}
-	return h, hit, err
+	return h, hit, nil
+}
+
+// shedSaturated translates a store checkout error into the server's
+// overload vocabulary: a *corestore.ErrSaturated becomes a shed — the shed
+// counter, the per-reason metric, and an *ErrOverloaded carrying a
+// Retry-After hint. Any other error passes through. Callers invoke it only
+// on the error path: boxing the errors.As target costs a heap allocation.
+func (s *Server) shedSaturated(err error) error {
+	var sat *corestore.ErrSaturated
+	if errors.As(err, &sat) {
+		return s.shedded("instances", fmt.Sprintf(
+			"instance budget (%d) saturated and its wait queue (%d) full",
+			sat.Instances, sat.QueueDepth))
+	}
+	return err
 }
 
 // release returns a handle to the store, first dropping the dead request's
@@ -572,15 +572,14 @@ type Stats struct {
 	InFlight int64 `json:"in_flight"`
 	// Resilience counters (see admission.go): Shed counts requests rejected
 	// with 429, QueueDepth/QueueHighWater track parked requests across all
-	// wait queues, Retries counts transient sweep-trial failures absorbed by
-	// retry, FaultsInjected counts engine faults armed by Options.Faults,
-	// and PanicsRecovered counts handler panics caught by the HTTP
-	// middleware.
+	// wait queues, Retries counts shed instance checkouts that sweep
+	// workers retried (the sweep_retries_total series, whether or not the
+	// sweep then succeeded), and PanicsRecovered counts handler panics
+	// caught by the HTTP middleware.
 	Shed            int64 `json:"shed"`
 	QueueDepth      int64 `json:"queue_depth"`
 	QueueHighWater  int64 `json:"queue_high_water"`
 	Retries         int64 `json:"retries"`
-	FaultsInjected  int64 `json:"faults_injected"`
 	PanicsRecovered int64 `json:"panics_recovered"`
 	// HitRate is Hits / (Hits + Misses), 0 before the first lookup.
 	HitRate float64 `json:"hit_rate"`
@@ -603,11 +602,8 @@ func (s *Server) Stats() Stats {
 		Shed:            s.shed.Load(),
 		QueueDepth:      s.queueDepth.Load(),
 		QueueHighWater:  s.queueHighWater.Load(),
-		Retries:         s.sweepRetries.Load(),
+		Retries:         s.sweepProg.Retries.Load(),
 		PanicsRecovered: s.panics.Load(),
-	}
-	if s.opts.Faults != nil {
-		st.FaultsInjected = s.opts.Faults.Injected()
 	}
 	if lookups := st.Hits + st.Misses; lookups > 0 {
 		st.HitRate = float64(st.Hits) / float64(lookups)
@@ -617,9 +613,9 @@ func (s *Server) Stats() Stats {
 }
 
 // coreProvider adapts the server's store to sweep trials through
-// sweep.StoreProvider, translating the store's saturation error into the
-// server's overload vocabulary (shed counters + *ErrOverloaded with a
-// Retry-After hint) so sweep workers back off exactly like shed queries do.
+// sweep.StoreProvider, translating the store's saturation error like
+// Server.checkout does (see shedSaturated), so sweep workers back off
+// exactly like shed queries do.
 // A sweep over a graph /query already cached performs zero compiles — and
 // leaves the graph hot for subsequent queries.
 type coreProvider struct{ s *Server }
@@ -628,15 +624,9 @@ type coreProvider struct{ s *Server }
 func (p coreProvider) Acquire(ctx context.Context, pt sweep.TrialPoint) (*network.Instance, func(), error) {
 	inst, release, err := sweep.StoreProvider(p.s.store).Acquire(ctx, pt)
 	if err != nil {
-		// Guarded like Server.checkout: boxing &sat costs an allocation.
-		var sat *corestore.ErrSaturated
-		if errors.As(err, &sat) {
-			return nil, nil, p.s.shedded("instances", fmt.Sprintf(
-				"instance budget (%d) saturated and its wait queue (%d) full",
-				sat.Instances, sat.QueueDepth))
-		}
+		return nil, nil, p.s.shedSaturated(err)
 	}
-	return inst, release, err
+	return inst, release, nil
 }
 
 // RunSweep validates and executes a declarative sweep spec, streaming rows
@@ -701,9 +691,6 @@ func (s *Server) runSweep(ctx context.Context, spec *sweep.Spec, sinks ...sweep.
 		spec.Workers = cap
 	}
 	sum, err := sweep.RunCtxProgress(ctx, spec, coreProvider{s: s}, &s.sweepProg, sinks...)
-	if sum != nil {
-		s.sweepRetries.Add(sum.Retries)
-	}
 	if err == nil {
 		s.met.sweepDur.ObserveSince(start)
 	}

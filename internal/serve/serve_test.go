@@ -637,7 +637,7 @@ func TestStatsJSONKeys(t *testing.T) {
 		"cache_bytes", "compiles", "entries",
 		"entries[].age_seconds", "entries[].bytes", "entries[].hits",
 		"entries[].instances_idle", "entries[].key", "entries[].m", "entries[].n",
-		"evictions", "failures", "faults_injected", "graphs_cached", "hit_rate",
+		"evictions", "failures", "graphs_cached", "hit_rate",
 		"hits", "in_flight", "instance_budget", "instance_bytes", "instances_idle",
 		"instances_live", "max_cache_bytes", "max_instance_bytes", "misses",
 		"panics_recovered", "queries", "queue_depth", "queue_high_water",

@@ -12,8 +12,10 @@ package serve
 // else, which is what keeps the accept path at its 16-alloc floor.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -123,16 +125,9 @@ func (s *Server) inflightSnapshot(now time.Time) []InFlightRequestStats {
 		})
 	}
 	s.flMu.Unlock()
-	sortInflight(out)
+	// Oldest first: stable output for tests and operators tailing /stats.
+	slices.SortFunc(out, func(a, b InFlightRequestStats) int {
+		return cmp.Compare(b.ElapsedSeconds, a.ElapsedSeconds)
+	})
 	return out
-}
-
-// sortInflight orders a snapshot oldest-first (stable output for tests
-// and operators tailing /stats).
-func sortInflight(reqs []InFlightRequestStats) {
-	for i := 1; i < len(reqs); i++ {
-		for j := i; j > 0 && reqs[j].ElapsedSeconds > reqs[j-1].ElapsedSeconds; j-- {
-			reqs[j], reqs[j-1] = reqs[j-1], reqs[j]
-		}
-	}
 }

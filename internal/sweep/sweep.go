@@ -168,11 +168,11 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// Transient failures — a serving provider shedding load, an injected fault
-// (see IsTransient) — are retried up to maxRetries times per job before the
+// A transient checkout failure — a serving provider shedding load (see
+// IsTransient) — is retried up to maxRetries times per job before the
 // sweep fails. Retry i waits retryBackoff·2^(i-1) plus a deterministic
-// jitter in [0, retryBackoff). Terminal failures (program panics, real
-// bandwidth violations, the sweep's own cancellation) are never retried.
+// jitter in [0, retryBackoff). Trial failures (program panics, bandwidth
+// violations, the sweep's own cancellation) are never retried.
 const (
 	maxRetries   = 3
 	retryBackoff = 5 * time.Millisecond
@@ -224,8 +224,8 @@ type Summary struct {
 	Jobs    int
 	Skipped int // grid points skipped as not runnable
 	Trials  int
-	// Retries counts transient failures that were retried (and eventually
-	// absorbed) instead of failing the sweep — see maxRetries.
+	// Retries counts transient checkout failures that were retried (and
+	// eventually absorbed) instead of failing the sweep — see maxRetries.
 	Retries int64
 	Elapsed time.Duration
 }
@@ -408,7 +408,8 @@ type Progress struct {
 	// Trials counts individual completed trials — the sweep throughput
 	// numerator.
 	Trials atomic.Int64
-	// Retries counts transient-failure retries (mirrors Summary.Retries).
+	// Retries counts retried checkouts (mirrors Summary.Retries), including
+	// those of sweeps that then failed.
 	Retries atomic.Int64
 	// ActiveWorkers is the number of scheduler workers currently running
 	// a job's trials, across all sweeps sharing this Progress.
@@ -416,12 +417,12 @@ type Progress struct {
 }
 
 // IsTransient reports whether err is worth retrying: something in its
-// chain declares Transient() true. The serve layer's load sheds
-// (*serve.ErrOverloaded) and the network layer's injected faults
-// (*network.ErrInjected) do; real program panics, genuine bandwidth
-// violations, and the sweep's own cancellation do not. The check is
-// structural — any error advertising Transient() participates — so sweep
-// does not import the layers above it.
+// chain declares Transient() true. A saturated store
+// (*corestore.ErrSaturated) and the serve layer's load sheds
+// (*serve.ErrOverloaded) do; engine errors (program panics, bandwidth
+// violations, cancellation) never do. The check is structural — any error
+// advertising Transient() participates — so sweep does not import the
+// layers above it.
 func IsTransient(err error) bool {
 	var t interface{ Transient() bool }
 	return errors.As(err, &t) && t.Transient()
@@ -648,13 +649,9 @@ func RunCtxProgress(ctx context.Context, spec *Spec, provider CoreProvider, prog
 // provider per job (released when the job's trials are done, so the warmth
 // flows back into the shared pool — and, with a serving provider, to query
 // traffic on the same graph). Every trial runs under ctx, so cancellation
-// cuts work off mid-run.
-//
-// Transient failures — a shed from an overloaded serving provider, an
-// injected fault — are retried up to maxRetries times with jittered
-// exponential backoff before failing the sweep, so a brief load spike on
-// the shared substrate does not kill a long sweep. Terminal failures
-// (and exhausted retries) fail the sweep immediately.
+// cuts work off mid-run. A job's trials run exactly once: a trial is a pure
+// function of its seed, so a failed one would fail again, and the first
+// trial error fails the sweep.
 func worker(ctx context.Context, spec *Spec, provider CoreProvider, instWorkers int,
 	prog *Progress, jobCh <-chan Job, resCh chan<- Result, cancel <-chan struct{},
 	fail func(error), retries *atomic.Int64) {
@@ -668,42 +665,37 @@ func worker(ctx context.Context, spec *Spec, provider CoreProvider, instWorkers 
 		if prog != nil {
 			prog.ActiveWorkers.Add(1)
 		}
-		var r Result
-		var jobErr error
-		for attempt := 0; ; attempt++ {
-			inst, release, err := provider.Acquire(ctx, TrialPoint{
-				Graph: job.Graph, K: job.K, Eps: job.Eps,
-				Seed: spec.Seed, Workers: instWorkers,
-			})
-			if err != nil {
-				err = fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s): %w",
-					job.Index, job.Graph, job.K, job.Eps, job.Engine, err)
-			} else {
-				r, err = runJob(ctx, inst, spec, prog, job)
-				release()
-			}
-			if err == nil {
-				break
-			}
-			if attempt >= maxRetries || !IsTransient(err) {
-				jobErr = err
-				break
-			}
+		// A transient checkout failure — a shed from an overloaded serving
+		// provider — is retried with jittered exponential backoff, so a
+		// brief load spike on the shared substrate does not kill a long
+		// sweep. Terminal failures and exhausted retries fail the sweep.
+		pt := TrialPoint{Graph: job.Graph, K: job.K, Eps: job.Eps, Seed: spec.Seed, Workers: instWorkers}
+		inst, release, err := provider.Acquire(ctx, pt)
+		for attempt := 1; err != nil && attempt <= maxRetries && IsTransient(err); attempt++ {
 			retries.Add(1)
 			if prog != nil {
 				prog.Retries.Add(1)
 			}
-			if !backoffWait(ctx, cancel, retryDelay(spec.Seed, job, attempt+1)) {
-				jobErr = errUnwinding // the sweep's first error is already set
+			if !backoffWait(ctx, cancel, retryDelay(spec.Seed, job, attempt)) {
+				err = errUnwinding // the sweep's first error is already set
 				break
 			}
+			inst, release, err = provider.Acquire(ctx, pt)
+		}
+		var r Result
+		if err == nil {
+			r, err = runJob(ctx, inst, spec, prog, job)
+			release()
+		} else if err != errUnwinding {
+			err = fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s): %w",
+				job.Index, job.Graph, job.K, job.Eps, job.Engine, err)
 		}
 		if prog != nil {
 			prog.ActiveWorkers.Add(-1)
 		}
-		if jobErr != nil {
-			if jobErr != errUnwinding {
-				fail(jobErr)
+		if err != nil {
+			if err != errUnwinding {
+				fail(err)
 			}
 			return
 		}

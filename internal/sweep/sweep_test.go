@@ -432,9 +432,10 @@ func TestIsTransient(t *testing.T) {
 		{fmt.Errorf("sweep: job 3: %w", transientErr{"shed"}), true},
 		{errors.New("terminal"), false},
 		{context.Canceled, false},
-		// A run cancelled by an INJECTED fault is transient (retry gets a
-		// clean run); a run cancelled by the client is not.
-		{&network.ErrCanceled{Cause: &network.ErrInjected{Kind: network.FaultCancel, Err: context.Canceled}}, true},
+		// Engine errors are never transient: a run is a pure function of
+		// its seed, so a budget violation would recur, and a cancellation
+		// is the caller's own.
+		{&network.ErrBandwidth{Round: 2, From: 1, To: 2, Bits: 48, BudgetBit: 40}, false},
 		{&network.ErrCanceled{Cause: context.Canceled}, false},
 		{nil, false},
 	}
