@@ -75,6 +75,38 @@ func BenchmarkTesterByK(b *testing.B) {
 	}
 }
 
+// BenchmarkTesterWarmByK is BenchmarkTesterByK's repetition on a warm
+// instance: the nodes, arenas and engine tables are built and grown before
+// the timer starts, so an op is one reused-node repetition and allocates
+// nothing. Next to the fresh rows it separates the per-repetition cost from
+// the setup cost.
+func BenchmarkTesterWarmByK(b *testing.B) {
+	rng := xrand.New(1)
+	g := graph.ConnectedGNM(256, 1024, rng)
+	for _, k := range []int{3, 5, 7, 9} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			nw, err := network.New(g, network.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer nw.Close()
+			prog := &core.Tester{K: k, Reps: 1}
+			const warm = 16
+			for s := uint64(0); s < warm; s++ {
+				if _, err := nw.RunProgram(prog, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := nw.RunProgram(prog, warm+uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEnginesCompare times fresh single-use tester runs on a 128-node
 // graph. Its one row keeps the name "bsp" so the snapshot trajectory from
 // BENCH_1.json continues.

@@ -61,14 +61,18 @@ func (t *Tester) NewNode(info network.NodeInfo) network.Node {
 	if t.Reps <= 0 && (t.Eps <= 0 || t.Eps >= 1) {
 		panic("core: Tester needs Reps > 0 or Eps in (0,1)")
 	}
+	deg := info.Degree()
+	ranks, flags := make([]uint64, 2*deg), make([]bool, 2*deg)
 	n := &testerNode{
 		prog:      t,
 		info:      info,
 		rankMax:   rankRange(info.N),
-		edgeRanks: make([]uint64, info.Degree()),
-		mine:      make([]bool, info.Degree()),
+		edgeRanks: ranks[:deg:deg],
+		mine:      flags[:deg:deg],
+		portRanks: ranks[deg:],
+		portLive:  flags[deg:],
 	}
-	n.cs.prealloc(t.K, info.Degree())
+	n.cs.prealloc(t.K, deg)
 	n.checkBuf = make([]byte, 0, 256)
 	return n
 }
@@ -93,6 +97,12 @@ type testerNode struct {
 	// Per-repetition Phase-1 state.
 	edgeRanks []uint64 // rank of the incident edge on each port
 	mine      []bool   // whether this node drew the rank for that port
+
+	// Per-round Phase-2 scratch, written by lowestRank: the rank of the
+	// check on each port, and whether the port holds one. Carved from the
+	// same allocations as edgeRanks and mine.
+	portRanks []uint64
+	portLive  []bool
 
 	cs       checkState // current (lowest-rank) check, valid when active
 	active   bool
@@ -218,21 +228,7 @@ func (n *testerNode) Receive(round int, in [][]byte) {
 		}
 		return
 	}
-	// Phase-2 rounds carry only check messages. The header is parsed in
-	// place — the preemption rule needs just (U, V, Rank) — so discarded
-	// checks never have their sequence bytes touched, and absorbed ones are
-	// decoded straight into the check's arena (with rollback on a malformed
-	// body, which is equivalent to the seed's decode-then-drop).
-	for _, payload := range in {
-		if wire.Kind(payload) != wire.KindCheck {
-			continue
-		}
-		v, err := wire.ParseCheck(payload)
-		if err != nil {
-			continue
-		}
-		n.consider(local, &v)
-	}
+	n.receiveChecks(local, in)
 	// Once rejected, the verdict is final (the tester is 1-sided): later
 	// repetitions skip the quadratic pair scan AND the witness assembly,
 	// which also keeps the reusable witness buffer (checkState.witBuf)
@@ -245,35 +241,107 @@ func (n *testerNode) Receive(round int, in [][]byte) {
 	}
 }
 
+// receiveChecks is the Phase-2 receive. The node keeps only the lowest-rank
+// check it hears (§3.1), so it works in two passes. Pass 1 (lowestRank)
+// reads each port's rank, the first field of a check, and finds the lowest.
+// Pass 2 parses and considers only the checks at that rank, in port order:
+// a check that loses on rank is never parsed, and no sequence is absorbed
+// that a later switch in the same round would drop. Only when every check at
+// the lowest rank is malformed does pass 2 leave the node on a check of
+// another rank; then the single pass over every port decides, as it would
+// have without pass 1. Either way the node ends on the same check with the
+// same receipts, in the same order, as that single pass. A node that defects
+// to another check counts one switch for the round.
+//
+//ckvet:allocfree
+func (n *testerNode) receiveChecks(local int, in [][]byte) {
+	lo, ok := n.lowestRank(in)
+	if !ok || (n.active && lo > n.cs.rank) {
+		return // no check, or none that can beat the current one
+	}
+	defected := false
+	for p, payload := range in {
+		if n.portLive[p] && n.portRanks[p] == lo {
+			defected = n.considerPayload(local, payload) || defected
+		}
+	}
+	if !n.active || n.cs.rank != lo {
+		// Every check at the lowest rank was malformed and changed
+		// nothing; a valid one of a higher rank may still win.
+		for _, payload := range in {
+			defected = n.considerPayload(local, payload) || defected
+		}
+	}
+	if defected {
+		n.metrics.Switches++
+	}
+}
+
+// lowestRank is pass 1 of receiveChecks: it records each port's check rank
+// in portRanks and portLive and returns the lowest rank on any port (ok is
+// false when no port holds a check).
+//
+//ckvet:allocfree
+func (n *testerNode) lowestRank(in [][]byte) (lo uint64, ok bool) {
+	for p, payload := range in {
+		r, live := wire.CheckRank(payload)
+		n.portRanks[p], n.portLive[p] = r, live
+		if live && (!ok || r < lo) {
+			lo, ok = r, true
+		}
+	}
+	return lo, ok
+}
+
+// considerPayload parses a port's check header in place and hands it to
+// consider; a payload of another kind or with a malformed header is
+// dropped. An absorbed check's sequences are decoded straight into the
+// check's arena, with rollback on a malformed body, which is equivalent to
+// the seed's decode-then-drop.
+//
+//ckvet:allocfree
+func (n *testerNode) considerPayload(local int, payload []byte) bool {
+	if wire.Kind(payload) != wire.KindCheck {
+		return false
+	}
+	v, err := wire.ParseCheck(payload)
+	if err != nil {
+		return false
+	}
+	return n.consider(local, &v)
+}
+
 // consider applies the paper's preemption rule to an incoming check message:
 // discard if its check ranks worse than the current one, absorb if it is the
-// same check, and switch to it if it ranks better (§3.1). Discarded messages
-// never have their sequence bytes decoded.
-func (n *testerNode) consider(local int, c *wire.CheckView) {
+// same check, and switch to it if it ranks better (§3.1). A check is named
+// by its rank and its edge, so a message that names the current edge with
+// another rank is another check. Discarded messages never have their
+// sequence bytes decoded. It reports whether the node defected from an
+// active check.
+func (n *testerNode) consider(local int, c *wire.CheckView) bool {
 	u, v := canonEdge(c.U, c.V)
 	if n.active {
-		if n.cs.sameEdge(u, v) {
+		if c.Rank == n.cs.rank && n.cs.sameEdge(u, v) {
 			n.cs.absorbView(local, c)
-			return
+			return false
 		}
 		if !lessCheck(c.Rank, u, v, n.cs.rank, n.cs.u, n.cs.v) {
-			return // strictly worse: discard (line "r(e') > r(e)")
+			return false // strictly worse: discard (line "r(e') > r(e)")
 		}
 	}
 	// Validate the body before adopting the check, so a malformed message
 	// cannot preempt or activate anything (matching the seed, which dropped
 	// malformed messages before considering them).
 	if c.Validate() != nil {
-		return
+		return false
 	}
-	if n.active {
-		n.metrics.Switches++
-	}
+	defected := n.active
 	// Joining a check mid-flight: the seeding round has already passed, so
 	// the seeder flag is moot; pass false for clarity.
 	n.cs.reset(n.prog.K, u, v, c.Rank, n.info.ID, false, n.prog.Mode)
 	n.active = true
 	n.cs.absorbView(local, c)
+	return defected
 }
 
 func (n *testerNode) Output() any {

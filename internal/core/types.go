@@ -24,8 +24,10 @@ type NodeMetrics struct {
 	MaxSeqsPerRound []int
 	// MaxSeqs is the maximum over all rounds.
 	MaxSeqs int
-	// Switches counts check preemptions (full tester only): how many times
-	// the node abandoned its current check for a lower-rank one.
+	// Switches counts check preemptions (full tester only): the Phase-2
+	// rounds in which the node abandoned its current check for a
+	// lower-rank one. A round counts once, since the node decodes only the
+	// checks of the lowest rank it hears and goes straight to the winner.
 	Switches int
 	// ChecksStarted counts repetitions in which the node seeded a check as
 	// an endpoint of its selected edge (full tester only).
@@ -69,7 +71,8 @@ type Decision struct {
 	MaxSeqsPerRound []int
 	// MaxSeqs is the network-wide maximum sequences per message.
 	MaxSeqs int
-	// Switches sums check preemptions over all nodes.
+	// Switches sums NodeMetrics.Switches (rounds with a preemption) over
+	// all nodes.
 	Switches int
 }
 

@@ -162,11 +162,12 @@ type Store struct {
 	mu            sync.Mutex
 	cond          *sync.Cond // signaled on release, eviction, budget change, close
 	entries       map[string]*entry
-	lru           *list.List // of *entry; front = most recently used
-	cacheBytes    int64      // summed MemSize of cached cores
-	spawned       int        // live instances store-wide: idle + checked out
-	instBytes     int64      // summed MemSize pinned by live instances
-	budgetWaiters int        // checkouts parked on the instance-budget wait
+	flights       map[string]*flight // keys being built and compiled
+	lru           *list.List         // of *entry; front = most recently used
+	cacheBytes    int64              // summed MemSize of cached cores
+	spawned       int                // live instances store-wide: idle + checked out
+	instBytes     int64              // summed MemSize pinned by live instances
+	budgetWaiters int                // checkouts parked on the instance-budget wait
 	closed        bool
 
 	hits      atomic.Int64
@@ -186,6 +187,16 @@ type entry struct {
 	evicted  bool
 	hits     int64     // lookups served by this entry (guarded by Store.mu)
 	created  time.Time // when the entry entered the cache
+}
+
+// flight is the one build and compile of a key that is not cached yet.
+// Checkouts of the key that arrive meanwhile wait for done instead of
+// compiling the graph again; err, written before done is closed, is the
+// build's error.
+type flight struct {
+	done    chan struct{}
+	err     error
+	waiters int // checkouts that waited on this build (guarded by Store.mu)
 }
 
 // instPool holds the idle warm handles of one (graph, width). Width names
@@ -215,6 +226,7 @@ func New(opts Options) *Store {
 	s := &Store{
 		opts:    opts,
 		entries: make(map[string]*entry),
+		flights: make(map[string]*flight),
 		lru:     list.New(),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -256,25 +268,65 @@ func (s *Store) evictLocked(e *entry) {
 // lookup returns the cache entry for key, compiling (via build) on a miss,
 // and counts the hit/miss (store-wide and per entry). The graph build and
 // compile run outside the lock, so a slow generator stalls only the
-// checkouts that need it. A concurrent duplicate build loses the insert
-// race: its core is dropped and the winner's entry is returned, but the
-// checkout still paid for a compile, so it reports and counts a miss:
-// every compile that finds the store open counts as one miss.
-func (s *Store) lookup(key string, build func() (*graph.Graph, error)) (*entry, bool, error) {
-	s.mu.Lock()
-	if s.closed {
+// checkouts that need it, and once per key: a checkout that finds the key
+// being built waits for that build, bounded by ctx and with no lock held,
+// and shares its core or its error. A checkout that waited did not find
+// the core cached, so it reports and counts a miss like the one that
+// built it; the store counts one compile.
+func (s *Store) lookup(ctx context.Context, key string, build func() (*graph.Graph, error)) (*entry, bool, error) {
+	waited := false
+	for {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil, false, errClosed
+		}
+		if e, ok := s.entries[key]; ok {
+			s.lru.MoveToFront(e.elem)
+			if waited {
+				s.mu.Unlock()
+				s.misses.Add(1)
+				return e, false, nil
+			}
+			e.hits++
+			s.mu.Unlock()
+			s.hits.Add(1)
+			return e, true, nil
+		}
+		if f, ok := s.flights[key]; ok {
+			f.waiters++
+			s.mu.Unlock()
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return nil, false, ctx.Err()
+			}
+			if f.err != nil {
+				return nil, false, f.err
+			}
+			// The core is cached now, unless it was already evicted; then
+			// the next pass builds it again.
+			waited = true
+			continue
+		}
+		f := &flight{done: make(chan struct{})}
+		s.flights[key] = f
 		s.mu.Unlock()
-		return nil, false, fmt.Errorf("corestore: store closed")
+		return s.buildEntry(key, build, f)
 	}
-	if e, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(e.elem)
-		e.hits++
-		s.mu.Unlock()
-		s.hits.Add(1)
-		return e, true, nil
-	}
-	s.mu.Unlock()
+}
 
+// buildEntry runs the build and compile that lookup registered as f, caches
+// the result and counts the miss. Whatever happens, even a panicking build, it
+// ends the flight: waiters see the error, or retry the lookup.
+func (s *Store) buildEntry(key string, build func() (*graph.Graph, error), f *flight) (e *entry, hit bool, err error) {
+	defer func() {
+		s.mu.Lock()
+		delete(s.flights, key)
+		s.mu.Unlock()
+		f.err = err
+		close(f.done)
+	}()
 	g, err := build()
 	if err != nil {
 		return nil, false, err
@@ -288,14 +340,10 @@ func (s *Store) lookup(key string, build func() (*graph.Graph, error)) (*entry, 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, false, fmt.Errorf("corestore: store closed")
+		return nil, false, errClosed
 	}
 	s.misses.Add(1)
-	if e, ok := s.entries[key]; ok { // lost the build race: reuse the winner
-		s.lru.MoveToFront(e.elem)
-		return e, false, nil
-	}
-	e := &entry{
+	e = &entry{
 		key: key, g: g, compiled: compiled,
 		pools: map[int]*instPool{}, created: time.Now(),
 	}
@@ -321,6 +369,9 @@ func (s *Store) insertLocked(e *entry) {
 	}
 }
 
+// errClosed is the error of every lookup and checkout on a closed store.
+var errClosed = errors.New("corestore: store closed")
+
 // errEvicted reports that an entry was LRU-evicted between lookup and a
 // successful checkout; Checkout re-looks-up and retries against the live
 // cache.
@@ -331,8 +382,8 @@ var errEvicted = errors.New("corestore: cache entry evicted")
 // (width <= 0 uses Options.DefaultWorkers). engine must be "" or
 // network.EngineBSP, the only engine; any other name is refused before the
 // lookup. hit reports whether the checkout found the core cached; one that
-// compiled reports false even when a concurrent build of the same key
-// reached the cache first. The checkout spawns when the store-wide budget
+// compiled it, or waited for a concurrent checkout of the same key to
+// compile it, reports false. The checkout spawns when the store-wide budget
 // allows, reclaims an idle instance from the coldest graph when it does
 // not, or waits — bounded by ctx AND by the queue bound: a full wait queue
 // fails fast with *ErrSaturated. Entries evicted mid-checkout are retried
@@ -346,7 +397,7 @@ func (s *Store) Checkout(ctx context.Context, key string, build func() (*graph.G
 		workers = s.opts.defaultWorkers()
 	}
 	for {
-		e, wasHit, err := s.lookup(key, build)
+		e, wasHit, err := s.lookup(ctx, key, build)
 		if err != nil {
 			return nil, false, err
 		}
@@ -384,7 +435,7 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, width int) (*Handle,
 	for {
 		if s.closed {
 			s.mu.Unlock()
-			return nil, fmt.Errorf("corestore: store closed")
+			return nil, errClosed
 		}
 		if e.evicted {
 			s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"weak"
@@ -234,43 +235,148 @@ func TestReclaimedInstanceCollectable(t *testing.T) {
 	}
 }
 
-// Two concurrent first checkouts of one key both build and compile. The
-// one that loses the insert race still paid for its compile, so it reports
-// and counts a miss, not a hit: Compiles() == Misses().
+// awaitWaiters blocks until n checkouts wait on the in-flight build of key.
+func awaitWaiters(t *testing.T, s *Store, key string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		s.mu.Lock()
+		waiting := s.flights[key].waiters
+		s.mu.Unlock()
+		if waiting == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d checkouts wait on the build of %q after 10 s, want %d", waiting, key, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// Two concurrent first checkouts of one key compile it once: the second
+// finds the first one's build in flight and waits for it. Neither found
+// the core cached, so both report and count a miss, not a hit, and the
+// store counts one compile.
 func TestLostBuildRaceCountsMiss(t *testing.T) {
 	s := New(Options{MaxInstances: 2})
 	defer s.Close()
-	var inside sync.WaitGroup
-	inside.Add(2)
+	var builds atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
 	build := func() (*graph.Graph, error) {
-		inside.Done()
-		inside.Wait() // both checkouts have missed the cache
+		if builds.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
 		return graph.Cycle(16), nil
 	}
 	hits := make([]bool, 2)
 	var wg sync.WaitGroup
-	for i := range hits {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h, hit, err := s.Checkout(context.Background(), "g", build, network.EngineBSP, 1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			hits[i] = hit
-			s.Release(h)
-		}()
+	checkout := func(i int) {
+		defer wg.Done()
+		h, hit, err := s.Checkout(context.Background(), "g", build, network.EngineBSP, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		hits[i] = hit
+		s.Release(h)
 	}
+	wg.Add(2)
+	go checkout(0)
+	<-entered // the first checkout is building
+	go checkout(1)
+	awaitWaiters(t, s, "g", 1)
+	close(release)
 	wg.Wait()
 	if hits[0] || hits[1] {
-		t.Errorf("hit flags = %v, want both false: each checkout compiled", hits)
+		t.Errorf("hit flags = %v, want both false: neither found the core cached", hits)
 	}
-	if s.Compiles() != 2 || s.Misses() != 2 || s.Hits() != 0 {
-		t.Fatalf("compiles=%d misses=%d hits=%d, want 2/2/0", s.Compiles(), s.Misses(), s.Hits())
+	if n := builds.Load(); n != 1 {
+		t.Errorf("build ran %d times, want 1", n)
+	}
+	if s.Compiles() != 1 || s.Misses() != 2 || s.Hits() != 0 {
+		t.Fatalf("compiles=%d misses=%d hits=%d, want 1/2/0", s.Compiles(), s.Misses(), s.Hits())
 	}
 	if st := s.Stats(); st.GraphsCached != 1 || st.Entries[0].Hits != 0 {
 		t.Fatalf("graphs_cached=%d entry hits=%d, want 1/0", st.GraphsCached, st.Entries[0].Hits)
+	}
+}
+
+// A build that fails is shared too: the checkout waiting on it gets the
+// same error without building, and the key is free for the next checkout.
+func TestFailedBuildSharedWithWaiters(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	var builds atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	boom := errors.New("generator failed")
+	failing := func() (*graph.Graph, error) {
+		if builds.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return nil, boom
+	}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	for i := range errs {
+		go func() {
+			defer wg.Done()
+			if i == 1 {
+				<-entered
+			}
+			_, _, errs[i] = s.Checkout(context.Background(), "g", failing, network.EngineBSP, 1)
+		}()
+	}
+	<-entered
+	awaitWaiters(t, s, "g", 1)
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Errorf("checkout %d: err = %v, want %v", i, err, boom)
+		}
+	}
+	if n := builds.Load(); n != 1 || s.Compiles() != 0 || s.Misses() != 0 {
+		t.Fatalf("builds=%d compiles=%d misses=%d, want 1/0/0", n, s.Compiles(), s.Misses())
+	}
+	h, hit := mustCheckout(t, s, "g", cycleBuild(16))
+	if hit || builds.Load() != 1 || s.Compiles() != 1 {
+		t.Fatalf("checkout after the failed build: hit=%v builds=%d compiles=%d, want false/1/1", hit, builds.Load(), s.Compiles())
+	}
+	s.Release(h)
+}
+
+// A checkout waiting on another's build gives up when its context ends.
+func TestFlightWaitHonorsContext(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	build := func() (*graph.Graph, error) {
+		close(entered)
+		<-release
+		return graph.Cycle(16), nil
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h, _, err := s.Checkout(context.Background(), "g", build, network.EngineBSP, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		s.Release(h)
+	}()
+	<-entered
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, _, err := s.Checkout(ctx, "g", build, network.EngineBSP, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiting checkout: err = %v, want %v", err, context.DeadlineExceeded)
+	}
+	close(release)
+	<-done
+	if s.Compiles() != 1 || s.Misses() != 1 {
+		t.Fatalf("compiles=%d misses=%d, want 1/1", s.Compiles(), s.Misses())
 	}
 }
 

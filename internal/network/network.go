@@ -239,13 +239,14 @@ func (nw *Instance) buildEngine() {
 			}
 		}
 	}
+	// The in-tables are not cleared after Receive: delivery rewrites every
+	// in-slot, nil included, every round.
 	//ckvet:allocfree
 	nw.recvPhase = func(w, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			if !nw.failed[v] {
 				nw.recvNode(w, v)
 			}
-			clearPayloads(nw.in[v])
 		}
 	}
 	//ckvet:allocfree

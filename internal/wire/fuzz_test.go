@@ -1,11 +1,50 @@
 package wire
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 // Native fuzz targets: the decoders face arbitrary network bytes, so they
 // must never panic and must be exact inverses of the encoders on anything
-// they accept. `go test` runs the seed corpus; `go test -fuzz=FuzzDecode`
-// explores further.
+// they accept. `go test` runs the seed corpus, including the inputs under
+// testdata/fuzz; `go test -fuzz=FuzzDecode` explores further.
+
+// FuzzUvarint pins the shared varint decoder, and its one-load rank path,
+// to encoding/binary: on a canonical varint both return what
+// binary.Uvarint returns, both reject exactly the overlong encodings (more
+// than one byte, the last one 0x00) that binary.Uvarint accepts, and
+// whatever they accept re-encodes to the bytes they read.
+func FuzzUvarint(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00})
+	f.Add([]byte{0x80, 0x00})
+	f.Add([]byte{0xf7, 0x00, 0x00})
+	f.Add([]byte{0xac, 0x02, 1, 2, 3, 4, 5, 6})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x80, 0x00, 0x00})
+	f.Add(binary.AppendUvarint(nil, 1<<55))
+	f.Add(binary.AppendUvarint(nil, ^uint64(0)))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bv, bn := binary.Uvarint(data)
+		overlong := bn > 1 && data[bn-1] == 0
+		for name, dec := range map[string]func([]byte) (uint64, int){"uvarint": uvarint, "uvarintLong": uvarintLong} {
+			v, n := dec(data)
+			if bn <= 0 || overlong {
+				if n > 0 {
+					t.Fatalf("%s(% x) accepted (%d, %d bytes); binary.Uvarint gives (%d, %d)", name, data, v, n, bv, bn)
+				}
+				continue
+			}
+			if v != bv || n != bn {
+				t.Fatalf("%s(% x) = (%d, %d), binary.Uvarint (%d, %d)", name, data, v, n, bv, bn)
+			}
+			if re := binary.AppendUvarint(nil, v); string(re) != string(data[:n]) {
+				t.Fatalf("%s(% x) decoded %d, which encodes as % x", name, data, v, re)
+			}
+		}
+	})
+}
 
 func FuzzDecodeCheck(f *testing.F) {
 	f.Add([]byte{})

@@ -11,7 +11,17 @@
 //   - Rank: Phase-1 announcement of an edge's random rank, sent by the
 //     endpoint the edge is assigned to (the smaller-ID endpoint).
 //   - Check: one Phase-2 round of Algorithm 1 for a candidate edge — the
-//     candidate edge's endpoint IDs, its rank, and the set S of ID sequences.
+//     candidate edge's rank, its endpoint IDs, and the set S of ID sequences.
+//
+// A Check header is laid out as kind, rank, U, V, sequence count. Rank leads
+// because a receiver keeps only the lowest-rank check it hears (the §3.1
+// preemption rule): CheckRank reads the kind byte and one varint, so a check
+// that loses on rank is dropped without decoding its edge or its sequences.
+//
+// Every varint is decoded by one canonical decoder, uvarint (uvarintLong
+// adds a one-load path for ranks): an encoding with a redundant trailing
+// zero group (overlong) is rejected, so each decoder here accepts exactly
+// the bytes its encoder produces.
 //
 // The Check codec has two tiers. The convenience tier (EncodeCheck /
 // DecodeCheck) materializes a *Check with a [][]ID slice-of-slices and is
@@ -27,6 +37,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ID is a node identifier. The paper gives nodes distinct IDs from a range
@@ -141,7 +152,7 @@ func DecodeRank(p []byte) (Rank, error) {
 	if p[0] != KindRank {
 		return Rank{}, fmt.Errorf("%w: got %d want %d", ErrKind, p[0], KindRank) //ckvet:ignore malformed-input path, never taken on peer-encoded payloads
 	}
-	v, n := binary.Uvarint(p[1:])
+	v, n := uvarintLong(p[1:])
 	if n <= 0 {
 		return Rank{}, ErrTruncated
 	}
@@ -182,11 +193,15 @@ func AppendCheckArena(buf []byte, u, v ID, rank uint64, a *SeqArena) []byte {
 	return buf
 }
 
+// appendCheckHeader writes kind, rank, U, V and the sequence count. The rank
+// comes right after the kind byte so that CheckRank can apply the
+// preemption rule from the first two fields alone; the fields are the same
+// varints in any order, so the order does not change a payload's length.
 func appendCheckHeader(buf []byte, u, v ID, rank uint64, nseqs int) []byte {
 	buf = append(buf, KindCheck)
+	buf = binary.AppendUvarint(buf, rank)
 	buf = appendID(buf, u)
 	buf = appendID(buf, v)
-	buf = binary.AppendUvarint(buf, rank)
 	return binary.AppendUvarint(buf, uint64(nseqs))
 }
 
@@ -213,6 +228,20 @@ type CheckView struct {
 	body    []byte // the encoded sequences (everything after the count)
 }
 
+// CheckRank returns the rank of a Check payload, reading only the kind byte
+// and the rank varint. ok is false for an empty payload, another kind or a
+// truncated or overlong rank; the rest of the header is not looked at, so
+// ParseCheck may still reject a payload CheckRank accepts.
+//
+//ckvet:allocfree
+func CheckRank(p []byte) (rank uint64, ok bool) {
+	if len(p) < 2 || p[0] != KindCheck {
+		return 0, false
+	}
+	r, n := uvarintLong(p[1:])
+	return r, n > 0
+}
+
 // ParseCheck reads the header of a Check payload in place. The sequence
 // bytes are not validated; call Validate or decode them to do that.
 //
@@ -226,6 +255,12 @@ func ParseCheck(p []byte) (CheckView, error) {
 		return v, fmt.Errorf("%w: got %d want %d", ErrKind, p[0], KindCheck) //ckvet:ignore malformed-input path, never taken on peer-encoded payloads
 	}
 	p = p[1:]
+	rank, n := uvarintLong(p)
+	if n <= 0 {
+		return v, ErrTruncated
+	}
+	p = p[n:]
+	v.Rank = rank
 	var err error
 	if v.U, p, err = readID(p); err != nil {
 		return v, err
@@ -233,13 +268,7 @@ func ParseCheck(p []byte) (CheckView, error) {
 	if v.V, p, err = readID(p); err != nil {
 		return v, err
 	}
-	rank, n := binary.Uvarint(p)
-	if n <= 0 {
-		return v, ErrTruncated
-	}
-	p = p[n:]
-	v.Rank = rank
-	cnt, n := binary.Uvarint(p)
+	cnt, n := uvarint(p)
 	if n <= 0 {
 		return v, ErrTruncated
 	}
@@ -343,7 +372,7 @@ func (it *SeqIter) Next(dst []ID) ([]ID, bool) {
 		return dst, false
 	}
 	for j := uint64(0); j < ln; j++ {
-		v, k := binary.Uvarint(it.p)
+		v, k := uvarint(it.p)
 		if k <= 0 {
 			it.err = ErrTruncated
 			return dst, false
@@ -364,7 +393,7 @@ func (it *SeqIter) Skip() bool {
 		return false
 	}
 	for j := uint64(0); j < ln; j++ {
-		_, k := binary.Uvarint(it.p)
+		_, k := uvarint(it.p)
 		if k <= 0 {
 			it.err = ErrTruncated
 			return false
@@ -380,7 +409,7 @@ func (it *SeqIter) head() (uint64, bool) {
 		return 0, false
 	}
 	it.n--
-	ln, k := binary.Uvarint(it.p)
+	ln, k := uvarint(it.p)
 	if k <= 0 {
 		it.err = ErrTruncated
 		return 0, false
@@ -416,11 +445,73 @@ func DecodeCheck(p []byte) (*Check, error) {
 }
 
 func readID(p []byte) (ID, []byte, error) {
-	v, n := binary.Uvarint(p)
+	v, n := uvarint(p)
 	if n <= 0 {
 		return 0, p, ErrTruncated
 	}
 	return ID(v), p[n:], nil
+}
+
+// uvarint decodes the unsigned varint at the start of p; it and
+// uvarintLong, its one-load path for ranks, decode every varint of the
+// package. It returns the value and the number of bytes read, or n <= 0
+// when p does not start with a canonical varint: n == 0 when p ends inside
+// it, n < 0 when it overflows 64 bits or is overlong. A varint is overlong
+// when it has more than one byte and its last byte is 0x00, a redundant
+// zero group that binary.AppendUvarint never writes. On every other input
+// the result equals binary.Uvarint's.
+//
+// It is small enough to be inlined at every call site, and the first pass
+// of its loop is the one-byte fast path: a one-byte varint, as most IDs of
+// a small network are, costs a length check and one compare.
+//
+//ckvet:allocfree
+func uvarint(p []byte) (uint64, int) {
+	var x uint64
+	var s uint
+	for i, b := range p {
+		if b < 0x80 {
+			if i > 0 && b == 0 || i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, -(i + 1) // overlong, or overflows 64 bits
+			}
+			return x | uint64(b)<<s, i + 1
+		}
+		if i == binary.MaxVarintLen64-1 {
+			return 0, -(i + 1) // overflows 64 bits
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return 0, 0
+}
+
+// uvarintLong is uvarint for a field that is usually several bytes long:
+// a rank, drawn from [1, n⁴], takes 4 or 5 bytes at n = 256. When the
+// varint ends within the next eight bytes, one 64-bit load replaces the
+// byte loop: the last byte is the first one whose high bit is clear, and
+// three mask-and-shift steps pack the 7-bit groups into the value (two
+// groups per 16-bit lane, then per 32-bit lane, then one). Any other input
+// goes to uvarint, so both accept and return exactly the same.
+//
+//ckvet:allocfree
+func uvarintLong(p []byte) (uint64, int) {
+	if len(p) < 8 {
+		return uvarint(p)
+	}
+	x := binary.LittleEndian.Uint64(p)
+	stop := ^x & 0x8080808080808080
+	if stop == 0 {
+		return uvarint(p) // 9 or 10 bytes, or overflow
+	}
+	n := bits.TrailingZeros64(stop)>>3 + 1
+	if n > 1 && p[n-1] == 0 {
+		return 0, -n // overlong
+	}
+	x &= 1<<(8*uint(n)) - 1 // n == 8 shifts out to 0, leaving all ones
+	x = x&0x007f007f007f007f | (x&0x7f007f007f007f00)>>1
+	x = x&0x00003fff00003fff | (x&0x3fff00003fff0000)>>2
+	x = x&0x000000000fffffff | (x&0x0fffffff00000000)>>4
+	return x, n
 }
 
 // Probe is the single-ID message of the Censor-Hillel-style triangle tester

@@ -1,10 +1,88 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// TestCheckHeaderLayout pins the byte layout of a Check: kind, rank, U, V,
+// sequence count, then each sequence as its length and its IDs.
+func TestCheckHeaderLayout(t *testing.T) {
+	got := EncodeCheck(&Check{U: 1, V: 2, Rank: 300, Seqs: [][]ID{{4, 5}, {}}})
+	want := []byte{KindCheck, 0xac, 0x02, 1, 2, 2, 2, 4, 5, 0}
+	if string(got) != string(want) {
+		t.Fatalf("EncodeCheck = % x, want % x", got, want)
+	}
+}
+
+// TestCheckRank reads the rank off encoded checks and refuses everything
+// that is not a check with a canonical rank varint.
+func TestCheckRank(t *testing.T) {
+	for _, r := range []uint64{0, 1, 127, 128, 1 << 32, math.MaxUint64} {
+		p := EncodeCheck(&Check{U: 3, V: 4, Rank: r, Seqs: [][]ID{{3}}})
+		got, ok := CheckRank(p)
+		if !ok || got != r {
+			t.Fatalf("CheckRank(rank %d) = %d, %v", r, got, ok)
+		}
+		// The rank alone is enough: a payload cut right after it still
+		// yields the rank, which ParseCheck then refuses.
+		if got, ok := CheckRank(p[:1+len(binary.AppendUvarint(nil, r))]); !ok || got != r {
+			t.Fatalf("CheckRank(header cut after rank %d) = %d, %v", r, got, ok)
+		}
+	}
+	for name, p := range map[string][]byte{
+		"nil":           nil,
+		"kind only":     {KindCheck},
+		"rank kind":     EncodeRank(Rank{Rank: 5}),
+		"probe kind":    EncodeProbe(Probe{Node: 5}),
+		"truncated":     {KindCheck, 0x80},
+		"overlong rank": {KindCheck, 0x85, 0x00, 1, 2, 0},
+	} {
+		if r, ok := CheckRank(p); ok {
+			t.Errorf("%s: CheckRank(% x) = %d, want refusal", name, p, r)
+		}
+	}
+}
+
+// TestUvarintMatchesBinary drives the shared decoder and its one-load rank
+// path through every varint length, with 0 to 9 bytes after it so that
+// both the 64-bit load and the byte loop run, and checks them against
+// binary.Uvarint. The overlong form of each value (its last group followed
+// by a redundant zero group) must be refused.
+func TestUvarintMatchesBinary(t *testing.T) {
+	for name, dec := range map[string]func([]byte) (uint64, int){"uvarint": uvarint, "uvarintLong": uvarintLong} {
+		t.Run(name, func(t *testing.T) { checkUvarintDecoder(t, dec) })
+	}
+}
+
+func checkUvarintDecoder(t *testing.T, dec func([]byte) (uint64, int)) {
+	var vals []uint64
+	for b := 0; b < 64; b++ {
+		vals = append(vals, 1<<b, 1<<b-1, 1<<b+1)
+	}
+	vals = append(vals, math.MaxUint64)
+	pad := []byte{0xff, 0x80, 0, 1, 0x7f, 0xff, 0xff, 0x80, 0x81}
+	for _, v := range vals {
+		enc := binary.AppendUvarint(nil, v)
+		over := append(append([]byte{}, enc...), 0)
+		over[len(enc)-1] |= 0x80
+		for extra := 0; extra <= len(pad); extra++ {
+			p := append(append([]byte{}, enc...), pad[:extra]...)
+			if got, n := dec(p); got != v || n != len(enc) {
+				t.Fatalf("decode(% x) = %d, %d; want %d, %d", p, got, n, v, len(enc))
+			}
+			if len(over) > binary.MaxVarintLen64 {
+				continue
+			}
+			p = append(append([]byte{}, over...), pad[:extra]...)
+			if got, n := dec(p); n > 0 {
+				t.Fatalf("overlong decode(% x) accepted as %d, %d", p, got, n)
+			}
+		}
+	}
+}
 
 func TestRankRoundTrip(t *testing.T) {
 	for _, r := range []uint64{0, 1, 127, 128, 1 << 20, math.MaxUint64} {
@@ -111,6 +189,21 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bogus := []byte{KindCheck, 1, 2, 3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
 	if _, err := DecodeCheck(bogus); err == nil {
 		t.Fatal("absurd count accepted")
+	}
+	// An overlong varint in any field (0x8N 0x00 is a second encoding of N).
+	for name, p := range map[string][]byte{
+		"rank":     {KindCheck, 0x85, 0x00, 1, 2, 0},
+		"u":        {KindCheck, 5, 0x81, 0x00, 2, 0},
+		"count":    {KindCheck, 5, 1, 2, 0x80, 0x00},
+		"seq len":  {KindCheck, 5, 1, 2, 1, 0x81, 0x00, 7},
+		"sequence": {KindCheck, 5, 1, 2, 1, 1, 0x87, 0x00},
+	} {
+		if c, err := DecodeCheck(p); err == nil {
+			t.Errorf("overlong %s accepted: % x decoded as %+v", name, p, c)
+		}
+	}
+	if _, err := DecodeRank([]byte{KindRank, 0x80, 0x00}); err == nil {
+		t.Error("overlong rank announcement accepted")
 	}
 }
 
