@@ -6,8 +6,8 @@
 # exponential-q representative-selection guard, and the micro-benchmarks
 # behind them. The experiment benchmarks (E1-E12) are reproduction runs,
 # not perf-tracking targets.
-BENCH ?= TesterByK|TesterWarmByK|EnginesCompare|NetworkReuse|ServeConcurrent|Representatives|WireCodec|Pruning$$|PrunerVsBrute|PublicAPI|CancelLatency|CancelOverhead|MetricsHotPath|Corestore
-SNAPSHOT ?= BENCH_16.json
+BENCH ?= TesterByK|TesterWarmByK|TesterRunWarm|EnginesCompare|NetworkReuse|ServeConcurrent|Representatives|WireCodec|Pruning$$|PrunerVsBrute|PublicAPI|CancelLatency|CancelOverhead|MetricsHotPath|Corestore
+SNAPSHOT ?= BENCH_17.json
 
 # Maximum tolerated allocs/op regression (percent) between the two latest
 # committed snapshots; `make bench-gate` (a blocking CI step) fails beyond

@@ -107,6 +107,38 @@ func BenchmarkTesterWarmByK(b *testing.B) {
 	}
 }
 
+// BenchmarkTesterRunWarm is one full ε = 0.1 tester run per op (82
+// repetitions, the shape of a served query) on a warm instance of
+// BenchmarkTesterByK's graph. Unlike the single-repetition rows, it has
+// nodes that rejected in an earlier repetition of the same run, so it
+// prices what a rejected node still does. 0 allocs/op.
+func BenchmarkTesterRunWarm(b *testing.B) {
+	rng := xrand.New(1)
+	g := graph.ConnectedGNM(256, 1024, rng)
+	for _, k := range []int{7, 9} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			nw, err := network.New(g, network.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer nw.Close()
+			prog := &core.Tester{K: k, Eps: 0.1}
+			const warm = 2
+			for s := uint64(0); s < warm; s++ {
+				if _, err := nw.RunProgram(prog, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := nw.RunProgram(prog, warm+uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEnginesCompare times fresh single-use tester runs on a 128-node
 // graph. Its one row keeps the name "bsp" so the snapshot trajectory from
 // BENCH_1.json continues.

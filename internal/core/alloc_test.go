@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"cycledetect/internal/graph"
@@ -153,4 +156,77 @@ func TestTesterSteadyStateRoundAllocFree(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("steady-state repetition allocates %.1f times; want 0", allocs)
 	}
+}
+
+// TestTesterWarmAllocFree: once a Tester instance on BenchmarkTesterByK's
+// graph has run 16 seeds, the next 256 seeds allocate nothing, at every k.
+// New seeds reach new arena high-water marks and bring nodes their first
+// detection, which the prealloc reservation must cover. The count is the
+// raw total over all 256 runs (testing.AllocsPerRun divides it by the run
+// count and would round a few stray growths down to 0), taken from the
+// heap profile so that it holds only the program's allocations: a
+// process-wide counter also sees the runtime's own, such as a timer heap
+// growing on a runtime goroutine.
+func TestTesterWarmAllocFree(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := graph.ConnectedGNM(256, 1024, xrand.New(1))
+	for _, k := range []int{3, 5, 7, 9} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			nw, err := network.New(g, network.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Close()
+			prog := &Tester{K: k, Reps: 1}
+			const warm, runs = 16, 256
+			run := func(seed uint64) {
+				if _, err := nw.RunProgram(prog, seed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for s := uint64(0); s < warm; s++ {
+				run(s)
+			}
+			before := programAllocs()
+			for s := uint64(warm); s < warm+runs; s++ {
+				run(s)
+			}
+			if allocs := programAllocs() - before; allocs != 0 {
+				t.Fatalf("%d warm runs made %d allocations; want 0", runs, allocs)
+			}
+		})
+	}
+}
+
+// programAllocs returns the number of heap allocations made so far whose
+// stack passes through the program's non-test code. Every allocation is
+// in the heap profile while runtime.MemProfileRate is 1, and three
+// collections publish the latest ones.
+func programAllocs() int64 {
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		panic("heap profile grew past its slack")
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "cycledetect/") && !strings.HasSuffix(f.File, "_test.go") {
+				total += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }

@@ -35,13 +35,6 @@ const (
 	ModeNaive
 )
 
-// seqRef is one cleaned sequence: a span into the recv arena plus its
-// 64-bit ID signature (see sigOf).
-type seqRef struct {
-	off, ln int32
-	sig     uint64
-}
-
 // sigOf folds a sequence into a 64-bit signature with one bit per ID class
 // (id mod 64). Two sequences with non-intersecting signatures are certainly
 // disjoint, so the quadratic pair scans of detect resolve most pairs with a
@@ -86,8 +79,8 @@ type checkState struct {
 	sentRound int
 
 	// Round-local scratch, reused across rounds and repetitions.
-	clean   []seqRef // cleanReceived output
-	views   [][]ID   // arena-backed views handed to the pruner
+	clean   []int32 // cleanReceived output: indices into recv
+	views   [][]ID  // arena-backed views handed to the pruner
 	keptIdx []int
 	rep     combin.RepScratch
 
@@ -140,6 +133,12 @@ type checkState struct {
 // once during the first repetition — reserving for their worst case would
 // cost ~80 KB per node on graphs where most nodes never see that traffic,
 // the wrong trade at million-node scale.
+//
+// cleanReceived filters the receipts into clean, so clean (4-byte indices)
+// is reserved like the receipts, and the witness buffer's k IDs come from
+// the ID slab. Both are needed for a warm instance to allocate nothing at
+// every k: new seeds keep setting new high-water marks and bringing nodes
+// their first detection (TestTesterWarmAllocFree).
 func (cs *checkState) prealloc(k, deg int) {
 	halfK := k / 2
 	recvSpans := preallocRecvSpans(k, deg)
@@ -148,16 +147,17 @@ func (cs *checkState) prealloc(k, deg int) {
 	recvIDs := recvSpans * halfK
 	sentIDs := sentSpans * (halfK + 1)
 
-	ids := make([]ID, 0, recvIDs+sentIDs)
+	ids := make([]ID, 0, recvIDs+sentIDs+k)
 	cs.recv.IDs = ids[0:0:recvIDs]
 	cs.sent.IDs = ids[recvIDs : recvIDs : recvIDs+sentIDs]
+	cs.witBuf = ids[recvIDs+sentIDs : recvIDs+sentIDs : recvIDs+sentIDs+k]
 	spans := make([]wire.Span, 0, recvSpans+sentSpans)
 	cs.recv.Spans = spans[0:0:recvSpans]
 	cs.sent.Spans = spans[recvSpans : recvSpans : recvSpans+sentSpans]
 	sigs := make([]uint64, 0, recvSpans+sentSpans)
 	cs.recvSigs = sigs[0:0:recvSpans]
 	cs.sentSigs = sigs[recvSpans : recvSpans : recvSpans+sentSpans]
-	cs.clean = make([]seqRef, 0, scratch)
+	cs.clean = make([]int32, 0, recvSpans)
 	cs.views = make([][]ID, 0, scratch)
 	cs.keptIdx = make([]int, 0, scratch)
 	cs.rep.Prealloc(k-2, sentSpans)
@@ -212,11 +212,13 @@ func (cs *checkState) sameEdge(a, b ID) bool {
 // accumulate; a new round discards the previous round's receipts (Algorithm 1
 // only ever reads the immediately preceding round).
 //
-// The paper's R is a SET, so exact duplicates (the same sequence arriving
-// from several neighbors — common under broadcast flooding) are dropped on
-// arrival, keeping the arena, the sort and the pruner input small; the
-// signature makes the duplicate scan a cheap integer sweep. A malformed body
-// is rolled back in full and ignored, like the seed's decode-then-drop.
+// The paper's R is a SET. Honest traffic keeps it one by itself: every
+// sequence ends with its sender's ID and a sender's S is a set, so no two
+// ports carry the same sequence (Lemma 1, which
+// TestPhase2SequencesAreSimplePaths checks on live traffic). Dropping exact
+// duplicates on arrival keeps R a set only under forged or damaged traffic;
+// the signature makes the duplicate scan a cheap integer sweep. A malformed
+// body is rolled back in full and ignored, like the seed's decode-then-drop.
 func (cs *checkState) absorbView(t int, v *wire.CheckView) {
 	if t != cs.recvRound {
 		cs.recv.Reset()
@@ -292,28 +294,28 @@ func (cs *checkState) sendSeqs(t int) int {
 	}
 	mySig := sigOf([]ID{cs.myid})
 	if cs.mode == ModeNaive {
-		for _, ref := range cs.clean {
-			cs.sent.AppendWithTail(cs.recv.IDs[ref.off:ref.off+ref.ln], cs.myid)
-			cs.sentSigs = append(cs.sentSigs, ref.sig|mySig)
+		for _, i := range cs.clean {
+			cs.sent.AppendWithTail(cs.seq(i), cs.myid)
+			cs.sentSigs = append(cs.sentSigs, cs.recvSigs[i]|mySig)
 		}
 	} else {
 		cs.views = cs.views[:0]
-		for _, ref := range cs.clean {
-			cs.views = append(cs.views, cs.recv.IDs[ref.off:ref.off+ref.ln])
+		for _, i := range cs.clean {
+			cs.views = append(cs.views, cs.seq(i))
 		}
 		cs.keptIdx = combin.AppendRepresentatives(cs.keptIdx[:0], cs.views, cs.k-t, &cs.rep)
 		for _, idx := range cs.keptIdx {
-			ref := cs.clean[idx]
-			cs.sent.AppendWithTail(cs.recv.IDs[ref.off:ref.off+ref.ln], cs.myid)
-			cs.sentSigs = append(cs.sentSigs, ref.sig|mySig)
+			i := cs.clean[idx]
+			cs.sent.AppendWithTail(cs.seq(i), cs.myid)
+			cs.sentSigs = append(cs.sentSigs, cs.recvSigs[i]|mySig)
 		}
 	}
 	cs.sentRound = t
 	return cs.sent.Len()
 }
 
-// cleanReceived fills cs.clean with the receipts of the given round having
-// the expected length and not containing myid, in arrival (port) order.
+// cleanReceived fills cs.clean with the indices of the receipts having the
+// expected length and not containing myid, in arrival (port) order.
 // Set semantics match the paper's "R ← set of all ordered sequences
 // received" — duplicates were already dropped on arrival by absorbView —
 // and the processing order of the greedy is explicitly arbitrary (§3.3);
@@ -324,23 +326,21 @@ func (cs *checkState) sendSeqs(t int) int {
 func (cs *checkState) cleanReceived(wantLen int) {
 	cs.clean = cs.clean[:0]
 	myBit := uint64(1) << (uint64(cs.myid) & 63)
-	for i := 0; i < cs.recv.Len(); i++ {
-		sp := cs.recv.Spans[i]
+	for i, sp := range cs.recv.Spans {
 		if int(sp.Len) != wantLen {
 			continue
 		}
-		sig := cs.recvSigs[i]
 		// Signature fast path: myid can only occur if its bit class is set.
-		if sig&myBit != 0 && containsID(cs.recv.Seq(i), cs.myid) {
+		if cs.recvSigs[i]&myBit != 0 && containsID(cs.recv.Seq(i), cs.myid) {
 			continue
 		}
-		cs.clean = append(cs.clean, seqRef{off: sp.Off, ln: sp.Len, sig: sig})
+		cs.clean = append(cs.clean, int32(i))
 	}
 }
 
-// seq materializes a cleaned reference as a slice into the recv arena.
-func (cs *checkState) seq(ref seqRef) []ID {
-	return cs.recv.IDs[ref.off : ref.off+ref.ln]
+// seq returns receipt i as a slice into the recv arena.
+func (cs *checkState) seq(i int32) []ID {
+	return cs.recv.Seq(int(i))
 }
 
 // detect runs the final check of Algorithm 1 (lines 31–42) after the last
@@ -387,9 +387,9 @@ func (cs *checkState) detect() (bool, []ID) {
 		if len(l1) != cs.halfK {
 			continue
 		}
-		for _, ref := range last {
-			if cs.validPairEven(l1, cs.sentSigs[i], ref) {
-				return true, cs.assembleWitnessEven(l1, cs.seq(ref))
+		for _, r := range last {
+			if cs.validPairEven(l1, cs.sentSigs[i], r) {
+				return true, cs.assembleWitnessEven(l1, cs.seq(r))
 			}
 		}
 	}
@@ -401,25 +401,27 @@ func (cs *checkState) detect() (bool, []ID) {
 // forces each head into {u, v}; checking it explicitly keeps the detector
 // 1-sided even against malformed traffic.) Signature disjointness certifies
 // real disjointness; only colliding signatures need the exact scan.
-func (cs *checkState) validPair(r1, r2 seqRef) bool {
-	if r1.sig&r2.sig != 0 && intersectSeq(cs.seq(r1), cs.seq(r2)) {
+func (cs *checkState) validPair(r1, r2 int32) bool {
+	s1, s2 := cs.seq(r1), cs.seq(r2)
+	if cs.recvSigs[r1]&cs.recvSigs[r2] != 0 && intersectSeq(s1, s2) {
 		return false
 	}
-	h1, h2 := cs.recv.IDs[r1.off], cs.recv.IDs[r2.off]
+	h1, h2 := s1[0], s2[0]
 	return (h1 == cs.u && h2 == cs.v) || (h1 == cs.v && h2 == cs.u)
 }
 
 // validPairEven checks the even-k pair condition: l1 ∈ S ends with myid, l2
 // was received (no myid), they are disjoint, and their heads are the two
 // endpoints.
-func (cs *checkState) validPairEven(l1 []ID, sig1 uint64, r2 seqRef) bool {
+func (cs *checkState) validPairEven(l1 []ID, sig1 uint64, r2 int32) bool {
 	if l1[len(l1)-1] != cs.myid {
 		return false
 	}
-	if sig1&r2.sig != 0 && intersectSeq(l1, cs.seq(r2)) {
+	s2 := cs.seq(r2)
+	if sig1&cs.recvSigs[r2] != 0 && intersectSeq(l1, s2) {
 		return false
 	}
-	h1, h2 := l1[0], cs.recv.IDs[r2.off]
+	h1, h2 := l1[0], s2[0]
 	return (h1 == cs.u && h2 == cs.v) || (h1 == cs.v && h2 == cs.u)
 }
 
@@ -447,9 +449,9 @@ func (cs *checkState) assembleWitnessEven(l1, l2 []ID) []ID {
 	return w
 }
 
-// witSlot returns the empty witness buffer with room for n IDs: one
-// exact-capacity allocation on a node's first detection (fresh runs pay
-// what the pre-arena code paid), none on reuse.
+// witSlot returns the empty witness buffer with room for n IDs. A Tester
+// node's buffer is carved by prealloc; an EdgeDetector node pays one
+// exact-capacity allocation on its first detection, none on reuse.
 func (cs *checkState) witSlot(n int) []ID {
 	if cap(cs.witBuf) < n {
 		cs.witBuf = make([]ID, 0, n)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -228,4 +229,66 @@ func TestDisconnectedComponents(t *testing.T) {
 	if dec.Reject {
 		t.Fatal("false reject in acyclic component")
 	}
+}
+
+// TestPhase2SequencesAreSimplePaths checks Lemma 1 on live traffic. It
+// decodes every Phase-2 payload of real tester runs, pruned and naive,
+// k = 3..9, in the lockstep harness: each must be a check of a graph edge,
+// and each of its sequences a simple path of t IDs (t the Phase-2 round)
+// from an endpoint of that edge to the sender. validPair and the witness
+// assembly rely on it, and so does absorbView's note that honest traffic
+// never repeats a sequence.
+func TestPhase2SequencesAreSimplePaths(t *testing.T) {
+	rng := xrand.New(43)
+	g := graph.ConnectedGNM(40, 120, rng)
+	for k := 3; k <= 9; k++ {
+		for _, mode := range []Mode{ModePruned, ModeNaive} {
+			prog := &Tester{K: k, Reps: 3, Mode: mode}
+			ls := newLockstep(g, prog, uint64(k))
+			per, seqs := prog.RoundsPerRep(), 0
+			for r := 1; r <= prog.Rounds(g.N(), g.M()); r++ {
+				local := (r - 1) % per
+				ls.round(r, func() {
+					if local == 0 {
+						return
+					}
+					for v, out := range ls.out {
+						for _, payload := range out {
+							if payload == nil {
+								continue
+							}
+							c, err := wire.DecodeCheck(payload)
+							if err != nil || !g.HasEdge(int(c.U), int(c.V)) {
+								t.Fatalf("k=%d mode %d round %d: node %d sent a bad check (%v)", k, mode, r, v, err)
+							}
+							for _, seq := range c.Seqs {
+								if !isPathFrom(g, seq, local, c.U, c.V, ID(v)) {
+									t.Fatalf("k=%d mode %d round %d: node %d sent %v on check {%d,%d}, not a simple path of %d IDs from the edge to the sender",
+										k, mode, r, v, seq, c.U, c.V, local)
+								}
+							}
+							seqs += len(c.Seqs)
+						}
+					}
+				})
+			}
+			if seqs == 0 {
+				t.Fatalf("k=%d mode %d: no Phase-2 sequence was sent", k, mode)
+			}
+		}
+	}
+}
+
+// isPathFrom reports whether seq is a simple path of n IDs in g that starts
+// at u or v and ends at sender (vertex i has ID i).
+func isPathFrom(g *graph.Graph, seq []ID, n int, u, v, sender ID) bool {
+	if len(seq) != n || (seq[0] != u && seq[0] != v) || seq[n-1] != sender {
+		return false
+	}
+	for i, id := range seq {
+		if slices.Contains(seq[:i], id) || (i > 0 && !g.HasEdge(int(seq[i-1]), int(id))) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -173,8 +174,13 @@ func randomPayload(rng *xrand.RNG, rc *receiveCase) []byte {
 	}
 }
 
-func randomReceiveCase(rng *xrand.RNG, k int) *receiveCase {
-	rc := &receiveCase{myid: ID(rng.Intn(24)), local: 1 + rng.Intn(k/2)}
+// randomReceiveCase draws a case at the given Phase-2 round, or at a
+// random one of the k/2 rounds when local is 0.
+func randomReceiveCase(rng *xrand.RNG, k, local int) *receiveCase {
+	rc := &receiveCase{myid: ID(rng.Intn(24)), local: local}
+	if local == 0 {
+		rc.local = 1 + rng.Intn(k/2)
+	}
 	rc.nbrs = make([]ID, 1+rng.Intn(8))
 	for p := range rc.nbrs {
 		rc.nbrs[p] = ID(24 + p)
@@ -210,7 +216,7 @@ func TestReceiveChecksMatchesSinglePass(t *testing.T) {
 		rng := xrand.New(uint64(40 + k))
 		fallbacks := 0
 		for trial := 0; trial < trials; trial++ {
-			rc := randomReceiveCase(rng, k)
+			rc := randomReceiveCase(rng, k, 0)
 			info := network.NodeInfo{ID: rc.myid, N: 64, NeighborIDs: rc.nbrs}
 			ref := prog.NewNode(info).(*testerNode)
 			got := prog.NewNode(info).(*testerNode)
@@ -234,4 +240,162 @@ func TestReceiveChecksMatchesSinglePass(t *testing.T) {
 				k, fallbacks, trials)
 		}
 	}
+}
+
+// receiptArena copies a node's receipt arena up to its capacity, so that a
+// comparison sees writes past its length too.
+func receiptArena(n *testerNode) ([]ID, []wire.Span, []uint64) {
+	cs := &n.cs
+	return slices.Clone(cs.recv.IDs[:cap(cs.recv.IDs)]),
+		slices.Clone(cs.recv.Spans[:cap(cs.recv.Spans)]),
+		slices.Clone(cs.recvSigs[:cap(cs.recvSigs)])
+}
+
+// rejectedReceiveDiff runs rc's Phase-2 receive on a node that has
+// rejected and on one that has not. Before the last Phase-2 round the two
+// must end in the same state. In the last round they must end on the same
+// active flag, check and sent arena, and the rejected node must leave its
+// receipt arena as it was. Both must count the same switches. It returns
+// what differs, or "", and whether the unrejected node stored receipts of
+// the round.
+func rejectedReceiveDiff(prog *Tester, rc *receiveCase) (diff string, stored bool) {
+	info := network.NodeInfo{ID: rc.myid, N: 64, NeighborIDs: rc.nbrs}
+	open := prog.NewNode(info).(*testerNode)
+	done := prog.NewNode(info).(*testerNode)
+	rc.prime(open)
+	rc.prime(done)
+	done.rejected = true
+	ids, spans, sigs := receiptArena(done)
+
+	open.receiveChecks(rc.local, rc.in)
+	done.receiveChecks(rc.local, rc.in)
+	want, have := stateOf(open), stateOf(done)
+	stored = open.cs.recvRound == rc.local && open.cs.recv.Len() > 0
+	if open.metrics.Switches != done.metrics.Switches {
+		return fmt.Sprintf("switches: unrejected %d, rejected %d",
+			open.metrics.Switches, done.metrics.Switches), stored
+	}
+	if rc.local < prog.K/2 {
+		if !want.equal(have) {
+			return fmt.Sprintf("round %d of %d: the rejected node's state differs\nwant %+v\ngot  %+v",
+				rc.local, prog.K/2, want, have), stored
+		}
+		return "", stored
+	}
+	want.recvRound, want.recvIDs, want.recvSpans, want.recvSigs = 0, nil, nil, nil
+	have.recvRound, have.recvIDs, have.recvSpans, have.recvSigs = 0, nil, nil, nil
+	if !want.equal(have) {
+		return fmt.Sprintf("the rejected node ends on another check\nwant %+v\ngot  %+v", want, have), stored
+	}
+	ids2, spans2, sigs2 := receiptArena(done)
+	if done.cs.recvRound == rc.local || !slices.Equal(ids, ids2) ||
+		!slices.Equal(spans, spans2) || !slices.Equal(sigs, sigs2) {
+		return "the rejected node wrote last-round receipts", stored
+	}
+	return "", stored
+}
+
+// TestRejectedReceiveSkipsOnlyReceipts drives the last Phase-2 round of
+// randomized cases through a rejected and an unrejected node: they must
+// end on the same active flag, check and switch count, and the rejected
+// node must not write its receipt arena (rejectedReceiveDiff). The test
+// also counts the rounds in which the unrejected node stored receipts, so
+// it cannot pass on cases that store nothing.
+func TestRejectedReceiveSkipsOnlyReceipts(t *testing.T) {
+	const trials = 4000
+	for k := 3; k <= 9; k++ {
+		prog := &Tester{K: k, Reps: 1}
+		rng := xrand.New(uint64(60 + k))
+		stores := 0
+		for trial := 0; trial < trials; trial++ {
+			rc := randomReceiveCase(rng, k, k/2)
+			diff, stored := rejectedReceiveDiff(prog, rc)
+			if diff != "" {
+				t.Fatalf("k=%d trial %d: %s\ncase %+v", k, trial, diff, *rc)
+			}
+			if stored {
+				stores++
+			}
+		}
+		if stores < trials/4 {
+			t.Fatalf("k=%d: the unrejected node stored receipts in only %d of %d rounds", k, stores, trials)
+		}
+	}
+}
+
+// splitPorts cuts fuzz input into port payloads: the first byte picks 1 to
+// 8 ports, then each payload is a length byte and that many bytes, cut
+// short at the end of b. A port of length 0 or past the end of b is nil.
+func splitPorts(b []byte) [][]byte {
+	if len(b) == 0 {
+		return [][]byte{nil}
+	}
+	in := make([][]byte, 1+int(b[0])%8)
+	b = b[1:]
+	for p := range in {
+		if len(b) == 0 {
+			break
+		}
+		n := min(int(b[0]), len(b)-1)
+		if n > 0 {
+			in[p] = b[1 : 1+n]
+		}
+		b = b[1+n:]
+	}
+	return in
+}
+
+// joinPorts is splitPorts' inverse for up to 8 ports of at most 255 bytes.
+func joinPorts(in [][]byte) []byte {
+	b := []byte{byte(len(in) - 1)}
+	for _, p := range in {
+		b = append(b, byte(len(p)))
+		b = append(b, p...)
+	}
+	return b
+}
+
+// FuzzReceiveChecks feeds arbitrary port payloads to the Phase-2 receive of
+// a node primed from the input: k in 3..9, the round, the node's check (or
+// none) and whether it has rejected. The receive must not panic. An
+// unrejected node must end as receiveReference leaves it; a rejected one
+// as rejectedReceiveDiff requires. The corpus is seeded from
+// randomReceiveCase.
+func FuzzReceiveChecks(f *testing.F) {
+	rng := xrand.New(70)
+	for i := 0; i < 64; i++ {
+		k := 3 + rng.Intn(7)
+		rc := randomReceiveCase(rng, k, 0)
+		f.Add(uint8(k-3), uint8(rc.local-1), uint8(rc.myid), rc.active,
+			uint8(rc.u), uint8(rc.v), rc.rank, i%2 == 1, joinPorts(rc.in))
+	}
+	f.Fuzz(func(t *testing.T, kb, local, myid uint8, active bool, u, v uint8,
+		rank uint64, rejected bool, ports []byte) {
+		k := 3 + int(kb)%7
+		rc := &receiveCase{myid: ID(myid), local: 1 + int(local)%(k/2),
+			active: active, rank: rank, in: splitPorts(ports)}
+		rc.u, rc.v = canonEdge(ID(u), ID(v))
+		rc.nbrs = make([]ID, len(rc.in))
+		for p := range rc.nbrs {
+			rc.nbrs[p] = ID(256 + p)
+		}
+		prog := &Tester{K: k, Reps: 1}
+		if rejected {
+			if diff, _ := rejectedReceiveDiff(prog, rc); diff != "" {
+				t.Fatalf("k=%d: %s\ncase %+v", k, diff, *rc)
+			}
+			return
+		}
+		info := network.NodeInfo{ID: rc.myid, N: 64, NeighborIDs: rc.nbrs}
+		ref := prog.NewNode(info).(*testerNode)
+		got := prog.NewNode(info).(*testerNode)
+		rc.prime(ref)
+		rc.prime(got)
+		receiveReference(ref, rc.local, rc.in)
+		got.receiveChecks(rc.local, rc.in)
+		if want, have := stateOf(ref), stateOf(got); !want.equal(have) {
+			t.Fatalf("k=%d: two-pass receive differs from the single pass\ncase %+v\nwant %+v\ngot  %+v",
+				k, *rc, want, have)
+		}
+	})
 }

@@ -24,6 +24,11 @@ import (
 // EdgeDetector; on an ε-far instance that edge lies on a k-cycle with
 // probability ≥ ε (Lemma 4), so ⌈(e²/ε)·ln 3⌉ repetitions reject with
 // probability ≥ 2/3. A Ck-free graph is never rejected.
+//
+// A node's reject is final, so in later repetitions it skips the final
+// check and leaves the last Phase-2 round's receipts, which only that
+// check reads, undecoded. It still joins, switches and relays checks as
+// before: its messages and switch count do not change.
 type Tester struct {
 	K int
 	// Eps is the property-testing parameter; used only to derive the
@@ -232,7 +237,9 @@ func (n *testerNode) Receive(round int, in [][]byte) {
 	// Once rejected, the verdict is final (the tester is 1-sided): later
 	// repetitions skip the quadratic pair scan AND the witness assembly,
 	// which also keeps the reusable witness buffer (checkState.witBuf)
-	// pinned to the first detection for the rest of the run.
+	// pinned to the first detection for the rest of the run. Nothing else
+	// reads the last Phase-2 round's receipts, so a rejected node leaves
+	// them undecoded (consider); earlier rounds' receipts feed its sends.
 	if local == n.prog.K/2 && n.active && !n.rejected {
 		if reject, wit := n.cs.detect(); reject {
 			n.rejected = true
@@ -319,10 +326,16 @@ func (n *testerNode) considerPayload(local int, payload []byte) bool {
 // sequence bytes decoded. It reports whether the node defected from an
 // active check.
 func (n *testerNode) consider(local int, c *wire.CheckView) bool {
+	// detect is the only reader of the last round's receipts, and a
+	// rejected node no longer runs it (see Receive), so it leaves them
+	// undecoded; its check and switch count move as before.
+	absorb := !n.rejected || local != n.prog.K/2
 	u, v := canonEdge(c.U, c.V)
 	if n.active {
 		if c.Rank == n.cs.rank && n.cs.sameEdge(u, v) {
-			n.cs.absorbView(local, c)
+			if absorb {
+				n.cs.absorbView(local, c)
+			}
 			return false
 		}
 		if !lessCheck(c.Rank, u, v, n.cs.rank, n.cs.u, n.cs.v) {
@@ -340,7 +353,9 @@ func (n *testerNode) consider(local int, c *wire.CheckView) bool {
 	// the seeder flag is moot; pass false for clarity.
 	n.cs.reset(n.prog.K, u, v, c.Rank, n.info.ID, false, n.prog.Mode)
 	n.active = true
-	n.cs.absorbView(local, c)
+	if absorb {
+		n.cs.absorbView(local, c)
+	}
 	return defected
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"cycledetect/internal/central"
@@ -318,4 +320,83 @@ func TestTesterPanicsOnBadParams(t *testing.T) {
 	assertPanics("no eps no reps", func() { (&Tester{K: 3}).NewNode(info) })
 	assertPanics("bad eps", func() { (&Tester{K: 3, Eps: 1.5}).NewNode(info) })
 	assertPanics("detector k<3", func() { (&EdgeDetector{K: 2}).NewNode(info) })
+}
+
+// fullReceiveTester is the Tester without the rejected-node rule: a node
+// that has rejected still runs the whole Phase-2 receive and stores every
+// receipt, as one that never rejected does, and skips only detect.
+// lastRounds counts the last-round receives of rejected nodes.
+type fullReceiveTester struct {
+	*Tester
+	lastRounds *atomic.Int64
+}
+
+func (p fullReceiveTester) NewNode(info network.NodeInfo) network.Node {
+	return fullReceiveNode{p.Tester.NewNode(info).(*testerNode), p.lastRounds}
+}
+
+type fullReceiveNode struct {
+	*testerNode
+	lastRounds *atomic.Int64
+}
+
+func (n fullReceiveNode) Receive(round int, in [][]byte) {
+	_, local := n.phase(round)
+	if local == 0 || !n.rejected {
+		n.testerNode.Receive(round, in)
+		return
+	}
+	if local == n.prog.K/2 {
+		n.lastRounds.Add(1)
+	}
+	n.rejected = false
+	n.receiveChecks(local, in)
+	n.rejected = true
+}
+
+// TestRejectedNodesSkipOnlyUnreadReceipts runs the Tester and
+// fullReceiveTester on the same graphs, seeds and worker counts and
+// demands the same Decision (verdict, witness, rejecting IDs, switches)
+// and the same Stats: the receipts a rejected node leaves undecoded change
+// no output and no message. Every k must have rejected nodes reach a last
+// Phase-2 round, so the rule is exercised.
+func TestRejectedNodesSkipOnlyUnreadReceipts(t *testing.T) {
+	const n, reps = 128, 8
+	rng := xrand.New(31)
+	gnm := graph.ConnectedGNM(n, 4*n, rng)
+	tree := graph.RandomTree(n, rng)
+	for k := 3; k <= 9; k++ {
+		far, _ := graph.FarFromCkFree(n, k, 0.05, rng)
+		var lastRounds atomic.Int64
+		for _, tc := range []struct {
+			name string
+			g    *graph.Graph
+		}{{"gnm", gnm}, {"far", far}, {"tree", tree}} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				for _, workers := range []int{1, 3} {
+					opts := network.Options{Workers: workers}
+					full, err := runOnce(tc.g, fullReceiveTester{&Tester{K: k, Reps: reps}, &lastRounds}, opts, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := runOnce(tc.g, &Tester{K: k, Reps: reps}, opts, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, got := Summarize(full.Outputs, full.IDs), Summarize(res.Outputs, res.IDs)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s k=%d seed %d workers %d: decision differs from the full receive\nwant %+v\ngot  %+v",
+							tc.name, k, seed, workers, want, got)
+					}
+					if !reflect.DeepEqual(full.Stats, res.Stats) {
+						t.Fatalf("%s k=%d seed %d workers %d: stats differ from the full receive\nwant %+v\ngot  %+v",
+							tc.name, k, seed, workers, full.Stats, res.Stats)
+					}
+				}
+			}
+		}
+		if lastRounds.Load() == 0 {
+			t.Fatalf("k=%d: no rejected node reached a last Phase-2 round", k)
+		}
+	}
 }
