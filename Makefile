@@ -39,16 +39,16 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs ckvet, the repo's own analyzer suite (internal/analysis): the
-# zero-alloc / ctx-flow / metric-registration / transient-error /
-# lock-liveness invariants enforced at compile time. Dependency-free and
-# offline-friendly; CI runs the same command as a blocking step. See
-# README "Static analysis".
+# zero-alloc / ctx-flow / metric-registration / lock-liveness invariants
+# enforced at compile time. Dependency-free and offline-friendly; CI runs
+# the same command as a blocking step. See README "Static analysis".
 lint:
 	go run ./cmd/ckvet ./...
 
 # layering fails when the compiled-core store depends on a layer above it.
 # corestore builds on graph and network alone; core, sweep and serve sit on
-# top of it (sweep.StoreProvider adapts a store to the sweep scheduler).
+# top of it (sweep.RunCtx and serve's /query check instances out of a
+# corestore.Store).
 layering:
 	@bad=$$(go list -deps ./internal/corestore | grep -xE 'cycledetect/internal/(core|sweep|serve)'); \
 	if [ -n "$$bad" ]; then echo "internal/corestore must not depend on:"; echo "$$bad"; exit 1; fi

@@ -1,7 +1,7 @@
 // Command ckvet runs the repo's domain-specific analyzer suite — the
 // compile-time enforcement of the invariants the paper reproduction
 // depends on (0-alloc steady state, ctx flow to every round barrier,
-// static metric registration, transient-error plumbing, lock liveness).
+// static metric registration, lock liveness).
 //
 // Usage:
 //

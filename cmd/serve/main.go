@@ -11,16 +11,14 @@
 //	  "graph": {"family": "gnm", "n": 256, "m": 1024, "seed": 7},
 //	  "k": 7, "eps": 0.1, "seed": 42
 //	}'
-//	curl -sN localhost:8344/sweep?format=sse -d '{
-//	  "graphs": [{"family": "gnm", "n": 128}],
-//	  "k": [5, 7], "eps": [0.1], "trials": 10, "seed": 1
-//	}'
 //	curl -s localhost:8344/stats
 //	curl -s localhost:8344/metrics          # Prometheus text exposition
 //
+// Parameter sweeps are not served; cmd/sweep runs them.
+//
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight queries
-// and sweep streams finish (bounded by -drain), new connections are
-// refused, and every pooled engine is released.
+// finish (bounded by -drain), new connections are refused, and every
+// pooled engine is released.
 package main
 
 import (
@@ -54,7 +52,6 @@ func main() {
 		maxInstBytes = flag.Int64("max-instance-bytes", 0, "byte budget of live instances, weighted by compiled size (0 = default 256 MiB, negative = unbounded)")
 		maxQueue     = flag.Int("max-queue-depth", 0, "bound on every admission wait queue; arrivals past it shed with 429 (0 = default 64, negative = unbounded)")
 		maxQueries   = flag.Int("max-concurrent-queries", 0, "queries in service at once (0 = default max(4*instances, 2*GOMAXPROCS), negative = ungated)")
-		maxSweeps    = flag.Int("max-concurrent-sweeps", 0, "sweeps in service at once (0 = default 8, negative = ungated)")
 
 		// Observability (see the README's "Observability" runbook).
 		metricsOn   = flag.Bool("metrics", true, "expose GET /metrics (Prometheus text format)")
@@ -73,7 +70,6 @@ func main() {
 		MaxInstanceBytes:     *maxInstBytes,
 		MaxQueueDepth:        *maxQueue,
 		MaxConcurrentQueries: *maxQueries,
-		MaxConcurrentSweeps:  *maxSweeps,
 		DisableMetrics:       !*metricsOn,
 		EnablePprof:          *pprofOn,
 		LogRequests:          *logRequests,

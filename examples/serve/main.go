@@ -3,10 +3,9 @@
 // that the first queries compile the network (cache misses: clients that
 // arrive together each compile once) and every later query — from any
 // client — reuses the shared immutable topology and a warm pooled instance
-// (cache hits, near-zero per-query allocation). A final /sweep over the
-// same graph streams its rows off the query-warmed core — zero additional
-// compiles — and the closing /stats dump shows the byte-weighted cache and
-// the server-wide instance budget.
+// (cache hits, near-zero per-query allocation). The closing /metrics
+// deltas and /stats dump show the byte-weighted cache and the server-wide
+// instance budget.
 //
 //	go run ./examples/serve                      # in-process server
 //	go run ./examples/serve -addr host:8344      # against a running cmd/serve
@@ -96,8 +95,8 @@ func main() {
 	fmt.Printf("%d clients × %d queries, k=%d eps=%g, one shared gnm(256,1024) graph%s\n",
 		*clients, *queries, *k, *eps, mode)
 
-	// Baseline scrape: the phase table below prints per-phase deltas of the
-	// server's own counters, straight from the Prometheus exposition.
+	// Baseline scrape: the summary below prints deltas of the server's own
+	// counters, straight from the Prometheus exposition.
 	baseline := scrapeMetrics(base)
 
 	type result struct {
@@ -184,69 +183,30 @@ func main() {
 			shed.Load(), retries.Load())
 	}
 
-	afterQueries := scrapeMetrics(base)
-
-	// Sweep over the SAME graph: trials run on the compiled core the query
-	// traffic just warmed, so the row stream below costs zero compiles.
-	sweepSpec, _ := json.Marshal(map[string]any{
-		"graphs": []map[string]any{{"family": "gnm", "n": 256, "m": 1024}},
-		"k":      []int{*k},
-		"eps":    []float64{*eps},
-		"trials": 5,
-		"seed":   7,
-	})
-	resp, err := http.Post(base+"/sweep", "application/json", bytes.NewReader(sweepSpec))
-	if err != nil {
-		fatal(err)
+	// The server's own view of the load, as Prometheus deltas: what a
+	// dashboard would show. The mean run is the run-latency histogram's
+	// sum/count over just these runs.
+	after := scrapeMetrics(base)
+	d := func(series string) float64 { return after[series] - baseline[series] }
+	sheds := 0.0
+	for _, reason := range []string{"query", "instances", "deadline"} {
+		sheds += d(`serve_shed_total{reason="` + reason + `"}`)
 	}
-	rows, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		fatal(fmt.Errorf("sweep: stream cut mid-flight: %w", err))
+	runs := d("serve_run_seconds_count")
+	mean := time.Duration(0)
+	if runs > 0 {
+		mean = time.Duration(d("serve_run_seconds_sum") / runs * float64(time.Second))
 	}
-	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("sweep: HTTP %d: %s", resp.StatusCode, rows))
-	}
-	if bytes.Contains(rows, []byte(`"event":"error"`)) {
-		fatal(fmt.Errorf("sweep stream ended in error: %s", rows))
-	}
-	// The stream is row lines plus one terminal summary line.
-	fmt.Printf("sweep over the cached graph: %d rows, zero new compiles\n",
-		bytes.Count(rows, []byte{'\n'})-1)
-
-	afterSweep := scrapeMetrics(base)
-
-	// The server's own view of the two load phases, as Prometheus deltas:
-	// what a dashboard would show. The run-latency column is the histogram
-	// mean (sum/count) over just that phase's runs.
-	fmt.Println("phase deltas from /metrics:")
-	fmt.Printf("  %-12s %8s %8s %8s %8s %12s\n",
-		"phase", "queries", "sweeps", "sheds", "runs", "mean run")
-	printPhase := func(name string, from, to map[string]float64) {
-		d := func(series string) float64 { return to[series] - from[series] }
-		sheds := 0.0
-		for _, reason := range []string{"query", "sweep", "instances", "deadline"} {
-			sheds += d(`serve_shed_total{reason="` + reason + `"}`)
-		}
-		runs := d("serve_run_seconds_count")
-		mean := time.Duration(0)
-		if runs > 0 {
-			mean = time.Duration(d("serve_run_seconds_sum") / runs * float64(time.Second))
-		}
-		fmt.Printf("  %-12s %8.0f %8.0f %8.0f %8.0f %12v\n",
-			name, d("serve_queries_total"), d("serve_sweeps_total"), sheds, runs,
-			mean.Round(time.Microsecond))
-	}
-	printPhase("query-load", baseline, afterQueries)
-	printPhase("sweep", afterQueries, afterSweep)
+	fmt.Printf("from /metrics: queries=%.0f sheds=%.0f runs=%.0f mean run=%v\n",
+		d("serve_queries_total"), sheds, runs, mean.Round(time.Microsecond))
 
 	// Server-side view: byte-weighted cache, instance budget, hit rate.
 	st := fetchStats(base)
 	fmt.Printf("server: graphs_cached=%d cache_bytes=%d compiles=%d instances_live=%d/%d hit_rate=%.3f timeouts=%d failures=%d\n",
 		st.GraphsCached, st.CacheBytes, st.Compiles, st.InstancesLive, st.InstanceBudget,
 		st.HitRate, st.Timeouts, st.Failures)
-	fmt.Printf("server: shed=%d queue_high_water=%d retries=%d panics_recovered=%d\n",
-		st.Shed, st.QueueHighWater, st.Retries, st.PanicsRecovered)
+	fmt.Printf("server: shed=%d queue_high_water=%d panics_recovered=%d\n",
+		st.Shed, st.QueueHighWater, st.PanicsRecovered)
 	for _, e := range st.Entries {
 		fmt.Printf("  entry %s: n=%d m=%d bytes=%d hits=%d age=%.1fs idle=%d\n",
 			e.Key, e.N, e.M, e.Bytes, e.Hits, e.AgeSeconds, e.InstancesIdle)
@@ -270,7 +230,7 @@ func fetchStats(base string) serve.Stats {
 // scrapeMetrics fetches /metrics and parses every sample line into a
 // series → value map (series includes its labels, e.g.
 // `serve_shed_total{reason="query"}`). A server running with -metrics=false
-// just yields an empty map and the phase table prints zeros.
+// just yields an empty map and the deltas print as zeros.
 func scrapeMetrics(base string) map[string]float64 {
 	out := map[string]float64{}
 	resp, err := http.Get(base + "/metrics")

@@ -2,7 +2,7 @@
 // static-analyzer suite. The codebase's hardest-won properties — 0-alloc
 // steady-state engine runs, context cancellation reaching every
 // round barrier, every metric series registered up front with constant
-// labels, transient errors that survive wrapping — are runtime-tested
+// labels, no blocking call while a lock is held — are runtime-tested
 // today (TestRunAllocFree, cancel_test.go, ...); the analyzers here
 // enforce the same invariants at compile time, the way the paper's
 // distributed testers certify a global property through cheap local
@@ -129,5 +129,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // All returns the full analyzer suite in catalog order. Directives rides
 // along so a typoed or unjustified //ckvet: comment is itself a finding.
 func All() []*Analyzer {
-	return []*Analyzer{HotAlloc, CtxFlow, MetricReg, TransientErr, LockHold, Directives}
+	return []*Analyzer{HotAlloc, CtxFlow, MetricReg, LockHold, Directives}
 }

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-func TestHotAlloc(t *testing.T)     { RunTest(t, "hotalloc", HotAlloc) }
-func TestCtxFlow(t *testing.T)      { RunTest(t, "ctxflow", CtxFlow) }
-func TestMetricReg(t *testing.T)    { RunTest(t, "metricreg", MetricReg) }
-func TestTransientErr(t *testing.T) { RunTest(t, "transienterr", TransientErr) }
-func TestLockHold(t *testing.T)     { RunTest(t, "lockhold", LockHold) }
+func TestHotAlloc(t *testing.T)  { RunTest(t, "hotalloc", HotAlloc) }
+func TestCtxFlow(t *testing.T)   { RunTest(t, "ctxflow", CtxFlow) }
+func TestMetricReg(t *testing.T) { RunTest(t, "metricreg", MetricReg) }
+func TestLockHold(t *testing.T)  { RunTest(t, "lockhold", LockHold) }
 
 // TestDirectives asserts the meta-analyzer's findings directly: its
 // diagnostics land on the //ckvet: comments themselves, where a `// want`

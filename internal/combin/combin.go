@@ -120,7 +120,7 @@ func (s *RepScratch) Prealloc(q, keptCap int) {
 // minutes per trial (hit while re-measuring prealloc envelopes; that case
 // was cut from the test grid). Raising an experiment or sweep range past
 // this constant should be preceded by profiling — sweep.Spec.Warnings
-// surfaces the overshoot to cmd/sweep and the serving layer.
+// surfaces the overshoot to cmd/sweep.
 const MaxCalibratedK = 9
 
 // Representatives performs the greedy selection of Algorithm 1 (lines 16–23)

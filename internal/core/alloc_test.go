@@ -193,18 +193,21 @@ func TestTesterWarmAllocFree(t *testing.T) {
 			for s := uint64(warm); s < warm+runs; s++ {
 				run(s)
 			}
-			if allocs := programAllocs() - before; allocs != 0 {
-				t.Fatalf("%d warm runs made %d allocations; want 0", runs, allocs)
+			if allocs, where := programAllocs().since(before); allocs != 0 {
+				t.Fatalf("%d warm runs made %d allocations; want 0. Stacks whose count rose:\n%s", runs, allocs, where)
 			}
 		})
 	}
 }
 
-// programAllocs returns the number of heap allocations made so far whose
-// stack passes through the program's non-test code. Every allocation is
-// in the heap profile while runtime.MemProfileRate is 1, and three
+// allocSites counts heap allocations by the stack that made them.
+type allocSites map[[32]uintptr]int64
+
+// programAllocs returns the heap allocations made so far whose stack passes
+// through the program's non-test code, counted per stack. Every allocation
+// is in the heap profile while runtime.MemProfileRate is 1, and three
 // collections publish the latest ones.
-func programAllocs() int64 {
+func programAllocs() allocSites {
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}
@@ -214,13 +217,13 @@ func programAllocs() int64 {
 	if !ok {
 		panic("heap profile grew past its slack")
 	}
-	var total int64
+	sites := allocSites{}
 	for _, r := range recs[:n] {
 		frames := runtime.CallersFrames(r.Stack())
 		for {
 			f, more := frames.Next()
 			if strings.HasPrefix(f.Function, "cycledetect/") && !strings.HasSuffix(f.File, "_test.go") {
-				total += r.AllocObjects
+				sites[r.Stack0] += r.AllocObjects
 				break
 			}
 			if !more {
@@ -228,5 +231,30 @@ func programAllocs() int64 {
 			}
 		}
 	}
-	return total
+	return sites
+}
+
+// since returns how many allocations were made after before, and each stack
+// whose count rose, one frame (function, then file:line) per line.
+func (after allocSites) since(before allocSites) (int64, string) {
+	var total int64
+	var b strings.Builder
+	for stk, n := range after {
+		d := n - before[stk]
+		if d == 0 {
+			continue
+		}
+		total += d
+		fmt.Fprintf(&b, "%d allocations at:\n", d)
+		r := runtime.MemProfileRecord{Stack0: stk}
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			fmt.Fprintf(&b, "\t%s\n\t\t%s:%d\n", f.Function, f.File, f.Line)
+			if !more {
+				break
+			}
+		}
+	}
+	return total, b.String()
 }

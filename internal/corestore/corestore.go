@@ -6,10 +6,8 @@
 //
 // The store is the one cache of compiled cores. Every caller checks
 // instances out through Checkout under a key of its choosing: serve's
-// /query per run, and sweep trials through sweep.StoreProvider, which keys
-// family graphs by sweep.FamilyKey. A server's /sweep and /query share its
-// store, so a sweep over a graph the query traffic compiled performs zero
-// compiles and vice versa; a standalone sweep runs on a private store. The
+// /query per run, and each job of sweep.RunCtx, which keys family graphs by
+// sweep.FamilyKey and by default runs on a private store of its own. The
 // serving layer keeps what is genuinely serving — admission gates, HTTP
 // framing, request tracing — and delegates every core and instance
 // decision here. The store depends only on the graph and network layers.
@@ -135,10 +133,8 @@ func (o Options) defaultWorkers() int {
 }
 
 // ErrSaturated reports a checkout rejected because the instance budget is
-// exhausted AND its wait queue is full. It is transient (its Transient
-// method reports true, which sweep.IsTransient reads): callers back off and
-// retry, or translate it into their own overload vocabulary (serve maps it
-// to *ErrOverloaded / HTTP 429).
+// exhausted AND its wait queue is full. Callers translate it into their
+// own overload vocabulary: serve maps it to *ErrOverloaded, HTTP 429.
 type ErrSaturated struct {
 	// Instances is the budget that was saturated.
 	Instances int
@@ -150,9 +146,6 @@ func (e *ErrSaturated) Error() string {
 	return fmt.Sprintf("corestore: instance budget (%d) saturated and its wait queue (%d) full",
 		e.Instances, e.QueueDepth)
 }
-
-// Transient marks saturation as retryable.
-func (e *ErrSaturated) Transient() bool { return true }
 
 // Store is the compiled-core store. Create with New, release with Close.
 // All methods are safe for concurrent use.
@@ -201,8 +194,8 @@ type flight struct {
 
 // instPool holds the idle warm handles of one (graph, width). Width names
 // the pool because an instance's worker pool is sized at spawn — handing a
-// query-width instance to a sweep job budgeted wider (or vice versa) would
-// silently run at the wrong parallelism. All bookkeeping is guarded by
+// width-1 instance to a checkout that asked for width 2 (or vice versa)
+// would silently run at the wrong parallelism. All bookkeeping is guarded by
 // Store.mu; blocked acquirers wait on Store.cond, because a store-wide
 // budget means a release anywhere can unblock a waiter everywhere.
 type instPool struct {

@@ -116,7 +116,7 @@ func TestEntryCountBound(t *testing.T) {
 }
 
 // Saturation: with a budget of one instance and a zero-length wait queue,
-// a second concurrent checkout fails fast with a transient *ErrSaturated.
+// a second concurrent checkout fails fast with *ErrSaturated.
 func TestSaturationFailsFast(t *testing.T) {
 	s := New(Options{MaxInstances: 1, MaxQueueDepth: 1})
 	defer s.Close()
@@ -154,9 +154,6 @@ func TestSaturationFailsFast(t *testing.T) {
 	var sat *ErrSaturated
 	if !errors.As(err, &sat) {
 		t.Fatalf("want *ErrSaturated, got %v", err)
-	}
-	if !sat.Transient() {
-		t.Fatal("saturation must be transient (sweep retries it)")
 	}
 	cancel()
 	s.Release(h1)
@@ -431,5 +428,39 @@ func TestCloseFailsCheckouts(t *testing.T) {
 	s.Release(h) // must not panic; instance is closed, not re-pooled
 	if s.InstancesLive() != 0 {
 		t.Fatal("release after close leaked an instance")
+	}
+}
+
+// TestCheckoutWidthPools: a checkout gets the engine width it names, and
+// width is part of the pool's identity, so differently sized warm instances
+// never mix. A width-0 checkout gets Options.DefaultWorkers and must not
+// take the parked width-2 instance.
+func TestCheckoutWidthPools(t *testing.T) {
+	// Instance widths are capped by GOMAXPROCS: make two cores available
+	// so width 2 survives on a 1-CPU machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := New(Options{DefaultWorkers: 1})
+	defer s.Close()
+
+	h2, _, err := s.Checkout(context.Background(), "c16", cycleBuild(16), network.EngineBSP, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h2.Inst.Workers(); got != 2 {
+		t.Fatalf("width-2 checkout gave an instance of width %d", got)
+	}
+	inst2 := h2.Inst
+	s.Release(h2)
+
+	h1, _, err := s.Checkout(context.Background(), "c16", cycleBuild(16), network.EngineBSP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release(h1)
+	if got := h1.Inst.Workers(); got != 1 {
+		t.Fatalf("width-0 checkout gave an instance of width %d, want DefaultWorkers (1)", got)
+	}
+	if h1.Inst == inst2 {
+		t.Fatal("width-0 checkout took the parked width-2 instance")
 	}
 }

@@ -7,6 +7,7 @@ package network_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cycledetect/internal/core"
@@ -189,6 +190,80 @@ func TestNetworkRunAllocFree(t *testing.T) {
 			t.Fatalf("steady-state RunProgram allocates %.1f times; want 0", allocs)
 		}
 	})
+}
+
+// resetOnly is a program whose nodes do nothing but implement
+// ReusableNode. No other test runs its node type.
+type resetOnly struct{}
+
+func (resetOnly) Rounds(n, m int) int                   { return 1 }
+func (resetOnly) NewNode(network.NodeInfo) network.Node { return &resetOnlyNode{} }
+
+type resetOnlyNode struct{}
+
+func (*resetOnlyNode) Send(int, [][]byte)     {}
+func (*resetOnlyNode) Receive(int, [][]byte)  {}
+func (*resetOnlyNode) Output() any            { return nil }
+func (*resetOnlyNode) Reset(network.NodeInfo) {}
+
+// TestWarmResetMakesNoTypeAssertion: warm runs reset their cached nodes
+// without an interface type assertion per node. Until an assertion's
+// call-site cache holds a dynamic type, the runtime adds it at random, on
+// about one call in 1024, with a heap allocation. So 2^15 resets of a node
+// type that site has not seen would allocate with probability 1 - e^-32;
+// the 4 assertions a first warm run may make fill it first with
+// probability 0.4%. The count comes from the heap profile, from stacks
+// through the run's prepare step alone.
+func TestWarmResetMakesNoTypeAssertion(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	nw, err := network.New(graph.Cycle(4), network.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	prog := resetOnly{}
+	run := func(seed uint64) {
+		if _, err := nw.RunProgram(prog, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(0) // builds the nodes
+	run(1) // the first warm run lists them for reuse
+	before := prepareAllocs()
+	const runs = 1 << 13
+	for seed := uint64(2); seed < 2+runs; seed++ {
+		run(seed)
+	}
+	if got := prepareAllocs() - before; got != 0 {
+		t.Fatalf("%d warm runs of 4 nodes made %d allocations in prepare; want 0", runs, got)
+	}
+}
+
+// prepareAllocs returns the heap allocations made so far whose stack passes
+// through Instance.prepare, after the collections that publish them.
+func prepareAllocs() int64 {
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == "cycledetect/internal/network.(*Instance).prepare" {
+				total += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }
 
 // TestCloseWithoutRun: a Network built and Closed without ever running a

@@ -86,7 +86,12 @@ type Instance struct {
 
 	// Node cache: nodes built by the previous run, reusable when the same
 	// Program value is run again and every node implements ReusableNode.
+	// resets lists the same nodes as ReusableNodes once they have been
+	// reused, so later warm runs reset them with no type assertion: the
+	// runtime fills an assertion's call-site cache at random, on about one
+	// call in a thousand, and allocates when it does.
 	nodes    []Node
+	resets   []ReusableNode
 	lastProg Program
 	reusable bool
 
@@ -160,9 +165,9 @@ func (nw *Instance) Compiled() *Compiled { return nw.c }
 
 // Workers returns the instance's effective parallelism: the worker-pool
 // width after clamping (the requested width, or GOMAXPROCS when none was
-// requested, capped by the vertex count). Schedulers that hand out width
-// budgets (internal/sweep's CoreProvider handshake) read this to verify the
-// width they asked for is the width they got.
+// requested, capped by the vertex count). A caller that checks instances
+// out of a pool by width (corestore's Checkout) reads this to verify the
+// width it asked for is the width it got.
 func (nw *Instance) Workers() int { return nw.workers }
 
 // Close releases the worker pool. The Instance must not be used afterwards;
@@ -334,14 +339,26 @@ func (nw *Instance) prepare(p Program, seed uint64) int {
 		nw.rngs[v].SeedStream(seed, uint64(ids[v]))
 	}
 	if sameProgram(p, nw.lastProg) && nw.reusable {
-		for v := 0; v < n; v++ {
-			nw.nodes[v].(ReusableNode).Reset(nw.c.topo.info(v, &nw.rngs[v]))
+		if len(nw.resets) == 0 {
+			// The first warm run lists the nodes, so a single-use instance
+			// never pays for the list.
+			if nw.resets == nil {
+				nw.resets = make([]ReusableNode, 0, n)
+			}
+			for _, nd := range nw.nodes {
+				nw.resets = append(nw.resets, nd.(ReusableNode))
+			}
+		}
+		for v, nd := range nw.resets {
+			nd.Reset(nw.c.topo.info(v, &nw.rngs[v]))
 		}
 		return rounds
 	}
 	if nw.nodes == nil {
 		nw.nodes = make([]Node, n)
 	}
+	clear(nw.resets) // keep no node of an earlier program alive
+	nw.resets = nw.resets[:0]
 	nw.reusable = true
 	for v := 0; v < n; v++ {
 		nw.nodes[v] = p.NewNode(nw.c.topo.info(v, &nw.rngs[v]))

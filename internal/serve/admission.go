@@ -1,9 +1,9 @@
 package serve
 
 // Admission control: the overload valve in front of the instance budget.
-// Each endpoint (query, sweep) gets a gate bounding how many requests are
-// in service and how many may park waiting; everyone past the queue bound
-// is shed immediately with *ErrOverloaded — HTTP 429 plus a Retry-After
+// The query endpoint has a gate bounding how many requests are in service
+// and how many may park waiting; everyone past the queue bound is shed
+// immediately with *ErrOverloaded — HTTP 429 plus a Retry-After
 // hint — instead of holding a goroutine (and the client's patience) until
 // the deadline turns it into a 504. The instance-budget wait in acquire
 // is bounded the same way, and a latency tracker feeds deadline-aware
@@ -23,7 +23,7 @@ import (
 // executed. Callers should back off at least RetryAfter before retrying;
 // the HTTP layer maps it to 429 with a Retry-After header.
 type ErrOverloaded struct {
-	// Endpoint names the limit that shed the request: "query", "sweep",
+	// Endpoint names the limit that shed the request: "query" (its gate),
 	// "instances" (the budget wait queue), or "deadline".
 	Endpoint string
 	// RetryAfter is the server's backoff hint, derived from the current
@@ -38,11 +38,6 @@ func (e *ErrOverloaded) Error() string {
 		e.Endpoint, e.Reason, e.RetryAfter)
 }
 
-// Transient marks sheds as retryable, so sweep workers running against an
-// overloaded server back off and retry (sweep.IsTransient) instead of
-// failing the whole sweep.
-func (e *ErrOverloaded) Transient() bool { return true }
-
 // shedded counts one shed — the /stats total and the per-reason
 // Prometheus counter — and builds its ErrOverloaded.
 func (s *Server) shedded(endpoint, reason string) error {
@@ -50,8 +45,6 @@ func (s *Server) shedded(endpoint, reason string) error {
 	switch endpoint {
 	case "query":
 		s.met.shedQuery.Inc()
-	case "sweep":
-		s.met.shedSweep.Inc()
 	case "instances":
 		s.met.shedInst.Inc()
 	case "deadline":
@@ -81,8 +74,8 @@ func (s *Server) retryHint() time.Duration {
 }
 
 // enterQueue/leaveQueue account one parked request in the server-wide
-// queue-depth gauge and its high-water mark — shared by the per-endpoint
-// gates and the instance-budget wait, so /stats shows total parked load.
+// queue-depth gauge and its high-water mark — shared by the query gate and
+// the instance-budget wait, so /stats shows total parked load.
 func (s *Server) enterQueue() {
 	d := s.queueDepth.Add(1)
 	for {
@@ -95,7 +88,7 @@ func (s *Server) enterQueue() {
 
 func (s *Server) leaveQueue() { s.queueDepth.Add(-1) }
 
-// gate is one endpoint's admission valve: at most limit requests in
+// gate is the query endpoint's admission valve: at most limit requests in
 // service, at most maxQueue parked waiting, everyone else shed. The
 // fast path (a free service slot) is two integer updates under a
 // private mutex — nothing allocated, nothing shared with the run path.

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"cycledetect/internal/sweep"
 )
 
 // FuzzEdgeList is a differential test of EdgeList's hand-written decoder
@@ -78,8 +82,8 @@ func TestEdgeListBadBodyBounded(t *testing.T) {
 }
 
 // pairsOfInts is FuzzEdgeList's oracle: whether data is one JSON value that
-// is null or an array of arrays of exactly two integer literals within
-// int's range.
+// is null or an array of at most sweep.MaxFamilyEdges arrays of exactly two
+// integer literals within int's range.
 func pairsOfInts(data []byte) bool {
 	if !json.Valid(data) {
 		return false
@@ -94,7 +98,7 @@ func pairsOfInts(data []byte) bool {
 		return true
 	}
 	list, ok := v.([]any)
-	if !ok {
+	if !ok || len(list) > sweep.MaxFamilyEdges {
 		return false
 	}
 	for _, el := range list {
@@ -113,4 +117,119 @@ func pairsOfInts(data []byte) bool {
 		}
 	}
 	return true
+}
+
+// endlessEdges is a request body that never ends: the head of a query
+// whose edge list then repeats [0,1] forever.
+type endlessEdges struct{ n int }
+
+func (e *endlessEdges) Read(p []byte) (int, error) {
+	const head, unit = `{"graph":{"n":2,"edges":[`, `[0,1],`
+	for i := range p {
+		if e.n < len(head) {
+			p[i] = head[e.n]
+		} else {
+			p[i] = unit[(e.n-len(head))%len(unit)]
+		}
+		e.n++
+	}
+	return len(p), nil
+}
+
+// leastAlloc returns the fewest bytes f allocated over three calls; the
+// minimum discards allocations by other goroutines.
+func leastAlloc(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestQueryBodyLimits checks the two size refusals of /query, each with
+// bounded allocation: a body over maxQueryBytes is a 413, and an edge list
+// longer than sweep.MaxFamilyEdges is a 400.
+func TestQueryBodyLimits(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	h := s.Handler()
+
+	t.Run("declared-length", func(t *testing.T) {
+		// Refused from the header: nothing of the endless body is read.
+		var code int
+		got := leastAlloc(func() {
+			req := httptest.NewRequest(http.MethodPost, "/query", &endlessEdges{})
+			req.ContentLength = maxQueryBytes + 1
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			code = rec.Code
+		})
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("HTTP %d, want 413", code)
+		}
+		if got > 1<<20 {
+			t.Errorf("refusing a declared %d-byte body allocated %d bytes", maxQueryBytes+1, got)
+		}
+	})
+
+	t.Run("streamed", func(t *testing.T) {
+		// A body of unknown length is cut off once it passes the limit, so
+		// the decoder buffers at most that much; its buffer doubles as it
+		// grows, which makes about four times the limit in all. A 1 MB
+		// limit stands in for maxQueryBytes, which the handler passes.
+		const limit = 1 << 20
+		var code int
+		got := leastAlloc(func() {
+			req := httptest.NewRequest(http.MethodPost, "/query", &endlessEdges{})
+			req.ContentLength = -1
+			rec := httptest.NewRecorder()
+			var q QueryRequest
+			if decodeJSON(rec, req, &q, limit) {
+				t.Error("an endless body decoded")
+			}
+			code = rec.Code
+		})
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("HTTP %d, want 413", code)
+		}
+		if got > 6*limit {
+			t.Errorf("refusing an endless body at a %d-byte limit allocated %d bytes", limit, got)
+		}
+	})
+
+	t.Run("edge-count", func(t *testing.T) {
+		// Decoding stops at the limit, so a list of twice the limit costs
+		// what a list at the limit costs (16 bytes an edge plus append's
+		// growth), not what its body holds.
+		list := func(n int) []byte {
+			return []byte("[" + strings.Repeat("[0,1],", n-1) + "[0,1]]")
+		}
+		atLimit, over := list(sweep.MaxFamilyEdges), list(2*sweep.MaxFamilyEdges)
+		var l EdgeList
+		var err error
+		accepted := leastAlloc(func() { err = l.UnmarshalJSON(atLimit) })
+		if err != nil || len(l) != sweep.MaxFamilyEdges {
+			t.Fatalf("a list at the limit: %d edges, %v", len(l), err)
+		}
+		refused := leastAlloc(func() { err = l.UnmarshalJSON(over) })
+		if err == nil || !strings.Contains(err.Error(), "limit of 1048576 edges") {
+			t.Fatalf("a list of twice the limit: want the limit named, got %v", err)
+		}
+		if refused > accepted+accepted/8 {
+			t.Errorf("refusing %d edges allocated %d bytes, decoding %d took %d",
+				2*sweep.MaxFamilyEdges, refused, sweep.MaxFamilyEdges, accepted)
+		}
+
+		l, atLimit = nil, nil
+		rec := httptest.NewRecorder()
+		body := `{"graph":{"n":2,"edges":` + string(over) + `},"k":3,"eps":0.1}`
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "limit of 1048576 edges") {
+			t.Fatalf("HTTP %d %s, want 400 naming the edge limit", rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+	})
 }

@@ -9,7 +9,6 @@ import (
 	"net/http/pprof"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"time"
 
 	"cycledetect/internal/sweep"
@@ -18,9 +17,6 @@ import (
 // Handler returns the server's HTTP API:
 //
 //	POST /query   — one tester/detector run; JSON in, JSON out.
-//	POST /sweep   — a declarative sweep spec; rows stream back as JSON
-//	                lines, or as SSE when the client asks for
-//	                text/event-stream (Accept header or ?format=sse).
 //	GET  /stats   — cache hit rates, in-flight counts, pool occupancy,
 //	                and the run-ID-tagged in-flight request table.
 //	GET  /metrics — Prometheus text exposition of the full catalog
@@ -39,7 +35,6 @@ import (
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
-	mux.HandleFunc("POST /sweep", s.handleSweep)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -63,7 +58,7 @@ func (s *Server) Handler() http.Handler {
 
 // traceRequests tags every request with a run-ID (the client's
 // X-Request-ID, or a minted one) before the handlers run: into the
-// request context for Query/runSweep tracking, into the X-Request-ID
+// request context for Query's tracking, into the X-Request-ID
 // response header so clients can quote it, and — with LogRequests — into
 // one structured line per completed request.
 func (s *Server) traceRequests(next http.Handler) http.Handler {
@@ -86,8 +81,7 @@ func (s *Server) traceRequests(next http.Handler) http.Handler {
 	})
 }
 
-// statusWriter captures the status and body size for the request log. It
-// forwards Flush so the sweep stream keeps its incremental delivery.
+// statusWriter captures the status and body size for the request log.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -103,12 +97,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // handleMetrics serves the Prometheus text exposition.
@@ -170,19 +158,40 @@ func httpError(w http.ResponseWriter, r *http.Request, code int, err error) {
 	json.NewEncoder(w).Encode(body)
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, r, http.StatusBadRequest, fmt.Errorf("serve: parsing request: %w", err))
-		return false
+// maxQueryBytes caps a /query body before it is decoded: 64 bytes for each
+// of the sweep.MaxFamilyEdges edges an explicit graph may list, room for an
+// indented pair of 7-digit vertex numbers. The edge list itself is refused
+// past that many edges while it decodes (see EdgeList).
+const maxQueryBytes = 64 * sweep.MaxFamilyEdges
+
+// decodeJSON decodes a body of at most limit bytes into v. A larger body is
+// a 413, refused from its Content-Length when that is declared and after
+// limit bytes otherwise; a malformed one is a 400.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
 	}
-	return true
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, r, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("serve: request body exceeds the limit of %d bytes", limit))
+	} else {
+		httpError(w, r, http.StatusBadRequest, fmt.Errorf("serve: parsing request: %w", err))
+	}
+	return false
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req, maxQueryBytes) {
 		return
 	}
 	resp, err := s.Query(r.Context(), &req)
@@ -203,57 +212,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// handleSweep streams a sweep's rows incrementally. The connection IS the
-// result stream, so errors after the first row surface as a terminal
-// "error" event rather than an HTTP status.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var spec sweep.Spec
-	if !decodeJSON(w, r, &spec) {
-		return
-	}
-	if err := s.validateSweep(&spec); err != nil {
-		httpError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	for _, warn := range spec.Warnings() {
-		s.logf("serve: sweep %q: %s", spec.Name, warn)
-	}
-
-	// Admission happens BEFORE the 200 header and stream framing are
-	// committed: a shed sweep is a clean 429 the client's retry logic can
-	// parse, not an "error" event buried in a stream that claimed success.
-	release, err := s.admitSweep(r.Context())
-	if err != nil {
-		var ov *ErrOverloaded
-		switch {
-		case errors.As(err, &ov):
-			writeOverloaded(w, r, ov)
-		case errors.Is(err, context.DeadlineExceeded):
-			httpError(w, r, http.StatusGatewayTimeout, err)
-		default:
-			httpError(w, r, http.StatusRequestTimeout, err)
-		}
-		return
-	}
-	defer release()
-
-	sse := r.URL.Query().Get("format") == "sse" ||
-		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	sink := sweep.NewHTTPSink(w, sse)
-	w.Header().Set("Content-Type", sink.ContentType())
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not batch the stream
-	w.WriteHeader(http.StatusOK)
-
-	// The request context carries cancellation end to end: a client that
-	// kills the stream aborts the in-flight trials at their next CONGEST
-	// round barrier, not at trial or job boundaries.
-	sum, err := s.runSweep(r.Context(), &spec, sink)
-	if derr := sink.Done(sum, err); derr != nil && err == nil {
-		s.logf("serve: sweep %q: stream close: %v", spec.Name, derr)
-	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -4,9 +4,8 @@ package serve
 // owns the metrics.Registry behind GET /metrics and every series the
 // serving path records into — per-stage latency histograms (admission
 // queue wait, instance acquire, engine run, end-to-end per endpoint),
-// shed/cache/budget counters, per-engine run metrics (serveMetrics is the
-// network.RunCollector every spawned instance reports to), and the
-// sweep-progress gauges.
+// shed/cache/budget counters, and per-engine run metrics (serveMetrics is
+// the network.RunCollector every spawned instance reports to).
 //
 // Counters that already exist as the Server's atomic fields (queries,
 // sheds, ...) are exposed through CounterFunc/GaugeFunc reading the same
@@ -50,16 +49,13 @@ type serveMetrics struct {
 
 	// Per-stage latency histograms (nanosecond native, seconds exposed).
 	queueWaitQuery *metrics.Histogram // admission gate wait, /query
-	queueWaitSweep *metrics.Histogram // admission gate wait, /sweep
 	queueWaitInst  *metrics.Histogram // instance-budget wait episodes
 	acquire        *metrics.Histogram // lookup-to-checkout, successful acquires
 	run            *metrics.Histogram // successful engine runs (the admission oracle)
 	query          *metrics.Histogram // Query end to end, successes
-	sweepDur       *metrics.Histogram // RunSweep end to end, successes
 
 	// Shed counters by reason (the endpoint/limit that rejected).
 	shedQuery    *metrics.Counter
-	shedSweep    *metrics.Counter
 	shedInst     *metrics.Counter
 	shedDeadline *metrics.Counter
 
@@ -77,8 +73,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 	// Traffic counters — the same atomics /stats snapshots.
 	r.CounterFunc("serve_queries_total", "Queries received (Server.Query calls).",
 		s.queries.Load)
-	r.CounterFunc("serve_sweeps_total", "Sweeps executed (admitted past the gate).",
-		s.sweeps.Load)
 	r.CounterFunc("serve_timeouts_total", "Queries that exhausted their deadline (504s).",
 		s.timeouts.Load)
 	r.CounterFunc("serve_failures_total", "Requests failed for reasons other than shed/cancel.",
@@ -96,7 +90,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 	// /stats "shed" total.
 	shedHelp := "Requests shed by admission control, by rejecting limit."
 	m.shedQuery = r.Counter("serve_shed_total", shedHelp, metrics.L("reason", "query"))
-	m.shedSweep = r.Counter("serve_shed_total", shedHelp, metrics.L("reason", "sweep"))
 	m.shedInst = r.Counter("serve_shed_total", shedHelp, metrics.L("reason", "instances"))
 	m.shedDeadline = r.Counter("serve_shed_total", shedHelp, metrics.L("reason", "deadline"))
 
@@ -136,8 +129,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 	waitHelp := "Admission wait before service, by queue."
 	m.queueWaitQuery = r.Histogram("serve_queue_wait_seconds", waitHelp,
 		metrics.DurationBounds, metrics.DurationScale, metrics.L("queue", "query"))
-	m.queueWaitSweep = r.Histogram("serve_queue_wait_seconds", waitHelp,
-		metrics.DurationBounds, metrics.DurationScale, metrics.L("queue", "sweep"))
 	m.queueWaitInst = r.Histogram("serve_queue_wait_seconds", waitHelp,
 		metrics.DurationBounds, metrics.DurationScale, metrics.L("queue", "instances"))
 	m.acquire = r.Histogram("serve_acquire_seconds",
@@ -148,9 +139,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 		metrics.DurationBounds, metrics.DurationScale)
 	m.query = r.Histogram("serve_query_seconds",
 		"Query end to end (admission + acquire + run), successes.",
-		metrics.DurationBounds, metrics.DurationScale)
-	m.sweepDur = r.Histogram("serve_sweep_seconds",
-		"Sweep end to end, successes.",
 		metrics.DurationBounds, metrics.DurationScale)
 
 	// Engine run metrics, fed by RecordRun via the instances' collector
@@ -169,20 +157,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 		maxBits: r.Gauge("engine_max_message_bits",
 			"Largest single payload observed, bits (CONGEST bandwidth high-water).", l),
 	}
-
-	// Sweep progress: the server-wide Progress every admitted sweep adds
-	// into, so long sweeps are observable mid-flight.
-	r.CounterFunc("sweep_jobs_total", "Grid jobs admitted across sweeps.",
-		s.sweepProg.Jobs.Load)
-	r.CounterFunc("sweep_jobs_done_total", "Grid jobs fully completed.",
-		s.sweepProg.JobsDone.Load)
-	r.CounterFunc("sweep_trials_total", "Individual trials completed (sweep throughput).",
-		s.sweepProg.Trials.Load)
-	r.CounterFunc("sweep_retries_total", "Shed instance checkouts retried by sweep workers.",
-		s.sweepProg.Retries.Load)
-	r.GaugeFunc("sweep_active_workers", "Scheduler workers currently running a job's trials.",
-		s.sweepProg.ActiveWorkers.Load)
-
 	return m
 }
 

@@ -2,7 +2,7 @@ package serve
 
 // Tests for the observability surface: /metrics exposition over HTTP,
 // scrape-under-load safety, run-ID tracing through logs, error envelopes
-// and the /stats in-flight table, and the sweep width handshake.
+// and the /stats in-flight table.
 
 import (
 	"context"
@@ -11,14 +11,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"cycledetect/internal/sweep"
 )
 
 // scrape fetches /metrics and returns the body, asserting the Prometheus
@@ -60,10 +57,10 @@ func metricValue(body, series string) float64 {
 	return -1
 }
 
-// TestHTTPMetricsExposition drives real traffic (queries with a cache hit,
-// a streamed sweep) and validates the scrape: catalog presence with
-// HELP/TYPE, counters consistent with /stats, engine run metrics fed by
-// the collector, sweep progress counters, and histogram cumulativity.
+// TestHTTPMetricsExposition drives real traffic (two queries, the second a
+// cache hit) and validates the scrape: catalog presence with HELP/TYPE,
+// counters consistent with /stats, engine run metrics fed by the
+// collector, and histogram cumulativity.
 func TestHTTPMetricsExposition(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()
@@ -81,22 +78,12 @@ func TestHTTPMetricsExposition(t *testing.T) {
 			t.Fatalf("query %d: HTTP %d", i, resp.StatusCode)
 		}
 	}
-	spec := `{"graphs":[{"family":"cycle","n":12}],"k":[5],"eps":[0.2],"trials":2,"seed":1}`
-	resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: HTTP %d", resp.StatusCode)
-	}
-
 	out := scrape(t, ts.URL)
 
 	// Catalog: every family the runbook documents exists, with HELP and
 	// TYPE preceding its samples.
 	for _, name := range []string{
-		"serve_queries_total", "serve_sweeps_total", "serve_timeouts_total",
+		"serve_queries_total", "serve_timeouts_total",
 		"serve_failures_total", "serve_panics_recovered_total",
 		"serve_in_flight", "serve_queue_depth", "serve_queue_high_water",
 		"serve_shed_total", "serve_cache_hits_total", "serve_cache_misses_total",
@@ -105,12 +92,10 @@ func TestHTTPMetricsExposition(t *testing.T) {
 		"serve_instances_live", "serve_instances_idle", "serve_instance_budget",
 		"serve_instance_bytes", "serve_instance_bytes_max",
 		"serve_queue_wait_seconds", "serve_acquire_seconds", "serve_run_seconds",
-		"serve_query_seconds", "serve_sweep_seconds",
+		"serve_query_seconds",
 		"engine_runs_total", "engine_rounds_total", "engine_messages_total",
 		"engine_bits_total", "engine_canceled_total", "engine_failed_total",
 		"engine_run_messages", "engine_max_message_bits",
-		"sweep_jobs_total", "sweep_jobs_done_total", "sweep_trials_total",
-		"sweep_retries_total", "sweep_active_workers",
 	} {
 		if !strings.Contains(out, "# HELP "+name+" ") {
 			t.Errorf("missing HELP for %s", name)
@@ -128,30 +113,15 @@ func TestHTTPMetricsExposition(t *testing.T) {
 	if v := metricValue(out, "serve_cache_hits_total"); v != 1 {
 		t.Errorf("serve_cache_hits_total = %v, want 1", v)
 	}
-	if v := metricValue(out, "serve_sweeps_total"); v != 1 {
-		t.Errorf("serve_sweeps_total = %v, want 1", v)
-	}
-	// The collector fed per-engine run metrics: 2 query reps + 2 sweep
-	// trials all ran on the default BSP engine.
-	if v := metricValue(out, `engine_runs_total{engine="bsp"}`); v < 3 {
-		t.Errorf(`engine_runs_total{engine="bsp"} = %v, want >= 3`, v)
+	// The collector fed per-engine run metrics: each query is one run.
+	if v := metricValue(out, `engine_runs_total{engine="bsp"}`); v != 2 {
+		t.Errorf(`engine_runs_total{engine="bsp"} = %v, want 2`, v)
 	}
 	if v := metricValue(out, `engine_rounds_total{engine="bsp"}`); v <= 0 {
 		t.Errorf("engine_rounds_total = %v, want > 0", v)
 	}
 	if v := metricValue(out, `engine_messages_total{engine="bsp"}`); v <= 0 {
 		t.Errorf("engine_messages_total = %v, want > 0", v)
-	}
-	// Sweep progress counters reflect the finished sweep, and the active
-	// worker gauge has drained back to zero.
-	if v := metricValue(out, "sweep_jobs_done_total"); v != 1 {
-		t.Errorf("sweep_jobs_done_total = %v, want 1", v)
-	}
-	if v := metricValue(out, "sweep_trials_total"); v != 2 {
-		t.Errorf("sweep_trials_total = %v, want 2", v)
-	}
-	if v := metricValue(out, "sweep_active_workers"); v != 0 {
-		t.Errorf("sweep_active_workers = %v, want 0 after the sweep", v)
 	}
 	// The run histogram saw every successful engine-backed query; buckets
 	// are cumulative and the +Inf bucket equals the count.
@@ -388,46 +358,4 @@ func TestRunIDTracing(t *testing.T) {
 	if st := s2.Stats(); len(st.InFlightRequests) != 0 {
 		t.Fatalf("in-flight table not drained: %+v", st.InFlightRequests)
 	}
-}
-
-// TestSweepWidthHandshake: the provider honors the scheduler's budgeted
-// engine width (pt.Workers) instead of the per-query default, and width is
-// part of the pool identity so differently-sized warm instances never mix.
-func TestSweepWidthHandshake(t *testing.T) {
-	// The provider clamps widths to the hardware; make sure two cores are
-	// "available" so the budgeted width survives the clamp on 1-CPU CI.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-
-	s := NewServer(Options{NetworkWorkers: 1})
-	defer s.Close()
-	p := coreProvider{s: s}
-	pt := sweep.TrialPoint{
-		Graph: sweep.GraphSpec{Family: "cycle", N: 16},
-		K:     5, Eps: 0.2, Seed: 1,
-	}
-
-	pt.Workers = 2
-	inst2, rel2, err := p.Acquire(context.Background(), pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := inst2.Workers(); got != 2 {
-		t.Fatalf("budgeted width 2 gave an instance of width %d", got)
-	}
-	rel2()
-
-	// Width 0 falls back to the server's per-query NetworkWorkers — and
-	// must NOT reuse the width-2 instance parked above.
-	pt.Workers = 0
-	inst1, rel1, err := p.Acquire(context.Background(), pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := inst1.Workers(); got != 1 {
-		t.Fatalf("default width gave an instance of width %d", got)
-	}
-	if inst1 == inst2 {
-		t.Fatal("width-1 checkout poached the width-2 warm instance")
-	}
-	rel1()
 }

@@ -74,8 +74,8 @@ func freshSoakRun(t *testing.T, g *graph.Graph, seed uint64) soakRun {
 
 // TestSoakOverloadWithFaults is the overload drill on real faults: offered
 // load several times the instance budget, a per-message budget that some
-// seeds' runs exceed, clients abandoning requests mid-flight, and sweep
-// traffic mixed in. The server must shed the excess with well-formed 429s,
+// seeds' runs exceed, and clients abandoning requests mid-flight. The
+// server must shed the excess with well-formed 429s,
 // never deadlock or crash, return every instance to its pool, and — the
 // determinism contract under fire — answer every admitted run exactly as a
 // fresh run under the same budget does: the same verdict, or the same
@@ -186,32 +186,6 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 			}
 		}(c)
 	}
-	// Sweep traffic over the same saturated budget: outcomes may be
-	// success, a shed that outlived its retries, or a trial's budget
-	// violation — but never a hang or an unexplained failure.
-	for sw := 0; sw < 2; sw++ {
-		wg.Add(1)
-		go func(sw int) {
-			defer wg.Done()
-			<-start
-			for i := 0; i < 3; i++ {
-				spec := &sweep.Spec{
-					Graphs: []sweep.GraphSpec{{Family: "gnm", N: 48, M: 192}},
-					K:      []int{7}, Eps: []float64{0.25}, Reps: 2,
-					Trials: 2, Seed: uint64(9 + i), Workers: 2,
-				}
-				_, err := s.RunSweep(context.Background(), spec,
-					sweep.FuncSink(func(*sweep.Result) error { return nil }))
-				if err != nil {
-					var ov *ErrOverloaded
-					var be *network.ErrBandwidth
-					if !errors.As(err, &ov) && !errors.As(err, &be) {
-						t.Errorf("sweep %d/%d: %v", sw, i, err)
-					}
-				}
-			}
-		}(sw)
-	}
 	close(start)
 	wg.Wait()
 
@@ -315,63 +289,11 @@ func TestBudgetReclaimAdmissionRace(t *testing.T) {
 	}
 }
 
-// TestSweepRetriesCountedOnFailure: /stats and /metrics count the same
-// sweep retries, including those of a sweep that then fails. With the only
-// instance held and the one wait-queue slot taken, every checkout of the
-// sweep is shed: the first attempt and its three retries.
-func TestSweepRetriesCountedOnFailure(t *testing.T) {
-	s := NewServer(Options{MaxInstances: 1, MaxQueueDepth: 1})
-	defer s.Close()
-	req := &QueryRequest{Graph: GraphRequest{Family: "cycle", N: 10}, K: 5, Reps: 1}
-	key, build, err := req.resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, _, err := s.checkout(context.Background(), key, build, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parked := make(chan error, 1)
-	go func() {
-		_, err := s.Query(context.Background(), req)
-		parked <- err
-	}()
-	for i := 0; s.queueDepth.Load() != 1; i++ {
-		if i > 2000 {
-			t.Fatal("the waiter never parked on the instance budget")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	_, err = s.RunSweep(context.Background(), &sweep.Spec{
-		Graphs: []sweep.GraphSpec{{Family: "cycle", N: 10}},
-		K:      []int{5}, Eps: []float64{0.25}, Trials: 1, Seed: 1, Workers: 1,
-	}, sweep.FuncSink(func(*sweep.Result) error { return nil }))
-	var ov *ErrOverloaded
-	if !errors.As(err, &ov) {
-		t.Fatalf("want the sweep shed after its retries, got %v", err)
-	}
-	s.release(h)
-	if err := <-parked; err != nil {
-		t.Fatalf("parked query after release: %v", err)
-	}
-
-	if got := s.Stats().Retries; got != 3 {
-		t.Errorf("Stats().Retries = %d, want 3", got)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if v := metricValue(scrape(t, ts.URL), "sweep_retries_total"); v != 3 {
-		t.Errorf("sweep_retries_total = %v, want 3", v)
-	}
-}
-
-// TestHTTP429WellFormed pins the shed responses deterministically: with the
-// service slot held and the wait queue occupied, the next request on each
-// endpoint must shed as a clean 429 — for /sweep, BEFORE any stream framing
-// is committed (the Content-Type proves it: JSON error, not ndjson).
+// TestHTTP429WellFormed pins the shed response deterministically: with the
+// service slot held and the wait queue occupied, the next query must shed
+// as a clean 429.
 func TestHTTP429WellFormed(t *testing.T) {
-	s := NewServer(Options{MaxConcurrentQueries: 1, MaxConcurrentSweeps: 1, MaxQueueDepth: 1})
+	s := NewServer(Options{MaxConcurrentQueries: 1, MaxQueueDepth: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -413,41 +335,6 @@ func TestHTTP429WellFormed(t *testing.T) {
 		}
 		if st := s.Stats(); st.Shed != 1 || st.QueueHighWater < 1 {
 			t.Fatalf("shed accounting: %+v", st)
-		}
-	})
-
-	t.Run("sweep", func(t *testing.T) {
-		if err := s.sweepGate.acquire(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		spec := func() *sweep.Spec {
-			return &sweep.Spec{
-				Graphs: []sweep.GraphSpec{{Family: "cycle", N: 10}},
-				K:      []int{5}, Eps: []float64{0.25}, Trials: 1, Seed: 1,
-			}
-		}
-		done := make(chan error, 1)
-		go func() {
-			_, err := s.RunSweep(context.Background(), spec(),
-				sweep.FuncSink(func(*sweep.Result) error { return nil }))
-			done <- err
-		}()
-		waitDepth(1)
-
-		resp, err := http.Post(ts.URL+"/sweep", "application/json",
-			strings.NewReader(`{"graphs":[{"family":"cycle","n":10}],"k":[5],"eps":[0.25],"trials":1,"seed":1}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("shed sweep leaked stream framing: Content-Type %q", ct)
-		}
-		assert429(t, resp)
-
-		s.sweepGate.release()
-		if err := <-done; err != nil {
-			t.Fatalf("parked sweep after release: %v", err)
 		}
 	})
 }

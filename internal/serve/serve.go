@@ -1,6 +1,6 @@
 // Package serve is the query-serving layer over the CONGEST simulator: a
-// Server multiplexes many concurrent tester/detector queries — and sweep
-// streams — over a small set of cached, immutable compiled networks.
+// Server multiplexes many concurrent tester/detector queries over a small
+// set of cached, immutable compiled networks.
 //
 // The paper makes a single query cheap — "is this graph ε-far from
 // Ck-free?" costs O(1/ε) CONGEST rounds, independent of the graph size —
@@ -14,11 +14,11 @@
 // shedding, Retry-After hints), HTTP framing, request tracing, and metrics
 // exposition; every cache and instance decision is delegated to the store.
 //
-// Both traffic classes run on the one store: /query checks a warm instance
-// out per run through corestore.Store.Checkout, and /sweep trials go
-// through the same cache via sweep.StoreProvider, so a sweep over a graph
-// the query traffic already compiled performs zero compiles (and vice
-// versa).
+// Each query checks a warm instance out of the store per run through
+// corestore.Store.Checkout. Parameter sweeps are not served: sweep.RunCtx,
+// and cmd/sweep over it, runs them on a private store, since building and
+// compiling a sweep's graphs costs about a millisecond against seconds of
+// trials.
 //
 // Cancellation is threaded end to end: the request context flows through
 // the instance-pool wait into network.RunProgramCtx, so a timed-out or
@@ -32,10 +32,9 @@
 // one shared topology. Results are deterministic per (graph, program,
 // seed) — identical to a fresh sequential run, whatever the interleaving.
 //
-// The HTTP surface (see Handler) is POST /query for single runs, POST
-// /sweep for declarative parameter sweeps streamed row-by-row (SSE or JSON
-// lines via sweep.HTTPSink), and GET /stats for cache and in-flight
-// counters including per-entry size, hits, and age.
+// The HTTP surface (see Handler) is POST /query for single runs and GET
+// /stats for cache and in-flight counters including per-entry size, hits,
+// and age.
 package serve
 
 import (
@@ -53,7 +52,6 @@ import (
 	"cycledetect/internal/corestore"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
-	"cycledetect/internal/sweep"
 )
 
 // Options configures a Server. The zero value serves with the defaults
@@ -89,12 +87,8 @@ type Options struct {
 	// intra-run workers).
 	NetworkWorkers int
 	// BandwidthBits, if positive, compiles a hard per-message budget into
-	// every cached network. A /sweep spec's bandwidth_bits must be 0 (this
-	// budget applies) or equal to it.
+	// every cached network.
 	BandwidthBits int
-	// SweepWorkers caps the scheduler workers of /sweep requests (default
-	// GOMAXPROCS; a spec asking for more is clamped).
-	SweepWorkers int
 	// MaxInstanceBytes bounds live instances by the bytes they pin
 	// (Compiled.MemSize per instance), alongside the MaxInstances count
 	// bound, so a budget of N instances cannot silently become N giant
@@ -102,20 +96,16 @@ type Options struct {
 	// cache bound, the first instance always spawns, so one over-budget
 	// giant still serves.
 	MaxInstanceBytes int64
-	// MaxQueueDepth bounds every admission wait queue — the per-endpoint
-	// gates AND the instance-budget wait (default 64; negative disables
-	// the bound). A request arriving at a full queue is shed immediately
-	// with *ErrOverloaded (HTTP 429 + Retry-After) instead of parking
-	// until its deadline turns it into a 504.
+	// MaxQueueDepth bounds every admission wait queue — the query gate AND
+	// the instance-budget wait (default 64; negative disables the bound).
+	// A request arriving at a full queue is shed immediately with
+	// *ErrOverloaded (HTTP 429 + Retry-After) instead of parking until its
+	// deadline turns it into a 504.
 	MaxQueueDepth int
 	// MaxConcurrentQueries caps queries in service at once; excess
 	// queries park in the bounded admission queue (default
 	// max(4×MaxInstances, 2×GOMAXPROCS); negative disables the gate).
 	MaxConcurrentQueries int
-	// MaxConcurrentSweeps caps sweeps in service at once (default 8;
-	// negative disables the gate). Sweeps are long-lived and fan out over
-	// the shared instance budget, so the default is deliberately small.
-	MaxConcurrentSweeps int
 	// DisableMetrics removes GET /metrics from the handler. Collection
 	// itself always runs (it is allocation-free on the hot paths); this
 	// only controls exposition.
@@ -153,13 +143,6 @@ func (o Options) networkWorkers() int {
 	return 1
 }
 
-func (o Options) sweepWorkers() int {
-	if o.SweepWorkers > 0 {
-		return o.SweepWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 func (o Options) maxInstances() int {
 	if o.MaxInstances > 0 {
 		return o.MaxInstances
@@ -194,16 +177,6 @@ func (o Options) maxConcurrentQueries() int {
 	return d
 }
 
-func (o Options) maxConcurrentSweeps() int {
-	if o.MaxConcurrentSweeps > 0 {
-		return o.MaxConcurrentSweeps
-	}
-	if o.MaxConcurrentSweeps < 0 {
-		return int(^uint(0) >> 1)
-	}
-	return 8
-}
-
 // storeOptions maps the server's options onto the core store's, wiring the
 // server's observability (queue-depth accounting, latency histograms, the
 // run collector) through the store's hooks.
@@ -234,18 +207,14 @@ type Server struct {
 	// pools and their budget.
 	store *corestore.Store
 
-	// Admission control (see admission.go): per-endpoint gates. The
-	// latency signal behind deadline-aware shedding and Retry-After hints
-	// is the shared run-duration histogram (met.run, see runP50).
+	// Admission control (see admission.go): the query gate. The latency
+	// signal behind deadline-aware shedding and Retry-After hints is the
+	// shared run-duration histogram (met.run, see runP50).
 	queryGate *gate
-	sweepGate *gate
 
 	// met owns the /metrics registry and every recorded series; it is
 	// also the network.RunCollector each spawned instance reports to.
 	met *serveMetrics
-	// sweepProg aggregates live progress across every admitted sweep
-	// (exported through /metrics as the sweep_* series).
-	sweepProg sweep.Progress
 
 	// Run-ID tracing: per-request IDs (X-Request-ID or generated from
 	// ridSalt+ridSeq) flow HTTP → Query → the in-flight table below, so a
@@ -260,7 +229,6 @@ type Server struct {
 	queries        atomic.Int64
 	timeouts       atomic.Int64
 	failures       atomic.Int64
-	sweeps         atomic.Int64
 	inFlight       atomic.Int64
 	shed           atomic.Int64 // requests rejected by admission control (429s)
 	queueDepth     atomic.Int64 // requests parked in wait queues right now
@@ -304,7 +272,6 @@ func NewServer(opts Options) *Server {
 	s.met = newServeMetrics(s)
 	s.store = corestore.New(s.storeOptions())
 	s.queryGate = newGate(s, "query", opts.maxConcurrentQueries(), opts.maxQueueDepth(), s.met.queueWaitQuery)
-	s.sweepGate = newGate(s, "sweep", opts.maxConcurrentSweeps(), opts.maxQueueDepth(), s.met.queueWaitSweep)
 	return s
 }
 
@@ -568,18 +535,14 @@ type Stats struct {
 	Queries  int64 `json:"queries"`
 	Timeouts int64 `json:"timeouts"`
 	Failures int64 `json:"failures"`
-	Sweeps   int64 `json:"sweeps"`
 	InFlight int64 `json:"in_flight"`
 	// Resilience counters (see admission.go): Shed counts requests rejected
 	// with 429, QueueDepth/QueueHighWater track parked requests across all
-	// wait queues, Retries counts shed instance checkouts that sweep
-	// workers retried (the sweep_retries_total series, whether or not the
-	// sweep then succeeded), and PanicsRecovered counts handler panics
-	// caught by the HTTP middleware.
+	// wait queues, and PanicsRecovered counts handler panics caught by the
+	// HTTP middleware.
 	Shed            int64 `json:"shed"`
 	QueueDepth      int64 `json:"queue_depth"`
 	QueueHighWater  int64 `json:"queue_high_water"`
-	Retries         int64 `json:"retries"`
 	PanicsRecovered int64 `json:"panics_recovered"`
 	// HitRate is Hits / (Hits + Misses), 0 before the first lookup.
 	HitRate float64 `json:"hit_rate"`
@@ -597,12 +560,10 @@ func (s *Server) Stats() Stats {
 		Queries:         s.queries.Load(),
 		Timeouts:        s.timeouts.Load(),
 		Failures:        s.failures.Load(),
-		Sweeps:          s.sweeps.Load(),
 		InFlight:        s.inFlight.Load(),
 		Shed:            s.shed.Load(),
 		QueueDepth:      s.queueDepth.Load(),
 		QueueHighWater:  s.queueHighWater.Load(),
-		Retries:         s.sweepProg.Retries.Load(),
 		PanicsRecovered: s.panics.Load(),
 	}
 	if lookups := st.Hits + st.Misses; lookups > 0 {
@@ -610,95 +571,4 @@ func (s *Server) Stats() Stats {
 	}
 	st.InFlightRequests = s.inflightSnapshot(time.Now())
 	return st
-}
-
-// coreProvider adapts the server's store to sweep trials through
-// sweep.StoreProvider, translating the store's saturation error like
-// Server.checkout does (see shedSaturated), so sweep workers back off
-// exactly like shed queries do.
-// A sweep over a graph /query already cached performs zero compiles — and
-// leaves the graph hot for subsequent queries.
-type coreProvider struct{ s *Server }
-
-// Acquire implements sweep.CoreProvider over the shared store.
-func (p coreProvider) Acquire(ctx context.Context, pt sweep.TrialPoint) (*network.Instance, func(), error) {
-	inst, release, err := sweep.StoreProvider(p.s.store).Acquire(ctx, pt)
-	if err != nil {
-		return nil, nil, p.s.shedSaturated(err)
-	}
-	return inst, release, nil
-}
-
-// RunSweep validates and executes a declarative sweep spec, streaming rows
-// to the sinks (the transport-independent core of POST /sweep). Trials run
-// on the server's own cached compiled cores and warm instance pools — the
-// same substrate /query uses, under the same instance budget. ctx cancels
-// the sweep mid-trial (a killed /sweep stream stops its CONGEST runs at the
-// next round barrier). The spec's worker count is clamped to
-// Options.SweepWorkers; advisory warnings (for example a k beyond the
-// calibrated representative-selection range) are returned alongside
-// validation so callers can surface them before rows flow.
-func (s *Server) RunSweep(ctx context.Context, spec *sweep.Spec, sinks ...sweep.Sink) (*sweep.Summary, error) {
-	if err := s.validateSweep(spec); err != nil {
-		s.failures.Add(1)
-		return nil, err
-	}
-	release, err := s.admitSweep(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return s.runSweep(ctx, spec, sinks...)
-}
-
-// validateSweep checks a spec before admission: the spec's own rules, and a
-// per-message budget that is 0 (the server's applies) or the server's own.
-// The trials run on the server's cores, which carry the server's budget, so
-// any other value could not be honored.
-func (s *Server) validateSweep(spec *sweep.Spec) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	if spec.BandwidthBits != 0 && spec.BandwidthBits != s.opts.BandwidthBits {
-		return fmt.Errorf("serve: sweep bandwidth_bits %d differs from the server's per-message budget %d (omit it to use the server's)",
-			spec.BandwidthBits, s.opts.BandwidthBits)
-	}
-	return nil
-}
-
-// admitSweep passes the sweep gate: sweeps are long-lived and fan out over
-// the shared instance budget, so only a few run at once and the rest park
-// or shed. The HTTP layer calls it separately from runSweep so an
-// *ErrOverloaded can become a clean 429 BEFORE the 200 header and stream
-// framing are committed. Callers must call the returned release exactly
-// once, after the sweep finishes.
-func (s *Server) admitSweep(ctx context.Context) (release func(), err error) {
-	if err := s.sweepGate.acquire(ctx); err != nil {
-		return nil, err
-	}
-	return s.sweepGate.release, nil
-}
-
-// runSweep executes an admitted, validated sweep (see RunSweep for the
-// contract).
-func (s *Server) runSweep(ctx context.Context, spec *sweep.Spec, sinks ...sweep.Sink) (*sweep.Summary, error) {
-	s.sweeps.Add(1)
-	start := time.Now()
-	fl := s.trackInflight(ctx, "sweep")
-	fl.setStage(stageRun)
-	defer fl.done(s)
-	if cap := s.opts.sweepWorkers(); spec.Workers <= 0 || spec.Workers > cap {
-		spec.Workers = cap
-	}
-	sum, err := sweep.RunCtxProgress(ctx, spec, coreProvider{s: s}, &s.sweepProg, sinks...)
-	if err == nil {
-		s.met.sweepDur.ObserveSince(start)
-	}
-	var ov *ErrOverloaded
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.As(err, &ov) {
-		// A client abandoning its stream is not a server failure, and a
-		// shed (already counted) is the server protecting itself.
-		s.failures.Add(1)
-	}
-	return sum, err
 }

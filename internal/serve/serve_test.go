@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -275,106 +274,6 @@ func TestQueryTimeout(t *testing.T) {
 	}
 }
 
-// TestSweepRunsOnQueryCache is the topology-sharing contract between the
-// two traffic classes: a /sweep over a graph the query traffic already
-// compiled performs ZERO compiles — its trials check instances out of the
-// same cached core — its lookups count as cache hits in /stats, and its
-// rows are byte-identical to the standalone sweep substrate.
-func TestSweepRunsOnQueryCache(t *testing.T) {
-	s := NewServer(Options{})
-	defer s.Close()
-	if _, err := s.Query(context.Background(), &QueryRequest{
-		Graph: GraphRequest{Family: "gnm", N: 48, M: 192, Seed: 11},
-		K:     5, Reps: 2, Seed: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st0 := s.Stats()
-	if st0.Compiles != 1 {
-		t.Fatalf("warm-up should compile exactly once: %+v", st0)
-	}
-
-	spec := &sweep.Spec{
-		Graphs: []sweep.GraphSpec{{Family: "gnm", N: 48, M: 192}},
-		K:      []int{5, 7}, Eps: []float64{0.2}, Trials: 3, Seed: 11,
-	}
-	var got []sweep.Result
-	sum, err := s.RunSweep(context.Background(), spec, sweep.FuncSink(func(r *sweep.Result) error {
-		got = append(got, *r)
-		return nil
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Jobs != 2 || len(got) != 2 {
-		t.Fatalf("sweep shape: %+v, %d rows", sum, len(got))
-	}
-
-	st := s.Stats()
-	if st.Compiles != st0.Compiles {
-		t.Fatalf("sweep on a cached graph must perform zero compiles: before %+v, after %+v", st0, st)
-	}
-	if st.Misses != st0.Misses || st.Hits <= st0.Hits {
-		t.Fatalf("sweep lookups must hit the query-warmed entry: before %+v, after %+v", st0, st)
-	}
-
-	// Determinism across substrates: the standalone scheduler (its own
-	// cores) must produce identical rows for the identical spec.
-	standalone := &sweep.Spec{
-		Graphs: []sweep.GraphSpec{{Family: "gnm", N: 48, M: 192}},
-		K:      []int{5, 7}, Eps: []float64{0.2}, Trials: 3, Seed: 11,
-	}
-	var want []sweep.Result
-	if _, err := sweep.Run(standalone, sweep.FuncSink(func(r *sweep.Result) error {
-		want = append(want, *r)
-		return nil
-	})); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		want[i].Elapsed, got[i].Elapsed = 0, 0
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Fatalf("row %d differs between substrates:\n got  %+v\n want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestSweepCancelStopsServerTrials: killing a served sweep's context stops
-// its trials (the stream's rows cease) and does not poison the server —
-// the instances released by the dying sweep serve later queries.
-func TestSweepCancelStopsServerTrials(t *testing.T) {
-	s := NewServer(Options{})
-	defer s.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	spec := &sweep.Spec{
-		Graphs: []sweep.GraphSpec{{Family: "gnm", N: 64, M: 256}},
-		K:      []int{5, 6, 7}, Eps: []float64{0.25, 0.1, 0.05},
-		Trials: 500, Seed: 3, Workers: 1,
-	}
-	rows := 0
-	_, err := s.RunSweep(ctx, spec, sweep.FuncSink(func(r *sweep.Result) error {
-		rows++
-		cancel()
-		return nil
-	}))
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled sweep: got %v", err)
-	}
-	if rows >= 9 {
-		t.Fatalf("sweep ran its whole grid (%d rows) despite cancellation", rows)
-	}
-	if st := s.Stats(); st.Failures != 0 {
-		t.Fatalf("a client-cancelled sweep is not a server failure: %+v", st)
-	}
-	if _, err := s.Query(context.Background(), &QueryRequest{
-		Graph: GraphRequest{Family: "gnm", N: 64, M: 256, Seed: 3},
-		K:     5, Reps: 2, Seed: 1,
-	}); err != nil {
-		t.Fatalf("query after a cancelled sweep: %v", err)
-	}
-}
-
 // TestByteWeightedEviction: eviction is driven by summed compiled size
 // (Compiled.MemSize), and the most recently used entry always survives,
 // even alone over budget.
@@ -599,6 +498,16 @@ func TestHTTPQueryAndStats(t *testing.T) {
 			t.Fatalf("payload %q: HTTP %d, want 400", bad, resp.StatusCode)
 		}
 	}
+
+	// /query is the one run endpoint; sweeps run through sweep.RunCtx.
+	gone, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Body.Close()
+	if gone.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /sweep: HTTP %d, want 404", gone.StatusCode)
+	}
 }
 
 // TestStatsJSONKeys pins the /stats vocabulary after one query: the
@@ -641,135 +550,10 @@ func TestStatsJSONKeys(t *testing.T) {
 		"hits", "in_flight", "instance_budget", "instance_bytes", "instances_idle",
 		"instances_live", "max_cache_bytes", "max_instance_bytes", "misses",
 		"panics_recovered", "queries", "queue_depth", "queue_high_water",
-		"retries", "shed", "sweeps", "timeouts",
+		"shed", "timeouts",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("/stats keys:\n got  %q\n want %q", got, want)
-	}
-}
-
-func TestHTTPSweepStreams(t *testing.T) {
-	s := NewServer(Options{})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	spec := `{"graphs":[{"family":"cycle","n":12}],"k":[5,7],"eps":[0.2],"trials":3,"seed":1}`
-
-	t.Run("jsonl", func(t *testing.T) {
-		resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-			t.Fatalf("content type %q", ct)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-		if len(lines) != 3 { // 2 rows + summary
-			t.Fatalf("got %d lines, want 3:\n%s", len(lines), buf.String())
-		}
-		var row sweep.Result
-		if err := json.Unmarshal([]byte(lines[0]), &row); err != nil {
-			t.Fatal(err)
-		}
-		if row.K != 5 || row.Trials != 3 {
-			t.Fatalf("first row: %+v", row)
-		}
-		if !strings.Contains(lines[2], `"event":"summary"`) {
-			t.Fatalf("missing summary tail: %s", lines[2])
-		}
-	})
-
-	t.Run("sse", func(t *testing.T) {
-		req, _ := http.NewRequest("POST", ts.URL+"/sweep", strings.NewReader(spec))
-		req.Header.Set("Accept", "text/event-stream")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-			t.Fatalf("content type %q", ct)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		out := buf.String()
-		if n := strings.Count(out, "event: row\n"); n != 2 {
-			t.Fatalf("got %d row events, want 2:\n%s", n, out)
-		}
-		if !strings.Contains(out, "event: summary\n") {
-			t.Fatalf("missing summary event:\n%s", out)
-		}
-	})
-
-	t.Run("invalid-spec", func(t *testing.T) {
-		for _, tc := range []struct {
-			name, spec string
-			want       string // a substring the error body must carry
-		}{
-			{"no-graphs", `{"graphs":[],"k":[5],"eps":[0.2],"trials":1}`, "no graphs"},
-			// Batched trial execution was removed; a spec that still asks
-			// for it is refused by name instead of quietly running unbatched.
-			{"batch-width", `{"graphs":[{"family":"cycle","n":12}],"k":[5],"eps":[0.2],"trials":2,"seed":1,"batch_width":4}`, "batch_width"},
-		} {
-			t.Run(tc.name, func(t *testing.T) {
-				resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(tc.spec))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				var buf bytes.Buffer
-				buf.ReadFrom(resp.Body)
-				if resp.StatusCode != http.StatusBadRequest {
-					t.Fatalf("HTTP %d, want 400 (%s)", resp.StatusCode, strings.TrimSpace(buf.String()))
-				}
-				if !strings.Contains(buf.String(), tc.want) {
-					t.Fatalf("error body %q does not name %q", strings.TrimSpace(buf.String()), tc.want)
-				}
-			})
-		}
-	})
-}
-
-// TestSweepBandwidthMustMatchServer: /sweep trials run on the server's
-// cores, which carry the server's per-message budget. A spec naming another
-// budget is refused with a 400 before anything compiles; a spec that leaves
-// it unset runs under the server's budget, on the shared store.
-func TestSweepBandwidthMustMatchServer(t *testing.T) {
-	s := NewServer(Options{BandwidthBits: 4096})
-	defer s.Close()
-	h := s.Handler()
-	post := func(body string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", strings.NewReader(body)))
-		return rec
-	}
-	const grid = `"graphs":[{"family":"cycle","n":12}],"k":[5],"eps":[0.2],"trials":2,"seed":1`
-
-	rec := post(`{` + grid + `,"bandwidth_bits":8192}`)
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bandwidth_bits") {
-		t.Fatalf("bandwidth_bits 8192: HTTP %d, want 400 naming bandwidth_bits (%s)", rec.Code, strings.TrimSpace(rec.Body.String()))
-	}
-	spec := &sweep.Spec{
-		Graphs: []sweep.GraphSpec{{Family: "cycle", N: 12}},
-		K:      []int{5}, Eps: []float64{0.2}, Trials: 2, Seed: 1, BandwidthBits: 8192,
-	}
-	if _, err := s.RunSweep(context.Background(), spec); err == nil {
-		t.Fatal("RunSweep accepted a budget other than the server's")
-	}
-	if c := s.Stats().Compiles; c != 0 {
-		t.Fatalf("refused sweeps compiled %d cores", c)
-	}
-
-	rec = post(`{` + grid + `}`)
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"event":"summary"`) {
-		t.Fatalf("no bandwidth_bits: HTTP %d, want 200 and a summary (%s)", rec.Code, strings.TrimSpace(rec.Body.String()))
-	}
-	if c := s.Stats().Compiles; c != 1 {
-		t.Fatalf("compiles = %d, want 1: the sweep must run on the server's store", c)
 	}
 }
 
@@ -780,23 +564,5 @@ func TestServerClosed(t *testing.T) {
 		Graph: GraphRequest{Family: "cycle", N: 9}, K: 5, Reps: 1,
 	}); err == nil {
 		t.Fatal("closed server accepted a query")
-	}
-}
-
-// TestWarningsSurfaceOnBigK pins the combin q-cap advisory end to end: a
-// sweep spec with k past the calibrated range validates but warns.
-func TestWarningsSurfaceOnBigK(t *testing.T) {
-	spec := sweep.Spec{
-		Graphs: []sweep.GraphSpec{{Family: "cycle", N: 16}},
-		K:      []int{5, 11},
-		Eps:    []float64{0.2},
-		Trials: 1,
-	}
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ws := spec.Warnings()
-	if len(ws) != 1 || !strings.Contains(ws[0], "k=11") {
-		t.Fatalf("warnings: %v", ws)
 	}
 }

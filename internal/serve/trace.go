@@ -2,7 +2,7 @@ package serve
 
 // Run-ID tracing: every HTTP request gets an ID — the client's
 // X-Request-ID or a generated one — that flows through the request
-// context into Query/runSweep, the structured request log, error
+// context into Query, the structured request log, error
 // envelopes, and the /stats in-flight table, so one slow or failed
 // request is traceable end to end across the serving layers.
 //
@@ -23,8 +23,8 @@ import (
 // ridKey is the context key run-IDs travel under.
 type ridKey struct{}
 
-// WithRunID returns ctx carrying the given run-ID; Query and RunSweep
-// pick it up for in-flight tracking. The HTTP layer attaches one to every
+// WithRunID returns ctx carrying the given run-ID; Query picks it up for
+// in-flight tracking. The HTTP layer attaches one to every
 // request; embedded callers may attach their own.
 func WithRunID(ctx context.Context, rid string) context.Context {
 	return context.WithValue(ctx, ridKey{}, rid)
@@ -99,7 +99,7 @@ func (f *inflightReq) done(s *Server) {
 type InFlightRequestStats struct {
 	// RunID is the request's trace ID (X-Request-ID or generated).
 	RunID string `json:"run_id"`
-	// Endpoint is "query" or "sweep".
+	// Endpoint is "query", the one endpoint that is tracked.
 	Endpoint string `json:"endpoint"`
 	// Stage is where the request is right now: "admit", "acquire", "run".
 	Stage string `json:"stage"`

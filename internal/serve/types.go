@@ -51,8 +51,10 @@ type GraphRequest struct {
 type EdgeList [][2]int
 
 // UnmarshalJSON implements json.Unmarshaler. encoding/json has already
-// checked the syntax of data, so this only checks shape and integer range;
-// it never panics on other input either. JSON null yields a nil list.
+// checked the syntax of data, so this only checks shape, integer range and
+// length: a list longer than sweep.MaxFamilyEdges, the size limit of every
+// graph, is refused as soon as its next element is read. It never panics
+// on other input either. JSON null yields a nil list.
 func (l *EdgeList) UnmarshalJSON(data []byte) error {
 	if string(data) == "null" {
 		*l = nil
@@ -69,6 +71,9 @@ func (l *EdgeList) UnmarshalJSON(data []byte) error {
 			ok := p.consume('[') && p.readInt(&e[0]) && p.consume(',') && p.readInt(&e[1]) && p.consume(']')
 			if !ok {
 				return fmt.Errorf("edges[%d]: want [u, v], exactly two integers", len(edges))
+			}
+			if len(edges) == sweep.MaxFamilyEdges {
+				return fmt.Errorf("edges: more than the limit of %d edges", sweep.MaxFamilyEdges)
 			}
 			edges = append(edges, e)
 			if p.consume(']') {

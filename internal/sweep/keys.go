@@ -7,8 +7,8 @@ import (
 )
 
 // FamilyKey is the canonical cache key of a generated graph, the one key
-// under which sweep trials (StoreProvider) and serve's /query resolution
-// store BuildGraph's families in a corestore.Store. It names only what
+// under which sweep trials (RunCtx) and serve's /query resolution store
+// BuildGraph's families in a corestore.Store. It names only what
 // BuildGraph reads, so two specs that build the same graph share one key:
 // m only for gnm (with its 4n default resolved), the seed for every family
 // but the fixed cycle and complete graphs, and (k, eps) only for "far", so

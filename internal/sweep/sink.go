@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 )
 
@@ -96,104 +95,6 @@ func (s *JSONSink) Write(r *Result) error { return s.enc.Encode(r) }
 
 // Flush implements Sink.
 func (s *JSONSink) Flush() error { return nil }
-
-// HTTPSink streams results to an HTTP response as they arrive, either as
-// JSON Lines or as Server-Sent Events, flushing the response after every
-// row so a browser (EventSource) or a curl consumer sees job i's aggregate
-// as soon as jobs 0..i are done — the same incremental-delay guarantee the
-// CSV/JSON sinks give file consumers, carried over the wire.
-//
-// In SSE mode every result is one "row" event, and Done emits a terminal
-// "summary" (or "error") event so clients can distinguish a completed
-// stream from a dropped connection.
-type HTTPSink struct {
-	w   io.Writer
-	fl  http.Flusher // nil if the writer cannot flush
-	sse bool
-	enc *json.Encoder
-}
-
-// NewHTTPSink returns a sink streaming to w. If sse is true, rows are
-// framed as SSE events ("event: row\ndata: <json>\n\n"); otherwise they are
-// plain JSON lines. If w implements http.Flusher (http.ResponseWriter
-// does), the response is flushed after every event.
-func NewHTTPSink(w io.Writer, sse bool) *HTTPSink {
-	s := &HTTPSink{w: w, sse: sse, enc: json.NewEncoder(w)}
-	if fl, ok := w.(http.Flusher); ok {
-		s.fl = fl
-	}
-	return s
-}
-
-// ContentType returns the MIME type matching the sink's framing.
-func (s *HTTPSink) ContentType() string {
-	if s.sse {
-		return "text/event-stream"
-	}
-	return "application/x-ndjson"
-}
-
-// Write implements Sink: one result, one frame, one flush.
-func (s *HTTPSink) Write(r *Result) error {
-	if s.sse {
-		if _, err := io.WriteString(s.w, "event: row\ndata: "); err != nil {
-			return err
-		}
-	}
-	if err := s.enc.Encode(r); err != nil { // Encode appends the newline
-		return err
-	}
-	if s.sse {
-		if _, err := io.WriteString(s.w, "\n"); err != nil {
-			return err
-		}
-	}
-	return s.Flush()
-}
-
-// Flush implements Sink.
-func (s *HTTPSink) Flush() error {
-	if s.fl != nil {
-		s.fl.Flush()
-	}
-	return nil
-}
-
-// Done terminates the stream: in SSE mode it emits a "summary" event (or an
-// "error" event when err is non-nil); in JSON-lines mode it emits one final
-// object tagged "summary" or "error". Call it after sweep.Run returns.
-func (s *HTTPSink) Done(sum *Summary, err error) error {
-	type tail struct {
-		Event   string `json:"event"`
-		Name    string `json:"name,omitempty"`
-		Jobs    int    `json:"jobs,omitempty"`
-		Skipped int    `json:"skipped,omitempty"`
-		Trials  int    `json:"trials,omitempty"`
-		Retries int64  `json:"retries,omitempty"`
-		Error   string `json:"error,omitempty"`
-	}
-	t := tail{Event: "summary"}
-	if err != nil {
-		t = tail{Event: "error", Error: err.Error()}
-	} else if sum != nil {
-		t.Name, t.Jobs, t.Skipped, t.Trials = sum.Name, sum.Jobs, sum.Skipped, sum.Trials
-		t.Retries = sum.Retries
-	}
-	if s.sse {
-		if _, werr := fmt.Fprintf(s.w, "event: %s\ndata: ", t.Event); werr != nil {
-			return werr
-		}
-	}
-	if werr := s.enc.Encode(t); werr != nil {
-		return werr
-	}
-	if s.sse {
-		if _, werr := io.WriteString(s.w, "\n"); werr != nil {
-			return werr
-		}
-	}
-	return s.Flush()
-}
 
 // FuncSink adapts a function to the Sink interface (used by tests and by
 // callers that aggregate in memory).

@@ -2,17 +2,14 @@
 // network cores: a declarative Spec (grids over graph family, k, ε,
 // trials) is expanded into jobs, fanned across a sharded worker pool, and
 // the per-job aggregates are streamed incrementally, in job order, to
-// CSV/JSON sinks.
+// CSV/JSON sinks. Run and RunCtx are the one way to run a sweep; cmd/sweep
+// and examples/sweep are thin front ends over them.
 //
-// Trial execution runs on the CoreProvider substrate: a provider hands out
-// exclusive warm network.Instances over shared immutable network.Compiled
-// cores, one checkout per job. Compiled cores live in a corestore.Store,
-// the one cache of them, and StoreProvider adapts any store to the
-// scheduler. A standalone sweep runs on a private store that compiles each
+// Each job's trials run on an exclusive warm network.Instance checked out
+// of a corestore.Store, the one cache of compiled cores, under the graph's
+// FamilyKey. By default a sweep runs on a private store that compiles each
 // distinct graph once for the whole sweep and pools warm instances per
-// graph; a serving layer passes a provider over its own store so sweep
-// trials run on the SAME cached cores and warm pools its query traffic uses
-// (internal/serve does exactly that for /sweep).
+// graph; a caller may pass its own store instead.
 //
 // This is the workload the paper makes cheap: each trial costs O(1/ε)
 // CONGEST rounds (Theorem 1), so a sweep's cost is dominated by per-run
@@ -21,19 +18,16 @@
 // tables): a consumer sees job i's aggregate as soon as jobs 0..i are done,
 // while later jobs are still running. The same view motivates early
 // termination: every trial runs under the sweep's context via
-// RunProgramCtx, so cancelling it (a killed /sweep stream, a SIGINT) stops
-// work within one CONGEST round — mid-trial, not at trial or job
-// boundaries.
+// RunProgramCtx, so cancelling it (a SIGINT to cmd/sweep) stops work within
+// one CONGEST round — mid-trial, not at trial or job boundaries.
 package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cycledetect/internal/combin"
@@ -159,24 +153,15 @@ type Spec struct {
 	// every trial's coin streams derive from it.
 	Seed uint64 `json:"seed,omitempty"`
 	// BandwidthBits, when positive, enforces the hard per-message budget
-	// on a standalone run (RunCtx with a nil provider). A provider's cores
-	// are compiled with the budget of the store behind it.
+	// on a run on a private store (RunCtx with a nil store). A given store
+	// compiles its cores with its own budget, so RunCtx refuses a spec that
+	// sets this together with a store.
 	BandwidthBits int `json:"bandwidth_bits,omitempty"`
 	// Workers is the scheduler's worker count (0 means GOMAXPROCS). Each
 	// worker owns its Networks; the per-network BSP pool is sized so that
 	// workers × pool ≈ GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 }
-
-// A transient checkout failure — a serving provider shedding load (see
-// IsTransient) — is retried up to maxRetries times per job before the
-// sweep fails. Retry i waits retryBackoff·2^(i-1) plus a deterministic
-// jitter in [0, retryBackoff). Trial failures (program panics, bandwidth
-// violations, the sweep's own cancellation) are never retried.
-const (
-	maxRetries   = 3
-	retryBackoff = 5 * time.Millisecond
-)
 
 // Job is one grid point.
 type Job struct {
@@ -224,9 +209,6 @@ type Summary struct {
 	Jobs    int
 	Skipped int // grid points skipped as not runnable
 	Trials  int
-	// Retries counts transient checkout failures that were retried (and
-	// eventually absorbed) instead of failing the sweep — see maxRetries.
-	Retries int64
 	Elapsed time.Duration
 }
 
@@ -372,152 +354,34 @@ func trialSeed(base uint64, job, trial int) uint64 {
 	return xrand.Mix64(xrand.Mix64(base+0x9e3779b97f4a7c15*uint64(job+1)) + uint64(trial))
 }
 
-// TrialPoint names the execution substrate one job's trials need: the graph
-// (as built from Seed, the sweep seed) and the engine width. It is the
-// vocabulary between the scheduler and a CoreProvider; the per-message
-// budget is the provider's, fixed when its cores are compiled.
-type TrialPoint struct {
-	Graph GraphSpec
-	// K and Eps matter to graph identity only for the "far" family, whose
-	// construction depends on them (see FamilyKey).
-	K   int
-	Eps float64
-	// Seed is the sweep seed the graph is deterministically built from.
-	Seed uint64
-	// Workers is the engine width the scheduler budgeted for this job's
-	// instance: the scheduler sizes it so that scheduler workers × engine
-	// width ≈ GOMAXPROCS. Providers should honor it (clamped to their own
-	// resource policy) rather than substitute a fixed width; 0 leaves the
-	// width to the provider. Instance.Workers() reports what a checkout
-	// actually got.
-	Workers int
-}
-
-// Progress is a live, additively-shared view of one or more running
-// sweeps: every field is atomic, updated by the scheduler as work
-// happens, so an observer (a /metrics scrape, a progress bar) can read a
-// mid-flight sweep without synchronizing with it. One Progress may be
-// passed to many concurrent RunCtxProgress calls — a server aggregates
-// all its sweeps into one — which is why the fields are cumulative
-// counters plus an instantaneous worker gauge, not per-sweep snapshots.
-type Progress struct {
-	// Jobs is the total number of grid jobs admitted across sweeps.
-	Jobs atomic.Int64
-	// JobsDone counts jobs whose trials all completed.
-	JobsDone atomic.Int64
-	// Trials counts individual completed trials — the sweep throughput
-	// numerator.
-	Trials atomic.Int64
-	// Retries counts retried checkouts (mirrors Summary.Retries), including
-	// those of sweeps that then failed.
-	Retries atomic.Int64
-	// ActiveWorkers is the number of scheduler workers currently running
-	// a job's trials, across all sweeps sharing this Progress.
-	ActiveWorkers atomic.Int64
-}
-
-// IsTransient reports whether err is worth retrying: something in its
-// chain declares Transient() true. A saturated store
-// (*corestore.ErrSaturated) and the serve layer's load sheds
-// (*serve.ErrOverloaded) do; engine errors (program panics, bandwidth
-// violations, cancellation) never do. The check is structural — any error
-// advertising Transient() participates — so sweep does not import the
-// layers above it.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
-
-// retryDelay is attempt i's backoff: retryBackoff·2^(i-1) plus a
-// deterministic jitter in [0, retryBackoff) derived from the sweep seed and
-// job index, so concurrent retries decorrelate without making runs
-// irreproducible.
-func retryDelay(seed uint64, job Job, attempt int) time.Duration {
-	j := xrand.Mix64(seed ^ uint64(job.Index)<<20 ^ uint64(attempt))
-	return retryBackoff<<(attempt-1) + time.Duration(j%uint64(retryBackoff))
-}
-
-// backoffWait sleeps d, cut short by the sweep's context or first-error
-// cancellation. It reports whether the full wait elapsed (retry) rather
-// than being interrupted (unwind).
-func backoffWait(ctx context.Context, cancel <-chan struct{}, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	case <-cancel:
-		return false
-	}
-}
-
-// CoreProvider supplies the execution substrate for sweep trials: an
-// exclusive warm network.Instance attached to a compiled core for the given
-// point. Acquire blocks (bounded by ctx) when the provider's instances are
-// exhausted; the returned release func MUST be called exactly once when the
-// job's trials are done and returns the instance to the provider — callers
-// never Close it. StoreProvider is the implementation over a
-// corestore.Store; a serving layer wraps it to translate the store's errors
-// into its own vocabulary, and tests wrap it to inject failures.
-type CoreProvider interface {
-	Acquire(ctx context.Context, pt TrialPoint) (*network.Instance, func(), error)
-}
-
-// StoreProvider adapts a corestore.Store to sweep trials: a point is cached
-// under its FamilyKey, so trials share cores with every other checkout of
-// the same graph from the same store. The scheduler's budgeted engine width
-// (pt.Workers) is honored, clamped to the hardware; width is part of the
-// store's pool key, so sweep checkouts never take a warm instance of
-// another width.
-func StoreProvider(s *corestore.Store) CoreProvider { return storeProvider{s} }
-
-type storeProvider struct{ s *corestore.Store }
-
-func (p storeProvider) Acquire(ctx context.Context, pt TrialPoint) (*network.Instance, func(), error) {
-	key := FamilyKey(pt.Graph, pt.K, pt.Eps, pt.Seed)
-	build := func() (*graph.Graph, error) {
-		return BuildGraph(pt.Graph, pt.K, pt.Eps, pt.Seed)
-	}
-	width := min(pt.Workers, runtime.GOMAXPROCS(0))
-	h, _, err := p.s.Checkout(ctx, key, build, network.EngineBSP, width)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h.Inst, func() { p.s.Release(h) }, nil
-}
-
-// Run executes the sweep on the standalone substrate and streams per-job
-// results to the sinks in job order. It returns the first error encountered
-// (spec validation, graph construction, simulation, or sink I/O); on error,
+// Run executes the sweep on a private store and streams per-job results to
+// the sinks in job order. It returns the first error encountered (spec
+// validation, graph construction, simulation, or sink I/O); on error,
 // results already emitted remain written.
 func Run(spec *Spec, sinks ...Sink) (*Summary, error) {
 	return RunCtx(context.Background(), spec, nil, sinks...)
 }
 
-// RunCtx is Run with a cancellation boundary and a pluggable execution
-// substrate. Cancelling ctx aborts the sweep mid-trial — every trial runs
-// under ctx via RunProgramCtx, so in-flight CONGEST runs stop within one
-// round, not at trial boundaries — and RunCtx returns the context's error.
-// provider supplies compiled cores and warm instances for the trials; nil
-// runs them on a private corestore.Store that compiles each distinct graph
-// once with the spec's per-message budget, pools instances per graph, and
-// is closed when RunCtx returns.
-func RunCtx(ctx context.Context, spec *Spec, provider CoreProvider, sinks ...Sink) (*Summary, error) {
-	return RunCtxProgress(ctx, spec, provider, nil, sinks...)
-}
-
-// RunCtxProgress is RunCtx with live observability: when prog is non-nil
-// the scheduler publishes job/trial/retry counts and the busy-worker
-// gauge into it as the sweep runs, so a long sweep is inspectable
-// mid-flight (internal/serve exports one server-wide Progress through
-// /metrics). prog may be shared by concurrent sweeps — its counters are
-// cumulative across them.
-func RunCtxProgress(ctx context.Context, spec *Spec, provider CoreProvider, prog *Progress, sinks ...Sink) (*Summary, error) {
+// RunCtx is Run with a cancellation boundary and a choice of store.
+// Cancelling ctx aborts the sweep mid-trial — every trial runs under ctx via
+// RunProgramCtx, so in-flight CONGEST runs stop within one round, not at
+// trial boundaries — and RunCtx returns the context's error.
+//
+// store supplies the compiled cores and warm instances; each job checks one
+// instance out under its graph's FamilyKey and releases it when its trials
+// are done. A nil store means a private corestore.Store that compiles each
+// distinct graph once with the spec's per-message budget, pools instances
+// per graph, and is closed when RunCtx returns. A given store's cores carry
+// the store's own budget, so a spec with a non-zero BandwidthBits is
+// refused with one, before anything compiles.
+func RunCtx(ctx context.Context, spec *Spec, store *corestore.Store, sinks ...Sink) (*Summary, error) {
 	start := time.Now()
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if store != nil && spec.BandwidthBits != 0 {
+		return nil, fmt.Errorf("sweep: bandwidth_bits %d needs a private store; a given store compiles with its own budget",
+			spec.BandwidthBits)
 	}
 	jobs, skipped := spec.Jobs()
 	if len(jobs) == 0 {
@@ -532,17 +396,14 @@ func RunCtxProgress(ctx context.Context, spec *Spec, provider CoreProvider, prog
 		workers = len(jobs)
 	}
 	// Split the cores between scheduler workers and each instance's engine
-	// pool, so total parallelism tracks the hardware. The width travels on
-	// every TrialPoint, so every provider sees the budgeted width and can
-	// honor it (StoreProvider clamps it to the hardware).
-	instWorkers := runtime.GOMAXPROCS(0) / workers
-	if instWorkers < 1 {
-		instWorkers = 1
-	}
-	if provider == nil {
+	// pool, so total parallelism tracks the hardware. Width is part of the
+	// store's pool key, so checkouts never take a warm instance of another
+	// width.
+	width := max(1, runtime.GOMAXPROCS(0)/workers)
+	if store == nil {
 		// The scheduler holds at most `workers` checkouts at once, so an
 		// unbounded private store never waits, reclaims or evicts.
-		store := corestore.New(corestore.Options{
+		store = corestore.New(corestore.Options{
 			MaxGraphs:        -1,
 			MaxCacheBytes:    -1,
 			MaxInstances:     math.MaxInt,
@@ -550,10 +411,6 @@ func RunCtxProgress(ctx context.Context, spec *Spec, provider CoreProvider, prog
 			BandwidthBits:    spec.BandwidthBits,
 		})
 		defer store.Close()
-		provider = StoreProvider(store)
-	}
-	if prog != nil {
-		prog.Jobs.Add(int64(len(jobs)))
 	}
 
 	// firstErr is guarded by failMu, not a sync.Once: the context watcher
@@ -581,13 +438,12 @@ func RunCtxProgress(ctx context.Context, spec *Spec, provider CoreProvider, prog
 
 	jobCh := make(chan Job)
 	resCh := make(chan Result, workers)
-	var retries atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			worker(ctx, spec, provider, instWorkers, prog, jobCh, resCh, cancel, fail, &retries)
+			worker(ctx, spec, store, width, jobCh, resCh, cancel, fail)
 		}()
 	}
 	go func() {
@@ -641,20 +497,18 @@ func RunCtxProgress(ctx context.Context, spec *Spec, provider CoreProvider, prog
 	}
 	return &Summary{
 		Name: spec.Name, Jobs: len(jobs), Skipped: skipped,
-		Trials: trials, Retries: retries.Load(), Elapsed: time.Since(start),
+		Trials: trials, Elapsed: time.Since(start),
 	}, nil
 }
 
-// worker drains jobs, checking an exclusive warm instance out of the
-// provider per job (released when the job's trials are done, so the warmth
-// flows back into the shared pool — and, with a serving provider, to query
-// traffic on the same graph). Every trial runs under ctx, so cancellation
-// cuts work off mid-run. A job's trials run exactly once: a trial is a pure
-// function of its seed, so a failed one would fail again, and the first
-// trial error fails the sweep.
-func worker(ctx context.Context, spec *Spec, provider CoreProvider, instWorkers int,
-	prog *Progress, jobCh <-chan Job, resCh chan<- Result, cancel <-chan struct{},
-	fail func(error), retries *atomic.Int64) {
+// worker drains jobs, checking an exclusive warm instance out of the store
+// per job and releasing it when the job's trials are done, so the warmth
+// flows back into the store's pool. Every trial runs under ctx, so
+// cancellation cuts work off mid-run. A job's trials run exactly once: a
+// trial is a pure function of its seed, so a failed one would fail again,
+// and the first error fails the sweep.
+func worker(ctx context.Context, spec *Spec, store *corestore.Store, width int,
+	jobCh <-chan Job, resCh chan<- Result, cancel <-chan struct{}, fail func(error)) {
 
 	for job := range jobCh {
 		select {
@@ -662,45 +516,21 @@ func worker(ctx context.Context, spec *Spec, provider CoreProvider, instWorkers 
 			return
 		default:
 		}
-		if prog != nil {
-			prog.ActiveWorkers.Add(1)
+		key := FamilyKey(job.Graph, job.K, job.Eps, spec.Seed)
+		build := func() (*graph.Graph, error) {
+			return BuildGraph(job.Graph, job.K, job.Eps, spec.Seed)
 		}
-		// A transient checkout failure — a shed from an overloaded serving
-		// provider — is retried with jittered exponential backoff, so a
-		// brief load spike on the shared substrate does not kill a long
-		// sweep. Terminal failures and exhausted retries fail the sweep.
-		pt := TrialPoint{Graph: job.Graph, K: job.K, Eps: job.Eps, Seed: spec.Seed, Workers: instWorkers}
-		inst, release, err := provider.Acquire(ctx, pt)
-		for attempt := 1; err != nil && attempt <= maxRetries && IsTransient(err); attempt++ {
-			retries.Add(1)
-			if prog != nil {
-				prog.Retries.Add(1)
-			}
-			if !backoffWait(ctx, cancel, retryDelay(spec.Seed, job, attempt)) {
-				err = errUnwinding // the sweep's first error is already set
-				break
-			}
-			inst, release, err = provider.Acquire(ctx, pt)
-		}
-		var r Result
-		if err == nil {
-			r, err = runJob(ctx, inst, spec, prog, job)
-			release()
-		} else if err != errUnwinding {
-			err = fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s): %w",
-				job.Index, job.Graph, job.K, job.Eps, job.Engine, err)
-		}
-		if prog != nil {
-			prog.ActiveWorkers.Add(-1)
-		}
+		h, _, err := store.Checkout(ctx, key, build, network.EngineBSP, width)
 		if err != nil {
-			if err != errUnwinding {
-				fail(err)
-			}
+			fail(fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s): %w",
+				job.Index, job.Graph, job.K, job.Eps, job.Engine, err))
 			return
 		}
-		if prog != nil {
-			prog.JobsDone.Add(1)
+		r, err := runJob(ctx, h.Inst, spec, job)
+		store.Release(h)
+		if err != nil {
+			fail(err)
+			return
 		}
 		select {
 		case resCh <- r:
@@ -710,14 +540,9 @@ func worker(ctx context.Context, spec *Spec, provider CoreProvider, instWorkers 
 	}
 }
 
-// errUnwinding is worker-internal: a backoff wait cut short because the
-// sweep is already failing/cancelled; the first error is recorded
-// elsewhere, so the worker just leaves.
-var errUnwinding = errors.New("sweep: unwinding")
-
 // runJob executes one job's trials on a checked-out instance and aggregates
 // them into its Result row.
-func runJob(ctx context.Context, inst *network.Instance, spec *Spec, pr *Progress, job Job) (Result, error) {
+func runJob(ctx context.Context, inst *network.Instance, spec *Spec, job Job) (Result, error) {
 	g := inst.Graph()
 	// One Program value for all trials: with network.ReusableNode support
 	// the instance re-binds the cached per-node state instead of rebuilding
@@ -744,9 +569,6 @@ func runJob(ctx context.Context, inst *network.Instance, spec *Spec, pr *Progres
 		sumBits += res.Stats.TotalBits
 		if res.Stats.MaxMessageBits > r.MaxMessageBits {
 			r.MaxMessageBits = res.Stats.MaxMessageBits
-		}
-		if pr != nil {
-			pr.Trials.Add(1)
 		}
 	}
 	r.RejectRate = float64(r.Rejects) / float64(r.Trials)

@@ -4,15 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"cycledetect/internal/core"
 	"cycledetect/internal/corestore"
-	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 )
 
@@ -56,14 +53,6 @@ func stripElapsed(rs []Result) []Result {
 		out[i] = r
 	}
 	return out
-}
-
-// testStore is a default-configured store for provider tests, closed when
-// the test ends.
-func testStore(t *testing.T) *corestore.Store {
-	s := corestore.New(corestore.Options{})
-	t.Cleanup(s.Close)
-	return s
 }
 
 // TestSweepDeterministic: two runs of the same spec produce identical
@@ -360,206 +349,102 @@ func TestRunCtxCancelStopsMidGrid(t *testing.T) {
 	}
 }
 
-// TestRunCtxCustomProvider: the scheduler runs every trial on instances the
-// provider hands out (and releases each one), with results identical to the
-// standalone substrate — the contract internal/serve relies on to route
-// /sweep trials through its query-traffic cache.
+// TestRunCtxCustomProvider: a sweep on a caller's store gives Run's rows,
+// returns every instance it checked out, and compiles each distinct graph
+// once over three passes. Four workers start on four jobs of one cold
+// 2048-vertex graph, whose build and compile take milliseconds, so a store
+// whose build is not single-flight compiles it more than once; only two
+// instances of budget make the workers also wait on the store's budget.
 func TestRunCtxCustomProvider(t *testing.T) {
-	spec := demoSpec()
+	spec := &Spec{
+		Graphs: []GraphSpec{{Family: "gnm", N: 2048, M: 8192}, {Family: "tree", N: 2048}},
+		K:      []int{3, 4, 5, 6},
+		Eps:    []float64{0.1},
+		Reps:   1,
+		Trials: 1,
+		Seed:   7,
+	}
 	want := collect(t, spec)
+	spec.Workers = 4
 
-	prov := &countingProvider{inner: StoreProvider(testStore(t))}
-	var got []Result
-	if _, err := RunCtx(context.Background(), spec, prov, FuncSink(func(r *Result) error {
-		got = append(got, *r)
-		return nil
-	})); err != nil {
-		t.Fatal(err)
+	s := corestore.New(corestore.Options{MaxInstances: 2})
+	t.Cleanup(s.Close)
+	keys := map[string]bool{}
+	jobs, _ := spec.Jobs()
+	for _, j := range jobs {
+		keys[FamilyKey(j.Graph, j.K, j.Eps, spec.Seed)] = true
 	}
-	if prov.acquires.Load() == 0 || prov.acquires.Load() != prov.releases.Load() {
-		t.Fatalf("provider bookkeeping: %d acquires, %d releases",
-			prov.acquires.Load(), prov.releases.Load())
-	}
-	if !reflect.DeepEqual(stripElapsed(want), stripElapsed(got)) {
-		t.Fatal("provider-substrate results differ from the standalone substrate")
-	}
-}
-
-// countingProvider wraps a provider and counts checkouts.
-type countingProvider struct {
-	inner              CoreProvider
-	acquires, releases atomic.Int64
-}
-
-func (p *countingProvider) Acquire(ctx context.Context, pt TrialPoint) (*network.Instance, func(), error) {
-	inst, release, err := p.inner.Acquire(ctx, pt)
-	if err != nil {
-		return nil, nil, err
-	}
-	p.acquires.Add(1)
-	return inst, func() { p.releases.Add(1); release() }, nil
-}
-
-// transientErr is a test error advertising Transient() true, like the
-// serve layer's load sheds do.
-type transientErr struct{ msg string }
-
-func (e transientErr) Error() string   { return e.msg }
-func (e transientErr) Transient() bool { return true }
-
-// flakyProvider fails its first `failures` Acquire calls with err before
-// delegating to the real substrate.
-type flakyProvider struct {
-	inner    CoreProvider
-	failures int32
-	err      error
-	calls    atomic.Int32
-}
-
-func (p *flakyProvider) Acquire(ctx context.Context, pt TrialPoint) (*network.Instance, func(), error) {
-	if p.calls.Add(1) <= p.failures {
-		return nil, nil, p.err
-	}
-	return p.inner.Acquire(ctx, pt)
-}
-
-func TestIsTransient(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{transientErr{"shed"}, true},
-		{fmt.Errorf("sweep: job 3: %w", transientErr{"shed"}), true},
-		{errors.New("terminal"), false},
-		{context.Canceled, false},
-		// Engine errors are never transient: a run is a pure function of
-		// its seed, so a budget violation would recur, and a cancellation
-		// is the caller's own.
-		{&network.ErrBandwidth{Round: 2, From: 1, To: 2, Bits: 48, BudgetBit: 40}, false},
-		{&network.ErrCanceled{Cause: context.Canceled}, false},
-		{nil, false},
-	}
-	for _, c := range cases {
-		if got := IsTransient(c.err); got != c.want {
-			t.Errorf("IsTransient(%v) = %v, want %v", c.err, got, c.want)
+	for pass := 0; pass < 3; pass++ {
+		var got []Result
+		if _, err := RunCtx(context.Background(), spec, s, FuncSink(func(r *Result) error {
+			got = append(got, *r)
+			return nil
+		})); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stripElapsed(want), stripElapsed(got)) {
+			t.Fatalf("pass %d: rows on a given store differ from Run's", pass)
+		}
+		if idle, live := s.InstancesIdle(), s.InstancesLive(); idle != live {
+			t.Fatalf("pass %d: %d of %d live instances idle after the sweep", pass, idle, live)
 		}
 	}
+	if got := s.Compiles(); got != int64(len(keys)) {
+		t.Fatalf("3 passes compiled %d cores, want one per distinct FamilyKey (%d)", got, len(keys))
+	}
 }
 
-// TestRetryTransientAcquire: transient provider failures are absorbed by
-// the retry loop — the sweep completes, counts its retries, and produces
-// results identical to an unperturbed run.
-func TestRetryTransientAcquire(t *testing.T) {
+// TestRunCtxStoreRefusesBandwidth: a given store's cores carry the store's
+// own per-message budget, so a spec that names one is refused before
+// anything compiles.
+func TestRunCtxStoreRefusesBandwidth(t *testing.T) {
+	s := corestore.New(corestore.Options{})
+	t.Cleanup(s.Close)
 	spec := demoSpec()
-	want := collect(t, spec)
-
-	prov := &flakyProvider{inner: StoreProvider(testStore(t)), failures: 2, err: transientErr{"overloaded: shed"}}
-	var got []Result
-	sum, err := RunCtx(context.Background(), spec, prov, FuncSink(func(r *Result) error {
-		rr := *r
-		rr.Elapsed = 0
-		got = append(got, rr)
-		return nil
-	}))
-	if err != nil {
-		t.Fatalf("transient failures must be absorbed, got: %v", err)
+	spec.BandwidthBits = 4096
+	if _, err := RunCtx(context.Background(), spec, s); err == nil || !strings.Contains(err.Error(), "bandwidth_bits") {
+		t.Fatalf("want a refusal naming bandwidth_bits, got %v", err)
 	}
-	if sum.Retries != 2 {
-		t.Fatalf("want 2 retries counted, got %d", sum.Retries)
-	}
-	for i := range want {
-		want[i].Elapsed = 0
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("retried sweep's results differ from an unperturbed run")
-	}
-}
-
-// TestTerminalAcquireNotRetried: a terminal error fails the sweep on the
-// first attempt — no retry storm against a broken substrate.
-func TestTerminalAcquireNotRetried(t *testing.T) {
-	spec := demoSpec()
-	spec.Workers = 1
-	prov := &flakyProvider{inner: StoreProvider(testStore(t)), failures: 1 << 30, err: errors.New("boom")}
-	_, err := RunCtx(context.Background(), spec, prov)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("want the terminal error to surface, got: %v", err)
-	}
-	if got := prov.calls.Load(); got != 1 {
-		t.Fatalf("terminal errors must not be retried: %d acquire attempts", got)
-	}
-}
-
-// TestRetriesExhausted: a persistently transient failure gives up after
-// maxRetries retries and fails the sweep with the underlying error.
-func TestRetriesExhausted(t *testing.T) {
-	spec := demoSpec()
-	spec.Workers = 1
-	prov := &flakyProvider{inner: StoreProvider(testStore(t)), failures: 1 << 30, err: transientErr{"always shed"}}
-	_, err := RunCtx(context.Background(), spec, prov)
-	if err == nil || !strings.Contains(err.Error(), "always shed") {
-		t.Fatalf("want the exhausted transient error to surface, got: %v", err)
-	}
-	if got := prov.calls.Load(); got != 1+maxRetries {
-		t.Fatalf("want %d acquire attempts (1 + %d retries), got %d", 1+maxRetries, maxRetries, got)
-	}
-}
-
-// TestSweepProviderSharesCache: StoreProvider caches a trial point under
-// its FamilyKey, so a trial checkout lands in the same cache entry as a
-// Checkout under that key.
-func TestSweepProviderSharesCache(t *testing.T) {
-	s := testStore(t)
-	pt := TrialPoint{
-		Graph: GraphSpec{Family: "cycle", N: 20},
-		K:     5,
-		Seed:  3,
-	}
-	inst, release, err := StoreProvider(s).Acquire(context.Background(), pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst == nil {
-		t.Fatal("nil instance")
-	}
-	release()
-
-	key := FamilyKey(pt.Graph, pt.K, pt.Eps, pt.Seed)
-	h, hit, err := s.Checkout(context.Background(), key, func() (*graph.Graph, error) {
-		t.Fatal("hit must not rebuild")
-		return nil, nil
-	}, network.EngineBSP, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Release(h)
-	if !hit {
-		t.Fatal("query checkout after sweep acquire missed: the two paths use different keys")
+	if c := s.Compiles(); c != 0 {
+		t.Fatalf("the refused sweep compiled %d cores", c)
 	}
 }
 
 // TestStandaloneBandwidthBudget: a standalone sweep compiles its private
 // cores with the spec's per-message budget. A budget every message breaks
-// fails the sweep with *network.ErrBandwidth, which is terminal and so not
-// retried; a budget no message reaches leaves every row as it is without
-// one.
+// fails the sweep with *network.ErrBandwidth; a budget no message reaches
+// leaves every row as it is without one.
 func TestStandaloneBandwidthBudget(t *testing.T) {
 	tight := demoSpec()
 	tight.Workers = 1
 	tight.BandwidthBits = 8
-	var prog Progress
-	_, err := RunCtxProgress(context.Background(), tight, nil, &prog)
+	_, err := Run(tight)
 	var bw *network.ErrBandwidth
 	if !errors.As(err, &bw) {
 		t.Fatalf("want *network.ErrBandwidth, got %v", err)
-	}
-	if r := prog.Retries.Load(); r != 0 {
-		t.Fatalf("a bandwidth violation is terminal, but it was retried %d times", r)
 	}
 
 	wide := demoSpec()
 	wide.BandwidthBits = 1 << 20
 	if got, want := collect(t, wide), collect(t, demoSpec()); !reflect.DeepEqual(stripElapsed(got), stripElapsed(want)) {
 		t.Fatal("a budget no message reaches changed the rows")
+	}
+}
+
+// TestWarningsSurfaceOnBigK pins the combin q-cap advisory: a spec with k
+// past the calibrated range validates but warns, naming the k.
+func TestWarningsSurfaceOnBigK(t *testing.T) {
+	spec := Spec{
+		Graphs: []GraphSpec{{Family: "cycle", N: 16}},
+		K:      []int{5, 11},
+		Eps:    []float64{0.2},
+		Trials: 1,
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ws := spec.Warnings()
+	if len(ws) != 1 || !strings.Contains(ws[0], "k=11") {
+		t.Fatalf("warnings: %v", ws)
 	}
 }
