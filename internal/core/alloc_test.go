@@ -126,8 +126,12 @@ func assertMatchesLockstep(t *testing.T, g *graph.Graph, prog network.Program, s
 // repetition (Phase-1 rank round plus every Phase-2 round) must perform
 // zero heap allocations on every node. The nodes run in a lockstep harness,
 // so the measurement isolates exactly the steady-state message path that
-// the zero-allocation rework pays for.
+// the zero-allocation rework pays for. The count is the raw total over 20
+// repetitions, from the heap profile (see TestTesterWarmAllocFree).
 func TestTesterSteadyStateRoundAllocFree(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// C6 plus the chord {0,3}: cycles of length 6 and 4 but no C5, so k=5
 	// generates full two-phase traffic without ever assembling a witness
 	// (witness assembly is allowed to allocate — rejection ends a run).
@@ -148,13 +152,13 @@ func TestTesterSteadyStateRoundAllocFree(t *testing.T) {
 	for i := 0; i < 5*per; i++ {
 		step() // warm every buffer through five repetitions
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		for i := 0; i < per; i++ {
-			step()
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state repetition allocates %.1f times; want 0", allocs)
+	const reps = 20
+	before := programAllocs()
+	for i := 0; i < reps*per; i++ {
+		step()
+	}
+	if allocs, where := programAllocs().since(before); allocs != 0 {
+		t.Fatalf("%d steady-state repetitions made %d allocations; want 0. Stacks whose count rose:\n%s", reps, allocs, where)
 	}
 }
 

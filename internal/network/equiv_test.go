@@ -6,8 +6,10 @@
 package network_test
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cycledetect/internal/core"
@@ -163,31 +165,46 @@ func assertResultsEqual(t *testing.T, seed uint64, want, got *network.Result) {
 // with the same Program value must not allocate at all; a per-run
 // goroutine spawn would show up as an allocation too. The graph is Ck-free
 // so no run ever assembles a witness (witness assembly is allowed to
-// allocate — rejection ends a workload).
+// allocate — rejection ends a workload). It runs at one worker and at two,
+// which give each shard its own row of the receive scratch. The count is
+// the raw total over all runs, from the heap profile, of the allocations
+// whose stack passes through the program's non-test code. It runs at one P,
+// as testing.AllocsPerRun does: at two, the sudogs of the pool's parked
+// goroutines drift from one P's cache to the other's, and the runtime
+// refills a drained cache from the heap (1 allocation in 3 of 100 runs of
+// this test).
 func TestNetworkRunAllocFree(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := xrand.New(5)
 	g := graph.RandomTree(64, rng)
 	t.Run(engineName, func(t *testing.T) {
-		nw, err := network.New(g, network.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nw.Close()
-		prog := &core.Tester{K: 5, Reps: 4}
-		seed := uint64(0)
-		for ; seed < 5; seed++ { // warm arenas, rank buffers, and the node cache
-			if _, err := nw.RunProgram(prog, seed); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			seed++
-			if _, err := nw.RunProgram(prog, seed); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Fatalf("steady-state RunProgram allocates %.1f times; want 0", allocs)
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+				nw, err := network.New(g, network.Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nw.Close()
+				prog := &core.Tester{K: 5, Reps: 4}
+				const warm, runs = 5, 20
+				run := func(seed uint64) {
+					if _, err := nw.RunProgram(prog, seed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for seed := uint64(0); seed < warm; seed++ { // warm arenas, rank buffers, and the node cache
+					run(seed)
+				}
+				before := heapAllocs(programFrame)
+				for seed := uint64(warm); seed < warm+runs; seed++ {
+					run(seed)
+				}
+				if allocs := heapAllocs(programFrame) - before; allocs != 0 {
+					t.Fatalf("%d steady-state runs made %d allocations; want 0", runs, allocs)
+				}
+			})
 		}
 	})
 }
@@ -230,19 +247,28 @@ func TestWarmResetMakesNoTypeAssertion(t *testing.T) {
 	}
 	run(0) // builds the nodes
 	run(1) // the first warm run lists them for reuse
-	before := prepareAllocs()
+	inPrepare := func(f runtime.Frame) bool {
+		return f.Function == "cycledetect/internal/network.(*Instance).prepare"
+	}
+	before := heapAllocs(inPrepare)
 	const runs = 1 << 13
 	for seed := uint64(2); seed < 2+runs; seed++ {
 		run(seed)
 	}
-	if got := prepareAllocs() - before; got != 0 {
+	if got := heapAllocs(inPrepare) - before; got != 0 {
 		t.Fatalf("%d warm runs of 4 nodes made %d allocations in prepare; want 0", runs, got)
 	}
 }
 
-// prepareAllocs returns the heap allocations made so far whose stack passes
-// through Instance.prepare, after the collections that publish them.
-func prepareAllocs() int64 {
+// programFrame accepts a frame of the program's non-test code.
+func programFrame(f runtime.Frame) bool {
+	return strings.HasPrefix(f.Function, "cycledetect/") && !strings.HasSuffix(f.File, "_test.go")
+}
+
+// heapAllocs returns the heap allocations made so far whose stack has a
+// frame that match accepts, after the collections that publish them. Every
+// allocation is in the heap profile while runtime.MemProfileRate is 1.
+func heapAllocs(match func(runtime.Frame) bool) int64 {
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}
@@ -254,7 +280,7 @@ func prepareAllocs() int64 {
 		frames := runtime.CallersFrames(r.Stack())
 		for {
 			f, more := frames.Next()
-			if f.Function == "cycledetect/internal/network.(*Instance).prepare" {
+			if match(f) {
 				total += r.AllocObjects
 				break
 			}

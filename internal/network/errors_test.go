@@ -1,7 +1,7 @@
 // Error-semantics tests: bandwidth violations and node panics must surface
 // deterministically — earliest violating round and phase first, ties broken
-// by lowest vertex — and a Network must recover byte-for-byte after either
-// kind of aborted run.
+// by lowest vertex (for a budget violation, its sender) — and a Network must
+// recover byte-for-byte after either kind of aborted run.
 package network_test
 
 import (
@@ -94,7 +94,7 @@ func TestBandwidthEarliestRound(t *testing.T) {
 }
 
 // TestBandwidthLowestVertexTie: two violations in the same round must
-// resolve to the lowest receiving vertex.
+// resolve to the lowest sending vertex.
 func TestBandwidthLowestVertexTie(t *testing.T) {
 	g := graph.Path(4)
 	t.Run(engineName, func(t *testing.T) {
@@ -105,9 +105,30 @@ func TestBandwidthLowestVertexTie(t *testing.T) {
 			t.Fatalf("wrong error %v", err)
 		}
 		if be.Round != 1 || be.From != 0 || be.To != 1 {
-			t.Fatalf("want round-1 violation 0->1 (lowest receiver), got %+v", be)
+			t.Fatalf("want round-1 violation 0->1 (lowest sender), got %+v", be)
 		}
 	})
+}
+
+// TestBandwidthLowestSender pins the sender rule where it differs from the
+// receiver rule. On the path 1-0-3-2, vertices 2 and 3 both send over budget
+// in round 1. The lowest sender is 2 (2->3); the lowest receiver would be 0
+// (3->0). The answer must not depend on the worker count.
+func TestBandwidthLowestSender(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.AddPath(1, 0, 3, 2)
+	g := b.Build()
+	for _, workers := range []int{1, 2, 4} {
+		prog := &schedTalker{rounds: 3, sched: map[network.ID]int{2: 1, 3: 1}}
+		_, err := runOnce(g, prog, network.Options{BandwidthBits: 64, Workers: workers}, 0)
+		be, ok := err.(*network.ErrBandwidth)
+		if !ok {
+			t.Fatalf("workers=%d: wrong error %v", workers, err)
+		}
+		if be.Round != 1 || be.From != 2 || be.To != 3 {
+			t.Fatalf("workers=%d: want round-1 violation 2->3 (lowest sender), got %+v", workers, be)
+		}
+	}
 }
 
 // TestPanicIsolation: a node panic surfaces as an error instead of
@@ -130,7 +151,7 @@ func TestPanicIsolation(t *testing.T) {
 
 // TestSameRoundPhaseOrdering: within one round, a Send-phase failure must
 // outrank a Receive-phase one, even when the Receive panicker has the lower
-// vertex — the engine aborts between delivery and Receive.
+// vertex — the engine aborts between the Send and Receive phases.
 func TestSameRoundPhaseOrdering(t *testing.T) {
 	g := graph.Path(4)
 	t.Run(engineName, func(t *testing.T) {

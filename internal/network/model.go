@@ -38,16 +38,16 @@ func (ni *NodeInfo) Degree() int { return len(ni.NeighborIDs) }
 // Node is the per-node state of a running program.
 //
 // In round r (1-based) the engine first calls Send, which must fill out[p]
-// with the payload for port p (nil for no message), then delivers messages,
-// then calls Receive with in[p] holding the payload that arrived on port p
-// (nil for none). After the last round the engine calls Output once.
+// with the payload for port p (nil for no message), then calls Receive with
+// in[p] holding the payload that arrived on port p (nil for none). After
+// the last round the engine calls Output once.
 //
 // Payload lifetime contract: a payload placed in out is consumed by the
 // engine before the node's next Send call, so a node may reuse one
 // per-node buffer for its outgoing payloads round after round (the engine's
-// phase barriers guarantee this). Symmetrically, the slices passed to
-// Receive are only valid for the duration of that call; a node that needs
-// received bytes later must copy them.
+// phase barriers guarantee this). Symmetrically, in is engine scratch that
+// is valid only during the Receive call, and so are the payloads it holds;
+// a node that needs received bytes later must copy them.
 type Node interface {
 	Send(round int, out [][]byte)
 	Receive(round int, in [][]byte)
@@ -212,7 +212,10 @@ func (e *ErrCanceled) Error() string {
 // Unwrap exposes the context error to errors.Is/As.
 func (e *ErrCanceled) Unwrap() error { return e.Cause }
 
-// ErrBandwidth reports a message that exceeded the configured budget.
+// ErrBandwidth reports a message that exceeded the configured budget. The
+// violation is its sender's: From is the ID of the node whose payload broke
+// the budget, and a run reports the lowest such sending vertex of the
+// earliest round.
 type ErrBandwidth struct {
 	Round     int
 	From, To  ID

@@ -4,15 +4,18 @@
 // synchronous rounds, each sending one message per incident edge per round.
 // The package is the model's one home — its vocabulary (model.go) and its
 // engine — and Instance.RunProgram / RunProgramCtx are the only way to run a
-// program. The engine is lockstep (bulk-synchronous): every round runs a
-// Send phase, a delivery phase and a Receive phase over all nodes, with a
-// barrier between phases, so it simulates the synchronous model directly.
-// Delivery accounts every message's size in bits and can enforce a hard
-// per-message budget.
+// program. The engine is lockstep (bulk-synchronous): every round runs the
+// model's two phases over all nodes, Send and then Receive, with a barrier
+// after each, so it simulates the synchronous model directly. The Send
+// phase accounts every message's size in bits right after its node's Send,
+// and checks it against the optional hard per-message budget there, where
+// the sender pays for it. The Receive phase hands each node its neighbours'
+// payloads, read in place from their outgoing tables, so an Instance holds
+// one payload table.
 //
 // The expensive, immutable part of a network — the graph, the validated ID
 // assignment, the precomputed port topology — is compiled ONCE into a
-// shareable Compiled core; per-run mutable state (payload tables, coin
+// shareable Compiled core; per-run mutable state (the payload table, coin
 // streams, node cache, stats slabs, and a persistent worker pool) lives in
 // an Instance attached to that core. Many programs run against one
 // Instance, and many Instances attach to one Compiled with zero copying of
@@ -23,7 +26,7 @@
 // workloads (the E4/E11 harnesses, examples/sweep, cmd/sweep) would be
 // dominated by re-building the same network per run. An Instance amortizes
 // all of it: topology and ID validation (shared via the Compiled), the flat
-// payload tables, per-node RNG streams (reseeded in place per run), the
+// payload table, per-node RNG streams (reseeded in place per run), the
 // stats slabs, the worker pool, which parks between runs, and, when the
 // same Program value is run repeatedly and its nodes implement
 // ReusableNode, the per-node program state. In that steady state RunProgram
@@ -31,13 +34,14 @@
 // by TestNetworkRunAllocFree) while producing results byte-identical to a
 // fresh Instance's (locked by TestRunProgramMatchesCongest).
 //
-// A node panic is isolated (the node goes silent, its pending payloads are
-// dropped) and surfaces as an error; a bandwidth-budget violation aborts the
-// run without burning the remaining rounds' work. The engine checks for
-// failures after every phase that can fail, so the failures one check sees
-// all belong to one round and phase, and the reported error is the one of
-// the lowest failing vertex — the same whatever the worker count or
-// scheduling.
+// A node panic is recovered and surfaces as an error; it and a
+// bandwidth-budget violation abort the run without burning the remaining
+// rounds' work. The engine checks for failures after each phase, so the
+// failures one check sees all belong to one round and phase, and the
+// reported error is the one of the lowest failing vertex — the same
+// whatever the worker count or scheduling. A budget violation belongs to
+// its sender, and the check after Send aborts the run before any node
+// receives an over-budget payload.
 //
 // Cancellation rides the same barriers: RunProgramCtx checks its context at
 // every round barrier, so a cancelled run aborts within one round as
@@ -101,24 +105,22 @@ type Instance struct {
 	res       Result
 	perWorker []Stats // one per worker
 
-	// Failure state. errs[v] is vertex v's first failure; failed[v]
-	// silences a panicked node's program calls for the rest of the run.
-	// Both are reset lazily (hadErr) since clean runs never touch them.
+	// Failure state. errs[v] is vertex v's first failure, reset lazily
+	// (hadErr) since clean runs never touch it. Every failure aborts the
+	// run at the next phase barrier.
 	errs   []error
-	failed []bool
 	hadErr bool
 
-	// Per-instance per-port payload tables (out[v][p] / in[v][p], carved
-	// from two flat backing arrays).
-	out, in [][][]byte
+	// Per-port outgoing payload table: out[v][p], carved from one flat
+	// backing array. Receive reads it in place; there is no in-table.
+	out [][][]byte
 
 	// Engine state.
-	pool                               *workerPool
-	workers                            int
-	hasErr                             []bool // per-worker failure flag, scanned at each phase barrier
-	round                              int    // current round, read by the phase closures
-	sendPhase, deliverPhase, recvPhase func(w, lo, hi int)
-	outputPhase                        func(w, lo, hi int)
+	pool                              *workerPool
+	workers                           int
+	hasErr                            []bool // per-worker failure flag, scanned at each phase barrier
+	round                             int    // current round, read by the phase closures
+	sendPhase, recvPhase, outputPhase func(w, lo, hi int)
 }
 
 // New compiles g and attaches a single Instance in one step — the
@@ -133,8 +135,8 @@ func New(g *graph.Graph, opts Options) (*Instance, error) {
 	return c.NewInstance(InstanceOptions{Workers: opts.Workers})
 }
 
-// init allocates the per-vertex instance state: payload tables, coin
-// streams, failure slabs, and the result skeleton.
+// init allocates the per-vertex instance state: the payload table, coin
+// streams, failure slab, and the result skeleton.
 func (nw *Instance) init() {
 	g := nw.c.g
 	n := g.N()
@@ -142,17 +144,13 @@ func (nw *Instance) init() {
 	nw.res.IDs = nw.c.topo.ids
 	nw.res.Outputs = make([]any, n)
 	nw.errs = make([]error, n)
-	nw.failed = make([]bool, n)
 
 	nw.out = make([][][]byte, n)
-	nw.in = make([][][]byte, n)
-	outFlat := make([][]byte, 2*g.M())
-	inFlat := make([][]byte, 2*g.M())
+	flat := make([][]byte, 2*g.M())
 	off := 0
 	for v := 0; v < n; v++ {
 		deg := g.Degree(v)
-		nw.out[v] = outFlat[off : off+deg : off+deg]
-		nw.in[v] = inFlat[off : off+deg : off+deg]
+		nw.out[v] = flat[off : off+deg : off+deg]
 		off += deg
 	}
 }
@@ -179,9 +177,9 @@ func (nw *Instance) Close() {
 	}
 }
 
-// buildEngine allocates the engine's reusable structures: the worker pool
-// and the phase closures (allocated once here; the per-run loop only
-// writes nw.round between barriers).
+// buildEngine allocates the engine's reusable structures: the worker pool,
+// the per-worker receive scratch and the phase closures (allocated once
+// here; the per-run loop only writes nw.round between barriers).
 func (nw *Instance) buildEngine() {
 	g, n := nw.c.g, nw.c.g.N()
 	workers := nw.iopts.Workers
@@ -200,43 +198,27 @@ func (nw *Instance) buildEngine() {
 		nw.pool = newWorkerPool(workers, n)
 	}
 
+	// Send accounts each payload and checks the budget right after the
+	// node's Send, so a violation is its sender's error.
 	//ckvet:allocfree
 	nw.sendPhase = func(w, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			clearPayloads(nw.out[v])
-			if nw.failed[v] {
-				continue
-			}
-			nw.sendNode(w, v)
-			if nw.failed[v] {
-				// A mid-Send panic leaves out[v] partially filled; the
-				// node's round goes silent.
-				clearPayloads(nw.out[v])
-			}
-		}
-	}
-	// Delivery iterates by receiver so each worker writes only its own
-	// shard's in-tables; senders' out-tables are read-only during the phase.
-	//ckvet:allocfree
-	nw.deliverPhase = func(w, lo, hi int) {
 		st := &nw.perWorker[w]
 		budget := nw.c.bandwidthBits
 		for v := lo; v < hi; v++ {
-			ns := g.Neighbors(v)
-			rp := nw.c.topo.revPort[v]
-			for pt := range nw.in[v] {
-				u := int(ns[pt])
-				payload := nw.out[u][rp[pt]]
-				nw.in[v][pt] = payload
+			out := nw.out[v]
+			clearPayloads(out)
+			nw.sendNode(w, v)
+			// After a Send panic, errs[v] already holds the panic, and the
+			// run aborts at the barrier before anything is received.
+			for pt, payload := range out {
 				if payload == nil {
 					continue
 				}
 				bits := 8 * len(payload)
 				st.observe(nw.round, bits)
 				if budget > 0 && bits > budget && nw.errs[v] == nil {
-					ids := nw.c.topo.ids
 					nw.errs[v] = &ErrBandwidth{ //ckvet:ignore budget-violation abort path, the run is over
-						Round: nw.round, From: ids[u], To: ids[v],
+						Round: nw.round, From: nw.c.topo.ids[v], To: nw.c.topo.nbrIDs[v][pt],
 						Bits: bits, BudgetBit: budget,
 					}
 					nw.hasErr[w] = true
@@ -244,30 +226,34 @@ func (nw *Instance) buildEngine() {
 			}
 		}
 	}
-	// The in-tables are not cleared after Receive: delivery rewrites every
-	// in-slot, nil included, every round.
+	// Receive gathers a node's incoming payloads from its neighbours'
+	// out-slots into the worker's row of the scratch, right before the
+	// node's Receive; the row is rewritten for every node.
+	maxDeg := g.MaxDegree()
+	scratch := make([][]byte, workers*maxDeg)
 	//ckvet:allocfree
 	nw.recvPhase = func(w, lo, hi int) {
+		row := scratch[w*maxDeg : (w+1)*maxDeg]
 		for v := lo; v < hi; v++ {
-			if !nw.failed[v] {
-				nw.recvNode(w, v)
+			ns, rp := g.Neighbors(v), nw.c.topo.revPort[v]
+			in := row[:len(ns):len(ns)]
+			for pt, u := range ns {
+				in[pt] = nw.out[u][rp[pt]]
 			}
+			nw.recvNode(w, v, in)
 		}
 	}
 	//ckvet:allocfree
 	nw.outputPhase = func(w, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			if !nw.failed[v] {
-				nw.outputNode(w, v)
-			}
+			nw.outputNode(w, v)
 		}
 	}
 }
 
 // sendNode, recvNode and outputNode isolate one node's program calls: a
-// panic is converted into a recorded error and the node goes silent for the
-// rest of the run. They are methods (not closures) so the hot path stays
-// allocation-free.
+// panic is converted into a recorded error, which aborts the run. They are
+// methods (not closures) so the hot path stays allocation-free.
 //
 //ckvet:allocfree
 func (nw *Instance) sendNode(w, v int) {
@@ -276,9 +262,9 @@ func (nw *Instance) sendNode(w, v int) {
 }
 
 //ckvet:allocfree
-func (nw *Instance) recvNode(w, v int) {
+func (nw *Instance) recvNode(w, v int, in [][]byte) {
 	defer nw.catchNode(w, v, "Receive")
-	nw.nodes[v].Receive(nw.round, nw.in[v])
+	nw.nodes[v].Receive(nw.round, in)
 }
 
 //ckvet:allocfree
@@ -292,7 +278,6 @@ func (nw *Instance) outputNode(w, v int) {
 //ckvet:allocs recovery path, runs only when a node panicked
 func (nw *Instance) catchNode(w, v int, what string) {
 	if p := recover(); p != nil {
-		nw.failed[v] = true
 		nw.hasErr[w] = true
 		if nw.errs[v] == nil {
 			nw.errs[v] = panicError(nw.c.topo.ids[v], what, nw.round, p)
@@ -325,13 +310,8 @@ func (nw *Instance) prepare(p Program, seed uint64) int {
 
 	if nw.hadErr {
 		nw.hadErr = false
-		for v := range nw.errs {
-			nw.errs[v] = nil
-			nw.failed[v] = false
-		}
-		for w := range nw.hasErr {
-			nw.hasErr[w] = false
-		}
+		clear(nw.errs)
+		clear(nw.hasErr)
 	}
 
 	ids := nw.c.topo.ids
@@ -442,8 +422,7 @@ func pollDone(done <-chan struct{}) bool {
 }
 
 // anyWorkerErr reports whether any worker recorded a failure this run; it
-// is scanned at the barriers after the phases that can fail (workers
-// entries, not n).
+// is scanned at the barrier after each phase (workers entries, not n).
 //
 //ckvet:allocfree
 func (nw *Instance) anyWorkerErr() bool {
@@ -458,9 +437,9 @@ func (nw *Instance) anyWorkerErr() bool {
 // runFailed finishes an aborted run: it marks the failure state dirty for
 // the next prepare, forces a node rebuild (an aborted run leaves nodes
 // mid-state), and returns the error of the lowest failing vertex. The loop
-// checks for failures after every phase that can fail, so all recorded
-// failures belong to that one phase and round, and the lowest vertex is the
-// same whatever the worker count or scheduling.
+// checks for failures after each phase, so all recorded failures belong to
+// that one phase and round, and the lowest vertex is the same whatever the
+// worker count or scheduling.
 func (nw *Instance) runFailed() error {
 	nw.hadErr = true
 	nw.lastProg = nil
@@ -499,7 +478,6 @@ func (nw *Instance) run(ctx context.Context, rounds int) (*Result, error) {
 			return nil, nw.runCanceled(nw.round-1, context.Cause(ctx))
 		}
 		runPhase(nw.sendPhase)
-		runPhase(nw.deliverPhase)
 		// This round's Send panics and bandwidth violations abort the run
 		// before any node receives, so no program observes an over-budget
 		// payload and the remaining rounds' work is not burned.

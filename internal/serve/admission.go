@@ -94,7 +94,6 @@ func (s *Server) leaveQueue() { s.queueDepth.Add(-1) }
 // private mutex — nothing allocated, nothing shared with the run path.
 type gate struct {
 	s        *Server
-	endpoint string
 	limit    int
 	maxQueue int
 	waitHist *metrics.Histogram // admission wait per admitted request
@@ -105,8 +104,8 @@ type gate struct {
 	queued int
 }
 
-func newGate(s *Server, endpoint string, limit, maxQueue int, waitHist *metrics.Histogram) *gate {
-	g := &gate{s: s, endpoint: endpoint, limit: limit, maxQueue: maxQueue, waitHist: waitHist}
+func newGate(s *Server, limit, maxQueue int, waitHist *metrics.Histogram) *gate {
+	g := &gate{s: s, limit: limit, maxQueue: maxQueue, waitHist: waitHist}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -119,7 +118,7 @@ func newGate(s *Server, endpoint string, limit, maxQueue int, waitHist *metrics.
 // first wait, so a release between "queue full?" and the wait cannot
 // strand it.
 // Admitted requests (fast path included) observe the wait histogram, so
-// its shape answers "how long do requests queue at this endpoint" — a
+// its shape answers "how long do queries queue" — a
 // fast-path admission records ~0 and keeps the sample population honest.
 func (g *gate) acquire(ctx context.Context) error {
 	start := time.Now()
@@ -132,7 +131,7 @@ func (g *gate) acquire(ctx context.Context) error {
 	}
 	if g.queued >= g.maxQueue {
 		g.mu.Unlock()
-		return g.s.shedded(g.endpoint, fmt.Sprintf(
+		return g.s.shedded("query", fmt.Sprintf(
 			"%d in service, wait queue of %d full", g.limit, g.maxQueue))
 	}
 	g.queued++

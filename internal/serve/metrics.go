@@ -3,7 +3,7 @@ package serve
 // The server's Prometheus-style instrumentation hub: one serveMetrics
 // owns the metrics.Registry behind GET /metrics and every series the
 // serving path records into — per-stage latency histograms (admission
-// queue wait, instance acquire, engine run, end-to-end per endpoint),
+// queue wait, instance acquire, engine run, end-to-end query),
 // shed/cache/budget counters, and per-engine run metrics (serveMetrics is
 // the network.RunCollector every spawned instance reports to).
 //

@@ -341,7 +341,7 @@ func TestRunIDTracing(t *testing.T) {
 		st := s2.Stats()
 		if len(st.InFlightRequests) == 1 {
 			fl := st.InFlightRequests[0]
-			if fl.RunID != "parked-1" || fl.Endpoint != "query" || fl.Stage != "admit" {
+			if fl.RunID != "parked-1" || fl.Stage != "admit" {
 				t.Fatalf("in-flight entry: %+v", fl)
 			}
 			break

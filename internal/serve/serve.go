@@ -271,7 +271,7 @@ func NewServer(opts Options) *Server {
 	}
 	s.met = newServeMetrics(s)
 	s.store = corestore.New(s.storeOptions())
-	s.queryGate = newGate(s, "query", opts.maxConcurrentQueries(), opts.maxQueueDepth(), s.met.queueWaitQuery)
+	s.queryGate = newGate(s, opts.maxConcurrentQueries(), opts.maxQueueDepth(), s.met.queueWaitQuery)
 	return s
 }
 
@@ -366,7 +366,7 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 	// In-flight tracing: only requests carrying a run-ID (the HTTP path)
 	// are tracked — fl is nil otherwise and every touch below is a no-op,
 	// so the direct Query path stays at its allocation floor.
-	fl := s.trackInflight(ctx, "query")
+	fl := s.trackInflight(ctx)
 	defer fl.done(s)
 
 	key, build, err := req.resolve()

@@ -57,10 +57,9 @@ var stageNames = [...]string{"admit", "acquire", "run"}
 // inflightReq is one tracked request. The stage field is atomic so the
 // owning request updates it lock-free while /stats snapshots read it.
 type inflightReq struct {
-	id       string
-	endpoint string
-	start    time.Time
-	stage    atomic.Int32
+	id    string
+	start time.Time
+	stage atomic.Int32
 }
 
 // setStage is nil-safe: untracked requests (no run-ID) carry a nil
@@ -73,12 +72,12 @@ func (f *inflightReq) setStage(st int32) {
 
 // trackInflight registers the request in the in-flight table when its
 // context carries a run-ID, returning nil (a no-op handle) otherwise.
-func (s *Server) trackInflight(ctx context.Context, endpoint string) *inflightReq {
+func (s *Server) trackInflight(ctx context.Context) *inflightReq {
 	rid := RunID(ctx)
 	if rid == "" {
 		return nil
 	}
-	f := &inflightReq{id: rid, endpoint: endpoint, start: time.Now()}
+	f := &inflightReq{id: rid, start: time.Now()}
 	s.flMu.Lock()
 	s.inflight[f] = struct{}{}
 	s.flMu.Unlock()
@@ -99,8 +98,6 @@ func (f *inflightReq) done(s *Server) {
 type InFlightRequestStats struct {
 	// RunID is the request's trace ID (X-Request-ID or generated).
 	RunID string `json:"run_id"`
-	// Endpoint is "query", the one endpoint that is tracked.
-	Endpoint string `json:"endpoint"`
 	// Stage is where the request is right now: "admit", "acquire", "run".
 	Stage string `json:"stage"`
 	// ElapsedSeconds is the time since the request entered the server.
@@ -119,7 +116,6 @@ func (s *Server) inflightSnapshot(now time.Time) []InFlightRequestStats {
 		}
 		out = append(out, InFlightRequestStats{
 			RunID:          f.id,
-			Endpoint:       f.endpoint,
 			Stage:          name,
 			ElapsedSeconds: now.Sub(f.start).Seconds(),
 		})

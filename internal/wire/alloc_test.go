@@ -32,28 +32,6 @@ func TestAppendCheckArenaAllocFree(t *testing.T) {
 	}
 }
 
-func TestDecodeCheckIntoAllocFree(t *testing.T) {
-	src := maxPhase2Check()
-	payload := AppendCheckArena(nil, 12345, 67890, 1<<40, src)
-	var dst SeqArena
-	// Warm the arena to steady-state capacity.
-	if _, err := DecodeCheckInto(payload, &dst); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		dst.Reset()
-		if _, err := DecodeCheckInto(payload, &dst); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("DecodeCheckInto allocates %.1f times per call; want 0", allocs)
-	}
-	if dst.Len() != src.Len() {
-		t.Fatalf("decoded %d sequences, want %d", dst.Len(), src.Len())
-	}
-}
-
 func TestParseAndValidateAllocFree(t *testing.T) {
 	src := maxPhase2Check()
 	payload := AppendCheckArena(nil, 5, 9, 77, src)
@@ -71,9 +49,8 @@ func TestParseAndValidateAllocFree(t *testing.T) {
 	}
 }
 
-// TestCodecTiersAgree pins the two tiers to the same wire format: the
-// arena encoder must produce byte-identical output to EncodeCheck, and
-// DecodeCheckInto must land the same sequences DecodeCheck returns.
+// TestCodecTiersAgree pins the two encoders to the same wire format: the
+// arena encoder must produce byte-identical output to EncodeCheck.
 func TestCodecTiersAgree(t *testing.T) {
 	c := &Check{U: 3, V: 99, Rank: 42, Seqs: [][]ID{{3, 7}, {}, {1, 2, 3}}}
 	var a SeqArena
@@ -84,24 +61,5 @@ func TestCodecTiersAgree(t *testing.T) {
 	arena := AppendCheckArena(nil, c.U, c.V, c.Rank, &a)
 	if string(legacy) != string(arena) {
 		t.Fatalf("encoders disagree:\n%x\n%x", legacy, arena)
-	}
-	var dst SeqArena
-	v, err := DecodeCheckInto(legacy, &dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.U != c.U || v.V != c.V || v.Rank != c.Rank || dst.Len() != len(c.Seqs) {
-		t.Fatalf("header/shape mismatch: %+v, %d seqs", v, dst.Len())
-	}
-	for i, s := range c.Seqs {
-		got := dst.Seq(i)
-		if len(got) != len(s) {
-			t.Fatalf("seq %d length %d want %d", i, len(got), len(s))
-		}
-		for j := range s {
-			if got[j] != s[j] {
-				t.Fatalf("seq %d elem %d: %d want %d", i, j, got[j], s[j])
-			}
-		}
 	}
 }

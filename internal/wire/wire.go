@@ -28,9 +28,10 @@
 // meant for tests and cold paths. The simulation hot path uses the
 // allocation-free tier instead: AppendCheck / AppendCheckArena encode into a
 // caller-owned buffer, ParseCheck reads the header in place without touching
-// the sequence bytes, SeqIter walks the sequences reading varints in place,
-// and DecodeCheckInto lands all sequence IDs in a caller-owned SeqArena that
-// is reused across rounds.
+// the sequence bytes, and SeqIter walks the sequences reading varints in
+// place, so a receiver appends the IDs it keeps straight into its own
+// reused storage. DecodeCheck is built on the same three steps (ParseCheck,
+// Validate, Iter), so both tiers accept exactly the same payloads.
 package wire
 
 import (
@@ -309,51 +310,6 @@ func (v *CheckView) Validate() error {
 	return nil
 }
 
-// DecodeInto appends every sequence of the view to a. On error the arena is
-// rolled back to its prior state. Trailing bytes after the last sequence are
-// an error, matching DecodeCheck.
-//
-//ckvet:allocfree
-func (v *CheckView) DecodeInto(a *SeqArena) error {
-	it := v.Iter()
-	idMark, spanMark := len(a.IDs), len(a.Spans)
-	for {
-		off := int32(len(a.IDs))
-		ids, ok := it.Next(a.IDs)
-		if !ok {
-			break
-		}
-		a.IDs = ids
-		a.Spans = append(a.Spans, Span{Off: off, Len: int32(len(ids)) - off})
-	}
-	err := it.err
-	if err == nil && len(it.p) != 0 {
-		err = fmt.Errorf("wire: %d trailing bytes", len(it.p)) //ckvet:ignore malformed-input path, never taken on peer-encoded payloads
-	}
-	if err != nil {
-		a.IDs, a.Spans = a.IDs[:idMark], a.Spans[:spanMark]
-		return err
-	}
-	return nil
-}
-
-// DecodeCheckInto parses p and appends all its sequences to the caller-owned
-// arena, returning the header. It is the hot-path replacement for
-// DecodeCheck: the arena's buffers are reused across calls, so steady-state
-// decoding allocates nothing.
-//
-//ckvet:allocfree
-func DecodeCheckInto(p []byte, a *SeqArena) (CheckView, error) {
-	v, err := ParseCheck(p)
-	if err != nil {
-		return CheckView{}, err
-	}
-	if err := v.DecodeInto(a); err != nil {
-		return CheckView{}, err
-	}
-	return v, nil
-}
-
 // SeqIter reads a view's sequences in place, one varint at a time.
 type SeqIter struct {
 	p   []byte
@@ -430,16 +386,25 @@ func (it *SeqIter) Err() error { return it.err }
 func (it *SeqIter) Trailing() int { return len(it.p) }
 
 // DecodeCheck parses a Check payload into a freshly allocated *Check. Cold
-// paths and tests only; the simulator decodes with DecodeCheckInto.
+// paths and tests only; the simulator parses with ParseCheck and reads the
+// sequences in place. The payload is validated before anything is sized
+// from it, and each ID takes at least one byte, so the sequences share one
+// buffer of at most one ID per body byte.
 func DecodeCheck(p []byte) (*Check, error) {
-	var a SeqArena
-	v, err := DecodeCheckInto(p, &a)
+	v, err := ParseCheck(p)
 	if err != nil {
 		return nil, err
 	}
-	c := &Check{U: v.U, V: v.V, Rank: v.Rank, Seqs: make([][]ID, a.Len())}
+	if err := v.Validate(); err != nil {
+		return nil, err
+	}
+	c := &Check{U: v.U, V: v.V, Rank: v.Rank, Seqs: make([][]ID, v.NumSeqs)}
+	ids := make([]ID, 0, len(v.body))
+	it := v.Iter()
 	for i := range c.Seqs {
-		c.Seqs[i] = a.Seq(i)
+		off := len(ids)
+		ids, _ = it.Next(ids)
+		c.Seqs[i] = ids[off:len(ids):len(ids)]
 	}
 	return c, nil
 }
