@@ -42,7 +42,7 @@ func main() {
 		maxGraphs     = flag.Int("max-graphs", 0, "cache capacity in entries (secondary guard; 0 = default 64, negative = unbounded)")
 		maxCacheBytes = flag.Int64("max-cache-bytes", 0, "cache capacity in compiled bytes (0 = default 256 MiB, negative = unbounded)")
 		maxInstances  = flag.Int("max-instances", 0, "server-wide live-instance budget, all graphs; 0 = GOMAXPROCS")
-		timeout       = flag.Duration("timeout", 30*time.Second, "per-query deadline; a timed-out run is cancelled at its next round barrier")
+		timeout       = flag.Duration("timeout", 30*time.Second, "per-query deadline; a timed-out query answers 504 when its run next reaches a round barrier (up to one round late, or after a cold instance's node build)")
 		nwWorkers     = flag.Int("network-workers", 1, "BSP workers inside each instance")
 		bandwidth     = flag.Int("bandwidth-bits", 0, "per-message budget in bits (0 = unenforced)")
 		drain         = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")

@@ -24,8 +24,6 @@
 //	//ckvet:allocs <reason>    — stops that propagation: the function is a
 //	                             cold path (error assembly, recovery) that
 //	                             is allowed to allocate
-//	//ckvet:ctxfield <reason>  — allowlists one struct field of type
-//	                             context.Context (see ctxflow.go)
 //	//ckvet:ignore <reason>    — suppresses every finding reported on the
 //	                             same source line
 //

@@ -22,6 +22,7 @@ func TestDirectives(t *testing.T) {
 	wants := []string{
 		`//ckvet:allocs needs a reason`,
 		`unknown ckvet directive "allocsfree"`,
+		`unknown ckvet directive "ctxfield"`,
 		`//ckvet:ignore needs a reason`,
 	}
 	if len(diags) != len(wants) {

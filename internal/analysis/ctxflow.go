@@ -11,9 +11,8 @@ package analysis
 //   - context.Background()/context.TODO() inside such a function restarts
 //     the cancellation chain and is flagged for the same reason.
 //   - Storing a context in a struct field detaches it from call-graph
-//     scoping (the lifetime bug contained-context linters exist for);
-//     fields must be allowlisted with //ckvet:ctxfield <reason> — the
-//     serve worker's run-handoff slot is the one sanctioned shape.
+//     scoping (the lifetime bug contained-context linters exist for), so
+//     every such field is a finding; there is no allowlist.
 
 import (
 	"go/ast"
@@ -40,11 +39,8 @@ func runCtxFlow(pass *Pass) {
 				if !ok || !isContextType(tv.Type) {
 					continue
 				}
-				if hasDirective(field.Doc, "ctxfield") || hasDirective(field.Comment, "ctxfield") {
-					continue
-				}
 				pass.Reportf(field.Pos(),
-					"context.Context stored in a struct field outlives its request; thread it through calls (or annotate //ckvet:ctxfield <reason>)")
+					"context.Context stored in a struct field outlives its request; thread it through calls")
 			}
 			return true
 		})

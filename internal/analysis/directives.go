@@ -23,7 +23,7 @@ const directivePrefix = "//ckvet:"
 
 // directive is one parsed //ckvet: comment.
 type directive struct {
-	verb   string // "allocfree", "allocs", "ignore", "ctxfield"
+	verb   string // "allocfree", "allocs", "ignore"
 	reason string
 	pos    token.Pos
 }
@@ -92,7 +92,7 @@ func ignoredLines(pkg *Package) map[lineKey]bool {
 // Directives is a meta-analyzer auditing the directives themselves:
 // unknown verbs (a typo like //ckvet:allocsfree silently disabling a
 // check is exactly the failure mode this suite exists to prevent) and
-// reasonless ignore/allocs/ctxfield directives are findings.
+// reasonless ignore/allocs directives are findings.
 var Directives = &Analyzer{
 	Name: "ckvetdirective",
 	Doc:  "check that //ckvet: directives are well-formed and justified",
@@ -107,7 +107,7 @@ var Directives = &Analyzer{
 					switch d.verb {
 					case "allocfree":
 						// No reason needed: the directive is the contract.
-					case "ignore", "allocs", "ctxfield":
+					case "ignore", "allocs":
 						if d.reason == "" {
 							pass.Reportf(d.pos, "//ckvet:%s needs a reason", d.verb)
 						}

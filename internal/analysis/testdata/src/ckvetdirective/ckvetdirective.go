@@ -16,6 +16,13 @@ func reasonless() {}
 //ckvet:allocsfree
 func typoed() int { return 2 }
 
+// A context field has no allowlist, so the directive that once was one is
+// an unknown verb.
+type holder struct {
+	//ckvet:ctxfield run-handoff slot
+	n int
+}
+
 func suppressions() {
 	_ = annotated() //ckvet:ignore exercised at startup only
 	_ = typoed()    //ckvet:ignore

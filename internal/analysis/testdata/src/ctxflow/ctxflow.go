@@ -7,11 +7,6 @@ type holder struct {
 	ctx context.Context // want `stored in a struct field`
 }
 
-type worker struct {
-	//ckvet:ctxfield run-handoff slot, cleared when the run completes
-	ctx context.Context
-}
-
 func Run(n int) int { return n }
 
 func RunCtx(ctx context.Context, n int) int {

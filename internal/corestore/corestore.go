@@ -1,7 +1,7 @@
 // Package corestore is the compiled-core store behind the serving tier: an
 // in-memory LRU of immutable network.Compiled cores (byte-weighted by
-// Compiled.MemSize) and per-(graph, width) pools of warm
-// network.Instances under one store-wide two-dimensional instance budget
+// Compiled.MemSize) and per-graph pools of warm network.Instances, all of
+// one engine width, under one store-wide two-dimensional instance budget
 // (count and pinned bytes) with coldest-graph idle reclaim.
 //
 // The store is the one cache of compiled cores. Every caller checks
@@ -54,8 +54,8 @@ type Options struct {
 	// negative disables). A checkout arriving at a full queue fails
 	// immediately with *ErrSaturated instead of parking.
 	MaxQueueDepth int
-	// DefaultWorkers is the engine width used when a checkout does not name
-	// one (default 1).
+	// DefaultWorkers is the engine width of every instance the store spawns
+	// (default 1).
 	DefaultWorkers int
 	// BandwidthBits, if positive, compiles a hard per-message budget into
 	// every cached core.
@@ -169,14 +169,16 @@ type Store struct {
 	evictions atomic.Int64
 }
 
-// entry is one cached graph: its immutable compiled core plus the warm
-// instance pools attached to it, one per instance width.
+// entry is one cached graph: its immutable compiled core plus the pool of
+// its idle warm handles. All bookkeeping is guarded by Store.mu; blocked
+// acquirers wait on Store.cond, because a store-wide budget means a release
+// anywhere can unblock a waiter everywhere.
 type entry struct {
 	key      string
 	elem     *list.Element
 	g        *graph.Graph
 	compiled *network.Compiled
-	pools    map[int]*instPool // by instance width
+	idle     []*Handle
 	evicted  bool
 	hits     int64     // lookups served by this entry (guarded by Store.mu)
 	created  time.Time // when the entry entered the cache
@@ -192,26 +194,15 @@ type flight struct {
 	waiters int // checkouts that waited on this build (guarded by Store.mu)
 }
 
-// instPool holds the idle warm handles of one (graph, width). Width names
-// the pool because an instance's worker pool is sized at spawn — handing a
-// width-1 instance to a checkout that asked for width 2 (or vice versa)
-// would silently run at the wrong parallelism. All bookkeeping is guarded by
-// Store.mu; blocked acquirers wait on Store.cond, because a store-wide
-// budget means a release anywhere can unblock a waiter everywhere.
-type instPool struct {
-	idle []*Handle
-}
-
 // Handle is one checked-out warm instance. The caller has exclusive use of
 // Inst until Release; Scratch is caller-owned state that survives with the
-// handle across checkouts of the same pool (the serving layer parks its
-// per-worker program cache there), starting nil on a fresh spawn.
+// handle across checkouts of the same graph (the serving layer parks its
+// per-instance program cache there), starting nil on a fresh spawn.
 type Handle struct {
 	Inst    *network.Instance
 	Scratch any
 
-	e     *entry
-	width int // the pool the handle returns to
+	e *entry
 }
 
 // New returns an empty Store.
@@ -247,14 +238,12 @@ func (s *Store) Close() {
 func (s *Store) evictLocked(e *entry) {
 	e.evicted = true
 	s.cacheBytes -= e.compiled.MemSize()
-	for _, p := range e.pools {
-		for _, h := range p.idle {
-			s.spawned--
-			s.instBytes -= e.compiled.MemSize()
-			h.Inst.Close()
-		}
-		p.idle = nil
+	for _, h := range e.idle {
+		s.spawned--
+		s.instBytes -= e.compiled.MemSize()
+		h.Inst.Close()
 	}
+	e.idle = nil
 	s.cond.Broadcast()
 }
 
@@ -336,10 +325,7 @@ func (s *Store) buildEntry(key string, build func() (*graph.Graph, error), f *fl
 		return nil, false, errClosed
 	}
 	s.misses.Add(1)
-	e = &entry{
-		key: key, g: g, compiled: compiled,
-		pools: map[int]*instPool{}, created: time.Now(),
-	}
+	e = &entry{key: key, g: g, compiled: compiled, created: time.Now()}
 	s.insertLocked(e)
 	return e, false, nil
 }
@@ -371,30 +357,31 @@ var errClosed = errors.New("corestore: store closed")
 var errEvicted = errors.New("corestore: cache entry evicted")
 
 // Checkout returns an exclusive warm handle on an instance of the graph
-// cached under key (compiling via build on a miss) at the given width
-// (width <= 0 uses Options.DefaultWorkers). engine must be "" or
-// network.EngineBSP, the only engine; any other name is refused before the
-// lookup. hit reports whether the checkout found the core cached; one that
-// compiled it, or waited for a concurrent checkout of the same key to
-// compile it, reports false. The checkout spawns when the store-wide budget
-// allows, reclaims an idle instance from the coldest graph when it does
-// not, or waits — bounded by ctx AND by the queue bound: a full wait queue
-// fails fast with *ErrSaturated. Entries evicted mid-checkout are retried
-// transparently against the live cache.
+// cached under key (compiling via build on a miss). Every instance runs at
+// the store's width, Options.DefaultWorkers: workers must be 0 or that
+// width, and engine must be "" or network.EngineBSP, the only engine; any
+// other value is refused before the lookup. hit reports whether the
+// checkout found the core cached; one that compiled it, or waited for a
+// concurrent checkout of the same key to compile it, reports false. The
+// checkout spawns when the store-wide budget allows, reclaims an idle
+// instance from the coldest graph when it does not, or waits — bounded by
+// ctx AND by the queue bound: a full wait queue fails fast with
+// *ErrSaturated. Entries evicted mid-checkout are retried transparently
+// against the live cache.
 func (s *Store) Checkout(ctx context.Context, key string, build func() (*graph.Graph, error),
 	engine network.Engine, workers int) (h *Handle, hit bool, err error) {
 	if engine != "" && engine != network.EngineBSP {
 		return nil, false, fmt.Errorf("corestore: unknown engine %q", engine)
 	}
-	if workers <= 0 {
-		workers = s.opts.defaultWorkers()
+	if workers != 0 && workers != s.opts.defaultWorkers() {
+		return nil, false, fmt.Errorf("corestore: width %d is not the store's width %d", workers, s.opts.defaultWorkers())
 	}
 	for {
 		e, wasHit, err := s.lookup(ctx, key, build)
 		if err != nil {
 			return nil, false, err
 		}
-		h, err := s.acquire(ctx, e, workers)
+		h, err := s.acquire(ctx, e)
 		if err == nil {
 			return h, wasHit, nil
 		}
@@ -410,18 +397,18 @@ func (s *Store) Checkout(ctx context.Context, key string, build func() (*graph.G
 	}
 }
 
-// acquire checks a warm handle out of e's pool for width, observing the
+// acquire checks a warm handle out of e's pool, observing the
 // acquire-latency hook on success.
-func (s *Store) acquire(ctx context.Context, e *entry, width int) (*Handle, error) {
+func (s *Store) acquire(ctx context.Context, e *entry) (*Handle, error) {
 	start := time.Now()
-	h, err := s.acquireInner(ctx, e, width)
+	h, err := s.acquireInner(ctx, e)
 	if err == nil && s.opts.ObserveAcquire != nil {
 		s.opts.ObserveAcquire(time.Since(start))
 	}
 	return h, err
 }
 
-func (s *Store) acquireInner(ctx context.Context, e *entry, width int) (*Handle, error) {
+func (s *Store) acquireInner(ctx context.Context, e *entry) (*Handle, error) {
 	need := e.compiled.MemSize()
 	maxBytes := s.opts.maxInstanceBytes()
 	s.mu.Lock()
@@ -434,15 +421,10 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, width int) (*Handle,
 			s.mu.Unlock()
 			return nil, errEvicted
 		}
-		p, ok := e.pools[width]
-		if !ok {
-			p = &instPool{}
-			e.pools[width] = p
-		}
-		if n := len(p.idle); n > 0 {
-			h := p.idle[n-1]
-			p.idle[n-1] = nil // the backing array must not keep h reachable
-			p.idle = p.idle[:n-1]
+		if n := len(e.idle); n > 0 {
+			h := e.idle[n-1]
+			e.idle[n-1] = nil // the backing array must not keep h reachable
+			e.idle = e.idle[:n-1]
 			s.mu.Unlock()
 			return h, nil
 		}
@@ -455,7 +437,7 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, width int) (*Handle,
 			s.instBytes += need
 			s.mu.Unlock()
 			inst, err := e.compiled.NewInstance(network.InstanceOptions{
-				Workers:   width,
+				Workers:   s.opts.defaultWorkers(),
 				Collector: s.opts.Collector,
 			})
 			if err != nil {
@@ -466,7 +448,7 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, width int) (*Handle,
 				s.mu.Unlock()
 				return nil, err
 			}
-			return &Handle{Inst: inst, e: e, width: width}, nil
+			return &Handle{Inst: inst, e: e}, nil
 		}
 		// Budget exhausted. Degrade gracefully: reclaim an idle instance
 		// from the coldest pool (its warmth is worth less than this
@@ -508,24 +490,21 @@ func (s *Store) acquireInner(ctx context.Context, e *entry, width int) (*Handle,
 // reclaimIdleLocked closes one idle instance from the least recently used
 // entry that has one and returns whether budget was freed. The pool the
 // caller is acquiring for is empty (that is why it got here), so the scan
-// can only ever reclaim a DIFFERENT pool's warmth — possibly the same
-// graph's at another width. Callers hold s.mu.
+// can only ever reclaim another graph's warmth. Callers hold s.mu.
 func (s *Store) reclaimIdleLocked() bool {
 	for el := s.lru.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*entry)
-		for _, p := range e.pools {
-			if n := len(p.idle); n > 0 {
-				h := p.idle[n-1]
-				// Clear the slot: a closed instance left in the backing
-				// array stays reachable, with all its per-node state,
-				// until the entry itself is evicted.
-				p.idle[n-1] = nil
-				p.idle = p.idle[:n-1]
-				s.spawned--
-				s.instBytes -= e.compiled.MemSize()
-				h.Inst.Close()
-				return true
-			}
+		if n := len(e.idle); n > 0 {
+			h := e.idle[n-1]
+			// Clear the slot: a closed instance left in the backing array
+			// stays reachable, with all its per-node state, until the entry
+			// itself is evicted.
+			e.idle[n-1] = nil
+			e.idle = e.idle[:n-1]
+			s.spawned--
+			s.instBytes -= e.compiled.MemSize()
+			h.Inst.Close()
+			return true
 		}
 	}
 	return false
@@ -550,9 +529,9 @@ func (s *Store) waitLocked(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Release returns h to its pool — or closes its instance when the entry was
-// evicted (or the store closed) while checked out — and wakes blocked
-// acquirers: under a store-wide budget, a release anywhere may unblock a
+// Release returns h to its graph's pool — or closes its instance when the
+// entry was evicted (or the store closed) while checked out — and wakes
+// blocked acquirers: under a store-wide budget, a release anywhere may unblock a
 // waiter on any entry. The handle must not be used after Release.
 func (s *Store) Release(h *Handle) {
 	s.mu.Lock()
@@ -563,8 +542,7 @@ func (s *Store) Release(h *Handle) {
 		s.instBytes -= e.compiled.MemSize()
 		h.Inst.Close()
 	} else {
-		p := e.pools[h.width]
-		p.idle = append(p.idle, h)
+		e.idle = append(e.idle, h)
 	}
 	s.cond.Broadcast()
 }
@@ -618,9 +596,7 @@ func (s *Store) InstancesIdle() int {
 	defer s.mu.Unlock()
 	idle := 0
 	for el := s.lru.Front(); el != nil; el = el.Next() {
-		for _, p := range el.Value.(*entry).pools {
-			idle += len(p.idle)
-		}
+		idle += len(el.Value.(*entry).idle)
 	}
 	return idle
 }
@@ -647,7 +623,7 @@ type EntryStats struct {
 	Hits int64 `json:"hits"`
 	// AgeSeconds is the time since the entry entered the cache.
 	AgeSeconds float64 `json:"age_seconds"`
-	// InstancesIdle is the entry's parked warm instances, all pools.
+	// InstancesIdle is the entry's parked warm instances.
 	InstancesIdle int `json:"instances_idle"`
 }
 
@@ -691,15 +667,13 @@ func (s *Store) Stats() Stats {
 	for el := s.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
 		es := EntryStats{
-			Key:        e.key,
-			N:          e.g.N(),
-			M:          e.g.M(),
-			Bytes:      e.compiled.MemSize(),
-			Hits:       e.hits,
-			AgeSeconds: now.Sub(e.created).Seconds(),
-		}
-		for _, p := range e.pools {
-			es.InstancesIdle += len(p.idle)
+			Key:           e.key,
+			N:             e.g.N(),
+			M:             e.g.M(),
+			Bytes:         e.compiled.MemSize(),
+			Hits:          e.hits,
+			AgeSeconds:    now.Sub(e.created).Seconds(),
+			InstancesIdle: len(e.idle),
 		}
 		st.InstancesIdle += es.InstancesIdle
 		st.Entries = append(st.Entries, es)

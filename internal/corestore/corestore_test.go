@@ -3,6 +3,7 @@ package corestore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -431,36 +432,34 @@ func TestCloseFailsCheckouts(t *testing.T) {
 	}
 }
 
-// TestCheckoutWidthPools: a checkout gets the engine width it names, and
-// width is part of the pool's identity, so differently sized warm instances
-// never mix. A width-0 checkout gets Options.DefaultWorkers and must not
-// take the parked width-2 instance.
-func TestCheckoutWidthPools(t *testing.T) {
-	// Instance widths are capped by GOMAXPROCS: make two cores available
-	// so width 2 survives on a 1-CPU machine.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	s := New(Options{DefaultWorkers: 1})
+// TestCheckoutWidth: every instance of a store runs at its one width,
+// Options.DefaultWorkers. A checkout that names another width is refused
+// before anything compiles, and width 0 gets the store's.
+func TestCheckoutWidth(t *testing.T) {
+	// Instance widths are capped by the vertex count, not by GOMAXPROCS, so
+	// width 2 survives on a 1-CPU machine.
+	s := New(Options{DefaultWorkers: 2})
 	defer s.Close()
-
-	h2, _, err := s.Checkout(context.Background(), "c16", cycleBuild(16), network.EngineBSP, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, width := range []int{1, 3} {
+		_, _, err := s.Checkout(context.Background(), "c16", func() (*graph.Graph, error) {
+			t.Fatal("a refused checkout must not build")
+			return nil, nil
+		}, network.EngineBSP, width)
+		if want := fmt.Sprintf("corestore: width %d is not the store's width 2", width); err == nil || err.Error() != want {
+			t.Fatalf("width %d: err = %v, want %s", width, err, want)
+		}
 	}
-	if got := h2.Inst.Workers(); got != 2 {
-		t.Fatalf("width-2 checkout gave an instance of width %d", got)
+	if s.Compiles() != 0 {
+		t.Fatalf("refused checkouts compiled %d cores", s.Compiles())
 	}
-	inst2 := h2.Inst
-	s.Release(h2)
-
-	h1, _, err := s.Checkout(context.Background(), "c16", cycleBuild(16), network.EngineBSP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Release(h1)
-	if got := h1.Inst.Workers(); got != 1 {
-		t.Fatalf("width-0 checkout gave an instance of width %d, want DefaultWorkers (1)", got)
-	}
-	if h1.Inst == inst2 {
-		t.Fatal("width-0 checkout took the parked width-2 instance")
+	for _, width := range []int{0, 2} {
+		h, _, err := s.Checkout(context.Background(), "c16", cycleBuild(16), network.EngineBSP, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Inst.Workers(); got != 2 {
+			t.Fatalf("width-%d checkout gave an instance of width %d, want DefaultWorkers (2)", width, got)
+		}
+		s.Release(h)
 	}
 }

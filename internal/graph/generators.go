@@ -159,19 +159,6 @@ func GNM(n, m int, rng *xrand.RNG) *Graph {
 	return b.Build()
 }
 
-// GNP returns an Erdős–Rényi G(n, p) graph.
-func GNP(n int, p float64, rng *xrand.RNG) *Graph {
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Float64() < p {
-				b.AddEdge(u, v)
-			}
-		}
-	}
-	return b.Build()
-}
-
 // ConnectedGNM returns a connected random graph with n vertices and m >= n-1
 // edges: a random spanning tree plus m-(n-1) extra uniform edges.
 func ConnectedGNM(n, m int, rng *xrand.RNG) *Graph {

@@ -85,16 +85,6 @@ func (g *Graph) Edges() []Edge {
 	return es
 }
 
-// EdgeIndex assigns each edge a dense index in [0, M()) following the order
-// of Edges(). It is used by the simulator's bandwidth accounting.
-func (g *Graph) EdgeIndex() map[Edge]int {
-	idx := make(map[Edge]int, g.m)
-	for i, e := range g.Edges() {
-		idx[e] = i
-	}
-	return idx
-}
-
 // MaxDegree returns the maximum vertex degree (0 for the empty graph).
 func (g *Graph) MaxDegree() int {
 	max := 0
@@ -140,15 +130,6 @@ func (g *Graph) Fingerprint() string {
 func (g *Graph) MemSize() int64 {
 	var off int32
 	return int64(len(g.off)+len(g.adj)) * int64(unsafe.Sizeof(off))
-}
-
-// Clone returns a deep copy of g. Graphs are immutable so Clone is rarely
-// needed, but generators that perturb a base graph use it via Builder.
-func (g *Graph) Clone() *Graph {
-	h := &Graph{n: g.n, m: g.m}
-	h.off = append([]int32(nil), g.off...)
-	h.adj = append([]int32(nil), g.adj...)
-	return h
 }
 
 // Builder accumulates edges and produces an immutable Graph.
@@ -212,16 +193,6 @@ func (b *Builder) AddCycle(vs ...int) {
 	}
 	b.AddPath(vs...)
 	b.AddEdge(vs[len(vs)-1], vs[0])
-}
-
-// RemoveEdge deletes {u, v} if present and reports whether it was present.
-func (b *Builder) RemoveEdge(u, v int) bool {
-	e := Edge{u, v}.Canon()
-	if _, ok := b.edges[e]; !ok {
-		return false
-	}
-	delete(b.edges, e)
-	return true
 }
 
 // Build produces the immutable Graph.

@@ -366,14 +366,6 @@ func TestBuildQuick(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := Cycle(5)
-	h := g.Clone()
-	if !Equal(g, h) {
-		t.Fatal("clone differs")
-	}
-}
-
 func TestCirculant(t *testing.T) {
 	// C_n(1) is the plain cycle.
 	if !Equal(Circulant(7, 1), Cycle(7)) {

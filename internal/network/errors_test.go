@@ -336,3 +336,61 @@ func assertMatchesFresh(t *testing.T, nw *network.Instance, g *graph.Graph, seed
 		}
 	}
 }
+
+// scaledProg's nodes output their vertex ID times scale and are reusable.
+// NewNode panics at vertex panicAt (when non-negative), as the tester and
+// detector NewNode do on invalid parameters.
+type scaledProg struct {
+	scale   int
+	panicAt network.ID
+}
+
+func (p *scaledProg) Rounds(n, m int) int { return 1 }
+func (p *scaledProg) NewNode(info network.NodeInfo) network.Node {
+	if info.ID == p.panicAt {
+		panic("scaledProg: invalid parameters")
+	}
+	return &scaledNode{out: int(info.ID) * p.scale}
+}
+
+type scaledNode struct{ out int }
+
+func (*scaledNode) Send(int, [][]byte)     {}
+func (*scaledNode) Receive(int, [][]byte)  {}
+func (n *scaledNode) Output() any          { return n.out }
+func (*scaledNode) Reset(network.NodeInfo) {}
+
+// TestNewNodePanicDoesNotPoisonWarmNodes: a program whose NewNode panics
+// partway through the node build must not leave its nodes behind for the
+// warm path of the previous program. A runs warm, B panics at vertex 5
+// after replacing vertices 0-4, and A's next run must output A's values.
+func TestNewNodePanicDoesNotPoisonWarmNodes(t *testing.T) {
+	nw, err := network.New(graph.Cycle(8), network.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	a := &scaledProg{scale: 1, panicAt: -1}
+	for seed := uint64(1); seed <= 2; seed++ { // the second run is warm
+		if _, err := nw.RunProgram(a, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("B's NewNode panic did not propagate")
+			}
+		}()
+		nw.RunProgram(&scaledProg{scale: 100, panicAt: 5}, 3)
+	}()
+	res, err := nw.RunProgram(a, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, out := range res.Outputs {
+		if out != v {
+			t.Fatalf("after B's NewNode panic, A's outputs read %v, want each vertex's own ID", res.Outputs)
+		}
+	}
+}

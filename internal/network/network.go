@@ -163,9 +163,7 @@ func (nw *Instance) Compiled() *Compiled { return nw.c }
 
 // Workers returns the instance's effective parallelism: the worker-pool
 // width after clamping (the requested width, or GOMAXPROCS when none was
-// requested, capped by the vertex count). A caller that checks instances
-// out of a pool by width (corestore's Checkout) reads this to verify the
-// width it asked for is the width it got.
+// requested, capped by the vertex count).
 func (nw *Instance) Workers() int { return nw.workers }
 
 // Close releases the worker pool. The Instance must not be used afterwards;
@@ -339,6 +337,10 @@ func (nw *Instance) prepare(p Program, seed uint64) int {
 	}
 	clear(nw.resets) // keep no node of an earlier program alive
 	nw.resets = nw.resets[:0]
+	// A NewNode that panics (the tester's and detector's do on invalid
+	// parameters) leaves old and new nodes mixed; no program may take the
+	// warm path over them.
+	nw.lastProg = nil
 	nw.reusable = true
 	for v := 0; v < n; v++ {
 		nw.nodes[v] = p.NewNode(nw.c.topo.info(v, &nw.rngs[v]))

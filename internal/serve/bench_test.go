@@ -18,7 +18,7 @@ import (
 // acceptance bar for the Compiled/Instance + warm-pool design is that a
 // cache-hit query — cache lookup, instance checkout, deadline bookkeeping,
 // context plumbing, run, summary, response — adds only a bounded constant
-// (~13 allocations) on top and never re-pays graph compilation or node
+// (~12 allocations) on top and never re-pays graph compilation or node
 // construction.
 //
 // Two workloads, because their floors differ by orders of magnitude:
@@ -89,8 +89,8 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	b.Run("accept-floor", func(b *testing.B) { floor(b, tree) })
 	// accept-query runs with the full metrics catalog armed — every query
 	// bumps the per-stage histograms and the collector records every engine
-	// run — and must hold the same 16-alloc bar it held before metrics
-	// existed (bench-gate vs the committed snapshots enforces this).
+	// run — and must hold its 15-alloc bar (BENCH_19; bench-gate vs the
+	// committed snapshots enforces this).
 	b.Run("accept-query", func(b *testing.B) { served(b, "tree", 0) })
 	// accept-query-traced adds a run-ID to the context, so the query also
 	// registers in the in-flight table: the full HTTP-path bookkeeping.

@@ -14,7 +14,7 @@ package serve
 // (its mutex-guarded gauges lock briefly). Recording sites never touch the registry
 // lock: everything on the query path is an atomic bump or a histogram
 // Observe, which is why arming all of this leaves the accept path at its
-// 16-alloc floor (BenchmarkServeConcurrent armed variants) and the reused
+// 15-alloc floor (BenchmarkServeConcurrent armed variants) and the reused
 // engine run at 0 allocs (network's TestRunCollectorAllocFree).
 //
 // The run-duration histogram doubles as the admission controller's
@@ -162,7 +162,7 @@ func newServeMetrics(s *Server) *serveMetrics {
 
 // RecordRun implements network.RunCollector: every instance the server
 // spawns reports each run here. Pure atomic bumps — it executes on the
-// run's own goroutine, inside the query's latency budget.
+// query's goroutine, inside the query's latency budget.
 func (m *serveMetrics) RecordRun(rm network.RunMetrics) {
 	e := &m.engine
 	e.runs.Inc()

@@ -186,7 +186,28 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 			}
 		}(c)
 	}
+	// Shed by construction: with the gate's four service slots held, its
+	// wait queue takes two requests and sheds every other one, so the
+	// clients see 429s however fast the admitted queries would finish.
+	// Wait for three sheds: until a query is admitted, a client gets past a
+	// request it does not abandon only by reading its 429, so the only
+	// abandoned requests that can be shed are the first ones of clients 4
+	// and 11, and one of three sheds reaches a client that reads its 429.
+	for i := 0; i < 4; i++ {
+		if err := s.queryGate.acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	close(start)
+	for i := 0; s.shed.Load() < 3; i++ {
+		if i > 10000 {
+			t.Fatalf("holding every service slot never shed 3 requests: %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 4; i++ {
+		s.queryGate.release()
+	}
 	wg.Wait()
 
 	// Quiesce: every queue drains, every instance returns to a pool.

@@ -8,11 +8,11 @@
 // building the graph, validating IDs, compiling the port topology, and
 // spawning an engine. All of that amortization lives in
 // internal/corestore: an LRU of compiled cores weighted by the bytes they
-// hold, and per-(graph, width) pools of warm instances under one
-// store-wide budget with coldest-graph reclaim. The Server keeps what is
-// genuinely serving: admission control (gates, deadline-aware
-// shedding, Retry-After hints), HTTP framing, request tracing, and metrics
-// exposition; every cache and instance decision is delegated to the store.
+// hold, and per-graph pools of warm instances under one store-wide budget
+// with coldest-graph reclaim. The Server keeps what is genuinely serving:
+// admission control (gates, deadline-aware shedding, Retry-After hints),
+// HTTP framing, request tracing, and metrics exposition; every cache and
+// instance decision is delegated to the store.
 //
 // Each query checks a warm instance out of the store per run through
 // corestore.Store.Checkout. Parameter sweeps are not served: sweep.RunCtx,
@@ -20,12 +20,18 @@
 // compiling a sweep's graphs costs about a millisecond against seconds of
 // trials.
 //
-// Cancellation is threaded end to end: the request context flows through
-// the instance-pool wait into network.RunProgramCtx, so a timed-out or
-// abandoned query aborts its CONGEST run at the next round barrier and the
-// instance re-pools within one round — abandoned work stops consuming the
-// budget almost immediately, instead of burning every remaining round in
-// the background.
+// Cancellation is threaded end to end, and the context is the one stop
+// signal: a query runs on its caller's goroutine, and the request context
+// flows through the instance-pool wait into network.RunProgramCtx, which
+// polls it at every round barrier. A timed-out or abandoned query is
+// answered when its run next polls, and its instance re-pools at the same
+// moment; until then it holds its admission-gate slot and counts in
+// serve_in_flight. That is within one round of the deadline: about 0.14 ms
+// on a 256-node G(n,4n) at k=7, and about 0.6 s on a one-worker instance of
+// a 2^20-edge G(n,m), where a warm k=7 repetition (4 rounds) took 2.2–2.4 s
+// on a 2-core host. A cold instance first builds its nodes, which is not
+// polled (a cold first run at that size took 5.6–7.4 s), and neither are
+// the checkout's graph build and compile on a cache miss.
 //
 // Concurrency: Instances attached to one Compiled are independent, so N
 // queries over one cached graph run genuinely in parallel while reading
@@ -71,16 +77,18 @@ type Options struct {
 	// evicted, so one over-budget giant graph still serves.
 	MaxCacheBytes int64
 	// MaxInstances is the SERVER-WIDE budget of live instances — idle in
-	// pools plus in-flight — across all graphs and widths (default
-	// GOMAXPROCS). Equivalently, the number of runs that can execute
-	// concurrently. When the budget is exhausted, a query first reclaims
-	// an idle instance from the coldest cached graph, then waits (bounded
-	// by its deadline) for an in-flight run to release one.
+	// pools plus in-flight — across all graphs (default GOMAXPROCS).
+	// Equivalently, the number of runs that can execute concurrently. When
+	// the budget is exhausted, a query first reclaims an idle instance from
+	// the coldest cached graph, then waits (bounded by its deadline) for an
+	// in-flight run to release one.
 	MaxInstances int
 	// QueryTimeout bounds one query end to end, including the wait for a
 	// free instance (default 30s; negative disables). A timed-out query
-	// returns 504; its run is cancelled at the next round barrier and the
-	// instance rejoins the pool within one round.
+	// returns 504 when its run next polls the deadline, at a round barrier:
+	// one round late at most (about 0.6 s at the 2^20-edge cap on one
+	// worker), or, on a cold instance, right after its node build, which is
+	// not polled (seconds at the cap). Its instance rejoins the pool then.
 	QueryTimeout time.Duration
 	// NetworkWorkers is the BSP pool width of each instance (default 1:
 	// serving parallelism comes from concurrent queries, not from
@@ -134,13 +142,6 @@ func (o Options) queryTimeout() time.Duration {
 		return defaultQueryTimeout
 	}
 	return o.QueryTimeout
-}
-
-func (o Options) networkWorkers() int {
-	if o.NetworkWorkers > 0 {
-		return o.NetworkWorkers
-	}
-	return 1
 }
 
 func (o Options) maxInstances() int {
@@ -236,30 +237,13 @@ type Server struct {
 	panics         atomic.Int64 // handler panics recovered by the HTTP middleware
 }
 
-// worker is everything the server reuses across the queries one warm
-// instance serves: the cached Program values (so consecutive
-// same-parameter queries hit the ReusableNode fast path) and the
-// completion channel of the run-with-deadline handoff. It rides along with
-// the instance between checkouts as the corestore handle's Scratch.
+// worker is the program cache one warm instance keeps across the queries it
+// serves: the last Tester and EdgeDetector values, so consecutive
+// same-parameter queries hit the ReusableNode fast path. It rides along
+// with the instance between checkouts as the corestore handle's Scratch.
 type worker struct {
-	inst   *network.Instance
 	tester *core.Tester
 	det    *core.EdgeDetector
-	done   chan queryOutcome
-
-	// Per-run inputs/outputs, set before the goroutine handoff. ctx is the
-	// query's context: the run aborts at its next round barrier once ctx
-	// fires, which is what re-pools a 504'd query's instance promptly.
-	//ckvet:ctxfield run-handoff slot: set right before the worker goroutine starts, dead once the run returns
-	ctx  context.Context
-	prog network.Program
-	seed uint64
-	reps int // Repetitions() of a tester prog; 0 for detectors
-}
-
-type queryOutcome struct {
-	resp *QueryResponse
-	err  error
 }
 
 // NewServer returns a Server with the given options.
@@ -301,9 +285,8 @@ func (s *Server) Close() {
 
 // checkout acquires a warm instance handle from the store, translating its
 // saturation error (see shedSaturated).
-func (s *Server) checkout(ctx context.Context, key string, build func() (*graph.Graph, error),
-	workers int) (*corestore.Handle, bool, error) {
-	h, hit, err := s.store.Checkout(ctx, key, build, network.EngineBSP, workers)
+func (s *Server) checkout(ctx context.Context, key string, build func() (*graph.Graph, error)) (*corestore.Handle, bool, error) {
+	h, hit, err := s.store.Checkout(ctx, key, build, network.EngineBSP, 0)
 	if err != nil {
 		return nil, false, s.shedSaturated(err)
 	}
@@ -325,24 +308,13 @@ func (s *Server) shedSaturated(err error) error {
 	return err
 }
 
-// release returns a handle to the store, first dropping the dead request's
-// context and program so an idle worker doesn't pin the finished HTTP
-// request chain while parked. The tester/detector values stay on the
-// worker: they are the ReusableNode fast path for the next query.
-func (s *Server) release(h *corestore.Handle) {
-	if w, ok := h.Scratch.(*worker); ok {
-		w.ctx, w.prog = nil, nil
-	}
-	s.store.Release(h)
-}
-
 // workerFor returns the handle's resident worker, attaching one on the
 // instance's first checkout.
 func workerFor(h *corestore.Handle) *worker {
 	if w, ok := h.Scratch.(*worker); ok {
 		return w
 	}
-	w := &worker{inst: h.Inst, done: make(chan queryOutcome, 1)}
+	w := &worker{}
 	h.Scratch = w
 	return w
 }
@@ -351,8 +323,8 @@ func workerFor(h *corestore.Handle) *worker {
 // network and a pooled warm instance when possible. It is the transport-
 // independent core of POST /query (and what BenchmarkServeConcurrent
 // measures); ctx bounds the whole query — the wait for a free instance AND
-// the run itself, which is cancelled at its next round barrier when ctx
-// fires. Safe for concurrent use.
+// the run itself, which runs on the caller's goroutine and is cancelled at
+// its next round barrier when ctx fires. Safe for concurrent use.
 func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
 	s.queries.Add(1)
 
@@ -397,7 +369,7 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 	// instance-budget wait by ctx; a full wait queue surfaces here as a
 	// shed (see checkout).
 	fl.setStage(stageAcquire)
-	h, hit, err := s.checkout(ctx, key, build, s.opts.networkWorkers())
+	h, hit, err := s.checkout(ctx, key, build)
 	if err != nil {
 		var ov *ErrOverloaded
 		if !errors.As(err, &ov) { // shedded already counted the shed
@@ -405,57 +377,55 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 		}
 		return nil, err
 	}
-	w := workerFor(h)
-	w.arm(req)
-	w.ctx = ctx
-	w.seed = req.Seed
+	// The release is deferred, so it follows the summary below (the
+	// instance's Result is overwritten by its next run) on every path,
+	// a recovered panic's included.
+	defer s.store.Release(h)
+	prog, reps := workerFor(h).arm(req)
 
-	// The deadline is enforced twice over: the select below answers the
-	// client the instant ctx fires, and the run itself — carrying ctx —
-	// aborts at its next round barrier, so the abandoned instance re-pools
-	// within one round instead of at run completion.
+	// The run carries ctx and polls it at every round barrier, so a
+	// timed-out or abandoned query is answered, and its instance re-pooled,
+	// when the run next polls: within one round of ctx firing, or after a
+	// cold instance's node build.
 	runStart := time.Now()
 	fl.setStage(stageRun)
-	go w.run()
-	select {
-	case out := <-w.done:
-		s.release(h)
-		if out.err != nil {
-			var ce *network.ErrCanceled
-			if errors.As(out.err, &ce) {
-				// The run lost the race with its own context; report it the
-				// same way — verb included — as a deadline hit on the wait.
-				s.countQueryErr(ctx, ce.Cause)
-				verb := "canceled"
-				if errors.Is(ce.Cause, context.DeadlineExceeded) {
-					verb = "deadline exceeded"
-				}
-				return nil, fmt.Errorf("serve: query %s after %v: %w", verb,
-					time.Since(start).Round(time.Millisecond), out.err)
-			}
-			s.failures.Add(1)
-			return nil, out.err
+	res, err := h.Inst.RunProgramCtx(ctx, prog, req.Seed)
+	if err != nil {
+		s.countQueryErr(ctx, err)
+		var ce *network.ErrCanceled
+		if !errors.As(err, &ce) {
+			return nil, err
 		}
-		s.met.run.ObserveSince(runStart) // successful runs only: shed/abort times would skew the median down
-		s.met.query.ObserveSince(start)
-		out.resp.Cache = "miss"
-		if hit {
-			out.resp.Cache = "hit"
-		}
-		out.resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-		return out.resp, nil
-	case <-ctx.Done():
-		s.countQueryErr(ctx, ctx.Err())
-		go func() {
-			<-w.done // the cancelled run parks within one round
-			s.release(h)
-		}()
 		verb := "canceled"
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		if errors.Is(err, context.DeadlineExceeded) {
 			verb = "deadline exceeded"
 		}
-		return nil, fmt.Errorf("serve: query %s after %v: %w", verb, time.Since(start).Round(time.Millisecond), ctx.Err())
+		return nil, fmt.Errorf("serve: query %s after %v: %w", verb,
+			time.Since(start).Round(time.Millisecond), err)
 	}
+	s.met.run.ObserveSince(runStart) // successful runs only: shed/abort times would skew the median down
+	dec := core.Summarize(res.Outputs, res.IDs)
+	g := h.Inst.Graph()
+	resp := &QueryResponse{
+		Rejected:       dec.Reject,
+		RejectingIDs:   dec.RejectingIDs,
+		Witness:        dec.Witness,
+		N:              g.N(),
+		M:              g.M(),
+		Rounds:         res.Stats.Rounds,
+		Repetitions:    reps,
+		Messages:       res.Stats.MessagesSent,
+		TotalBits:      res.Stats.TotalBits,
+		MaxMessageBits: res.Stats.MaxMessageBits,
+		MaxSeqs:        dec.MaxSeqs,
+		Cache:          "miss",
+	}
+	if hit {
+		resp.Cache = "hit"
+	}
+	s.met.query.ObserveSince(start)
+	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	return resp, nil
 }
 
 // countQueryErr attributes a failed query to the right counter: nothing
@@ -476,11 +446,12 @@ func (s *Server) countQueryErr(ctx context.Context, err error) {
 	}
 }
 
-// arm binds the request's program to the worker, reusing the previous
-// Program value when the parameters match — the condition for the
-// instance's ReusableNode fast path, which is what keeps repeated cache-hit
-// queries near the reused-RunProgram allocation floor.
-func (w *worker) arm(req *QueryRequest) {
+// arm returns the request's program and its repetition count (0 for a
+// detector), reusing the worker's previous Program value when the
+// parameters match — the condition for the instance's ReusableNode fast
+// path, which is what keeps repeated cache-hit queries near the
+// reused-RunProgram allocation floor.
+func (w *worker) arm(req *QueryRequest) (network.Program, int) {
 	mode := core.ModePruned
 	if req.Naive {
 		mode = core.ModeNaive
@@ -489,42 +460,12 @@ func (w *worker) arm(req *QueryRequest) {
 		if w.det == nil || w.det.K != req.K || w.det.U != req.Edge[0] || w.det.V != req.Edge[1] || w.det.Mode != mode {
 			w.det = &core.EdgeDetector{K: req.K, U: req.Edge[0], V: req.Edge[1], Mode: mode}
 		}
-		w.prog, w.reps = w.det, 0
-		return
+		return w.det, 0
 	}
 	if w.tester == nil || w.tester.K != req.K || w.tester.Eps != req.Eps || w.tester.Reps != req.Reps || w.tester.Mode != mode {
 		w.tester = &core.Tester{K: req.K, Eps: req.Eps, Reps: req.Reps, Mode: mode}
 	}
-	w.prog, w.reps = w.tester, w.tester.Repetitions()
-}
-
-// run executes the armed program under the query context and summarizes
-// into a response. It runs in its own goroutine so the caller can answer
-// the client the moment the deadline fires; the run itself observes the
-// same context and aborts at its next round barrier, re-pooling the
-// instance promptly. The summary happens here, before release, because the
-// instance's Result is overwritten by its next run.
-func (w *worker) run() {
-	res, err := w.inst.RunProgramCtx(w.ctx, w.prog, w.seed)
-	if err != nil {
-		w.done <- queryOutcome{err: err}
-		return
-	}
-	dec := core.Summarize(res.Outputs, res.IDs)
-	g := w.inst.Graph()
-	w.done <- queryOutcome{resp: &QueryResponse{
-		Rejected:       dec.Reject,
-		RejectingIDs:   dec.RejectingIDs,
-		Witness:        dec.Witness,
-		N:              g.N(),
-		M:              g.M(),
-		Rounds:         res.Stats.Rounds,
-		Repetitions:    w.reps,
-		Messages:       res.Stats.MessagesSent,
-		TotalBits:      res.Stats.TotalBits,
-		MaxMessageBits: res.Stats.MaxMessageBits,
-		MaxSeqs:        dec.MaxSeqs,
-	}}
+	return w.tester, w.tester.Repetitions()
 }
 
 // Stats is a point-in-time snapshot of the server's counters: the

@@ -243,12 +243,18 @@ func TestEvictionWakesWaitersAndQueriesSurvive(t *testing.T) {
 func TestQueryTimeout(t *testing.T) {
 	s := NewServer(Options{QueryTimeout: 50 * time.Millisecond, MaxInstances: 1})
 	defer s.Close()
+	begin := time.Now()
 	_, err := s.Query(context.Background(), &QueryRequest{
 		Graph: GraphRequest{Family: "gnm", N: 128, M: 512, Seed: 1},
 		K:     7, Reps: 60000, Seed: 1, // hundreds of thousands of rounds: tens of seconds if not aborted
 	})
 	if err == nil {
 		t.Fatal("expected a deadline error")
+	}
+	// The run answers when it next polls its context, at a round barrier; a
+	// round here takes about a tenth of a millisecond.
+	if late := time.Since(begin) - 50*time.Millisecond; late > time.Second {
+		t.Fatalf("the 504 came %v after its deadline", late)
 	}
 	if st := s.Stats(); st.Timeouts != 1 {
 		t.Fatalf("timeout not counted: %+v", st)

@@ -9,7 +9,7 @@ package serve
 // Tracking is strictly opt-in per request: only contexts carrying an ID
 // register an in-flight record. Callers of Query with a bare context (the
 // benchmarks, embedded use) pay one context.Value lookup and nothing
-// else, which is what keeps the accept path at its 16-alloc floor.
+// else, which is what keeps the accept path at its 15-alloc floor.
 
 import (
 	"cmp"

@@ -18,8 +18,10 @@
 // tables): a consumer sees job i's aggregate as soon as jobs 0..i are done,
 // while later jobs are still running. The same view motivates early
 // termination: every trial runs under the sweep's context via
-// RunProgramCtx, so cancelling it (a SIGINT to cmd/sweep) stops work within
-// one CONGEST round — mid-trial, not at trial or job boundaries.
+// RunProgramCtx, and the first failure — a job error, a sink error, or the
+// caller cancelling (a SIGINT to cmd/sweep) — cancels that context, so
+// every in-flight trial stops within one CONGEST round, mid-trial, not at
+// trial or job boundaries.
 package sweep
 
 import (
@@ -158,8 +160,8 @@ type Spec struct {
 	// sets this together with a store.
 	BandwidthBits int `json:"bandwidth_bits,omitempty"`
 	// Workers is the scheduler's worker count (0 means GOMAXPROCS). Each
-	// worker owns its Networks; the per-network BSP pool is sized so that
-	// workers × pool ≈ GOMAXPROCS.
+	// worker checks out one instance at a time; on a private store the
+	// instances' BSP pool is sized so that workers × pool ≈ GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -362,18 +364,21 @@ func Run(spec *Spec, sinks ...Sink) (*Summary, error) {
 	return RunCtx(context.Background(), spec, nil, sinks...)
 }
 
-// RunCtx is Run with a cancellation boundary and a choice of store.
-// Cancelling ctx aborts the sweep mid-trial — every trial runs under ctx via
-// RunProgramCtx, so in-flight CONGEST runs stop within one round, not at
-// trial boundaries — and RunCtx returns the context's error.
+// RunCtx is Run with a cancellation boundary and a choice of store. Every
+// trial runs under one context derived from ctx, which the first failure
+// cancels: a job error, a sink error, or the cancellation of ctx itself. So
+// in-flight CONGEST runs on every worker stop within one round, not at
+// trial or job boundaries, and RunCtx returns that first failure (the
+// context's cause; context.Canceled for a plain cancellation of ctx).
 //
 // store supplies the compiled cores and warm instances; each job checks one
-// instance out under its graph's FamilyKey and releases it when its trials
-// are done. A nil store means a private corestore.Store that compiles each
-// distinct graph once with the spec's per-message budget, pools instances
-// per graph, and is closed when RunCtx returns. A given store's cores carry
-// the store's own budget, so a spec with a non-zero BandwidthBits is
-// refused with one, before anything compiles.
+// instance out under its graph's FamilyKey, at the store's width, and
+// releases it when its trials are done. A nil store means a private
+// corestore.Store that compiles each distinct graph once with the spec's
+// per-message budget, pools instances per graph, runs them at
+// GOMAXPROCS/workers (at least 1), and is closed when RunCtx returns. A
+// given store's cores carry the store's own budget, so a spec with a
+// non-zero BandwidthBits is refused with one, before anything compiles.
 func RunCtx(ctx context.Context, spec *Spec, store *corestore.Store, sinks ...Sink) (*Summary, error) {
 	start := time.Now()
 	if err := spec.Validate(); err != nil {
@@ -395,46 +400,29 @@ func RunCtx(ctx context.Context, spec *Spec, store *corestore.Store, sinks ...Si
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	// Split the cores between scheduler workers and each instance's engine
-	// pool, so total parallelism tracks the hardware. Width is part of the
-	// store's pool key, so checkouts never take a warm instance of another
-	// width.
-	width := max(1, runtime.GOMAXPROCS(0)/workers)
 	if store == nil {
 		// The scheduler holds at most `workers` checkouts at once, so an
-		// unbounded private store never waits, reclaims or evicts.
+		// unbounded private store never waits, reclaims or evicts. Its
+		// instances split the cores with the scheduler's workers, so total
+		// parallelism tracks the hardware; a given store runs its instances
+		// at its own width.
 		store = corestore.New(corestore.Options{
 			MaxGraphs:        -1,
 			MaxCacheBytes:    -1,
 			MaxInstances:     math.MaxInt,
 			MaxInstanceBytes: -1,
+			DefaultWorkers:   max(1, runtime.GOMAXPROCS(0)/workers),
 			BandwidthBits:    spec.BandwidthBits,
 		})
 		defer store.Close()
 	}
 
-	// firstErr is guarded by failMu, not a sync.Once: the context watcher
-	// below writes it from its own goroutine, and when cancellation races
-	// sweep COMPLETION no worker is left to forward a happens-before edge
-	// to the final read.
-	var (
-		failMu   sync.Mutex
-		firstErr error
-		cancel   = make(chan struct{})
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		defer failMu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-			close(cancel)
-		}
-	}
-	// Context cancellation rides the same first-error path the workers use,
-	// so the feeder and every worker unwind promptly; in-flight trials are
-	// cut off by RunProgramCtx itself.
-	stopWatch := context.AfterFunc(ctx, func() { fail(ctx.Err()) })
-	defer stopWatch()
+	// One stop signal: every job error, sink error and the caller's own
+	// cancellation cancels ctx, the first with its cause. The feeder and
+	// the workers unwind on ctx.Done(), and in-flight trials, which run
+	// under ctx, stop within one CONGEST round.
+	ctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
 
 	jobCh := make(chan Job)
 	resCh := make(chan Result, workers)
@@ -443,7 +431,7 @@ func RunCtx(ctx context.Context, spec *Spec, store *corestore.Store, sinks ...Si
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			worker(ctx, spec, store, width, jobCh, resCh, cancel, fail)
+			worker(ctx, spec, store, jobCh, resCh, fail)
 		}()
 	}
 	go func() {
@@ -451,7 +439,7 @@ func RunCtx(ctx context.Context, spec *Spec, store *corestore.Store, sinks ...Si
 		for _, j := range jobs {
 			select {
 			case jobCh <- j:
-			case <-cancel:
+			case <-ctx.Done():
 				return
 			}
 		}
@@ -489,10 +477,7 @@ func RunCtx(ctx context.Context, spec *Spec, store *corestore.Store, sinks ...Si
 			fail(fmt.Errorf("sweep: sink flush: %w", err))
 		}
 	}
-	failMu.Lock()
-	err := firstErr
-	failMu.Unlock()
-	if err != nil {
+	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
 	return &Summary{
@@ -506,21 +491,19 @@ func RunCtx(ctx context.Context, spec *Spec, store *corestore.Store, sinks ...Si
 // flows back into the store's pool. Every trial runs under ctx, so
 // cancellation cuts work off mid-run. A job's trials run exactly once: a
 // trial is a pure function of its seed, so a failed one would fail again,
-// and the first error fails the sweep.
-func worker(ctx context.Context, spec *Spec, store *corestore.Store, width int,
-	jobCh <-chan Job, resCh chan<- Result, cancel <-chan struct{}, fail func(error)) {
+// and its error goes to fail, which cancels ctx for the whole sweep.
+func worker(ctx context.Context, spec *Spec, store *corestore.Store,
+	jobCh <-chan Job, resCh chan<- Result, fail context.CancelCauseFunc) {
 
 	for job := range jobCh {
-		select {
-		case <-cancel:
+		if ctx.Err() != nil {
 			return
-		default:
 		}
 		key := FamilyKey(job.Graph, job.K, job.Eps, spec.Seed)
 		build := func() (*graph.Graph, error) {
 			return BuildGraph(job.Graph, job.K, job.Eps, spec.Seed)
 		}
-		h, _, err := store.Checkout(ctx, key, build, network.EngineBSP, width)
+		h, _, err := store.Checkout(ctx, key, build, network.EngineBSP, 0)
 		if err != nil {
 			fail(fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s): %w",
 				job.Index, job.Graph, job.K, job.Eps, job.Engine, err))
@@ -534,7 +517,7 @@ func worker(ctx context.Context, spec *Spec, store *corestore.Store, width int,
 		}
 		select {
 		case resCh <- r:
-		case <-cancel:
+		case <-ctx.Done():
 			return
 		}
 	}

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cycledetect/internal/core"
 	"cycledetect/internal/corestore"
@@ -347,6 +349,53 @@ func TestRunCtxCancelStopsMidGrid(t *testing.T) {
 	if rows >= 9 {
 		t.Fatalf("sweep ran the whole grid (%d rows) despite cancellation", rows)
 	}
+}
+
+// runCounter counts completed and context-cancelled runs across every
+// instance of a store.
+type runCounter struct{ done, canceled atomic.Int64 }
+
+func (c *runCounter) RecordRun(m network.RunMetrics) {
+	switch {
+	case m.Canceled:
+		c.canceled.Add(1)
+	case !m.Failed:
+		c.done.Add(1)
+	}
+}
+
+// TestRunCtxSinkErrorStopsInFlightJob: a sink error is a failure like any
+// other, so it cancels the trials in flight on other workers within one
+// round instead of waiting out their jobs. Two workers take a fast job (a
+// 16-cycle, well under a millisecond per trial) and a slow one
+// (G(256,1024), tens of milliseconds per trial); the sink fails on the fast
+// job's row, while the slow job still has nearly all its trials to run.
+func TestRunCtxSinkErrorStopsInFlightJob(t *testing.T) {
+	spec := &Spec{
+		Graphs:  []GraphSpec{{Family: "cycle", N: 16}, {Family: "gnm", N: 256, M: 1024}},
+		K:       []int{7},
+		Eps:     []float64{0.1},
+		Trials:  60,
+		Seed:    7,
+		Workers: 2,
+	}
+	runs := &runCounter{}
+	s := corestore.New(corestore.Options{MaxInstances: 2, Collector: runs})
+	t.Cleanup(s.Close)
+	sinkErr := errors.New("sink full")
+	start := time.Now()
+	_, err := RunCtx(context.Background(), spec, s, FuncSink(func(*Result) error { return sinkErr }))
+	elapsed := time.Since(start)
+	if !errors.Is(err, sinkErr) {
+		t.Fatalf("want the sink's error, got %v", err)
+	}
+	// The fast job's trials all ran before its row reached the sink. A
+	// sweep that waits out the slow job runs its 60 trials as well.
+	if done := runs.done.Load(); done >= int64(spec.Trials+spec.Trials/2) {
+		t.Fatalf("%d trials completed (%d cancelled) in %v: the in-flight job ran on after the sink failed",
+			done, runs.canceled.Load(), elapsed)
+	}
+	t.Logf("%d trials completed, %d cancelled, in %v", runs.done.Load(), runs.canceled.Load(), elapsed)
 }
 
 // TestRunCtxCustomProvider: a sweep on a caller's store gives Run's rows,
