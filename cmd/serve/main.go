@@ -50,8 +50,8 @@ func main() {
 		// Overload controls (see the README's "Overload behavior" runbook):
 		// what saturates answers 429 + Retry-After instead of parking to 504.
 		maxInstBytes = flag.Int64("max-instance-bytes", 0, "byte budget of live instances, weighted by compiled size (0 = default 256 MiB, negative = unbounded)")
-		maxQueue     = flag.Int("max-queue-depth", 0, "bound on every admission wait queue; arrivals past it shed with 429 (0 = default 64, negative = unbounded)")
-		maxQueries   = flag.Int("max-concurrent-queries", 0, "queries in service at once (0 = default max(4*instances, 2*GOMAXPROCS), negative = ungated)")
+		maxQueue     = flag.Int("max-queue-depth", 0, "bound on the query gate's wait queue, the one admission queue; arrivals past it shed with 429 (0 = default 64, negative = unbounded)")
+		maxQueries   = flag.Int("max-concurrent-queries", 0, "queries in service at once, those waiting for an instance included (0 = default max(4*instances, 2*GOMAXPROCS); negative = ungated, and then only -timeout bounds the wait for an instance)")
 
 		// Observability (see the README's "Observability" runbook).
 		metricsOn   = flag.Bool("metrics", true, "expose GET /metrics (Prometheus text format)")

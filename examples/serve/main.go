@@ -189,7 +189,7 @@ func main() {
 	after := scrapeMetrics(base)
 	d := func(series string) float64 { return after[series] - baseline[series] }
 	sheds := 0.0
-	for _, reason := range []string{"query", "instances", "deadline"} {
+	for _, reason := range []string{"query", "deadline"} {
 		sheds += d(`serve_shed_total{reason="` + reason + `"}`)
 	}
 	runs := d("serve_run_seconds_count")

@@ -65,6 +65,7 @@ type c4Node struct {
 	havePending   bool
 	rejected      bool
 	witness       []ID
+	verdict       Verdict // what Output returns a pointer to
 }
 
 func (n *c4Node) Send(round int, out [][]byte) {
@@ -150,5 +151,6 @@ func (n *c4Node) Receive(round int, in [][]byte) {
 }
 
 func (n *c4Node) Output() any {
-	return Verdict{Reject: n.rejected, Witness: n.witness}
+	n.verdict = Verdict{Reject: n.rejected, Witness: n.witness}
+	return &n.verdict
 }

@@ -61,6 +61,7 @@ type triangleNode struct {
 	neighborSet map[ID]int
 	rejected    bool
 	witness     []ID
+	verdict     Verdict // what Output returns a pointer to
 }
 
 func (n *triangleNode) Send(round int, out [][]byte) {
@@ -99,5 +100,6 @@ func (n *triangleNode) Receive(round int, in [][]byte) {
 }
 
 func (n *triangleNode) Output() any {
-	return Verdict{Reject: n.rejected, Witness: n.witness}
+	n.verdict = Verdict{Reject: n.rejected, Witness: n.witness}
+	return &n.verdict
 }

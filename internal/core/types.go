@@ -77,21 +77,15 @@ type Decision struct {
 }
 
 // Summarize folds per-node outputs (as returned by the network engine, one
-// Verdict per vertex) into a Decision. ids[v] is vertex v's identifier.
+// *Verdict per vertex) into a Decision. ids[v] is vertex v's identifier.
 func Summarize(outputs []any, ids []ID) Decision {
 	var d Decision
 	var witnessFrom ID = -1
 	for v, o := range outputs {
-		var verdict Verdict
-		// Nodes on the zero-allocation path return a pointer to a cached
-		// Verdict (boxing a pointer into any does not allocate); the simpler
-		// baseline programs return the struct by value.
-		switch t := o.(type) {
-		case Verdict:
-			verdict = t
-		case *Verdict:
-			verdict = *t
-		default:
+		// Every node returns a pointer to a Verdict it caches (boxing a
+		// pointer into any does not allocate).
+		verdict, ok := o.(*Verdict)
+		if !ok {
 			continue
 		}
 		if verdict.Reject {

@@ -8,9 +8,10 @@
 // instances out through Checkout under a key of its choosing: serve's
 // /query per run, and each job of sweep.RunCtx, which keys family graphs by
 // sweep.FamilyKey and by default runs on a private store of its own. The
-// serving layer keeps what is genuinely serving — admission gates, HTTP
-// framing, request tracing — and delegates every core and instance
-// decision here. The store depends only on the graph and network layers.
+// store is a cache and an instance pool, nothing more: a checkout that
+// finds the budget spent waits for a release, bounded only by its context,
+// and how many callers may wait is the caller's to bound (serve's query
+// gate does). The store depends only on the graph and network layers.
 //
 // Every cached core is a pure function of the request that built it (a
 // family spec and seed, or an uploaded edge list), so nothing here outlives
@@ -50,10 +51,6 @@ type Options struct {
 	// (Compiled.MemSize each), alongside the count bound (default 256 MiB;
 	// negative disables). The first instance always spawns.
 	MaxInstanceBytes int64
-	// MaxQueueDepth bounds the instance-budget wait queue (default 64;
-	// negative disables). A checkout arriving at a full queue fails
-	// immediately with *ErrSaturated instead of parking.
-	MaxQueueDepth int
 	// DefaultWorkers is the engine width of every instance the store spawns
 	// (default 1).
 	DefaultWorkers int
@@ -63,16 +60,6 @@ type Options struct {
 	// Collector, when non-nil, receives per-run metrics from every spawned
 	// instance.
 	Collector network.RunCollector
-
-	// Observer hooks, all optional: the serving layer wires its queue-depth
-	// accounting and latency histograms through these so the store stays
-	// free of any metrics dependency. OnQueueEnter/OnQueueLeave bracket one
-	// parked budget-waiter; ObserveWait sees each wait episode's duration;
-	// ObserveAcquire sees each successful checkout's lookup-to-handle time.
-	OnQueueEnter   func()
-	OnQueueLeave   func()
-	ObserveWait    func(d time.Duration)
-	ObserveAcquire func(d time.Duration)
 }
 
 // defaultBytes bounds the cache and the instance bytes when unset.
@@ -115,16 +102,6 @@ func (o Options) maxInstanceBytes() int64 {
 	return defaultBytes
 }
 
-func (o Options) maxQueueDepth() int {
-	if o.MaxQueueDepth > 0 {
-		return o.MaxQueueDepth
-	}
-	if o.MaxQueueDepth < 0 {
-		return int(^uint(0) >> 1)
-	}
-	return 64
-}
-
 func (o Options) defaultWorkers() int {
 	if o.DefaultWorkers > 0 {
 		return o.DefaultWorkers
@@ -132,36 +109,20 @@ func (o Options) defaultWorkers() int {
 	return 1
 }
 
-// ErrSaturated reports a checkout rejected because the instance budget is
-// exhausted AND its wait queue is full. Callers translate it into their
-// own overload vocabulary: serve maps it to *ErrOverloaded, HTTP 429.
-type ErrSaturated struct {
-	// Instances is the budget that was saturated.
-	Instances int
-	// QueueDepth is the wait-queue bound that was full.
-	QueueDepth int
-}
-
-func (e *ErrSaturated) Error() string {
-	return fmt.Sprintf("corestore: instance budget (%d) saturated and its wait queue (%d) full",
-		e.Instances, e.QueueDepth)
-}
-
 // Store is the compiled-core store. Create with New, release with Close.
 // All methods are safe for concurrent use.
 type Store struct {
 	opts Options
 
-	mu            sync.Mutex
-	cond          *sync.Cond // signaled on release, eviction, budget change, close
-	entries       map[string]*entry
-	flights       map[string]*flight // keys being built and compiled
-	lru           *list.List         // of *entry; front = most recently used
-	cacheBytes    int64              // summed MemSize of cached cores
-	spawned       int                // live instances store-wide: idle + checked out
-	instBytes     int64              // summed MemSize pinned by live instances
-	budgetWaiters int                // checkouts parked on the instance-budget wait
-	closed        bool
+	mu         sync.Mutex
+	cond       *sync.Cond // signaled on release, eviction, budget change, close
+	entries    map[string]*entry
+	flights    map[string]*flight // keys being built and compiled
+	lru        *list.List         // of *entry; front = most recently used
+	cacheBytes int64              // summed MemSize of cached cores
+	spawned    int                // live instances store-wide: idle + checked out
+	instBytes  int64              // summed MemSize pinned by live instances
+	closed     bool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -364,10 +325,10 @@ var errEvicted = errors.New("corestore: cache entry evicted")
 // checkout found the core cached; one that compiled it, or waited for a
 // concurrent checkout of the same key to compile it, reports false. The
 // checkout spawns when the store-wide budget allows, reclaims an idle
-// instance from the coldest graph when it does not, or waits — bounded by
-// ctx AND by the queue bound: a full wait queue fails fast with
-// *ErrSaturated. Entries evicted mid-checkout are retried transparently
-// against the live cache.
+// instance from the coldest graph when it does not, or waits for a release,
+// bounded by ctx alone: the store does not count or bound its waiters.
+// Entries evicted mid-checkout are retried transparently against the live
+// cache.
 func (s *Store) Checkout(ctx context.Context, key string, build func() (*graph.Graph, error),
 	engine network.Engine, workers int) (h *Handle, hit bool, err error) {
 	if engine != "" && engine != network.EngineBSP {
@@ -397,18 +358,9 @@ func (s *Store) Checkout(ctx context.Context, key string, build func() (*graph.G
 	}
 }
 
-// acquire checks a warm handle out of e's pool, observing the
-// acquire-latency hook on success.
+// acquire checks a warm handle out of e's pool: an idle one, a fresh spawn
+// within the budget, or one that a reclaim or a release makes room for.
 func (s *Store) acquire(ctx context.Context, e *entry) (*Handle, error) {
-	start := time.Now()
-	h, err := s.acquireInner(ctx, e)
-	if err == nil && s.opts.ObserveAcquire != nil {
-		s.opts.ObserveAcquire(time.Since(start))
-	}
-	return h, err
-}
-
-func (s *Store) acquireInner(ctx context.Context, e *entry) (*Handle, error) {
 	need := e.compiled.MemSize()
 	maxBytes := s.opts.maxInstanceBytes()
 	s.mu.Lock()
@@ -456,31 +408,8 @@ func (s *Store) acquireInner(ctx context.Context, e *entry) (*Handle, error) {
 		if s.reclaimIdleLocked() {
 			continue
 		}
-		// Every instance is checked out. Fail fast when the wait queue is
-		// already at its bound — the promise is an immediate *ErrSaturated,
-		// never an unbounded pile of parked goroutines — else wait for a
-		// release, bounded by ctx.
-		if s.budgetWaiters >= s.opts.maxQueueDepth() {
-			s.mu.Unlock()
-			return nil, &ErrSaturated{
-				Instances:  s.opts.maxInstances(),
-				QueueDepth: s.opts.maxQueueDepth(),
-			}
-		}
-		s.budgetWaiters++
-		if s.opts.OnQueueEnter != nil {
-			s.opts.OnQueueEnter()
-		}
-		waitStart := time.Now()
-		err := s.waitLocked(ctx)
-		s.budgetWaiters--
-		if s.opts.OnQueueLeave != nil {
-			s.opts.OnQueueLeave()
-		}
-		if s.opts.ObserveWait != nil {
-			s.opts.ObserveWait(time.Since(waitStart))
-		}
-		if err != nil {
+		// Every instance is checked out: wait for a release, bounded by ctx.
+		if err := s.waitLocked(ctx); err != nil {
 			s.mu.Unlock()
 			return nil, err
 		}
@@ -547,69 +476,6 @@ func (s *Store) Release(h *Handle) {
 	s.cond.Broadcast()
 }
 
-// Counter accessors: one source of truth for the serving layer's
-// CounterFunc/GaugeFunc wiring and /stats snapshots.
-
-// Hits returns lookups served by a cached core.
-func (s *Store) Hits() int64 { return s.hits.Load() }
-
-// Misses returns lookups that had to compile.
-func (s *Store) Misses() int64 { return s.misses.Load() }
-
-// Compiles returns topology compilations ever performed.
-func (s *Store) Compiles() int64 { return s.compiles.Load() }
-
-// Evictions returns cores evicted from the LRU.
-func (s *Store) Evictions() int64 { return s.evictions.Load() }
-
-// GraphsCached returns the number of cached cores.
-func (s *Store) GraphsCached() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// CacheBytes returns the summed compiled size of cached cores.
-func (s *Store) CacheBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cacheBytes
-}
-
-// InstancesLive returns live instances store-wide: idle + checked out.
-func (s *Store) InstancesLive() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spawned
-}
-
-// InstanceBytes returns the bytes pinned by live instances.
-func (s *Store) InstanceBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.instBytes
-}
-
-// InstancesIdle returns warm instances parked in pools.
-func (s *Store) InstancesIdle() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idle := 0
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		idle += len(el.Value.(*entry).idle)
-	}
-	return idle
-}
-
-// MaxCacheBytes returns the byte budget eviction enforces.
-func (s *Store) MaxCacheBytes() int64 { return s.opts.maxCacheBytes() }
-
-// MaxInstances returns the store-wide cap on live instances.
-func (s *Store) MaxInstances() int { return s.opts.maxInstances() }
-
-// MaxInstanceBytes returns the byte cap on live instances.
-func (s *Store) MaxInstanceBytes() int64 { return s.opts.maxInstanceBytes() }
-
 // EntryStats describes one cached graph in a Stats snapshot.
 type EntryStats struct {
 	// Key is the cache key (family spec or "fp:"-prefixed fingerprint).
@@ -627,23 +493,33 @@ type EntryStats struct {
 	InstancesIdle int `json:"instances_idle"`
 }
 
-// Stats is a point-in-time snapshot of the store. Each counter and gauge
-// reads like the accessor of the same name (InstanceBudget is
-// MaxInstances); Entries lists the cached graphs, most recent first.
+// Stats is a point-in-time snapshot of the store, its one read API.
 type Stats struct {
-	GraphsCached     int          `json:"graphs_cached"`
-	CacheBytes       int64        `json:"cache_bytes"`
-	MaxCacheBytes    int64        `json:"max_cache_bytes"`
-	InstanceBudget   int          `json:"instance_budget"`
-	InstancesIdle    int          `json:"instances_idle"`
-	InstancesLive    int          `json:"instances_live"`
-	InstanceBytes    int64        `json:"instance_bytes"`
-	MaxInstanceBytes int64        `json:"max_instance_bytes"`
-	Hits             int64        `json:"hits"`
-	Misses           int64        `json:"misses"`
-	Compiles         int64        `json:"compiles"`
-	Evictions        int64        `json:"evictions"`
-	Entries          []EntryStats `json:"entries,omitempty"`
+	// GraphsCached is the number of cached cores, and CacheBytes their
+	// summed compiled size; MaxCacheBytes is the byte budget eviction
+	// enforces.
+	GraphsCached  int   `json:"graphs_cached"`
+	CacheBytes    int64 `json:"cache_bytes"`
+	MaxCacheBytes int64 `json:"max_cache_bytes"`
+	// InstanceBudget is the store-wide cap on live instances, and
+	// MaxInstanceBytes the cap on the bytes they pin. InstancesLive counts
+	// idle plus checked-out instances, InstancesIdle the warm ones parked in
+	// pools, and InstanceBytes the bytes the live ones pin.
+	InstanceBudget   int   `json:"instance_budget"`
+	InstancesIdle    int   `json:"instances_idle"`
+	InstancesLive    int   `json:"instances_live"`
+	InstanceBytes    int64 `json:"instance_bytes"`
+	MaxInstanceBytes int64 `json:"max_instance_bytes"`
+	// Hits counts lookups served by a cached core, Misses those that had
+	// to compile (or wait for a concurrent compile), Compiles the topology
+	// compilations ever performed, and Evictions the cores evicted from
+	// the LRU.
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Compiles  int64 `json:"compiles"`
+	Evictions int64 `json:"evictions"`
+	// Entries lists the cached graphs, most recent first.
+	Entries []EntryStats `json:"entries,omitempty"`
 }
 
 // Stats returns a snapshot of the store's counters and cached entries in

@@ -52,11 +52,12 @@ func TestCheckoutHitMissRelease(t *testing.T) {
 	}
 	s.Release(h2)
 
-	if s.Hits() != 1 || s.Misses() != 1 || s.Compiles() != 1 {
-		t.Fatalf("hits=%d misses=%d compiles=%d, want 1/1/1", s.Hits(), s.Misses(), s.Compiles())
+	st := s.Stats()
+	if st.Hits != 1 || st.Misses != 1 || st.Compiles != 1 {
+		t.Fatalf("hits=%d misses=%d compiles=%d, want 1/1/1", st.Hits, st.Misses, st.Compiles)
 	}
-	if live, idle := s.InstancesLive(), s.InstancesIdle(); live != 1 || idle != 1 {
-		t.Fatalf("live=%d idle=%d, want 1/1", live, idle)
+	if st.InstancesLive != 1 || st.InstancesIdle != 1 {
+		t.Fatalf("live=%d idle=%d, want 1/1", st.InstancesLive, st.InstancesIdle)
 	}
 }
 
@@ -91,11 +92,11 @@ func TestByteWeightedEviction(t *testing.T) {
 		h, _ := mustCheckout(t, s, key, cycleBuild(256))
 		s.Release(h)
 	}
-	if got := s.GraphsCached(); got != 2 {
+	if got := s.Stats().GraphsCached; got != 2 {
 		t.Fatalf("cached %d graphs after over-budget inserts, want 2", got)
 	}
-	if s.Evictions() != 1 {
-		t.Fatalf("evictions=%d, want 1", s.Evictions())
+	if got := s.Stats().Evictions; got != 1 {
+		t.Fatalf("evictions=%d, want 1", got)
 	}
 	// The evicted entry ("a", the coldest) recompiles on demand.
 	_, hit := mustCheckout(t, s, "a", cycleBuild(256))
@@ -111,60 +112,15 @@ func TestEntryCountBound(t *testing.T) {
 		h, _ := mustCheckout(t, s, key, cycleBuild(8))
 		s.Release(h)
 	}
-	if got := s.GraphsCached(); got != 2 {
+	if got := s.Stats().GraphsCached; got != 2 {
 		t.Fatalf("cached %d graphs with MaxGraphs=2, want 2", got)
 	}
-}
-
-// Saturation: with a budget of one instance and a zero-length wait queue,
-// a second concurrent checkout fails fast with *ErrSaturated.
-func TestSaturationFailsFast(t *testing.T) {
-	s := New(Options{MaxInstances: 1, MaxQueueDepth: 1})
-	defer s.Close()
-	h1, _ := mustCheckout(t, s, "g", cycleBuild(16))
-
-	// First waiter parks (fills the queue of 1)…
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	parked := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		s.mu.Lock()
-		for s.budgetWaiters == 0 && ctx.Err() == nil {
-			s.mu.Unlock()
-			time.Sleep(time.Millisecond)
-			s.mu.Lock()
-		}
-		s.mu.Unlock()
-		close(parked)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		h, _, err := s.Checkout(ctx, "g", cycleBuild(16), network.EngineBSP, 1)
-		if err == nil {
-			s.Release(h)
-		}
-	}()
-	<-parked
-
-	// …so the second one is shed immediately.
-	_, _, err := s.Checkout(context.Background(), "g", cycleBuild(16), network.EngineBSP, 1)
-	var sat *ErrSaturated
-	if !errors.As(err, &sat) {
-		t.Fatalf("want *ErrSaturated, got %v", err)
-	}
-	cancel()
-	s.Release(h1)
-	wg.Wait()
 }
 
 // A release unblocks a parked waiter: budget of one, two sequentialized
 // checkouts of the same pool.
 func TestWaitUnblocksOnRelease(t *testing.T) {
-	s := New(Options{MaxInstances: 1, MaxQueueDepth: 4})
+	s := New(Options{MaxInstances: 1})
 	defer s.Close()
 	h1, _ := mustCheckout(t, s, "g", cycleBuild(16))
 
@@ -197,17 +153,18 @@ func TestWaitUnblocksOnRelease(t *testing.T) {
 // Coldest-graph reclaim: when the budget is exhausted but another graph
 // holds an idle instance, the checkout reclaims it instead of waiting.
 func TestColdestGraphReclaim(t *testing.T) {
-	s := New(Options{MaxInstances: 1, MaxQueueDepth: 1})
+	s := New(Options{MaxInstances: 1})
 	defer s.Close()
 	h, _ := mustCheckout(t, s, "cold", cycleBuild(16))
 	s.Release(h) // "cold" now holds the only budgeted instance, idle
 
 	h2, _ := mustCheckout(t, s, "hot", cycleBuild(32))
 	defer s.Release(h2)
-	if s.InstancesLive() != 1 {
-		t.Fatalf("live=%d after reclaim, want 1", s.InstancesLive())
+	st := s.Stats()
+	if st.InstancesLive != 1 {
+		t.Fatalf("live=%d after reclaim, want 1", st.InstancesLive)
 	}
-	if s.InstancesIdle() != 0 {
+	if st.InstancesIdle != 0 {
 		t.Fatal("cold graph kept its idle instance despite the budget")
 	}
 }
@@ -217,7 +174,7 @@ func TestColdestGraphReclaim(t *testing.T) {
 // until the cold graph itself is evicted. On a fresh 2048-node graph such
 // an instance holds megabytes of per-node state.
 func TestReclaimedInstanceCollectable(t *testing.T) {
-	s := New(Options{MaxInstances: 1, MaxQueueDepth: 1})
+	s := New(Options{MaxInstances: 1})
 	defer s.Close()
 	cold := func() weak.Pointer[network.Instance] {
 		h, _ := mustCheckout(t, s, "cold", cycleBuild(16))
@@ -291,10 +248,11 @@ func TestLostBuildRaceCountsMiss(t *testing.T) {
 	if n := builds.Load(); n != 1 {
 		t.Errorf("build ran %d times, want 1", n)
 	}
-	if s.Compiles() != 1 || s.Misses() != 2 || s.Hits() != 0 {
-		t.Fatalf("compiles=%d misses=%d hits=%d, want 1/2/0", s.Compiles(), s.Misses(), s.Hits())
+	st := s.Stats()
+	if st.Compiles != 1 || st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("compiles=%d misses=%d hits=%d, want 1/2/0", st.Compiles, st.Misses, st.Hits)
 	}
-	if st := s.Stats(); st.GraphsCached != 1 || st.Entries[0].Hits != 0 {
+	if st.GraphsCached != 1 || st.Entries[0].Hits != 0 {
 		t.Fatalf("graphs_cached=%d entry hits=%d, want 1/0", st.GraphsCached, st.Entries[0].Hits)
 	}
 }
@@ -335,12 +293,12 @@ func TestFailedBuildSharedWithWaiters(t *testing.T) {
 			t.Errorf("checkout %d: err = %v, want %v", i, err, boom)
 		}
 	}
-	if n := builds.Load(); n != 1 || s.Compiles() != 0 || s.Misses() != 0 {
-		t.Fatalf("builds=%d compiles=%d misses=%d, want 1/0/0", n, s.Compiles(), s.Misses())
+	if n, st := builds.Load(), s.Stats(); n != 1 || st.Compiles != 0 || st.Misses != 0 {
+		t.Fatalf("builds=%d compiles=%d misses=%d, want 1/0/0", n, st.Compiles, st.Misses)
 	}
 	h, hit := mustCheckout(t, s, "g", cycleBuild(16))
-	if hit || builds.Load() != 1 || s.Compiles() != 1 {
-		t.Fatalf("checkout after the failed build: hit=%v builds=%d compiles=%d, want false/1/1", hit, builds.Load(), s.Compiles())
+	if c := s.Stats().Compiles; hit || builds.Load() != 1 || c != 1 {
+		t.Fatalf("checkout after the failed build: hit=%v builds=%d compiles=%d, want false/1/1", hit, builds.Load(), c)
 	}
 	s.Release(h)
 }
@@ -373,8 +331,8 @@ func TestFlightWaitHonorsContext(t *testing.T) {
 	}
 	close(release)
 	<-done
-	if s.Compiles() != 1 || s.Misses() != 1 {
-		t.Fatalf("compiles=%d misses=%d, want 1/1", s.Compiles(), s.Misses())
+	if st := s.Stats(); st.Compiles != 1 || st.Misses != 1 {
+		t.Fatalf("compiles=%d misses=%d, want 1/1", st.Compiles, st.Misses)
 	}
 }
 
@@ -414,8 +372,8 @@ func TestCheckoutRefusesUnknownEngine(t *testing.T) {
 			t.Fatalf("key %q: err = %v, want %s", key, err, want)
 		}
 	}
-	if s.Compiles() != 1 {
-		t.Fatalf("compiles = %d, want 1", s.Compiles())
+	if c := s.Stats().Compiles; c != 1 {
+		t.Fatalf("compiles = %d, want 1", c)
 	}
 }
 
@@ -427,7 +385,7 @@ func TestCloseFailsCheckouts(t *testing.T) {
 		t.Fatal("checkout succeeded on a closed store")
 	}
 	s.Release(h) // must not panic; instance is closed, not re-pooled
-	if s.InstancesLive() != 0 {
+	if s.Stats().InstancesLive != 0 {
 		t.Fatal("release after close leaked an instance")
 	}
 }
@@ -449,8 +407,8 @@ func TestCheckoutWidth(t *testing.T) {
 			t.Fatalf("width %d: err = %v, want %s", width, err, want)
 		}
 	}
-	if s.Compiles() != 0 {
-		t.Fatalf("refused checkouts compiled %d cores", s.Compiles())
+	if c := s.Stats().Compiles; c != 0 {
+		t.Fatalf("refused checkouts compiled %d cores", c)
 	}
 	for _, width := range []int{0, 2} {
 		h, _, err := s.Checkout(context.Background(), "c16", cycleBuild(16), network.EngineBSP, width)

@@ -1,14 +1,15 @@
 package serve
 
 // Admission control: the overload valve in front of the instance budget.
-// The query endpoint has a gate bounding how many requests are in service
-// and how many may park waiting; everyone past the queue bound is shed
-// immediately with *ErrOverloaded — HTTP 429 plus a Retry-After
-// hint — instead of holding a goroutine (and the client's patience) until
-// the deadline turns it into a 504. The instance-budget wait in acquire
-// is bounded the same way, and a latency tracker feeds deadline-aware
-// rejection: a request whose remaining deadline cannot cover the median
-// run time is shed before it consumes anything.
+// The query gate is the one admission queue: it bounds how many queries
+// are in service and how many may park waiting, and everyone past the
+// queue bound is shed immediately with *ErrOverloaded — HTTP 429 plus a
+// Retry-After hint — instead of holding a goroutine (and the client's
+// patience) until the deadline turns it into a 504. A query in service
+// that finds the instance budget spent waits inside the store, bounded by
+// its deadline; the gate bounds how many can. The run-duration histogram
+// feeds deadline-aware rejection: a request whose remaining deadline cannot
+// cover the median run time is shed before it consumes anything.
 
 import (
 	"context"
@@ -23,11 +24,11 @@ import (
 // executed. Callers should back off at least RetryAfter before retrying;
 // the HTTP layer maps it to 429 with a Retry-After header.
 type ErrOverloaded struct {
-	// Endpoint names the limit that shed the request: "query" (its gate),
-	// "instances" (the budget wait queue), or "deadline".
+	// Endpoint names the limit that shed the request: "query" (its gate)
+	// or "deadline".
 	Endpoint string
-	// RetryAfter is the server's backoff hint, derived from the current
-	// queue depth and median run time.
+	// RetryAfter is the server's backoff hint, derived from the queries in
+	// service and queued at the gate and the median run time.
 	RetryAfter time.Duration
 	// Reason is a human-readable cause for logs and error bodies.
 	Reason string
@@ -45,8 +46,6 @@ func (s *Server) shedded(endpoint, reason string) error {
 	switch endpoint {
 	case "query":
 		s.met.shedQuery.Inc()
-	case "instances":
-		s.met.shedInst.Inc()
 	case "deadline":
 		s.met.shedDeadline.Inc()
 	}
@@ -63,7 +62,8 @@ func (s *Server) retryHint() time.Duration {
 	if p50 <= 0 {
 		p50 = 50 * time.Millisecond
 	}
-	hint := p50 * time.Duration(s.queueDepth.Load()+s.inFlight.Load()+1)
+	active, queued, _ := s.queryGate.load()
+	hint := p50 * time.Duration(active+queued+1)
 	if hint < 10*time.Millisecond {
 		hint = 10 * time.Millisecond
 	}
@@ -73,35 +73,22 @@ func (s *Server) retryHint() time.Duration {
 	return hint
 }
 
-// enterQueue/leaveQueue account one parked request in the server-wide
-// queue-depth gauge and its high-water mark — shared by the query gate and
-// the instance-budget wait, so /stats shows total parked load.
-func (s *Server) enterQueue() {
-	d := s.queueDepth.Add(1)
-	for {
-		hw := s.queueHighWater.Load()
-		if d <= hw || s.queueHighWater.CompareAndSwap(hw, d) {
-			return
-		}
-	}
-}
-
-func (s *Server) leaveQueue() { s.queueDepth.Add(-1) }
-
 // gate is the query endpoint's admission valve: at most limit requests in
-// service, at most maxQueue parked waiting, everyone else shed. The
-// fast path (a free service slot) is two integer updates under a
-// private mutex — nothing allocated, nothing shared with the run path.
+// service, at most maxQueue parked waiting, everyone else shed. Its counts
+// are the server's in-flight and queue-depth gauges. The fast path (a free
+// service slot) is two integer updates under a private mutex — nothing
+// allocated, nothing shared with the run path.
 type gate struct {
 	s        *Server
 	limit    int
 	maxQueue int
 	waitHist *metrics.Histogram // admission wait per admitted request
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	active int
-	queued int
+	mu        sync.Mutex
+	cond      *sync.Cond
+	active    int // requests in service
+	queued    int // requests parked in the wait queue
+	highWater int // the most requests ever parked at once
 }
 
 func newGate(s *Server, limit, maxQueue int, waitHist *metrics.Histogram) *gate {
@@ -113,10 +100,10 @@ func newGate(s *Server, limit, maxQueue int, waitHist *metrics.Histogram) *gate 
 // acquire admits the request, parks it in the bounded wait queue until a
 // slot frees (bounded by ctx), or sheds it with *ErrOverloaded when the
 // queue itself is full. The context watcher takes g.mu before
-// broadcasting — the same no-missed-wakeup pattern as Server.waitLocked —
-// and a newly parked request re-checks the slot condition before its
-// first wait, so a release between "queue full?" and the wait cannot
-// strand it.
+// broadcasting — the same no-missed-wakeup pattern as corestore's
+// Store.waitLocked — and a newly parked request re-checks the slot
+// condition before its first wait, so a release between "queue full?" and
+// the wait cannot strand it.
 // Admitted requests (fast path included) observe the wait histogram, so
 // its shape answers "how long do queries queue" — a
 // fast-path admission records ~0 and keeps the sample population honest.
@@ -135,7 +122,7 @@ func (g *gate) acquire(ctx context.Context) error {
 			"%d in service, wait queue of %d full", g.limit, g.maxQueue))
 	}
 	g.queued++
-	g.s.enterQueue()
+	g.highWater = max(g.highWater, g.queued)
 	stop := context.AfterFunc(ctx, func() {
 		g.mu.Lock()
 		g.cond.Broadcast()
@@ -146,7 +133,6 @@ func (g *gate) acquire(ctx context.Context) error {
 			g.queued--
 			g.mu.Unlock()
 			stop()
-			g.s.leaveQueue()
 			return ctx.Err()
 		}
 		g.cond.Wait()
@@ -155,7 +141,6 @@ func (g *gate) acquire(ctx context.Context) error {
 	g.queued--
 	g.mu.Unlock()
 	stop()
-	g.s.leaveQueue()
 	g.waitHist.ObserveSince(start)
 	return nil
 }
@@ -166,4 +151,12 @@ func (g *gate) release() {
 	g.active--
 	g.mu.Unlock()
 	g.cond.Broadcast()
+}
+
+// load returns the requests in service, those parked in the wait queue,
+// and the most ever parked at once.
+func (g *gate) load() (active, queued, highWater int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.active, g.queued, g.highWater
 }

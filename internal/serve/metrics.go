@@ -9,9 +9,10 @@ package serve
 //
 // Counters that already exist as the Server's atomic fields (queries,
 // sheds, ...) are exposed through CounterFunc/GaugeFunc reading the same
-// atomics — one source of truth, no double counting — and cache/instance
-// state is read from the corestore.Store's accessors at scrape time only
-// (its mutex-guarded gauges lock briefly). Recording sites never touch the registry
+// atomics — one source of truth, no double counting — the in-flight and
+// queue gauges read the query gate's counts, and cache/instance state is
+// read from corestore.Store.Stats at scrape time only (the gate and the
+// store lock briefly). Recording sites never touch the registry
 // lock: everything on the query path is an atomic bump or a histogram
 // Observe, which is why arming all of this leaves the accept path at its
 // 15-alloc floor (BenchmarkServeConcurrent armed variants) and the reused
@@ -49,23 +50,23 @@ type serveMetrics struct {
 
 	// Per-stage latency histograms (nanosecond native, seconds exposed).
 	queueWaitQuery *metrics.Histogram // admission gate wait, /query
-	queueWaitInst  *metrics.Histogram // instance-budget wait episodes
-	acquire        *metrics.Histogram // lookup-to-checkout, successful acquires
+	acquire        *metrics.Histogram // Store.Checkout, successful acquires
 	run            *metrics.Histogram // successful engine runs (the admission oracle)
 	query          *metrics.Histogram // Query end to end, successes
 
 	// Shed counters by reason (the endpoint/limit that rejected).
 	shedQuery    *metrics.Counter
-	shedInst     *metrics.Counter
 	shedDeadline *metrics.Counter
 
 	engine engineMetrics
 }
 
 // newServeMetrics registers the full catalog against s. The fn-backed
-// series capture s; gauge funcs reading mutex-guarded state take s.mu
-// briefly at scrape time (scrapes serialize on the registry, recording
-// sites never call them).
+// series capture s; gauge funcs reading mutex-guarded state take the gate's
+// or the store's mutex briefly at scrape time (scrapes serialize on the
+// registry, recording sites never call them). They dereference s.queryGate
+// and s.store at scrape time: newServeMetrics runs before either is
+// attached, and scrapes cannot happen until NewServer returns.
 func newServeMetrics(s *Server) *serveMetrics {
 	r := metrics.NewRegistry()
 	m := &serveMetrics{reg: r}
@@ -79,58 +80,51 @@ func newServeMetrics(s *Server) *serveMetrics {
 		s.failures.Load)
 	r.CounterFunc("serve_panics_recovered_total", "Handler panics isolated by the HTTP middleware.",
 		s.panics.Load)
-	r.GaugeFunc("serve_in_flight", "Queries admitted and executing right now.",
-		s.inFlight.Load)
-	r.GaugeFunc("serve_queue_depth", "Requests parked in admission/budget wait queues.",
-		s.queueDepth.Load)
+	r.GaugeFunc("serve_in_flight", "Queries admitted and in service right now, waiting for an instance included.",
+		func() int64 { active, _, _ := s.queryGate.load(); return int64(active) })
+	r.GaugeFunc("serve_queue_depth", "Requests parked in the admission wait queue.",
+		func() int64 { _, queued, _ := s.queryGate.load(); return int64(queued) })
 	r.GaugeFunc("serve_queue_high_water", "Highest queue depth ever observed.",
-		s.queueHighWater.Load)
+		func() int64 { _, _, highWater := s.queryGate.load(); return int64(highWater) })
 
 	// Shed counters, by the limit that rejected. The reasons sum to the
 	// /stats "shed" total.
 	shedHelp := "Requests shed by admission control, by rejecting limit."
 	m.shedQuery = r.Counter("serve_shed_total", shedHelp, metrics.L("reason", "query"))
-	m.shedInst = r.Counter("serve_shed_total", shedHelp, metrics.L("reason", "instances"))
 	m.shedDeadline = r.Counter("serve_shed_total", shedHelp, metrics.L("reason", "deadline"))
 
 	// Compiled-core cache and instance budget: every series reads the
-	// store's own counters — one source of truth shared with /stats. The
-	// closures dereference s.store at scrape time (newServeMetrics runs
-	// before the store is attached; scrapes cannot happen until NewServer
-	// returns).
+	// store's own Stats — one source of truth shared with /stats.
 	r.CounterFunc("serve_cache_hits_total", "Lookups served by a cached compiled core.",
-		func() int64 { return s.store.Hits() })
+		func() int64 { return s.store.Stats().Hits })
 	r.CounterFunc("serve_cache_misses_total", "Lookups that had to compile.",
-		func() int64 { return s.store.Misses() })
+		func() int64 { return s.store.Stats().Misses })
 	r.CounterFunc("serve_cache_evictions_total", "Compiled cores evicted from the LRU.",
-		func() int64 { return s.store.Evictions() })
+		func() int64 { return s.store.Stats().Evictions })
 	r.CounterFunc("serve_cache_compiles_total", "Topology compilations ever performed.",
-		func() int64 { return s.store.Compiles() })
+		func() int64 { return s.store.Stats().Compiles })
 	r.GaugeFunc("serve_cache_graphs", "Compiled cores currently cached.",
-		func() int64 { return int64(s.store.GraphsCached()) })
+		func() int64 { return int64(s.store.Stats().GraphsCached) })
 	r.GaugeFunc("serve_cache_bytes", "Summed compiled size of cached cores.",
-		func() int64 { return s.store.CacheBytes() })
+		func() int64 { return s.store.Stats().CacheBytes })
 	r.GaugeFunc("serve_cache_bytes_max", "The cache byte budget eviction enforces.",
-		func() int64 { return s.store.MaxCacheBytes() })
+		func() int64 { return s.store.Stats().MaxCacheBytes })
 
 	// Instance budget — the saturation signals.
 	r.GaugeFunc("serve_instances_live", "Live instances server-wide: idle + in-flight.",
-		func() int64 { return int64(s.store.InstancesLive()) })
+		func() int64 { return int64(s.store.Stats().InstancesLive) })
 	r.GaugeFunc("serve_instances_idle", "Warm instances parked in pools.",
-		func() int64 { return int64(s.store.InstancesIdle()) })
+		func() int64 { return int64(s.store.Stats().InstancesIdle) })
 	r.GaugeFunc("serve_instance_budget", "The server-wide cap on live instances.",
-		func() int64 { return int64(s.store.MaxInstances()) })
+		func() int64 { return int64(s.store.Stats().InstanceBudget) })
 	r.GaugeFunc("serve_instance_bytes", "Bytes pinned by live instances.",
-		func() int64 { return s.store.InstanceBytes() })
+		func() int64 { return s.store.Stats().InstanceBytes })
 	r.GaugeFunc("serve_instance_bytes_max", "The byte cap on live instances.",
-		func() int64 { return s.store.MaxInstanceBytes() })
+		func() int64 { return s.store.Stats().MaxInstanceBytes })
 
 	// Per-stage latency histograms.
-	waitHelp := "Admission wait before service, by queue."
-	m.queueWaitQuery = r.Histogram("serve_queue_wait_seconds", waitHelp,
+	m.queueWaitQuery = r.Histogram("serve_queue_wait_seconds", "Admission wait before service, by queue.",
 		metrics.DurationBounds, metrics.DurationScale, metrics.L("queue", "query"))
-	m.queueWaitInst = r.Histogram("serve_queue_wait_seconds", waitHelp,
-		metrics.DurationBounds, metrics.DurationScale, metrics.L("queue", "instances"))
 	m.acquire = r.Histogram("serve_acquire_seconds",
 		"Cache lookup to instance checkout, successful acquires.",
 		metrics.DurationBounds, metrics.DurationScale)

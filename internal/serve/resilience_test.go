@@ -265,10 +265,10 @@ func TestSoakOverloadWithFaults(t *testing.T) {
 
 // TestBudgetReclaimAdmissionRace hammers the exact contention the admission
 // layer guards: many clients, a tiny instance budget, distinct graphs
-// fighting over it via reclaim, bounded wait queues shedding the excess.
-// Run under -race this is the no-lost-wakeup/no-deadlock proof: every
-// query either succeeds or sheds, the queues drain to zero, and the budget
-// is intact at the end.
+// fighting over it via reclaim, the query gate's bounded wait queue
+// shedding the excess. Run under -race this is the no-lost-wakeup/
+// no-deadlock proof: every query either succeeds or sheds, the queue
+// drains to zero, and the budget is intact at the end.
 func TestBudgetReclaimAdmissionRace(t *testing.T) {
 	s := NewServer(Options{MaxInstances: 2, MaxQueueDepth: 4, MaxConcurrentQueries: 6})
 	defer s.Close()
@@ -321,7 +321,7 @@ func TestHTTP429WellFormed(t *testing.T) {
 
 	waitDepth := func(d int64) {
 		t.Helper()
-		for i := 0; s.queueDepth.Load() != d; i++ {
+		for i := 0; s.Stats().QueueDepth != d; i++ {
 			if i > 2000 {
 				t.Fatalf("queue depth never reached %d", d)
 			}
@@ -358,6 +358,108 @@ func TestHTTP429WellFormed(t *testing.T) {
 			t.Fatalf("shed accounting: %+v", st)
 		}
 	})
+}
+
+// TestGateIsTheOnlyQueue: the query gate is the one admission queue. A
+// query it admits that finds the instance budget spent waits for a release,
+// bounded by its deadline, and is never shed, however many wait: here three
+// admitted queries wait behind a queue bound of one.
+func TestGateIsTheOnlyQueue(t *testing.T) {
+	s := NewServer(Options{MaxInstances: 1, MaxConcurrentQueries: 3, MaxQueueDepth: 1})
+	defer s.Close()
+	// Hold the one instance with a checkout of another graph.
+	held, _, err := s.store.Checkout(context.Background(), "held", func() (*graph.Graph, error) {
+		return graph.Cycle(12), nil
+	}, network.EngineBSP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 3
+	done := make(chan error, queries)
+	for i := 0; i < queries; i++ {
+		go func() {
+			_, err := s.Query(context.Background(), &QueryRequest{
+				Graph: GraphRequest{Family: "cycle", N: 10}, K: 5, Reps: 1, Seed: uint64(i),
+			})
+			done <- err
+		}()
+	}
+	// All three enter service and wait for the instance: none may finish
+	// while it is held.
+	noneDone := func(d time.Duration) {
+		t.Helper()
+		select {
+		case err := <-done:
+			t.Fatalf("a query finished while the only instance was held: %v", err)
+		case <-time.After(d):
+		}
+	}
+	for i := 0; s.Stats().InFlight != queries; i++ {
+		if i > 5000 {
+			t.Fatalf("%d queries never all entered service: %+v", queries, s.Stats())
+		}
+		noneDone(time.Millisecond)
+	}
+	noneDone(50 * time.Millisecond)
+	s.store.Release(held)
+	for i := 0; i < queries; i++ {
+		if err := <-done; err != nil {
+			t.Errorf("admitted query after the release: %v", err)
+		}
+	}
+	if st := s.Stats(); st.Shed != 0 || st.InFlight != 0 || st.InstancesLive != 1 {
+		t.Fatalf("after the release: %+v", st)
+	}
+}
+
+// TestUploadBuiltOnlyAfterAdmission: an uploaded graph is built only once
+// the gate admits its query, so the gate bounds upload builds as it bounds
+// the family builds inside the checkout. With the gate's one slot held and
+// its queue of one full, a disconnected upload is shed unread, not refused
+// by a build that ran before admission.
+func TestUploadBuiltOnlyAfterAdmission(t *testing.T) {
+	s := NewServer(Options{MaxConcurrentQueries: 1, MaxQueueDepth: 1})
+	defer s.Close()
+	if err := s.queryGate.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := s.Query(context.Background(), &QueryRequest{
+			Graph: GraphRequest{Family: "cycle", N: 10}, K: 5, Reps: 1,
+		})
+		parked <- err
+	}()
+	for i := 0; s.Stats().QueueDepth != 1; i++ {
+		if i > 5000 {
+			t.Fatalf("the gate's queue never filled: %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Two disjoint triangles: enough edges to connect 6 vertices, so only
+	// the build finds the graph disconnected.
+	upload := &QueryRequest{
+		Graph: GraphRequest{N: 6, Edges: EdgeList{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}},
+		K:     3, Reps: 1,
+	}
+	_, err := s.Query(context.Background(), upload)
+	var ov *ErrOverloaded
+	if !errors.As(err, &ov) || ov.Endpoint != "query" {
+		t.Fatalf("upload at a full gate: err = %v, want a shed at the query gate", err)
+	}
+
+	s.queryGate.release()
+	if err := <-parked; err != nil {
+		t.Fatalf("parked query after release: %v", err)
+	}
+	// Admitted, the same upload reaches its build and is refused there.
+	if _, err := s.Query(context.Background(), upload); !errors.Is(err, errNotConnected) {
+		t.Fatalf("admitted upload: err = %v, want the not-connected refusal", err)
+	}
+	if st := s.Stats(); st.Shed != 1 || st.Failures != 1 {
+		t.Fatalf("want one shed and one failure: %+v", st)
+	}
 }
 
 // TestDeadlineAwareShed: once the run histogram knows the median run

@@ -10,9 +10,12 @@
 // internal/corestore: an LRU of compiled cores weighted by the bytes they
 // hold, and per-graph pools of warm instances under one store-wide budget
 // with coldest-graph reclaim. The Server keeps what is genuinely serving:
-// admission control (gates, deadline-aware shedding, Retry-After hints),
-// HTTP framing, request tracing, and metrics exposition; every cache and
-// instance decision is delegated to the store.
+// admission control (the query gate, deadline-aware shedding, Retry-After
+// hints), HTTP framing, request tracing, and metrics exposition; every
+// cache and instance decision is delegated to the store. The query gate is
+// the one admission queue: the store bounds no waiters of its own, and a
+// query in service that finds the instance budget spent waits for a
+// release, bounded by its deadline.
 //
 // Each query checks a warm instance out of the store per run through
 // corestore.Store.Checkout. Parameter sweeps are not served: sweep.RunCtx,
@@ -56,7 +59,6 @@ import (
 
 	"cycledetect/internal/core"
 	"cycledetect/internal/corestore"
-	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 )
 
@@ -79,9 +81,10 @@ type Options struct {
 	// MaxInstances is the SERVER-WIDE budget of live instances — idle in
 	// pools plus in-flight — across all graphs (default GOMAXPROCS).
 	// Equivalently, the number of runs that can execute concurrently. When
-	// the budget is exhausted, a query first reclaims an idle instance from
-	// the coldest cached graph, then waits (bounded by its deadline) for an
-	// in-flight run to release one.
+	// the budget is exhausted, an admitted query first reclaims an idle
+	// instance from the coldest cached graph, then waits (bounded by its
+	// deadline) for an in-flight run to release one; it counts as in
+	// service meanwhile, and only the query gate sheds.
 	MaxInstances int
 	// QueryTimeout bounds one query end to end, including the wait for a
 	// free instance (default 30s; negative disables). A timed-out query
@@ -104,15 +107,17 @@ type Options struct {
 	// cache bound, the first instance always spawns, so one over-budget
 	// giant still serves.
 	MaxInstanceBytes int64
-	// MaxQueueDepth bounds every admission wait queue — the query gate AND
-	// the instance-budget wait (default 64; negative disables the bound).
-	// A request arriving at a full queue is shed immediately with
-	// *ErrOverloaded (HTTP 429 + Retry-After) instead of parking until its
-	// deadline turns it into a 504.
+	// MaxQueueDepth bounds the query gate's wait queue, the one admission
+	// queue (default 64; negative disables the bound). A request arriving at
+	// a full queue is shed immediately with *ErrOverloaded (HTTP 429 +
+	// Retry-After) instead of parking until its deadline turns it into a
+	// 504.
 	MaxQueueDepth int
-	// MaxConcurrentQueries caps queries in service at once; excess
-	// queries park in the bounded admission queue (default
-	// max(4×MaxInstances, 2×GOMAXPROCS); negative disables the gate).
+	// MaxConcurrentQueries caps queries in service at once, those waiting
+	// for an instance included; excess queries park in the bounded
+	// admission queue (default max(4×MaxInstances, 2×GOMAXPROCS); negative
+	// disables the gate). Ungated, nothing bounds how many queries wait for
+	// an instance: only QueryTimeout ends their wait.
 	MaxConcurrentQueries int
 	// DisableMetrics removes GET /metrics from the handler. Collection
 	// itself always runs (it is allocation-free on the hot paths); this
@@ -178,26 +183,6 @@ func (o Options) maxConcurrentQueries() int {
 	return d
 }
 
-// storeOptions maps the server's options onto the core store's, wiring the
-// server's observability (queue-depth accounting, latency histograms, the
-// run collector) through the store's hooks.
-func (s *Server) storeOptions() corestore.Options {
-	return corestore.Options{
-		MaxGraphs:        s.opts.MaxGraphs,
-		MaxCacheBytes:    s.opts.MaxCacheBytes,
-		MaxInstances:     s.opts.MaxInstances,
-		MaxInstanceBytes: s.opts.MaxInstanceBytes,
-		MaxQueueDepth:    s.opts.MaxQueueDepth,
-		DefaultWorkers:   s.opts.NetworkWorkers,
-		BandwidthBits:    s.opts.BandwidthBits,
-		Collector:        s.met,
-		OnQueueEnter:     s.enterQueue,
-		OnQueueLeave:     s.leaveQueue,
-		ObserveWait:      func(d time.Duration) { s.met.queueWaitInst.Observe(int64(d)) },
-		ObserveAcquire:   func(d time.Duration) { s.met.acquire.Observe(int64(d)) },
-	}
-}
-
 // Server serves tester queries over cached compiled networks. Create with
 // NewServer, expose with Handler (or call Query directly), release with
 // Close. All methods are safe for concurrent use.
@@ -208,9 +193,10 @@ type Server struct {
 	// pools and their budget.
 	store *corestore.Store
 
-	// Admission control (see admission.go): the query gate. The latency
-	// signal behind deadline-aware shedding and Retry-After hints is the
-	// shared run-duration histogram (met.run, see runP50).
+	// Admission control (see admission.go): the query gate, whose counts
+	// are the in-flight and queue-depth gauges. The latency signal behind
+	// deadline-aware shedding and Retry-After hints is the shared
+	// run-duration histogram (met.run, see runP50).
 	queryGate *gate
 
 	// met owns the /metrics registry and every recorded series; it is
@@ -227,14 +213,11 @@ type Server struct {
 	flMu     sync.Mutex
 	inflight map[*inflightReq]struct{}
 
-	queries        atomic.Int64
-	timeouts       atomic.Int64
-	failures       atomic.Int64
-	inFlight       atomic.Int64
-	shed           atomic.Int64 // requests rejected by admission control (429s)
-	queueDepth     atomic.Int64 // requests parked in wait queues right now
-	queueHighWater atomic.Int64 // max queueDepth ever observed
-	panics         atomic.Int64 // handler panics recovered by the HTTP middleware
+	queries  atomic.Int64
+	timeouts atomic.Int64
+	failures atomic.Int64
+	shed     atomic.Int64 // requests rejected by admission control (429s)
+	panics   atomic.Int64 // handler panics recovered by the HTTP middleware
 }
 
 // worker is the program cache one warm instance keeps across the queries it
@@ -254,7 +237,15 @@ func NewServer(opts Options) *Server {
 		inflight: make(map[*inflightReq]struct{}),
 	}
 	s.met = newServeMetrics(s)
-	s.store = corestore.New(s.storeOptions())
+	s.store = corestore.New(corestore.Options{
+		MaxGraphs:        opts.MaxGraphs,
+		MaxCacheBytes:    opts.MaxCacheBytes,
+		MaxInstances:     opts.MaxInstances,
+		MaxInstanceBytes: opts.MaxInstanceBytes,
+		DefaultWorkers:   opts.NetworkWorkers,
+		BandwidthBits:    opts.BandwidthBits,
+		Collector:        s.met,
+	})
 	s.queryGate = newGate(s, opts.maxConcurrentQueries(), opts.maxQueueDepth(), s.met.queueWaitQuery)
 	return s
 }
@@ -283,31 +274,6 @@ func (s *Server) Close() {
 	s.store.Close()
 }
 
-// checkout acquires a warm instance handle from the store, translating its
-// saturation error (see shedSaturated).
-func (s *Server) checkout(ctx context.Context, key string, build func() (*graph.Graph, error)) (*corestore.Handle, bool, error) {
-	h, hit, err := s.store.Checkout(ctx, key, build, network.EngineBSP, 0)
-	if err != nil {
-		return nil, false, s.shedSaturated(err)
-	}
-	return h, hit, nil
-}
-
-// shedSaturated translates a store checkout error into the server's
-// overload vocabulary: a *corestore.ErrSaturated becomes a shed — the shed
-// counter, the per-reason metric, and an *ErrOverloaded carrying a
-// Retry-After hint. Any other error passes through. Callers invoke it only
-// on the error path: boxing the errors.As target costs a heap allocation.
-func (s *Server) shedSaturated(err error) error {
-	var sat *corestore.ErrSaturated
-	if errors.As(err, &sat) {
-		return s.shedded("instances", fmt.Sprintf(
-			"instance budget (%d) saturated and its wait queue (%d) full",
-			sat.Instances, sat.QueueDepth))
-	}
-	return err
-}
-
 // workerFor returns the handle's resident worker, attaching one on the
 // instance's first checkout.
 func workerFor(h *corestore.Handle) *worker {
@@ -322,9 +288,11 @@ func workerFor(h *corestore.Handle) *worker {
 // Query answers one tester/detector query, reusing the cached compiled
 // network and a pooled warm instance when possible. It is the transport-
 // independent core of POST /query (and what BenchmarkServeConcurrent
-// measures); ctx bounds the whole query — the wait for a free instance AND
-// the run itself, which runs on the caller's goroutine and is cancelled at
-// its next round barrier when ctx fires. Safe for concurrent use.
+// measures); ctx bounds the whole query — the admission wait, the wait for
+// a free instance AND the run itself, which runs on the caller's goroutine
+// and is cancelled at its next round barrier when ctx fires. A request is
+// validated before admission, but an uploaded graph is built only once the
+// gate admits its query. Safe for concurrent use.
 func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
 	s.queries.Add(1)
 
@@ -341,8 +309,7 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 	fl := s.trackInflight(ctx)
 	defer fl.done(s)
 
-	key, build, err := req.resolve()
-	if err != nil {
+	if err := req.validate(); err != nil {
 		s.failures.Add(1)
 		return nil, err
 	}
@@ -363,20 +330,21 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 		return nil, err
 	}
 	defer s.queryGate.release()
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	// The store retries evicted entries internally and bounds the
-	// instance-budget wait by ctx; a full wait queue surfaces here as a
-	// shed (see checkout).
 	fl.setStage(stageAcquire)
-	h, hit, err := s.checkout(ctx, key, build)
+	key, build, err := req.resolve()
 	if err != nil {
-		var ov *ErrOverloaded
-		if !errors.As(err, &ov) { // shedded already counted the shed
-			s.countQueryErr(ctx, err)
-		}
+		s.failures.Add(1)
 		return nil, err
 	}
+	// The store retries evicted entries internally and bounds the
+	// instance-budget wait by ctx alone; the gate bounds how many wait.
+	acquireStart := time.Now()
+	h, hit, err := s.store.Checkout(ctx, key, build, network.EngineBSP, 0)
+	if err != nil {
+		s.countQueryErr(ctx, err)
+		return nil, err
+	}
+	s.met.acquire.ObserveSince(acquireStart)
 	// The release is deferred, so it follows the summary below (the
 	// instance's Result is overwritten by its next run) on every path,
 	// a recovered panic's included.
@@ -476,11 +444,13 @@ type Stats struct {
 	Queries  int64 `json:"queries"`
 	Timeouts int64 `json:"timeouts"`
 	Failures int64 `json:"failures"`
+	// InFlight counts queries the gate admitted and has not released,
+	// those waiting for an instance included.
 	InFlight int64 `json:"in_flight"`
 	// Resilience counters (see admission.go): Shed counts requests rejected
-	// with 429, QueueDepth/QueueHighWater track parked requests across all
-	// wait queues, and PanicsRecovered counts handler panics caught by the
-	// HTTP middleware.
+	// with 429, QueueDepth/QueueHighWater track requests parked in the query
+	// gate's wait queue, and PanicsRecovered counts handler panics caught
+	// by the HTTP middleware.
 	Shed            int64 `json:"shed"`
 	QueueDepth      int64 `json:"queue_depth"`
 	QueueHighWater  int64 `json:"queue_high_water"`
@@ -496,15 +466,16 @@ type Stats struct {
 
 // Stats returns a snapshot of the cache and traffic counters.
 func (s *Server) Stats() Stats {
+	active, queued, highWater := s.queryGate.load()
 	st := Stats{
 		Stats:           s.store.Stats(),
 		Queries:         s.queries.Load(),
 		Timeouts:        s.timeouts.Load(),
 		Failures:        s.failures.Load(),
-		InFlight:        s.inFlight.Load(),
+		InFlight:        int64(active),
 		Shed:            s.shed.Load(),
-		QueueDepth:      s.queueDepth.Load(),
-		QueueHighWater:  s.queueHighWater.Load(),
+		QueueDepth:      int64(queued),
+		QueueHighWater:  int64(highWater),
 		PanicsRecovered: s.panics.Load(),
 	}
 	if lookups := st.Hits + st.Misses; lookups > 0 {

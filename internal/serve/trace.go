@@ -44,8 +44,9 @@ func (s *Server) newRunID() string {
 }
 
 // Stages of an in-flight request, coarse enough to answer "where is this
-// request stuck" from /stats: waiting at the admission gate, waiting for
-// an instance, or running.
+// request stuck" from /stats: waiting at the admission gate, acquiring an
+// instance (an uploaded graph's build, the checkout and its wait), or
+// running.
 const (
 	stageAdmit int32 = iota
 	stageAcquire

@@ -187,60 +187,64 @@ type QueryResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// resolve validates the request and returns the cache key and a graph
-// builder for misses. Family keys are computed without building the
-// graph (hits skip construction entirely); explicit edge lists are built
-// eagerly and keyed by canonical fingerprint.
-func (req *QueryRequest) resolve() (key string, build func() (*graph.Graph, error), err error) {
+// validate runs the request's O(1) checks, so a malformed query is refused
+// before it waits for admission. It defaults Op to OpTest.
+func (req *QueryRequest) validate() error {
 	switch req.Op {
 	case "", OpTest:
 		req.Op = OpTest
 	case OpDetect:
 		if req.Edge == nil {
-			return "", nil, fmt.Errorf("serve: op %q needs \"edge\": [u, v]", OpDetect)
+			return fmt.Errorf("serve: op %q needs \"edge\": [u, v]", OpDetect)
 		}
 		if req.Edge[0] == req.Edge[1] {
-			return "", nil, fmt.Errorf("serve: candidate edge endpoints equal (%d)", req.Edge[0])
+			return fmt.Errorf("serve: candidate edge endpoints equal (%d)", req.Edge[0])
 		}
 	default:
-		return "", nil, fmt.Errorf("serve: unknown op %q (want %q or %q)", req.Op, OpTest, OpDetect)
+		return fmt.Errorf("serve: unknown op %q (want %q or %q)", req.Op, OpTest, OpDetect)
 	}
 	if req.K < 3 {
-		return "", nil, fmt.Errorf("serve: k must be at least 3, got %d", req.K)
+		return fmt.Errorf("serve: k must be at least 3, got %d", req.K)
 	}
 	if req.Op == OpTest && req.Reps <= 0 && (req.Eps <= 0 || req.Eps >= 1) {
-		return "", nil, fmt.Errorf("serve: eps %v outside (0,1) and no reps given", req.Eps)
+		return fmt.Errorf("serve: eps %v outside (0,1) and no reps given", req.Eps)
 	}
 	if req.Reps < 0 {
-		return "", nil, fmt.Errorf("serve: negative reps %d", req.Reps)
+		return fmt.Errorf("serve: negative reps %d", req.Reps)
 	}
 	if req.Engine != "" && network.Engine(req.Engine) != network.EngineBSP {
-		return "", nil, fmt.Errorf("serve: unknown engine %q", req.Engine)
+		return fmt.Errorf("serve: unknown engine %q", req.Engine)
 	}
-
 	gr := req.Graph
 	switch {
 	case gr.Family != "" && len(gr.Edges) > 0:
-		return "", nil, fmt.Errorf("serve: graph gives both a family and explicit edges")
+		return fmt.Errorf("serve: graph gives both a family and explicit edges")
 	case gr.Family != "":
+		return sweep.GraphSpec{Family: gr.Family, N: gr.N, M: gr.M}.Validate()
+	case len(gr.Edges) == 0:
+		return fmt.Errorf("serve: graph needs a family or an edge list")
+	}
+	return nil
+}
+
+// resolve returns a validated request's cache key and a graph builder for
+// misses. Family keys are computed without building the graph (hits skip
+// construction entirely); an explicit edge list is built now, an O(m)
+// build, connectivity check and fingerprint, and keyed by its canonical
+// fingerprint. Query calls it only once the gate has admitted the query.
+func (req *QueryRequest) resolve() (key string, build func() (*graph.Graph, error), err error) {
+	gr := req.Graph
+	if gr.Family != "" {
 		gs := sweep.GraphSpec{Family: gr.Family, N: gr.N, M: gr.M}
-		if err := gs.Validate(); err != nil {
-			return "", nil, err
-		}
-		key = sweep.FamilyKey(gs, req.K, req.Eps, gr.Seed)
 		k, eps, seed := req.K, req.Eps, gr.Seed
 		build = func() (*graph.Graph, error) { return sweep.BuildGraph(gs, k, eps, seed) }
-	case len(gr.Edges) > 0:
-		g, err := buildExplicit(gr.N, gr.Edges)
-		if err != nil {
-			return "", nil, err
-		}
-		key = "fp:" + g.Fingerprint()
-		build = func() (*graph.Graph, error) { return g, nil }
-	default:
-		return "", nil, fmt.Errorf("serve: graph needs a family or an edge list")
+		return sweep.FamilyKey(gs, k, eps, seed), build, nil
 	}
-	return key, build, nil
+	g, err := buildExplicit(gr.N, gr.Edges)
+	if err != nil {
+		return "", nil, err
+	}
+	return "fp:" + g.Fingerprint(), func() (*graph.Graph, error) { return g, nil }, nil
 }
 
 // errNotConnected refuses an explicit graph the CONGEST model cannot run.

@@ -434,11 +434,11 @@ func TestRunCtxCustomProvider(t *testing.T) {
 		if !reflect.DeepEqual(stripElapsed(want), stripElapsed(got)) {
 			t.Fatalf("pass %d: rows on a given store differ from Run's", pass)
 		}
-		if idle, live := s.InstancesIdle(), s.InstancesLive(); idle != live {
-			t.Fatalf("pass %d: %d of %d live instances idle after the sweep", pass, idle, live)
+		if st := s.Stats(); st.InstancesIdle != st.InstancesLive {
+			t.Fatalf("pass %d: %d of %d live instances idle after the sweep", pass, st.InstancesIdle, st.InstancesLive)
 		}
 	}
-	if got := s.Compiles(); got != int64(len(keys)) {
+	if got := s.Stats().Compiles; got != int64(len(keys)) {
 		t.Fatalf("3 passes compiled %d cores, want one per distinct FamilyKey (%d)", got, len(keys))
 	}
 }
@@ -454,7 +454,7 @@ func TestRunCtxStoreRefusesBandwidth(t *testing.T) {
 	if _, err := RunCtx(context.Background(), spec, s); err == nil || !strings.Contains(err.Error(), "bandwidth_bits") {
 		t.Fatalf("want a refusal naming bandwidth_bits, got %v", err)
 	}
-	if c := s.Compiles(); c != 0 {
+	if c := s.Stats().Compiles; c != 0 {
 		t.Fatalf("the refused sweep compiled %d cores", c)
 	}
 }
