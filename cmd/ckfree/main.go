@@ -20,7 +20,6 @@ import (
 	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
-	"cycledetect/internal/xrand"
 )
 
 func main() {
@@ -32,22 +31,17 @@ func main() {
 		file    = flag.String("graph", "", "graph file (edge-list format)")
 		gen     = flag.String("gen", "", "generator spec, e.g. cycle:12, gnm:100,400, wheel:9, grid:4,6, far:120,0.05")
 		edge    = flag.String("edge", "", "run the deterministic per-edge detector for 'u,v' instead of the full tester")
-		naive   = flag.Bool("naive", false, "disable pruning (ablation mode)")
 		oracle  = flag.Bool("oracle", false, "also run the centralized oracle and compare")
 		verbose = flag.Bool("v", false, "print traffic statistics")
 	)
 	flag.Parse()
 
-	g, err := loadGraph(*file, *gen, *k, *eps, *seed)
+	g, err := loadGraph(*file, *gen, *k, *seed)
 	if err != nil {
 		fatal(err)
 	}
 	if !graph.Connected(g) {
 		fatal(fmt.Errorf("graph is not connected (the CONGEST model requires a connected network)"))
-	}
-	mode := core.ModePruned
-	if *naive {
-		mode = core.ModeNaive
 	}
 
 	var prog network.Program
@@ -56,9 +50,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		prog = &core.EdgeDetector{K: *k, U: u, V: v, Mode: mode}
+		prog = &core.EdgeDetector{K: *k, U: u, V: v}
 	} else {
-		prog = &core.Tester{K: *k, Eps: *eps, Reps: *reps, Mode: mode}
+		prog = &core.Tester{K: *k, Eps: *eps, Reps: *reps}
 	}
 
 	// Build-once/run-once through the reusable-network layer (a future
@@ -96,7 +90,7 @@ func main() {
 	}
 }
 
-func loadGraph(file, gen string, k int, eps float64, seed uint64) (*graph.Graph, error) {
+func loadGraph(file, gen string, k int, seed uint64) (*graph.Graph, error) {
 	switch {
 	case file != "" && gen != "":
 		return nil, fmt.Errorf("give either -graph or -gen, not both")
@@ -108,109 +102,13 @@ func loadGraph(file, gen string, k int, eps float64, seed uint64) (*graph.Graph,
 		defer f.Close()
 		return graph.ReadText(f)
 	case gen != "":
-		return buildGen(gen, k, eps, seed)
+		g, note, err := graph.BuildGen(gen, k, seed)
+		if note != "" {
+			fmt.Fprintln(os.Stderr, "ckfree:", note)
+		}
+		return g, err
 	default:
 		return nil, fmt.Errorf("one of -graph or -gen is required")
-	}
-}
-
-func buildGen(spec string, k int, eps float64, seed uint64) (*graph.Graph, error) {
-	rng := xrand.New(seed)
-	name, argStr, _ := strings.Cut(spec, ":")
-	var args []int
-	var fargs []float64
-	if argStr != "" {
-		for _, part := range strings.Split(argStr, ",") {
-			if iv, err := strconv.Atoi(part); err == nil {
-				args = append(args, iv)
-				fargs = append(fargs, float64(iv))
-				continue
-			}
-			fv, err := strconv.ParseFloat(part, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad generator argument %q", part)
-			}
-			args = append(args, int(fv))
-			fargs = append(fargs, fv)
-		}
-	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("generator %q needs %d arguments", name, n)
-		}
-		return nil
-	}
-	switch name {
-	case "cycle":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return graph.Cycle(args[0]), nil
-	case "path":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return graph.Path(args[0]), nil
-	case "wheel":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return graph.Wheel(args[0]), nil
-	case "complete":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return graph.Complete(args[0]), nil
-	case "grid":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return graph.Grid(args[0], args[1]), nil
-	case "torus":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return graph.Torus(args[0], args[1]), nil
-	case "hypercube":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return graph.Hypercube(args[0]), nil
-	case "kbipartite":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return graph.CompleteBipartite(args[0], args[1]), nil
-	case "tree":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return graph.RandomTree(args[0], rng), nil
-	case "gnm":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return graph.ConnectedGNM(args[0], args[1], rng), nil
-	case "theta":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return graph.Theta(args[0], args[1], rng), nil
-	case "far":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		g, _ := graph.FarFromCkFree(args[0], k, fargs[1], rng)
-		return g, nil
-	case "planted":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		g, e := graph.PlantedCycle(args[0], k, args[1], rng)
-		fmt.Printf("planted C%d through edge %v\n", k, e)
-		return g, nil
-	default:
-		return nil, fmt.Errorf("unknown generator %q (try cycle, path, wheel, complete, grid, torus, hypercube, kbipartite, tree, gnm, theta, far, planted)", name)
 	}
 }
 

@@ -1,76 +1,6 @@
 package main
 
-import (
-	"testing"
-
-	"cycledetect/internal/graph"
-)
-
-func TestBuildGenSpecs(t *testing.T) {
-	cases := []struct {
-		spec string
-		n, m int
-	}{
-		{"cycle:8", 8, 8},
-		{"path:5", 5, 4},
-		{"wheel:7", 7, 12},
-		{"complete:5", 5, 10},
-		{"grid:3,4", 12, 17},
-		{"torus:3,3", 9, 18},
-		{"hypercube:3", 8, 12},
-		{"kbipartite:2,3", 5, 6},
-		{"theta:4,3", 10, 12},
-		{"gnm:20,40", 20, 40},
-	}
-	for _, c := range cases {
-		g, err := buildGen(c.spec, 5, 0.1, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", c.spec, err)
-		}
-		if g.N() != c.n || g.M() != c.m {
-			t.Errorf("%s: got (n=%d,m=%d) want (%d,%d)", c.spec, g.N(), g.M(), c.n, c.m)
-		}
-	}
-}
-
-func TestBuildGenRandomFamilies(t *testing.T) {
-	g, err := buildGen("tree:30", 5, 0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 30 || g.M() != 29 || !graph.Connected(g) {
-		t.Fatalf("tree wrong: n=%d m=%d", g.N(), g.M())
-	}
-	g, err = buildGen("far:60,0.05", 5, 0.1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 60 {
-		t.Fatalf("far n=%d", g.N())
-	}
-	g, err = buildGen("planted:30,3", 4, 0.1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 30 {
-		t.Fatalf("planted n=%d", g.N())
-	}
-}
-
-func TestBuildGenErrors(t *testing.T) {
-	bad := []string{
-		"bogus:3",
-		"cycle",     // missing arg
-		"cycle:1,2", // extra arg
-		"grid:3",    // missing arg
-		"cycle:x",   // non-numeric
-	}
-	for _, spec := range bad {
-		if _, err := buildGen(spec, 5, 0.1, 1); err == nil {
-			t.Errorf("%s: expected error", spec)
-		}
-	}
-}
+import "testing"
 
 func TestParseEdge(t *testing.T) {
 	u, v, err := parseEdge("3,7")
@@ -90,13 +20,13 @@ func TestParseEdge(t *testing.T) {
 }
 
 func TestLoadGraphValidation(t *testing.T) {
-	if _, err := loadGraph("", "", 3, 0.1, 1); err == nil {
+	if _, err := loadGraph("", "", 3, 1); err == nil {
 		t.Fatal("no source accepted")
 	}
-	if _, err := loadGraph("x.graph", "cycle:5", 3, 0.1, 1); err == nil {
+	if _, err := loadGraph("x.graph", "cycle:5", 3, 1); err == nil {
 		t.Fatal("two sources accepted")
 	}
-	if _, err := loadGraph("/nonexistent/file.graph", "", 3, 0.1, 1); err == nil {
+	if _, err := loadGraph("/nonexistent/file.graph", "", 3, 1); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

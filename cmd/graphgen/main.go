@@ -9,11 +9,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"cycledetect/internal/graph"
-	"cycledetect/internal/xrand"
 )
 
 func main() {
@@ -27,7 +24,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "graphgen: -gen is required")
 		os.Exit(2)
 	}
-	g, err := build(*gen, *k, *seed)
+	g, note, err := graph.BuildGen(*gen, *k, *seed)
+	if note != "" {
+		fmt.Fprintln(os.Stderr, "graphgen:", note)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		os.Exit(1)
@@ -35,95 +35,5 @@ func main() {
 	if err := graph.WriteText(os.Stdout, g); err != nil {
 		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		os.Exit(1)
-	}
-}
-
-func build(spec string, k int, seed uint64) (*graph.Graph, error) {
-	rng := xrand.New(seed)
-	name, argStr, _ := strings.Cut(spec, ":")
-	var parts []string
-	if argStr != "" {
-		parts = strings.Split(argStr, ",")
-	}
-	geti := func(i int) (int, error) {
-		if i >= len(parts) {
-			return 0, fmt.Errorf("generator %q: missing argument %d", name, i+1)
-		}
-		return strconv.Atoi(parts[i])
-	}
-	getf := func(i int) (float64, error) {
-		if i >= len(parts) {
-			return 0, fmt.Errorf("generator %q: missing argument %d", name, i+1)
-		}
-		return strconv.ParseFloat(parts[i], 64)
-	}
-	switch name {
-	case "cycle", "path", "wheel", "complete", "hypercube", "tree":
-		n, err := geti(0)
-		if err != nil {
-			return nil, err
-		}
-		switch name {
-		case "cycle":
-			return graph.Cycle(n), nil
-		case "path":
-			return graph.Path(n), nil
-		case "wheel":
-			return graph.Wheel(n), nil
-		case "complete":
-			return graph.Complete(n), nil
-		case "hypercube":
-			return graph.Hypercube(n), nil
-		default:
-			return graph.RandomTree(n, rng), nil
-		}
-	case "grid", "torus", "gnm", "theta", "kbipartite":
-		a, err := geti(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := geti(1)
-		if err != nil {
-			return nil, err
-		}
-		switch name {
-		case "grid":
-			return graph.Grid(a, b), nil
-		case "torus":
-			return graph.Torus(a, b), nil
-		case "gnm":
-			return graph.ConnectedGNM(a, b, rng), nil
-		case "theta":
-			return graph.Theta(a, b, rng), nil
-		default:
-			return graph.CompleteBipartite(a, b), nil
-		}
-	case "far":
-		n, err := geti(0)
-		if err != nil {
-			return nil, err
-		}
-		eps, err := getf(1)
-		if err != nil {
-			return nil, err
-		}
-		g, q := graph.FarFromCkFree(n, k, eps, rng)
-		fmt.Fprintf(os.Stderr, "graphgen: planted %d edge-disjoint C%d (certified %.3f-far)\n",
-			q, k, float64(q)/float64(g.M()))
-		return g, nil
-	case "planted":
-		n, err := geti(0)
-		if err != nil {
-			return nil, err
-		}
-		extra, err := geti(1)
-		if err != nil {
-			return nil, err
-		}
-		g, e := graph.PlantedCycle(n, k, extra, rng)
-		fmt.Fprintf(os.Stderr, "graphgen: planted C%d through edge %v\n", k, e)
-		return g, nil
-	default:
-		return nil, fmt.Errorf("unknown generator %q", name)
 	}
 }

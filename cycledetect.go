@@ -72,7 +72,9 @@ func (g *Graph) M() int { return g.b.M() }
 // build freezes the graph for simulation.
 func (g *Graph) build() *graph.Graph { return g.b.Build() }
 
-// Options configures Test and DetectThroughEdge.
+// Options configures Test and DetectThroughEdge. Both always run
+// Algorithm 1's pruned forwarding, which keeps every message within
+// Lemma 3's bound; no option selects the §3.2 append-and-forward strawman.
 type Options struct {
 	// K is the cycle length to test for (K >= 3). Required.
 	K int
@@ -88,19 +90,9 @@ type Options struct {
 	// IDs optionally assigns node identifiers (distinct, non-negative,
 	// IDs[v] for vertex v). Nil means vertex v has ID v.
 	IDs []int64
-	// Naive switches Phase 2 to unpruned append-and-forward (the §3.2
-	// strawman). Message sizes are then unbounded; for ablation experiments.
-	Naive bool
 	// BandwidthBits, when positive, aborts the run if any message exceeds
 	// the budget — a hard CONGEST enforcement.
 	BandwidthBits int
-}
-
-func (o *Options) mode() core.Mode {
-	if o.Naive {
-		return core.ModeNaive
-	}
-	return core.ModePruned
 }
 
 // instance compiles g into a network configured by the options. The
@@ -157,7 +149,7 @@ func Test(g *Graph, opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer nw.Close()
-	prog := &core.Tester{K: opts.K, Eps: opts.Epsilon, Reps: opts.Reps, Mode: opts.mode()}
+	prog := &core.Tester{K: opts.K, Eps: opts.Epsilon, Reps: opts.Reps}
 	res, err := nw.RunProgram(prog, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -184,7 +176,7 @@ func DetectThroughEdge(g *Graph, u, v int64, opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer nw.Close()
-	prog := &core.EdgeDetector{K: opts.K, U: u, V: v, Mode: opts.mode()}
+	prog := &core.EdgeDetector{K: opts.K, U: u, V: v}
 	res, err := nw.RunProgram(prog, opts.Seed)
 	if err != nil {
 		return nil, err

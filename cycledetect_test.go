@@ -154,17 +154,6 @@ func TestCustomIDs(t *testing.T) {
 	}
 }
 
-func TestNaiveModeEndToEnd(t *testing.T) {
-	g := ring(6)
-	res, err := Test(g, Options{K: 6, Epsilon: 0.1, Naive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Rejected {
-		t.Fatal("naive mode missed the C6")
-	}
-}
-
 func TestBandwidthOption(t *testing.T) {
 	g := ring(6)
 	// An absurdly small budget must trip enforcement.

@@ -7,11 +7,15 @@
 // wrap it:
 //
 //   - EdgeDetector (detector.go): Phase 2 alone, for a known edge — the
-//     deterministic detector of §3.2–3.4, also usable in naive
-//     (pruning-free) mode as the ablation baseline;
+//     deterministic detector of §3.2–3.4;
 //   - Tester (tester.go): the full randomized tester — Phase 1 rank
 //     selection, rank-prioritized concurrent checks, and the ⌈(e²/ε)·ln 3⌉
 //     repetitions that give Theorem 1's guarantee.
+//
+// Algorithm 1's pruned forwarding is the one forwarding policy. The §3.2
+// strawman that forwards every received sequence (ModeNaive) lives only on
+// EdgeDetector, as the ablation baseline of the experiments; the Tester has
+// no way to run it.
 package core
 
 import (
@@ -22,7 +26,8 @@ import (
 // ID is a node identifier.
 type ID = wire.ID
 
-// Mode selects the forwarding policy of Phase 2.
+// Mode selects an EdgeDetector's Phase-2 forwarding policy; a Tester always
+// runs ModePruned.
 type Mode int
 
 const (
@@ -31,7 +36,8 @@ const (
 	ModePruned Mode = iota
 	// ModeNaive forwards every received sequence (S ← R), the strawman of
 	// §3.2 whose message size explodes with vertex-connectivity between the
-	// candidate edge and the rest of the graph. Used for the E8 ablation.
+	// candidate edge and the rest of the graph. Only EdgeDetector runs it,
+	// as the ablation baseline (E8, E11).
 	ModeNaive
 )
 
@@ -125,7 +131,7 @@ type checkState struct {
 //
 // The demand grows with k (round-t messages carry up to (k−t+1)^(t−1)
 // sequences, Lemma 3) and super-linearly with density (denser graphs carry
-// more DISTINCT sequences past the arrival dedup), so the reservation is now
+// more distinct sequences), so the reservation is now
 // k-aware: 3(k−3)·deg for receipts and 6(k−3) sent spans. Re-measured
 // utilization with these caps: G(n,4n) ≤ 0.80 for k ≤ 9, G(n,8n) ≤ 0.56 at
 // k = 7, K_{12,12} 0.92 at k = 8 — all covered outright. The densest k = 9
@@ -212,13 +218,17 @@ func (cs *checkState) sameEdge(a, b ID) bool {
 // accumulate; a new round discards the previous round's receipts (Algorithm 1
 // only ever reads the immediately preceding round).
 //
-// The paper's R is a SET. Honest traffic keeps it one by itself: every
-// sequence ends with its sender's ID and a sender's S is a set, so no two
-// ports carry the same sequence (Lemma 1, which
-// TestPhase2SequencesAreSimplePaths checks on live traffic). Dropping exact
-// duplicates on arrival keeps R a set only under forged or damaged traffic;
-// the signature makes the duplicate scan a cheap integer sweep. A malformed
-// body is rolled back in full and ignored, like the seed's decode-then-drop.
+// Every decoded sequence is kept. The paper's R is a set, and honest
+// traffic keeps it one by itself: every sequence ends with its sender's ID
+// and a sender's S is a set, so no two ports carry the same sequence
+// (Lemma 1, which TestPhase2SequencesAreSimplePaths checks on live
+// traffic). Forged or damaged traffic may repeat a sequence, and a repeat
+// changes nothing a pruned node outputs: the representative greedy never
+// keeps a copy of a list it has seen, since a witness for the copy would
+// have to avoid it while hitting its identical twin, and detect's pairs
+// must be disjoint, which a sequence and its copy never are
+// (TestDuplicateReceiptsChangeNothing). A malformed body is rolled back in
+// full and ignored, like the seed's decode-then-drop.
 func (cs *checkState) absorbView(t int, v *wire.CheckView) {
 	if t != cs.recvRound {
 		cs.recv.Reset()
@@ -234,31 +244,14 @@ func (cs *checkState) absorbView(t int, v *wire.CheckView) {
 			break
 		}
 		cs.recv.IDs = ids
-		seq := ids[off:]
-		sig := sigOf(seq)
-		if cs.haveSeq(seq, sig) {
-			cs.recv.IDs = ids[:off]
-			continue
-		}
-		cs.recv.Spans = append(cs.recv.Spans, wire.Span{Off: int32(off), Len: int32(len(seq))})
-		cs.recvSigs = append(cs.recvSigs, sig)
+		cs.recv.Spans = append(cs.recv.Spans, wire.Span{Off: int32(off), Len: int32(len(ids) - off)})
+		cs.recvSigs = append(cs.recvSigs, sigOf(ids[off:]))
 	}
 	if it.Err() != nil || it.Trailing() != 0 {
 		cs.recv.IDs = cs.recv.IDs[:idMark]
 		cs.recv.Spans = cs.recv.Spans[:spanMark]
 		cs.recvSigs = cs.recvSigs[:spanMark]
 	}
-}
-
-// haveSeq reports whether an identical sequence is already stored; the
-// signature filters almost every candidate before the exact comparison.
-func (cs *checkState) haveSeq(seq []ID, sig uint64) bool {
-	for i, s := range cs.recvSigs {
-		if s == sig && equalSeq(cs.recv.Seq(i), seq) {
-			return true
-		}
-	}
-	return false
 }
 
 // sendSeqs computes the set S of sequences to broadcast at Phase-2 round t
@@ -316,9 +309,9 @@ func (cs *checkState) sendSeqs(t int) int {
 
 // cleanReceived fills cs.clean with the indices of the receipts having the
 // expected length and not containing myid, in arrival (port) order.
-// Set semantics match the paper's "R ← set of all ordered sequences
-// received" — duplicates were already dropped on arrival by absorbView —
-// and the processing order of the greedy is explicitly arbitrary (§3.3);
+// Honest receipts are already the paper's set "R ← set of all ordered
+// sequences received" (see absorbView), and the processing order of the
+// greedy is explicitly arbitrary (§3.3);
 // arrival order is deterministic, identical for any worker count, and
 // independent of the scheduler, so it is a valid reproducible choice that
 // costs nothing (the seed sorted lexicographically here, a hot-path sort
@@ -475,16 +468,4 @@ func intersectSeq(a, b []ID) bool {
 		}
 	}
 	return false
-}
-
-func equalSeq(a, b []ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

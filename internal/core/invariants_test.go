@@ -232,50 +232,67 @@ func TestDisconnectedComponents(t *testing.T) {
 }
 
 // TestPhase2SequencesAreSimplePaths checks Lemma 1 on live traffic. It
-// decodes every Phase-2 payload of real tester runs, pruned and naive,
-// k = 3..9, in the lockstep harness: each must be a check of a graph edge,
-// and each of its sequences a simple path of t IDs (t the Phase-2 round)
-// from an endpoint of that edge to the sender. validPair and the witness
-// assembly rely on it, and so does absorbView's note that honest traffic
-// never repeats a sequence.
+// decodes every Phase-2 payload of real runs in the lockstep harness,
+// k = 3..9: the tester's, which forwards representative subsets, and the
+// naive EdgeDetector's on every 15th edge of the same graph, which forwards
+// every receipt. Each payload must be a check of a graph edge, and each of
+// its sequences a simple path of t IDs (t the Phase-2 round) from an
+// endpoint of that edge to the sender. validPair and the witness assembly
+// rely on it, and so does absorbView's note that honest traffic never
+// repeats a sequence.
 func TestPhase2SequencesAreSimplePaths(t *testing.T) {
 	rng := xrand.New(43)
 	g := graph.ConnectedGNM(40, 120, rng)
+	edges := g.Edges()
 	for k := 3; k <= 9; k++ {
-		for _, mode := range []Mode{ModePruned, ModeNaive} {
-			prog := &Tester{K: k, Reps: 3, Mode: mode}
-			ls := newLockstep(g, prog, uint64(k))
-			per, seqs := prog.RoundsPerRep(), 0
-			for r := 1; r <= prog.Rounds(g.N(), g.M()); r++ {
-				local := (r - 1) % per
-				ls.round(r, func() {
-					if local == 0 {
-						return
+		tester := &Tester{K: k, Reps: 3}
+		per := tester.RoundsPerRep()
+		checkPhase2Paths(t, fmt.Sprintf("tester k=%d", k), g, tester, uint64(k),
+			func(r int) int { return (r - 1) % per })
+		for i := 0; i < len(edges); i += 15 {
+			e := edges[i]
+			det := &EdgeDetector{K: k, U: ID(e.U), V: ID(e.V), Mode: ModeNaive}
+			checkPhase2Paths(t, fmt.Sprintf("naive detector k=%d on %v", k, e), g, det, 0,
+				func(r int) int { return r })
+		}
+	}
+}
+
+// checkPhase2Paths runs prog in the lockstep harness and checks every
+// payload sent in a Phase-2 round for TestPhase2SequencesAreSimplePaths.
+// local maps a round to its Phase-2 round t, or to 0 for a Phase-1 round.
+func checkPhase2Paths(t *testing.T, name string, g *graph.Graph, prog network.Program, seed uint64, local func(r int) int) {
+	t.Helper()
+	ls := newLockstep(g, prog, seed)
+	seqs := 0
+	for r := 1; r <= prog.Rounds(g.N(), g.M()); r++ {
+		tr := local(r)
+		ls.round(r, func() {
+			if tr == 0 {
+				return
+			}
+			for v, out := range ls.out {
+				for _, payload := range out {
+					if payload == nil {
+						continue
 					}
-					for v, out := range ls.out {
-						for _, payload := range out {
-							if payload == nil {
-								continue
-							}
-							c, err := wire.DecodeCheck(payload)
-							if err != nil || !g.HasEdge(int(c.U), int(c.V)) {
-								t.Fatalf("k=%d mode %d round %d: node %d sent a bad check (%v)", k, mode, r, v, err)
-							}
-							for _, seq := range c.Seqs {
-								if !isPathFrom(g, seq, local, c.U, c.V, ID(v)) {
-									t.Fatalf("k=%d mode %d round %d: node %d sent %v on check {%d,%d}, not a simple path of %d IDs from the edge to the sender",
-										k, mode, r, v, seq, c.U, c.V, local)
-								}
-							}
-							seqs += len(c.Seqs)
+					c, err := wire.DecodeCheck(payload)
+					if err != nil || !g.HasEdge(int(c.U), int(c.V)) {
+						t.Fatalf("%s round %d: node %d sent a bad check (%v)", name, r, v, err)
+					}
+					for _, seq := range c.Seqs {
+						if !isPathFrom(g, seq, tr, c.U, c.V, ID(v)) {
+							t.Fatalf("%s round %d: node %d sent %v on check {%d,%d}, not a simple path of %d IDs from the edge to the sender",
+								name, r, v, seq, c.U, c.V, tr)
 						}
 					}
-				})
+					seqs += len(c.Seqs)
+				}
 			}
-			if seqs == 0 {
-				t.Fatalf("k=%d mode %d: no Phase-2 sequence was sent", k, mode)
-			}
-		}
+		})
+	}
+	if seqs == 0 {
+		t.Fatalf("%s: no Phase-2 sequence was sent", name)
 	}
 }
 

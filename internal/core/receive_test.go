@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 	"cycledetect/internal/wire"
 	"cycledetect/internal/xrand"
@@ -38,7 +39,7 @@ func receiveReference(n *testerNode, local int, in [][]byte) {
 		if c.Validate() != nil {
 			continue
 		}
-		n.cs.reset(n.prog.K, u, v, c.Rank, n.info.ID, false, n.prog.Mode)
+		n.cs.reset(n.prog.K, u, v, c.Rank, n.info.ID, false, ModePruned)
 		n.active = true
 		n.cs.absorbView(local, &c)
 	}
@@ -97,7 +98,7 @@ func (rc *receiveCase) prime(n *testerNode) {
 	if !rc.active {
 		return
 	}
-	n.cs.reset(n.prog.K, rc.u, rc.v, rc.rank, rc.myid, false, n.prog.Mode)
+	n.cs.reset(n.prog.K, rc.u, rc.v, rc.rank, rc.myid, false, ModePruned)
 	n.active = true
 	for _, s := range rc.sent {
 		n.cs.sent.Append(s)
@@ -113,7 +114,7 @@ func (rc *receiveCase) prime(n *testerNode) {
 
 // randomSeqs draws up to three sequences of IDs in [0, 24), mostly of the
 // round's length: short IDs keep duplicates across ports common, so the
-// arrival dedup and its order matter.
+// order in which receipts arrive, repeats included, matters.
 func randomSeqs(rng *xrand.RNG, ln int) [][]ID {
 	seqs := make([][]ID, rng.Intn(4))
 	for i := range seqs {
@@ -398,4 +399,70 @@ func FuzzReceiveChecks(f *testing.F) {
 				k, *rc, want, have)
 		}
 	})
+}
+
+// feedTwice is a tester node that hears every Phase-2 payload twice: each
+// Phase-2 receive runs receiveChecks over the round's ports once before the
+// node's own Receive runs it again.
+type feedTwice struct{ *testerNode }
+
+func (n feedTwice) Receive(round int, in [][]byte) {
+	if _, local := n.phase(round); local > 0 {
+		n.receiveChecks(local, in)
+	}
+	n.testerNode.Receive(round, in)
+}
+
+// TestDuplicateReceiptsChangeNothing pins the equivalence behind
+// absorbView's keeping every decoded sequence. Two runs of the same tester
+// and seed go side by side in the lockstep harness, one of them with every
+// node fed every Phase-2 payload twice, so that its receipts repeat. After
+// every round each node must have sent the same bytes from the same sent
+// arena, stayed on the same check, and reached the same detect result
+// (reject flag and witness): the representative greedy never keeps a copy
+// of an earlier list, and detect pairs only disjoint sequences.
+func TestDuplicateReceiptsChangeNothing(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"G(40,160)": graph.ConnectedGNM(40, 160, xrand.New(5)),
+		"K_{5,6}":   graph.CompleteBipartite(5, 6),
+	}
+	rejects := 0
+	for name, g := range graphs {
+		for k := 3; k <= 9; k++ {
+			prog := &Tester{K: k, Reps: 3}
+			once, twice := newLockstep(g, prog, uint64(k)), newLockstep(g, prog, uint64(k))
+			for v, nd := range twice.nodes {
+				twice.nodes[v] = feedTwice{nd.(*testerNode)}
+			}
+			for r := 1; r <= prog.Rounds(g.N(), g.M()); r++ {
+				once.round(r, nil)
+				twice.round(r, nil)
+				for v := range once.nodes {
+					a, b := once.nodes[v].(*testerNode), twice.nodes[v].(feedTwice).testerNode
+					for p := range once.out[v] {
+						if !slices.Equal(once.out[v][p], twice.out[v][p]) {
+							t.Fatalf("%s k=%d round %d: node %d port %d sent %x, fed twice %x",
+								name, k, r, v, p, once.out[v][p], twice.out[v][p])
+						}
+					}
+					if !slices.Equal(a.cs.sent.IDs, b.cs.sent.IDs) || !slices.Equal(a.cs.sent.Spans, b.cs.sent.Spans) ||
+						a.active != b.active || a.cs.rank != b.cs.rank || a.cs.u != b.cs.u || a.cs.v != b.cs.v {
+						t.Fatalf("%s k=%d round %d: node %d ends on another check or sent arena when fed twice", name, k, r, v)
+					}
+					if a.rejected != b.rejected || !slices.Equal(a.witness, b.witness) {
+						t.Fatalf("%s k=%d round %d: node %d detects %v %v, fed twice %v %v",
+							name, k, r, v, a.rejected, a.witness, b.rejected, b.witness)
+					}
+				}
+			}
+			for _, nd := range once.nodes {
+				if nd.(*testerNode).rejected {
+					rejects++
+				}
+			}
+		}
+	}
+	if rejects == 0 {
+		t.Fatal("no node rejected in any run; the comparison never saw a witness")
+	}
 }

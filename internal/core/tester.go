@@ -29,6 +29,11 @@ import (
 // check and leaves the last Phase-2 round's receipts, which only that
 // check reads, undecoded. It still joins, switches and relays checks as
 // before: its messages and switch count do not change.
+//
+// Every check forwards Algorithm 1's representative subsets (ModePruned),
+// the one policy that keeps a message within Lemma 3's bound; the §3.2
+// append-and-forward strawman runs only on EdgeDetector, as an ablation
+// baseline.
 type Tester struct {
 	K int
 	// Eps is the property-testing parameter; used only to derive the
@@ -37,8 +42,6 @@ type Tester struct {
 	// Reps overrides the repetition count when positive (tests and
 	// experiments use Reps=1 to measure per-repetition behavior).
 	Reps int
-	// Mode selects pruned (default) or naive forwarding.
-	Mode Mode
 }
 
 var _ network.Program = (*Tester)(nil)
@@ -211,9 +214,8 @@ func (n *testerNode) selectCheck() {
 	}
 	// The selected edge is incident, so this node is an endpoint of a real
 	// edge and must seed.
-	n.cs.reset(n.prog.K, bu, bv, n.edgeRanks[best], n.info.ID, true, n.prog.Mode)
+	n.cs.reset(n.prog.K, bu, bv, n.edgeRanks[best], n.info.ID, true, ModePruned)
 	n.active = true
-	n.metrics.ChecksStarted++
 }
 
 func (n *testerNode) Receive(round int, in [][]byte) {
@@ -351,7 +353,7 @@ func (n *testerNode) consider(local int, c *wire.CheckView) bool {
 	defected := n.active
 	// Joining a check mid-flight: the seeding round has already passed, so
 	// the seeder flag is moot; pass false for clarity.
-	n.cs.reset(n.prog.K, u, v, c.Rank, n.info.ID, false, n.prog.Mode)
+	n.cs.reset(n.prog.K, u, v, c.Rank, n.info.ID, false, ModePruned)
 	n.active = true
 	if absorb {
 		n.cs.absorbView(local, c)

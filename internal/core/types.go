@@ -29,9 +29,6 @@ type NodeMetrics struct {
 	// lower-rank one. A round counts once, since the node decodes only the
 	// checks of the lowest rank it hears and goes straight to the winner.
 	Switches int
-	// ChecksStarted counts repetitions in which the node seeded a check as
-	// an endpoint of its selected edge (full tester only).
-	ChecksStarted int
 }
 
 // reset zeroes the counters in place for node reuse across runs. The
@@ -43,7 +40,6 @@ func (m *NodeMetrics) reset() {
 	}
 	m.MaxSeqs = 0
 	m.Switches = 0
-	m.ChecksStarted = 0
 }
 
 func (m *NodeMetrics) observeSend(t, seqs, rounds int) {

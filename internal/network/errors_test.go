@@ -275,10 +275,10 @@ func TestRunProgramBandwidthError(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer nw.Close()
-		prog := &core.Tester{K: 6, Reps: 2, Mode: core.ModeNaive}
-		_, wantErr := runOnce(g, &core.Tester{K: 6, Reps: 2, Mode: core.ModeNaive}, network.Options{BandwidthBits: 40}, 3)
+		prog := &core.Tester{K: 6, Reps: 2}
+		_, wantErr := runOnce(g, &core.Tester{K: 6, Reps: 2}, network.Options{BandwidthBits: 40}, 3)
 		if wantErr == nil {
-			t.Fatal("expected a bandwidth violation from the naive tester")
+			t.Fatal("expected a bandwidth violation: Phase-2 checks on K_{8,8} exceed 40 bits")
 		}
 		_, gotErr := nw.RunProgram(prog, 3)
 		if gotErr == nil || gotErr.Error() != wantErr.Error() {

@@ -420,18 +420,14 @@ func (s *Server) countQueryErr(ctx context.Context, err error) {
 // path, which is what keeps repeated cache-hit queries near the
 // reused-RunProgram allocation floor.
 func (w *worker) arm(req *QueryRequest) (network.Program, int) {
-	mode := core.ModePruned
-	if req.Naive {
-		mode = core.ModeNaive
-	}
 	if req.Op == OpDetect {
-		if w.det == nil || w.det.K != req.K || w.det.U != req.Edge[0] || w.det.V != req.Edge[1] || w.det.Mode != mode {
-			w.det = &core.EdgeDetector{K: req.K, U: req.Edge[0], V: req.Edge[1], Mode: mode}
+		if w.det == nil || w.det.K != req.K || w.det.U != req.Edge[0] || w.det.V != req.Edge[1] {
+			w.det = &core.EdgeDetector{K: req.K, U: req.Edge[0], V: req.Edge[1]}
 		}
 		return w.det, 0
 	}
-	if w.tester == nil || w.tester.K != req.K || w.tester.Eps != req.Eps || w.tester.Reps != req.Reps || w.tester.Mode != mode {
-		w.tester = &core.Tester{K: req.K, Eps: req.Eps, Reps: req.Reps, Mode: mode}
+	if w.tester == nil || w.tester.K != req.K || w.tester.Eps != req.Eps || w.tester.Reps != req.Reps {
+		w.tester = &core.Tester{K: req.K, Eps: req.Eps, Reps: req.Reps}
 	}
 	return w.tester, w.tester.Repetitions()
 }

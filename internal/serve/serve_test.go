@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -409,6 +410,64 @@ func TestQueryValidation(t *testing.T) {
 		if rec.Code != code {
 			t.Errorf("engine %q: HTTP %d, want %d (%s)", engine, rec.Code, code, strings.TrimSpace(rec.Body.String()))
 		}
+	}
+}
+
+// TestQueryNaiveFieldRefused: both ops run pruned forwarding only, so a
+// body that still asks for the §3.2 strawman with "naive" is a 400, like
+// any other unknown field, and the same body without it is served.
+func TestQueryNaiveFieldRefused(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	h := s.Handler()
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{`{"graph":{"family":"cycle","n":8},"k":4,"reps":1}`, http.StatusOK},
+		{`{"graph":{"family":"cycle","n":8},"k":4,"reps":1,"naive":true}`, http.StatusBadRequest},
+		{`{"graph":{"family":"cycle","n":8},"k":4,"reps":1,"naive":false}`, http.StatusBadRequest},
+		{`{"graph":{"family":"cycle","n":8},"op":"detect","edge":[0,1],"k":4,"naive":true}`, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(tc.body)))
+		if rec.Code != tc.code {
+			t.Errorf("%s: HTTP %d, want %d (%s)", tc.body, rec.Code, tc.code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+}
+
+// TestQueryKBound: /query serves k up to combin.MaxCalibratedK (9). Past
+// it the representative selection is exponential in q = k−t and checks no
+// deadline, so a larger k is a 400, refused by validate before admission:
+// at a full gate it is answered at once, neither shed nor left to wait.
+func TestQueryKBound(t *testing.T) {
+	s := NewServer(Options{MaxConcurrentQueries: 1, MaxQueueDepth: 4})
+	defer s.Close()
+	h := s.Handler()
+	for k, code := range map[int]int{9: http.StatusOK, 10: http.StatusBadRequest, 13: http.StatusBadRequest} {
+		body := fmt.Sprintf(`{"graph":{"family":"cycle","n":12},"k":%d,"reps":1}`, k)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if rec.Code != code {
+			t.Errorf("k=%d: HTTP %d, want %d (%s)", k, rec.Code, code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+
+	if err := s.queryGate.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.queryGate.release()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := s.Query(ctx, &QueryRequest{
+		Graph: GraphRequest{Family: "cycle", N: 12}, Op: OpDetect, Edge: &[2]int64{0, 1}, K: 10,
+	})
+	if err == nil || !strings.Contains(err.Error(), "k must be in [3, 9]") {
+		t.Fatalf("k=10 at a full gate: err = %v, want the k-range refusal", err)
+	}
+	if st := s.Stats(); st.QueueDepth != 0 || st.Shed != 0 {
+		t.Fatalf("the k=10 query reached the gate: %+v", st)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"cycledetect/internal/combin"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 	"cycledetect/internal/sweep"
@@ -146,12 +147,16 @@ func (p *edgeParser) readInt(dst *int) bool {
 	return true
 }
 
-// QueryRequest is one tester/detector query.
+// QueryRequest is one tester/detector query. Both ops run Algorithm 1's
+// pruned forwarding; there is no field that selects another policy, and a
+// body with a field this struct lacks (such as "naive") is a 400.
 type QueryRequest struct {
 	Graph GraphRequest `json:"graph"`
 	// Op is "test" (default) or "detect".
 	Op string `json:"op,omitempty"`
-	// K is the cycle length (>= 3).
+	// K is the cycle length, in [3, combin.MaxCalibratedK] = [3, 9]. Past
+	// 9 the representative selection is exponential in q = k−t and checks
+	// no deadline, so a larger k is a 400 before admission.
 	K int `json:"k"`
 	// Eps is the property-testing parameter in (0,1); required for "test"
 	// unless Reps is given. The "far" graph family also reads it.
@@ -164,8 +169,6 @@ type QueryRequest struct {
 	Engine string `json:"engine,omitempty"`
 	// Edge is the detector's candidate edge as two node IDs (detect only).
 	Edge *[2]int64 `json:"edge,omitempty"`
-	// Naive disables Phase-2 pruning (ablation).
-	Naive bool `json:"naive,omitempty"`
 }
 
 // QueryResponse reports one query's outcome plus serving metadata.
@@ -203,8 +206,8 @@ func (req *QueryRequest) validate() error {
 	default:
 		return fmt.Errorf("serve: unknown op %q (want %q or %q)", req.Op, OpTest, OpDetect)
 	}
-	if req.K < 3 {
-		return fmt.Errorf("serve: k must be at least 3, got %d", req.K)
+	if req.K < 3 || req.K > combin.MaxCalibratedK {
+		return fmt.Errorf("serve: k must be in [3, %d], got %d", combin.MaxCalibratedK, req.K)
 	}
 	if req.Op == OpTest && req.Reps <= 0 && (req.Eps <= 0 || req.Eps >= 1) {
 		return fmt.Errorf("serve: eps %v outside (0,1) and no reps given", req.Eps)

@@ -41,7 +41,7 @@ func ProfileCycles(g *Graph, kmax int, opts Options) ([]CycleProfile, error) {
 	defer nw.Close()
 	profiles := make([]CycleProfile, 0, kmax-2)
 	for k := 3; k <= kmax; k++ {
-		prog := &core.Tester{K: k, Eps: opts.Epsilon, Reps: opts.Reps, Mode: opts.mode()}
+		prog := &core.Tester{K: k, Eps: opts.Epsilon, Reps: opts.Reps}
 		// Derive per-k seeds so runs are independent but reproducible (the
 		// same derivation per-k Test calls used before network reuse).
 		res, err := nw.RunProgram(prog, opts.Seed*1000003+uint64(k))
