@@ -40,9 +40,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if !graph.Connected(g) {
-		fatal(fmt.Errorf("graph is not connected (the CONGEST model requires a connected network)"))
-	}
 
 	var prog network.Program
 	if *edge != "" {
@@ -90,26 +87,46 @@ func main() {
 	}
 }
 
+// loadGraph reads or generates the graph and refuses one the tester cannot
+// run on: an empty graph, as the library's ErrEmptyGraph does, or a
+// disconnected one.
 func loadGraph(file, gen string, k int, seed uint64) (*graph.Graph, error) {
+	var (
+		g   *graph.Graph
+		err error
+	)
 	switch {
 	case file != "" && gen != "":
 		return nil, fmt.Errorf("give either -graph or -gen, not both")
 	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ReadText(f)
+		g, err = readFile(file)
 	case gen != "":
-		g, note, err := graph.BuildGen(gen, k, seed)
+		var note string
+		g, note, err = graph.BuildGen(gen, k, seed)
 		if note != "" {
 			fmt.Fprintln(os.Stderr, "ckfree:", note)
 		}
-		return g, err
 	default:
 		return nil, fmt.Errorf("one of -graph or -gen is required")
 	}
+	switch {
+	case err != nil:
+		return nil, err
+	case g.N() == 0:
+		return nil, fmt.Errorf("graph is empty (the tester needs at least one vertex)")
+	case !graph.Connected(g):
+		return nil, fmt.Errorf("graph is not connected (the CONGEST model requires a connected network)")
+	}
+	return g, nil
+}
+
+func readFile(name string) (*graph.Graph, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return graph.ReadText(f)
 }
 
 func parseEdge(s string) (int64, int64, error) {

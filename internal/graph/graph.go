@@ -3,8 +3,8 @@
 //
 // Graphs are simple (no self-loops, no parallel edges) and undirected, as in
 // the paper's model (§2.1). A Graph is immutable once built; construction
-// goes through a Builder so that neighbor lists can be sorted and
-// deduplicated exactly once.
+// goes through Builder or FromEdges, which both sort and deduplicate every
+// neighbor list.
 package graph
 
 import (
@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"unsafe"
@@ -98,11 +99,12 @@ func (g *Graph) MaxDegree() int {
 
 // Fingerprint returns the CANONICAL identity of the graph: a hex-encoded
 // SHA-256 over (n, m, CSR offsets, CSR adjacency). Because construction
-// always goes through Builder — which sorts and deduplicates neighbor
-// lists — two graphs with the same vertex count and edge set produce the
-// same fingerprint regardless of edge insertion order, and distinct edge
-// sets produce distinct fingerprints (up to hash collision). The serving
-// layer keys its cache of compiled networks for explicit graphs on this.
+// goes through Builder or FromEdges, which both sort and deduplicate
+// neighbor lists, two graphs with the same vertex count and edge set
+// produce the same fingerprint regardless of edge insertion order, and
+// distinct edge sets produce distinct fingerprints (up to hash collision).
+// The serving layer keys its cache of compiled networks for explicit graphs
+// on this.
 //
 // The words are hashed a 4 KB buffer at a time. The digest depends only on
 // the word sequence, and TestFingerprintPinned fixes it.
@@ -135,7 +137,9 @@ func (g *Graph) MemSize() int64 {
 // Builder accumulates edges and produces an immutable Graph.
 // Duplicate edges and self-loops are rejected eagerly so that bugs in
 // generators surface at construction time rather than as silent model
-// violations (the CONGEST model requires a simple graph).
+// violations (the CONGEST model requires a simple graph). Its edge map
+// serves generators that call HasEdge or M mid-build; a finished edge list
+// goes to FromEdges directly.
 type Builder struct {
 	n     int
 	edges map[Edge]struct{}
@@ -195,38 +199,71 @@ func (b *Builder) AddCycle(vs ...int) {
 	b.AddEdge(vs[len(vs)-1], vs[0])
 }
 
-// Build produces the immutable Graph.
+// Build produces the immutable Graph. It hands the map's edges to
+// FromEdges, the package's one CSR fill.
 func (b *Builder) Build() *Graph {
-	deg := make([]int32, b.n)
+	pairs := make([][2]int, 0, len(b.edges))
 	for e := range b.edges {
-		deg[e.U]++
-		deg[e.V]++
+		pairs = append(pairs, [2]int{e.U, e.V})
 	}
-	g := &Graph{n: b.n, m: len(b.edges)}
-	g.off = make([]int32, b.n+1)
-	for v := 0; v < b.n; v++ {
-		g.off[v+1] = g.off[v] + deg[v]
-	}
-	g.adj = make([]int32, 2*len(b.edges))
-	cursor := make([]int32, b.n)
-	copy(cursor, g.off[:b.n])
-	for e := range b.edges {
-		g.adj[cursor[e.U]] = int32(e.V)
-		cursor[e.U]++
-		g.adj[cursor[e.V]] = int32(e.U)
-		cursor[e.V]++
-	}
-	for v := 0; v < b.n; v++ {
-		slices.Sort(g.adj[g.off[v]:g.off[v+1]])
+	g, err := FromEdges(b.n, pairs)
+	if err != nil {
+		panic(err) // AddEdge has already refused every pair FromEdges would
 	}
 	return g
 }
 
-// FromEdges builds a graph on n vertices from an explicit edge list.
-func FromEdges(n int, edges []Edge) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
+// FromEdges builds a graph on n vertices from an explicit edge list, with
+// no hashing: it counts every vertex's degree, prefix-sums the counts into
+// CSR offsets, fills both directions of every pair, sorts each neighbor
+// list and drops its adjacent duplicates. Pairs may repeat and come in
+// either orientation. A self-loop or an endpoint outside [0, n) is an
+// error naming the first such pair, where Builder.AddEdge panics.
+func FromEdges(n int, edges [][2]int) (*Graph, error) {
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: vertex count %d outside [0, %d]", n, math.MaxInt32)
 	}
-	return b.Build()
+	if len(edges) > math.MaxInt32/2 {
+		return nil, fmt.Errorf("graph: %d edges, more than int32 offsets hold", len(edges))
+	}
+	off := make([]int32, n+1)
+	for i, e := range edges {
+		u, v := e[0], e[1]
+		if u == v {
+			return nil, fmt.Errorf("graph: edges[%d] = {%d,%d} is a self-loop", i, u, v)
+		}
+		if uint(u) >= uint(n) || uint(v) >= uint(n) {
+			return nil, fmt.Errorf("graph: edges[%d] = {%d,%d} is out of range [0,%d)", i, u, v, n)
+		}
+		off[u+1]++
+		off[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	// off[v] is the next free slot of v's list while filling, so it ends at
+	// v's end, which is where v+1 starts: shifting by one restores it.
+	adj := make([]int32, 2*len(edges))
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		adj[off[u]] = int32(v)
+		off[u]++
+		adj[off[v]] = int32(u)
+		off[v]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	// Sort each list and compact it leftwards over the duplicates; next is
+	// where v's list starts before compaction, off[v] where it starts after.
+	next := int32(0)
+	for v := 0; v < n; v++ {
+		ns := adj[next:off[v+1]]
+		next = off[v+1]
+		slices.Sort(ns)
+		off[v+1] = off[v] + int32(copy(adj[off[v]:], slices.Compact(ns)))
+	}
+	if int(off[n]) < len(adj) {
+		adj = slices.Clone(adj[:off[n]]) // let the duplicates' slots go
+	}
+	return &Graph{n: n, m: int(off[n]) / 2, off: off, adj: adj}, nil
 }

@@ -1,6 +1,10 @@
 package graph
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -73,7 +77,14 @@ func TestNeighborsSortedAndConsistent(t *testing.T) {
 func TestEdgesRoundTrip(t *testing.T) {
 	rng := xrand.New(3)
 	g := GNM(25, 80, rng)
-	h := FromEdges(g.N(), g.Edges())
+	var pairs [][2]int
+	for _, e := range g.Edges() {
+		pairs = append(pairs, [2]int{e.U, e.V})
+	}
+	h, err := FromEdges(g.N(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !Equal(g, h) {
 		t.Fatal("FromEdges(Edges()) is not identity")
 	}
@@ -479,4 +490,111 @@ func TestFingerprintPinned(t *testing.T) {
 			t.Errorf("%s: Fingerprint() = %s, want %s", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestFromEdgesErrors: FromEdges refuses every pair Builder.AddEdge panics
+// on with an error naming the first such pair, and a vertex count no
+// Builder takes, and it never panics.
+func TestFromEdgesErrors(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		edges [][2]int
+		want  string
+	}{
+		{3, [][2]int{{0, 1}, {1, 1}}, "edges[1] = {1,1} is a self-loop"},
+		{3, [][2]int{{0, 3}}, "edges[0] = {0,3} is out of range [0,3)"},
+		{3, [][2]int{{0, 1}, {1, 2}, {-1, 0}}, "edges[2] = {-1,0} is out of range"},
+		{3, [][2]int{{math.MinInt, 0}}, "is out of range"},
+		{3, [][2]int{{2, math.MaxInt}}, "is out of range"},
+		{0, [][2]int{{0, 1}}, "is out of range [0,0)"},
+		{-1, nil, "vertex count -1"},
+	} {
+		g, err := FromEdges(tc.n, tc.edges)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("FromEdges(%d, %v) = %v, %v; want an error containing %q", tc.n, tc.edges, g, err, tc.want)
+		}
+	}
+}
+
+// TestFromEdgesRepeats: an edge list in any order, with every edge listed
+// twice and in both orientations, builds the graph its edge set names,
+// byte for byte, and holds no slot for the repeats.
+func TestFromEdgesRepeats(t *testing.T) {
+	rng := xrand.New(8)
+	g := ConnectedGNM(200, 900, rng)
+	var pairs [][2]int
+	for _, e := range g.Edges() {
+		pairs = append(pairs, [2]int{e.U, e.V}, [2]int{e.V, e.U})
+	}
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	h, err := FromEdges(g.N(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Fingerprint() != g.Fingerprint() || !slices.Equal(h.off, g.off) || !slices.Equal(h.adj, g.adj) {
+		t.Fatal("a repeated, shuffled edge list built a different graph")
+	}
+	if h.MemSize() != g.MemSize() || cap(h.adj) >= 2*len(pairs) {
+		t.Fatalf("repeats kept their slots: MemSize %d vs %d, adj cap %d for %d pairs",
+			h.MemSize(), g.MemSize(), cap(h.adj), len(pairs))
+	}
+}
+
+// FuzzFromEdges is a differential test of FromEdges against the Builder.
+// n is taken mod 65, and each byte pair of data is one edge whose
+// endpoints fall in [-1, n+1]: lists repeat edges, list both orientations,
+// come in any order, and hold self-loops and negative and out-of-range
+// endpoints. Where AddEdge panics, FromEdges must return an error naming
+// that pair. Otherwise both graphs must have the same N, M, neighbor lists
+// and fingerprint.
+func FuzzFromEdges(f *testing.F) {
+	f.Add(uint8(4), []byte{0, 1, 2, 1, 1, 0, 3, 4, 4, 3, 1, 2, 4, 1})
+	f.Add(uint8(6), []byte{1, 2, 2, 1, 2, 3, 3, 4, 4, 5, 5, 6, 6, 1, 1, 4})
+	f.Add(uint8(3), []byte{1, 2, 2, 2})                                 // self-loop
+	f.Add(uint8(3), []byte{1, 2, 0, 1})                                 // negative endpoint
+	f.Add(uint8(3), []byte{1, 2, 2, 4})                                 // endpoint n
+	f.Add(uint8(0), []byte{0, 1})                                       // no vertices
+	f.Add(uint8(64), []byte{})                                          // no edges
+	f.Add(uint8(64), []byte{1, 64, 64, 1, 33, 2, 2, 33, 64, 1, 60, 61}) // n-1 and repeats
+	f.Fuzz(func(t *testing.T, nb uint8, data []byte) {
+		n := int(nb) % 65
+		var pairs [][2]int
+		for i := 0; i+1 < len(data); i += 2 {
+			pairs = append(pairs, [2]int{int(data[i])%(n+3) - 1, int(data[i+1])%(n+3) - 1})
+		}
+		got, err := FromEdges(n, pairs)
+
+		b := NewBuilder(n)
+		for i, e := range pairs {
+			if addPanics(b, e[0], e[1]) {
+				want := fmt.Sprintf("edges[%d] = {%d,%d}", i, e[0], e[1])
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("AddEdge panics on %s, FromEdges returned %v", want, err)
+				}
+				return
+			}
+		}
+		if err != nil {
+			t.Fatalf("FromEdges(%d, %v): %v, the Builder took every pair", n, pairs, err)
+		}
+		want := b.Build()
+		if got.N() != want.N() || got.M() != want.M() {
+			t.Fatalf("n=%d m=%d, the Builder gives n=%d m=%d", got.N(), got.M(), want.N(), want.M())
+		}
+		for v := range n {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("Neighbors(%d) = %v, the Builder gives %v", v, got.Neighbors(v), want.Neighbors(v))
+			}
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatal("neighbor lists agree but fingerprints differ")
+		}
+	})
+}
+
+// addPanics reports whether b.AddEdge(u, v) panics.
+func addPanics(b *Builder, u, v int) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	b.AddEdge(u, v)
+	return false
 }

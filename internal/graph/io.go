@@ -31,11 +31,13 @@ func WriteText(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadText parses the text edge-list format.
+// ReadText parses the text edge-list format and builds the graph with
+// FromEdges.
 func ReadText(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	var b *Builder
+	n := -1 // no header yet
+	var edges [][2]int
 	line := 0
 	for sc.Scan() {
 		line++
@@ -45,20 +47,20 @@ func ReadText(r io.Reader) (*Graph, error) {
 		}
 		fields := strings.Fields(txt)
 		if fields[0] == "n" {
-			if b != nil {
+			if n >= 0 {
 				return nil, fmt.Errorf("graph: line %d: duplicate n header", line)
 			}
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("graph: line %d: malformed n header", line)
 			}
-			n, err := strconv.Atoi(fields[1])
+			var err error
+			n, err = strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad vertex count %q", line, fields[1])
 			}
-			b = NewBuilder(n)
 			continue
 		}
-		if b == nil {
+		if n < 0 {
 			return nil, fmt.Errorf("graph: line %d: edge before n header", line)
 		}
 		if len(fields) != 2 {
@@ -69,18 +71,19 @@ func ReadText(r io.Reader) (*Graph, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("graph: line %d: bad endpoints", line)
 		}
-		if u == v || u < 0 || v < 0 || u >= b.N() || v >= b.N() {
+		// Checked here too, so that the error names the line.
+		if u == v || u < 0 || v < 0 || u >= n || v >= n {
 			return nil, fmt.Errorf("graph: line %d: invalid edge {%d,%d}", line, u, v)
 		}
-		b.AddEdge(u, v)
+		edges = append(edges, [2]int{u, v})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if b == nil {
+	if n < 0 {
 		return nil, fmt.Errorf("graph: missing n header")
 	}
-	return b.Build(), nil
+	return FromEdges(n, edges)
 }
 
 // Equal reports whether two graphs have identical vertex counts and edge

@@ -7,7 +7,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 	"unsafe"
 
 	"cycledetect/internal/graph"
@@ -264,11 +263,14 @@ func buildTopology(g *graph.Graph, ids []ID) (*topology, error) {
 		}
 	}
 	t := &topology{g: g, ids: ids, revPort: make([][]int32, n), nbrIDs: make([][]ID, n)}
-	// Adjacency lists are sorted, so a neighbor's reverse port is found by
-	// binary search; the per-vertex slices are carved from two flat backing
-	// arrays to keep setup allocations independent of n.
+	// Adjacency lists are sorted and duplicate-free, so v's port on a
+	// neighbor w is the number of w's neighbors below v. Visiting v in
+	// ascending order, cur[w] counts exactly those when v reaches w. The
+	// per-vertex slices are carved from two flat backing arrays to keep
+	// setup allocations independent of n.
 	revFlat := make([]int32, 2*g.M())
 	idFlat := make([]ID, 2*g.M())
+	cur := make([]int32, n)
 	off := 0
 	for v := 0; v < n; v++ {
 		ns := g.Neighbors(v)
@@ -276,8 +278,8 @@ func buildTopology(g *graph.Graph, ids []ID) (*topology, error) {
 		t.nbrIDs[v] = idFlat[off : off+len(ns) : off+len(ns)]
 		off += len(ns)
 		for p, w := range ns {
-			wns := g.Neighbors(int(w))
-			t.revPort[v][p] = int32(sort.Search(len(wns), func(i int) bool { return int(wns[i]) >= v }))
+			t.revPort[v][p] = cur[w]
+			cur[w]++
 			t.nbrIDs[v][p] = ids[w]
 		}
 	}

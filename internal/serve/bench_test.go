@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
@@ -9,6 +13,7 @@ import (
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 	"cycledetect/internal/sweep"
+	"cycledetect/internal/xrand"
 )
 
 // BenchmarkServeConcurrent measures the serving layer's per-query overhead
@@ -32,6 +37,13 @@ import (
 //
 // cached-query-parallel drives the reject workload from concurrent client
 // goroutines through the instance pool.
+//
+// miss-upload is the other end: every query misses. It is the repository
+// benchmark's query-miss shape in-process: 24 uploaded G(2048, 8192) edge
+// lists cycled through a 16-graph cache, each decoded by the handler's
+// decodeJSON and answered by the k=7 detector on one of its edges. An op
+// pays the decode, the graph build, the fingerprint, the compile, an
+// instance and an eviction.
 func BenchmarkServeConcurrent(b *testing.B) {
 	const n, k, reps = 256, 7, 8
 	tree, err := sweep.BuildGraph(sweep.GraphSpec{Family: "tree", N: n}, 0, 0, 7)
@@ -142,5 +154,54 @@ func BenchmarkServeConcurrent(b *testing.B) {
 				}
 			}
 		})
+	})
+
+	b.Run("miss-upload", func(b *testing.B) {
+		const pool, poolN, poolM = 24, 2048, 8192
+		rng := xrand.New(1)
+		bodies := make([][]byte, pool)
+		for i := range bodies {
+			g := graph.ConnectedGNM(poolN, poolM, rng)
+			edges := g.Edges()
+			e := edges[rng.Intn(len(edges))]
+			req := QueryRequest{
+				Graph: GraphRequest{N: poolN, Edges: make(EdgeList, len(edges))},
+				Op:    OpDetect, K: k, Edge: &[2]int64{int64(e.U), int64(e.V)},
+			}
+			for j, ed := range edges {
+				req.Graph.Edges[j] = [2]int{ed.U, ed.V}
+			}
+			body, err := json.Marshal(&req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies[i] = body
+		}
+		s := NewServer(Options{MaxGraphs: 16})
+		defer s.Close()
+		ctx := context.Background()
+		query := func(body []byte) {
+			var req QueryRequest
+			rec := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+			if !decodeJSON(rec, r, &req, maxQueryBytes) {
+				b.Fatalf("decoding an upload: %s", rec.Body)
+			}
+			resp, err := s.Query(ctx, &req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if resp.Cache != "miss" {
+				b.Fatalf("cache %q, want every query to miss", resp.Cache)
+			}
+		}
+		for _, body := range bodies {
+			query(body) // one pass fills the cache and the instance pools
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			query(bodies[i%pool])
+		}
 	})
 }

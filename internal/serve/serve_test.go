@@ -19,6 +19,7 @@ import (
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 	"cycledetect/internal/sweep"
+	"cycledetect/internal/xrand"
 )
 
 // freshDecision runs the same query on a fresh single-use network and
@@ -488,6 +489,72 @@ func TestShortEdgeListRefusedBeforeSizing(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("refusing n=2^22 allocated %d bytes, want under 1 MB", got)
+	}
+}
+
+// TestUploadRepeatsHitOneEntry: an upload of the same edge set shuffled,
+// with every edge listed twice and in both orientations, builds the same
+// canonical graph, so its query is a hit on the first upload's entry and
+// answers byte for byte as the first did, apart from elapsed_ms and cache.
+func TestUploadRepeatsHitOneEntry(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	h := s.Handler()
+	rng := xrand.New(5)
+	g := graph.ConnectedGNM(64, 200, rng)
+	var plain, repeated [][2]int
+	for _, e := range g.Edges() {
+		plain = append(plain, [2]int{e.U, e.V})
+		repeated = append(repeated, [2]int{e.U, e.V}, [2]int{e.V, e.U}, [2]int{e.V, e.U}, [2]int{e.U, e.V})
+	}
+	rng.Shuffle(len(repeated), func(i, j int) { repeated[i], repeated[j] = repeated[j], repeated[i] })
+
+	var answers [2]map[string]json.RawMessage
+	for i, edges := range [][][2]int{plain, repeated} {
+		body, err := json.Marshal(QueryRequest{Graph: GraphRequest{N: g.N(), Edges: edges}, K: 5, Eps: 0.1, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(string(body))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("upload %d: HTTP %d %s", i, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &answers[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range []string{`"miss"`, `"hit"`} {
+		if got := string(answers[i]["cache"]); got != want {
+			t.Fatalf("upload %d: cache %s, want %s", i, got, want)
+		}
+		delete(answers[i], "cache")
+		delete(answers[i], "elapsed_ms")
+	}
+	first, _ := json.Marshal(answers[0])
+	second, _ := json.Marshal(answers[1])
+	if string(first) != string(second) {
+		t.Fatalf("the repeated upload answered differently:\n first  %s\n second %s", first, second)
+	}
+	if st := s.Stats(); st.Compiles != 1 {
+		t.Fatalf("two uploads of one edge set compiled %d times", st.Compiles)
+	}
+}
+
+// TestUploadBadEdgeNamed: an upload holding a self-loop, an endpoint at n
+// or a negative endpoint is a 400 whose message names that edge.
+func TestUploadBadEdgeNamed(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	h := s.Handler()
+	for _, bad := range []string{"[2,2]", "[1,4]", "[-1,0]"} {
+		body := `{"graph":{"n":4,"edges":[[0,1],[1,2],[2,3],` + bad + `]},"k":3,"reps":1}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		named := "{" + strings.Trim(bad, "[]") + "}"
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), named) {
+			t.Errorf("edge %s: HTTP %d %s, want 400 naming %s", bad, rec.Code, strings.TrimSpace(rec.Body.String()), named)
+		}
 	}
 }
 

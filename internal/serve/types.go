@@ -253,28 +253,22 @@ func (req *QueryRequest) resolve() (key string, build func() (*graph.Graph, erro
 // errNotConnected refuses an explicit graph the CONGEST model cannot run.
 var errNotConnected = errors.New("serve: graph is not connected (the CONGEST model requires a connected network)")
 
-// buildExplicit constructs a graph from an explicit edge list.
+// buildExplicit constructs a graph from an explicit edge list, in any order
+// and with repeats in either orientation.
 func buildExplicit(n int, edges [][2]int) (*graph.Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("serve: explicit graph needs \"n\" >= 1, got %d", n)
 	}
 	// A connected graph on n vertices has at least n-1 edges. Refusing a
-	// shorter list before the builder exists keeps memory bounded by the
-	// body, not by the n it names.
+	// shorter list before FromEdges sizes anything keeps memory bounded by
+	// the body, not by the n it names.
 	if len(edges) < n-1 {
 		return nil, errNotConnected
 	}
-	b := graph.NewBuilder(n)
-	for _, e := range edges {
-		if e[0] == e[1] {
-			return nil, fmt.Errorf("serve: self-loop at %d", e[0])
-		}
-		if e[0] < 0 || e[1] < 0 || e[0] >= n || e[1] >= n {
-			return nil, fmt.Errorf("serve: edge {%d,%d} out of range [0,%d)", e[0], e[1], n)
-		}
-		b.AddEdge(e[0], e[1])
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		return nil, err // names the first self-loop or out-of-range pair
 	}
-	g := b.Build()
 	if !graph.Connected(g) {
 		return nil, errNotConnected
 	}
