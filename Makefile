@@ -7,7 +7,7 @@
 # behind them. The experiment benchmarks (E1-E12) are reproduction runs,
 # not perf-tracking targets.
 BENCH ?= TesterByK|TesterWarmByK|TesterRunWarm|EnginesCompare|NetworkReuse|ServeConcurrent|Representatives|WireCodec|Pruning$$|PrunerVsBrute|PublicAPI|CancelLatency|CancelOverhead|MetricsHotPath|Corestore
-SNAPSHOT ?= BENCH_22.json
+SNAPSHOT ?= BENCH_23.json
 
 # Maximum tolerated allocs/op regression (percent) between the two latest
 # committed snapshots; `make bench-gate` (a blocking CI step) fails beyond
@@ -38,10 +38,12 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# lint runs ckvet, the repo's own analyzer suite (internal/analysis): the
-# zero-alloc / ctx-flow / metric-registration / lock-liveness invariants
-# enforced at compile time. Dependency-free and offline-friendly; CI runs
-# the same command as a blocking step. See README "Static analysis".
+# lint runs ckvet, the repo's own analyzer suite (internal/analysis):
+# lockhold (no blocking call while a mutex is held, which no deterministic
+# test catches) and ckvetdirective (well-formed ignore directives). The
+# zero-alloc, ctx-flow and metric-registration invariants are held by
+# exact tests. Dependency-free and offline-friendly; CI runs the same
+# command as a blocking step. See README "Static analysis".
 lint:
 	go run ./cmd/ckvet ./...
 

@@ -1,16 +1,16 @@
-// Command ckvet runs the repo's domain-specific analyzer suite — the
-// compile-time enforcement of the invariants the paper reproduction
-// depends on (0-alloc steady state, ctx flow to every round barrier,
-// static metric registration, lock liveness).
+// Command ckvet runs the repo's own analyzer suite: lockhold, which
+// reports a blocking call made while a mutex is held (the one invariant no
+// deterministic test can hold), and ckvetdirective, which audits the
+// suite's ignore directives. The invariants that tests hold exactly are
+// left to the tests; README "Static analysis" maps each to its tests.
 //
 // Usage:
 //
-//	ckvet [-c catalog] [packages]
+//	ckvet [-c] [packages]
 //
-// With no package patterns it analyzes ./... — non-test files only, by
-// design: the tests violate these invariants on purpose. Exits 1 when any
-// finding survives //ckvet:ignore suppression, so `make lint` and CI can
-// block on it.
+// -c prints the analyzer catalog. With no package patterns it analyzes
+// ./... — non-test files only, by design. Exits 1 when any finding
+// survives an ignore directive, so `make lint` and CI can block on it.
 package main
 
 import (

@@ -5,14 +5,12 @@ import (
 	"testing"
 )
 
-func TestHotAlloc(t *testing.T)  { RunTest(t, "hotalloc", HotAlloc) }
-func TestCtxFlow(t *testing.T)   { RunTest(t, "ctxflow", CtxFlow) }
-func TestMetricReg(t *testing.T) { RunTest(t, "metricreg", MetricReg) }
-func TestLockHold(t *testing.T)  { RunTest(t, "lockhold", LockHold) }
+func TestLockHold(t *testing.T) { RunTest(t, "lockhold", LockHold) }
 
 // TestDirectives asserts the meta-analyzer's findings directly: its
 // diagnostics land on the //ckvet: comments themselves, where a `// want`
-// marker cannot also live.
+// marker cannot also live. The verbs of the retired hotalloc analyzer
+// (allocfree, allocs) are unknown verbs like any typo.
 func TestDirectives(t *testing.T) {
 	pkgs, err := Load(".", "./testdata/src/ckvetdirective")
 	if err != nil {
@@ -20,8 +18,9 @@ func TestDirectives(t *testing.T) {
 	}
 	diags := Run(pkgs, []*Analyzer{Directives})
 	wants := []string{
-		`//ckvet:allocs needs a reason`,
-		`unknown ckvet directive "allocsfree"`,
+		`unknown ckvet directive "allocfree"`,
+		`unknown ckvet directive "allocs"`,
+		`unknown ckvet directive "ignroe"`,
 		`unknown ckvet directive "ctxfield"`,
 		`//ckvet:ignore needs a reason`,
 	}

@@ -311,3 +311,49 @@ func (lc *lockChecker) flagIfHeld(pos token.Pos, what string, held map[string]bo
 	lc.pass.Reportf(pos,
 		"%s while holding %s — one blocking call here stalls every waiter on the lock", what, guards[0])
 }
+
+// staticCallee resolves a call's target to a *types.Func when the callee
+// is named statically (an identifier or a selector); calls through
+// function values and built-ins return nil.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// pkgFunc reports whether fn is the function path.name (e.g. "fmt",
+// "Errorf"); name "" matches any function of the package.
+func pkgFunc(fn *types.Func, path, name string) bool {
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	if fn.Pkg().Path() != path {
+		return false
+	}
+	return name == "" || fn.Name() == name
+}
+
+// exprString renders a lock-guard expression (x, s.mu, g.s.mu) for state
+// keys and messages. Only the shapes lock guards take are handled;
+// anything else renders as "?" and never matches.
+func exprString(e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprString(e.X) + "." + e.Sel.Name
+	case *ast.StarExpr:
+		return "*" + exprString(e.X)
+	case *ast.IndexExpr:
+		return exprString(e.X) + "[...]"
+	}
+	return "?"
+}

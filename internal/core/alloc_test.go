@@ -9,6 +9,7 @@ import (
 
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
+	"cycledetect/internal/wire"
 	"cycledetect/internal/xrand"
 )
 
@@ -199,6 +200,87 @@ func TestTesterWarmAllocFree(t *testing.T) {
 			}
 			if allocs, where := programAllocs().since(before); allocs != 0 {
 				t.Fatalf("%d warm runs made %d allocations; want 0. Stacks whose count rose:\n%s", runs, allocs, where)
+			}
+		})
+	}
+}
+
+// randomRankPort draws one port of a Phase-1 round: an honest rank, an
+// empty port, a payload of another kind (check is the port's Phase-2
+// payload), or a damaged rank: cut short, overlong, or past 64 bits.
+func randomRankPort(rng *xrand.RNG, check []byte) []byte {
+	r := wire.EncodeRank(wire.Rank{Rank: 1 + rng.Uint64n(1<<40)})
+	switch rng.Intn(7) {
+	case 0:
+		return nil
+	case 1:
+		return check
+	case 2:
+		return wire.EncodeProbe(wire.Probe{Node: ID(rng.Intn(24))})
+	case 3:
+		return r[:1+rng.Intn(len(r)-1)]
+	case 4:
+		return append(r[:len(r)-1:len(r)-1], r[len(r)-1]|0x80, 0)
+	case 5:
+		return []byte{wire.KindRank, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
+	}
+	return r
+}
+
+// TestDamagedTrafficAllocFree: a warm tester node drops damaged traffic
+// without allocating. Each of 4,000 randomized cases is one Phase-1 receive
+// of randomRankPort's ports and one Phase-2 receive of randomReceiveCase's
+// (about a third of its checks are damaged), on a node reused through
+// Reset. The traffic is drawn before the count, a first pass takes every
+// buffer to its high-water mark, and the second pass must make no heap
+// allocation at all (counted as in TestTesterWarmAllocFree).
+func TestDamagedTrafficAllocFree(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const trials = 4000
+	for _, k := range []int{5, 7} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			prog := &Tester{K: k, Reps: 1}
+			rng := xrand.New(uint64(80 + k))
+			cases := make([]*receiveCase, trials)
+			ranks := make([][][]byte, trials)
+			damaged := 0
+			for i := range cases {
+				rc := randomReceiveCase(rng, k, 0)
+				cases[i], ranks[i] = rc, make([][]byte, len(rc.in))
+				for p, payload := range rc.in {
+					ranks[i][p] = randomRankPort(rng, payload)
+					if v, err := wire.ParseCheck(payload); wire.Kind(payload) == wire.KindCheck &&
+						(err != nil || v.Validate() != nil) {
+						damaged++
+					}
+				}
+			}
+			if damaged < trials/4 {
+				t.Fatalf("only %d damaged checks in %d cases", damaged, trials)
+			}
+			nodes := map[int]*testerNode{} // by degree
+			pass := func() {
+				for i, rc := range cases {
+					info := network.NodeInfo{ID: rc.myid, N: 64, NeighborIDs: rc.nbrs}
+					n := nodes[len(rc.nbrs)]
+					if n == nil {
+						n = prog.NewNode(info).(*testerNode)
+						nodes[len(rc.nbrs)] = n
+					}
+					n.Reset(info)
+					n.Receive(1, ranks[i])
+					rc.prime(n)
+					n.receiveChecks(rc.local, rc.in)
+				}
+			}
+			pass()
+			before := programAllocs()
+			pass()
+			if allocs, where := programAllocs().since(before); allocs != 0 {
+				t.Fatalf("%d warm receives of damaged traffic made %d allocations; want 0. Stacks whose count rose:\n%s",
+					trials, allocs, where)
 			}
 		})
 	}

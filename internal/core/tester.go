@@ -261,8 +261,6 @@ func (n *testerNode) Receive(round int, in [][]byte) {
 // have without pass 1. Either way the node ends on the same check with the
 // same receipts, in the same order, as that single pass. A node that defects
 // to another check counts one switch for the round.
-//
-//ckvet:allocfree
 func (n *testerNode) receiveChecks(local int, in [][]byte) {
 	lo, ok := n.lowestRank(in)
 	if !ok || (n.active && lo > n.cs.rank) {
@@ -289,8 +287,6 @@ func (n *testerNode) receiveChecks(local int, in [][]byte) {
 // lowestRank is pass 1 of receiveChecks: it records each port's check rank
 // in portRanks and portLive and returns the lowest rank on any port (ok is
 // false when no port holds a check).
-//
-//ckvet:allocfree
 func (n *testerNode) lowestRank(in [][]byte) (lo uint64, ok bool) {
 	for p, payload := range in {
 		r, live := wire.CheckRank(payload)
@@ -307,8 +303,6 @@ func (n *testerNode) lowestRank(in [][]byte) (lo uint64, ok bool) {
 // dropped. An absorbed check's sequences are decoded straight into the
 // check's arena, with rollback on a malformed body, which is equivalent to
 // the seed's decode-then-drop.
-//
-//ckvet:allocfree
 func (n *testerNode) considerPayload(local int, payload []byte) bool {
 	if wire.Kind(payload) != wire.KindCheck {
 		return false

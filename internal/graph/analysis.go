@@ -56,27 +56,6 @@ func Components(g *Graph) [][]int {
 	return comps
 }
 
-// BFSDistances returns the hop distances from src (-1 for unreachable).
-func BFSDistances(g *Graph, src int) []int {
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(v) {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, int(w))
-			}
-		}
-	}
-	return dist
-}
-
 // Girth returns the length of a shortest cycle in g, or 0 if g is a forest.
 // It runs a BFS from every vertex; O(n·m), fine at laptop scale.
 func Girth(g *Graph) int {
@@ -118,41 +97,6 @@ func Girth(g *Graph) int {
 	return best
 }
 
-// IsBipartite reports whether g is 2-colorable. Bipartite graphs have no odd
-// cycles, giving Ck-free negative instances for all odd k.
-func IsBipartite(g *Graph) bool {
-	color := make([]int8, g.N()) // 0 unset, 1/2 colors
-	for s := 0; s < g.N(); s++ {
-		if color[s] != 0 {
-			continue
-		}
-		color[s] = 1
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Neighbors(v) {
-				if color[w] == 0 {
-					color[w] = 3 - color[v]
-					queue = append(queue, int(w))
-				} else if color[w] == color[v] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// DegreeHistogram returns a map degree -> count.
-func DegreeHistogram(g *Graph) map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.N(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // Subgraph returns the subgraph induced by keeping only the given edges
 // (vertex set unchanged). Used by the packing oracle.
 func Subgraph(g *Graph, keep func(Edge) bool) *Graph {
@@ -163,23 +107,6 @@ func Subgraph(g *Graph, keep func(Edge) bool) *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// Union returns the union of two graphs on the same vertex count.
-func Union(a, b *Graph) *Graph {
-	if a.N() != b.N() {
-		panic("graph: Union needs equal vertex counts")
-	}
-	bu := NewBuilder(a.N())
-	for _, e := range a.Edges() {
-		bu.AddEdge(e.U, e.V)
-	}
-	for _, e := range b.Edges() {
-		if !bu.HasEdge(e.U, e.V) {
-			bu.AddEdge(e.U, e.V)
-		}
-	}
-	return bu.Build()
 }
 
 // DisjointUnion returns a graph containing a and b on disjoint vertex sets

@@ -37,19 +37,13 @@ import (
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
-//
-//ckvet:allocfree
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds d (d must be non-negative to keep the counter monotone; this
 // is not checked on the hot path).
-//
-//ckvet:allocfree
 func (c *Counter) Add(d int64) { c.v.Add(d) }
 
 // Value returns the current count.
-//
-//ckvet:allocfree
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a value that can go up and down. The zero value is ready to
@@ -57,20 +51,14 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores v.
-//
-//ckvet:allocfree
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adds d (may be negative).
-//
-//ckvet:allocfree
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Max raises the gauge to v if v exceeds the current value — the
 // high-water-mark idiom (e.g. largest message seen). Safe under
 // concurrent Max and Set.
-//
-//ckvet:allocfree
 func (g *Gauge) Max(v int64) {
 	for {
 		cur := g.v.Load()
@@ -81,8 +69,6 @@ func (g *Gauge) Max(v int64) {
 }
 
 // Value returns the current value.
-//
-//ckvet:allocfree
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram counts observations into fixed buckets chosen at
@@ -120,8 +106,6 @@ func newHistogram(bounds []int64, scale float64) *Histogram {
 }
 
 // Observe records one sample.
-//
-//ckvet:allocfree
 func (h *Histogram) Observe(v int64) {
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
@@ -138,13 +122,9 @@ func (h *Histogram) Observe(v int64) {
 
 // ObserveSince records the time elapsed since start, in nanoseconds —
 // sugar for the dominant duration-histogram call site.
-//
-//ckvet:allocfree
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(start))) }
 
 // Count returns the total number of observations.
-//
-//ckvet:allocfree
 func (h *Histogram) Count() int64 {
 	var total int64
 	for i := range h.counts {
@@ -154,8 +134,6 @@ func (h *Histogram) Count() int64 {
 }
 
 // Sum returns the sum of all observed values, in the native unit.
-//
-//ckvet:allocfree
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Quantile estimates the q-quantile (q in [0,1]) in the native unit by
@@ -164,8 +142,6 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // the first observation, so callers can gate decisions on "do we know
 // anything yet". Allocation-free, so admission-control paths may call it
 // per request.
-//
-//ckvet:allocfree
 func (h *Histogram) Quantile(q float64) int64 {
 	if q < 0 {
 		q = 0

@@ -282,14 +282,15 @@ func TestConcurrentScrape(t *testing.T) {
 }
 
 // TestHotPathAllocFree pins the tentpole invariant: recording a sample
-// into any pre-registered series allocates nothing.
+// into any pre-registered series, and reading one back, allocates nothing.
 func TestHotPathAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "h", L("endpoint", "query"))
 	g := r.Gauge("g", "h")
 	h := r.Histogram("h_seconds", "h", DurationBounds, DurationScale)
 	hp := r.Histogram("h_bits", "h", Pow2Buckets(8, 20), 0)
-	var v int64
+	var v, read int64
+	start := time.Now()
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
@@ -297,15 +298,21 @@ func TestHotPathAllocFree(t *testing.T) {
 		g.Add(-1)
 		g.Max(v)
 		h.Observe(v)
+		h.ObserveSince(start)
 		hp.Observe(v)
 		v += 1009
 	})
 	if allocs != 0 {
 		t.Errorf("hot path allocates %.1f/op, want 0", allocs)
 	}
-	q := testing.AllocsPerRun(1000, func() { _ = h.Quantile(0.5) })
+	q := testing.AllocsPerRun(1000, func() {
+		read = h.Quantile(0.5) + c.Value() + g.Value() + h.Count() + h.Sum() + hp.Count()
+	})
 	if q != 0 {
-		t.Errorf("Quantile allocates %.1f/op, want 0", q)
+		t.Errorf("reads allocate %.1f/op, want 0", q)
+	}
+	if read == 0 {
+		t.Error("reads saw no samples")
 	}
 }
 

@@ -198,7 +198,6 @@ func (nw *Instance) buildEngine() {
 
 	// Send accounts each payload and checks the budget right after the
 	// node's Send, so a violation is its sender's error.
-	//ckvet:allocfree
 	nw.sendPhase = func(w, lo, hi int) {
 		st := &nw.perWorker[w]
 		budget := nw.c.bandwidthBits
@@ -215,7 +214,7 @@ func (nw *Instance) buildEngine() {
 				bits := 8 * len(payload)
 				st.observe(nw.round, bits)
 				if budget > 0 && bits > budget && nw.errs[v] == nil {
-					nw.errs[v] = &ErrBandwidth{ //ckvet:ignore budget-violation abort path, the run is over
+					nw.errs[v] = &ErrBandwidth{
 						Round: nw.round, From: nw.c.topo.ids[v], To: nw.c.topo.nbrIDs[v][pt],
 						Bits: bits, BudgetBit: budget,
 					}
@@ -229,7 +228,6 @@ func (nw *Instance) buildEngine() {
 	// node's Receive; the row is rewritten for every node.
 	maxDeg := g.MaxDegree()
 	scratch := make([][]byte, workers*maxDeg)
-	//ckvet:allocfree
 	nw.recvPhase = func(w, lo, hi int) {
 		row := scratch[w*maxDeg : (w+1)*maxDeg]
 		for v := lo; v < hi; v++ {
@@ -241,7 +239,6 @@ func (nw *Instance) buildEngine() {
 			nw.recvNode(w, v, in)
 		}
 	}
-	//ckvet:allocfree
 	nw.outputPhase = func(w, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			nw.outputNode(w, v)
@@ -252,28 +249,22 @@ func (nw *Instance) buildEngine() {
 // sendNode, recvNode and outputNode isolate one node's program calls: a
 // panic is converted into a recorded error, which aborts the run. They are
 // methods (not closures) so the hot path stays allocation-free.
-//
-//ckvet:allocfree
 func (nw *Instance) sendNode(w, v int) {
 	defer nw.catchNode(w, v, "Send")
 	nw.nodes[v].Send(nw.round, nw.out[v])
 }
 
-//ckvet:allocfree
 func (nw *Instance) recvNode(w, v int, in [][]byte) {
 	defer nw.catchNode(w, v, "Receive")
 	nw.nodes[v].Receive(nw.round, in)
 }
 
-//ckvet:allocfree
 func (nw *Instance) outputNode(w, v int) {
 	defer nw.catchNode(w, v, "Output")
 	nw.res.Outputs[v] = nw.nodes[v].Output()
 }
 
 // catchNode is the deferred recovery hook of the per-node calls.
-//
-//ckvet:allocs recovery path, runs only when a node panicked
 func (nw *Instance) catchNode(w, v int, what string) {
 	if p := recover(); p != nil {
 		nw.hasErr[w] = true
@@ -283,7 +274,6 @@ func (nw *Instance) catchNode(w, v int, what string) {
 	}
 }
 
-//ckvet:allocs recovery path, runs only when a node panicked
 func panicError(id ID, what string, round int, p any) error {
 	return fmt.Errorf("congest: node %d panicked in %s (round %d): %v", id, what, round, p)
 }
@@ -398,8 +388,6 @@ func (nw *Instance) RunProgramCtx(ctx context.Context, p Program, seed uint64) (
 // node failure recorded in the same run: which failures a cut-short run
 // observes depends on where it was cut, so ErrCanceled is the only
 // deterministic answer.
-//
-//ckvet:allocs aborted-run teardown, once per cancelled run
 func (nw *Instance) runCanceled(round int, cause error) error {
 	nw.hadErr = true
 	nw.lastProg = nil
@@ -409,8 +397,6 @@ func (nw *Instance) runCanceled(round int, cause error) error {
 // pollDone is the non-blocking cancellation poll the engine loop runs at
 // its barriers. done is nil for a never-cancellable context
 // (context.Background), making the poll free on the default path.
-//
-//ckvet:allocfree
 func pollDone(done <-chan struct{}) bool {
 	if done == nil {
 		return false
@@ -425,8 +411,6 @@ func pollDone(done <-chan struct{}) bool {
 
 // anyWorkerErr reports whether any worker recorded a failure this run; it
 // is scanned at the barrier after each phase (workers entries, not n).
-//
-//ckvet:allocfree
 func (nw *Instance) anyWorkerErr() bool {
 	for _, e := range nw.hasErr {
 		if e {
@@ -461,11 +445,11 @@ func (nw *Instance) abortRun(ctx context.Context, done <-chan struct{}, complete
 	return nw.runFailed()
 }
 
-//ckvet:allocfree
 func (nw *Instance) run(ctx context.Context, rounds int) (*Result, error) {
 	n := nw.c.g.N()
-	done := ctx.Done()                         // nil for a never-cancellable context: polls vanish
-	runPhase := func(fn func(w, lo, hi int)) { //ckvet:ignore non-escaping, stack-allocated; locked by TestRunAllocFree
+	done := ctx.Done() // nil for a never-cancellable context: polls vanish
+	// runPhase does not escape, so it stays on the stack.
+	runPhase := func(fn func(w, lo, hi int)) {
 		if nw.pool == nil {
 			fn(0, 0, n)
 			return
@@ -520,7 +504,6 @@ func sameProgram(a, b Program) bool {
 	return a == b
 }
 
-//ckvet:allocfree
 func clearPayloads(ps [][]byte) {
 	for i := range ps {
 		ps[i] = nil

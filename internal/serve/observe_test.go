@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,10 +58,34 @@ func metricValue(body, series string) float64 {
 	return -1
 }
 
+// seriesKeys returns the sorted series of an exposition body: each
+// sample's name and labels, with a bucket's le label (always the last)
+// dropped, so that a histogram's buckets make one key.
+func seriesKeys(body string) []string {
+	var keys []string
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key := line[:strings.LastIndexByte(line, ' ')]
+		if i := strings.Index(key, `le="`); i > 0 {
+			key = strings.TrimRight(key[:i], ",{")
+			if strings.Contains(key, "{") {
+				key += "}"
+			}
+		}
+		if !slices.Contains(keys, key) {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // TestHTTPMetricsExposition drives real traffic (two queries, the second a
-// cache hit) and validates the scrape: catalog presence with HELP/TYPE,
-// counters consistent with /stats, engine run metrics fed by the
-// collector, and histogram cumulativity.
+// cache hit) and validates the scrape: the exact series catalog, counters
+// consistent with /stats, engine run metrics fed by the collector, and
+// histogram cumulativity.
 func TestHTTPMetricsExposition(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()
@@ -80,28 +105,44 @@ func TestHTTPMetricsExposition(t *testing.T) {
 	}
 	out := scrape(t, ts.URL)
 
-	// Catalog: every family the runbook documents exists, with HELP and
-	// TYPE preceding its samples.
-	for _, name := range []string{
-		"serve_queries_total", "serve_timeouts_total",
-		"serve_failures_total", "serve_panics_recovered_total",
-		"serve_in_flight", "serve_queue_depth", "serve_queue_high_water",
-		"serve_shed_total", "serve_cache_hits_total", "serve_cache_misses_total",
+	// Catalog: the scrape holds exactly these series, so a series built
+	// outside the registry (missing here) or one added without a test
+	// (unexpected here) fails.
+	want := []string{
+		"serve_queries_total", "serve_timeouts_total", "serve_failures_total",
+		"serve_panics_recovered_total", "serve_in_flight", "serve_queue_depth",
+		"serve_queue_high_water",
+		`serve_shed_total{reason="query"}`, `serve_shed_total{reason="deadline"}`,
+		"serve_cache_hits_total", "serve_cache_misses_total",
 		"serve_cache_evictions_total", "serve_cache_compiles_total",
 		"serve_cache_graphs", "serve_cache_bytes", "serve_cache_bytes_max",
 		"serve_instances_live", "serve_instances_idle", "serve_instance_budget",
 		"serve_instance_bytes", "serve_instance_bytes_max",
-		"serve_queue_wait_seconds", "serve_acquire_seconds", "serve_run_seconds",
-		"serve_query_seconds",
-		"engine_runs_total", "engine_rounds_total", "engine_messages_total",
-		"engine_bits_total", "engine_canceled_total", "engine_failed_total",
-		"engine_run_messages", "engine_max_message_bits",
-	} {
-		if !strings.Contains(out, "# HELP "+name+" ") {
-			t.Errorf("missing HELP for %s", name)
+		`serve_queue_wait_seconds_bucket{queue="query"}`,
+		`serve_queue_wait_seconds_sum{queue="query"}`,
+		`serve_queue_wait_seconds_count{queue="query"}`,
+		"serve_acquire_seconds_bucket", "serve_acquire_seconds_sum", "serve_acquire_seconds_count",
+		"serve_run_seconds_bucket", "serve_run_seconds_sum", "serve_run_seconds_count",
+		"serve_query_seconds_bucket", "serve_query_seconds_sum", "serve_query_seconds_count",
+		`engine_runs_total{engine="bsp"}`, `engine_rounds_total{engine="bsp"}`,
+		`engine_messages_total{engine="bsp"}`, `engine_bits_total{engine="bsp"}`,
+		`engine_canceled_total{engine="bsp"}`, `engine_failed_total{engine="bsp"}`,
+		`engine_run_messages_bucket{engine="bsp"}`, `engine_run_messages_sum{engine="bsp"}`,
+		`engine_run_messages_count{engine="bsp"}`, `engine_max_message_bits{engine="bsp"}`,
+	}
+	got := seriesKeys(out)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("scraped series differ from the catalog\ngot  %q\nwant %q", got, want)
+	}
+	// Every family has HELP and TYPE.
+	for _, key := range want {
+		name, _, _ := strings.Cut(key, "{")
+		for _, part := range []string{"_bucket", "_sum", "_count"} {
+			name = strings.TrimSuffix(name, part)
 		}
-		if !strings.Contains(out, "# TYPE "+name+" ") {
-			t.Errorf("missing TYPE for %s", name)
+		if !strings.Contains(out, "# HELP "+name+" ") || !strings.Contains(out, "# TYPE "+name+" ") {
+			t.Errorf("missing HELP or TYPE for %s", name)
 		}
 	}
 

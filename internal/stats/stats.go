@@ -91,18 +91,6 @@ func WilsonCI(k, n int) (lo, hi float64) {
 	return lo, hi
 }
 
-// MeanInt returns the mean of an int sample (0 for empty).
-func MeanInt(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum int
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
 // MaxInt returns the maximum of an int sample (0 for empty).
 func MaxInt(xs []int) int {
 	max := 0

@@ -71,9 +71,6 @@ func TestWilsonCI(t *testing.T) {
 }
 
 func TestMeanMaxInt(t *testing.T) {
-	if MeanInt([]int{1, 2, 3}) != 2 || MeanInt(nil) != 0 {
-		t.Fatal("MeanInt wrong")
-	}
 	if MaxInt([]int{3, 1, 2}) != 3 || MaxInt(nil) != 0 || MaxInt([]int{-5, -2}) != -2 {
 		t.Fatal("MaxInt wrong")
 	}

@@ -31,7 +31,9 @@
 // the sequence bytes, and SeqIter walks the sequences reading varints in
 // place, so a receiver appends the IDs it keeps straight into its own
 // reused storage. DecodeCheck is built on the same three steps (ParseCheck,
-// Validate, Iter), so both tiers accept exactly the same payloads.
+// Validate, Iter), so both tiers accept exactly the same payloads. The
+// decoders report damage with the sentinels ErrTruncated, ErrKind and
+// ErrTrailing, so dropping a damaged payload allocates nothing either.
 package wire
 
 import (
@@ -71,6 +73,8 @@ var (
 	ErrTruncated = errors.New("wire: truncated message")
 	// ErrKind is returned when a payload has an unexpected kind tag.
 	ErrKind = errors.New("wire: unexpected message kind")
+	// ErrTrailing is returned when a payload has bytes past its last field.
+	ErrTrailing = errors.New("wire: trailing bytes")
 )
 
 // Span locates one sequence inside a SeqArena's flat ID buffer.
@@ -89,22 +93,16 @@ type SeqArena struct {
 }
 
 // Reset empties the arena, keeping capacity.
-//
-//ckvet:allocfree
 func (a *SeqArena) Reset() {
 	a.IDs = a.IDs[:0]
 	a.Spans = a.Spans[:0]
 }
 
 // Len returns the number of stored sequences.
-//
-//ckvet:allocfree
 func (a *SeqArena) Len() int { return len(a.Spans) }
 
 // Seq returns the i-th sequence. The slice aliases the arena and is valid
 // until the next Reset or append.
-//
-//ckvet:allocfree
 func (a *SeqArena) Seq(i int) []ID {
 	sp := a.Spans[i]
 	return a.IDs[sp.Off : sp.Off+sp.Len]
@@ -112,8 +110,6 @@ func (a *SeqArena) Seq(i int) []ID {
 
 // Append stores a copy of seq as a new sequence. Steady state reuses the
 // arena's capacity; growth beyond it is the sanctioned append idiom.
-//
-//ckvet:allocfree
 func (a *SeqArena) Append(seq []ID) {
 	a.Spans = append(a.Spans, Span{Off: int32(len(a.IDs)), Len: int32(len(seq))})
 	a.IDs = append(a.IDs, seq...)
@@ -122,8 +118,6 @@ func (a *SeqArena) Append(seq []ID) {
 // AppendWithTail stores a copy of seq extended by one trailing ID — the
 // "append my own ID" step of Algorithm 1, done without building the extended
 // sequence anywhere else first.
-//
-//ckvet:allocfree
 func (a *SeqArena) AppendWithTail(seq []ID, tail ID) {
 	a.Spans = append(a.Spans, Span{Off: int32(len(a.IDs)), Len: int32(len(seq) + 1)})
 	a.IDs = append(a.IDs, seq...)
@@ -131,8 +125,6 @@ func (a *SeqArena) AppendWithTail(seq []ID, tail ID) {
 }
 
 // AppendRank appends the serialization of r to buf.
-//
-//ckvet:allocfree
 func AppendRank(buf []byte, r Rank) []byte {
 	buf = append(buf, KindRank)
 	return binary.AppendUvarint(buf, r.Rank)
@@ -144,14 +136,12 @@ func EncodeRank(r Rank) []byte {
 }
 
 // DecodeRank parses a Rank payload.
-//
-//ckvet:allocfree
 func DecodeRank(p []byte) (Rank, error) {
 	if len(p) == 0 {
 		return Rank{}, ErrTruncated
 	}
 	if p[0] != KindRank {
-		return Rank{}, fmt.Errorf("%w: got %d want %d", ErrKind, p[0], KindRank) //ckvet:ignore malformed-input path, never taken on peer-encoded payloads
+		return Rank{}, ErrKind
 	}
 	v, n := uvarintLong(p[1:])
 	if n <= 0 {
@@ -164,8 +154,6 @@ func DecodeRank(p []byte) (Rank, error) {
 // with unsigned varints; fake IDs (negative) are an internal device of
 // Algorithm 1 and are never transmitted, so encoding panics if one leaks into
 // a message — that would be an algorithm bug, not an I/O condition.
-//
-//ckvet:allocfree
 func AppendCheck(buf []byte, c *Check) []byte {
 	buf = appendCheckHeader(buf, c.U, c.V, c.Rank, len(c.Seqs))
 	for _, seq := range c.Seqs {
@@ -180,8 +168,6 @@ func AppendCheck(buf []byte, c *Check) []byte {
 // AppendCheckArena appends the serialization of a check message whose
 // sequence set lives in a SeqArena. The wire format is byte-identical to
 // AppendCheck on the equivalent *Check.
-//
-//ckvet:allocfree
 func AppendCheckArena(buf []byte, u, v ID, rank uint64, a *SeqArena) []byte {
 	buf = appendCheckHeader(buf, u, v, rank, a.Len())
 	for i := 0; i < a.Len(); i++ {
@@ -213,7 +199,7 @@ func EncodeCheck(c *Check) []byte {
 
 func appendID(buf []byte, id ID) []byte {
 	if id < 0 {
-		panic(fmt.Sprintf("wire: negative (fake) ID %d must not be transmitted", id)) //ckvet:ignore algorithm-bug panic, unreachable on valid runs
+		panic(fmt.Sprintf("wire: negative (fake) ID %d must not be transmitted", id))
 	}
 	return binary.AppendUvarint(buf, uint64(id))
 }
@@ -233,8 +219,6 @@ type CheckView struct {
 // and the rank varint. ok is false for an empty payload, another kind or a
 // truncated or overlong rank; the rest of the header is not looked at, so
 // ParseCheck may still reject a payload CheckRank accepts.
-//
-//ckvet:allocfree
 func CheckRank(p []byte) (rank uint64, ok bool) {
 	if len(p) < 2 || p[0] != KindCheck {
 		return 0, false
@@ -245,15 +229,13 @@ func CheckRank(p []byte) (rank uint64, ok bool) {
 
 // ParseCheck reads the header of a Check payload in place. The sequence
 // bytes are not validated; call Validate or decode them to do that.
-//
-//ckvet:allocfree
 func ParseCheck(p []byte) (CheckView, error) {
 	var v CheckView
 	if len(p) == 0 {
 		return v, ErrTruncated
 	}
 	if p[0] != KindCheck {
-		return v, fmt.Errorf("%w: got %d want %d", ErrKind, p[0], KindCheck) //ckvet:ignore malformed-input path, never taken on peer-encoded payloads
+		return v, ErrKind
 	}
 	p = p[1:]
 	rank, n := uvarintLong(p)
@@ -286,8 +268,6 @@ func ParseCheck(p []byte) (CheckView, error) {
 }
 
 // Iter returns an in-place iterator over the view's sequences.
-//
-//ckvet:allocfree
 func (v *CheckView) Iter() SeqIter {
 	return SeqIter{p: v.body, n: v.NumSeqs}
 }
@@ -295,8 +275,6 @@ func (v *CheckView) Iter() SeqIter {
 // Validate walks the sequence bytes without storing them and returns the
 // error DecodeCheck would return: truncated fields or trailing bytes. A nil
 // result guarantees that decoding the view cannot fail.
-//
-//ckvet:allocfree
 func (v *CheckView) Validate() error {
 	it := v.Iter()
 	for it.Skip() {
@@ -305,7 +283,7 @@ func (v *CheckView) Validate() error {
 		return it.err
 	}
 	if len(it.p) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes", len(it.p)) //ckvet:ignore malformed-input path, never taken on peer-encoded payloads
+		return ErrTrailing
 	}
 	return nil
 }
@@ -320,8 +298,6 @@ type SeqIter struct {
 // Next appends the next sequence's IDs to dst, returning the extended slice
 // and true; it returns false when the sequences are exhausted or malformed
 // (check Err).
-//
-//ckvet:allocfree
 func (it *SeqIter) Next(dst []ID) ([]ID, bool) {
 	ln, ok := it.head()
 	if !ok {
@@ -341,8 +317,6 @@ func (it *SeqIter) Next(dst []ID) ([]ID, bool) {
 
 // Skip advances past the next sequence without decoding its IDs into a
 // buffer; it returns false when exhausted or malformed (check Err).
-//
-//ckvet:allocfree
 func (it *SeqIter) Skip() bool {
 	ln, ok := it.head()
 	if !ok {
@@ -429,8 +403,6 @@ func readID(p []byte) (ID, []byte, error) {
 // It is small enough to be inlined at every call site, and the first pass
 // of its loop is the one-byte fast path: a one-byte varint, as most IDs of
 // a small network are, costs a length check and one compare.
-//
-//ckvet:allocfree
 func uvarint(p []byte) (uint64, int) {
 	var x uint64
 	var s uint
@@ -457,8 +429,6 @@ func uvarint(p []byte) (uint64, int) {
 // three mask-and-shift steps pack the 7-bit groups into the value (two
 // groups per 16-bit lane, then per 32-bit lane, then one). Any other input
 // goes to uvarint, so both accept and return exactly the same.
-//
-//ckvet:allocfree
 func uvarintLong(p []byte) (uint64, int) {
 	if len(p) < 8 {
 		return uvarint(p)
@@ -498,14 +468,14 @@ func DecodeProbe(p []byte) (Probe, error) {
 		return Probe{}, ErrTruncated
 	}
 	if p[0] != KindProbe {
-		return Probe{}, fmt.Errorf("%w: got %d want %d", ErrKind, p[0], KindProbe)
+		return Probe{}, ErrKind
 	}
 	id, rest, err := readID(p[1:])
 	if err != nil {
 		return Probe{}, err
 	}
 	if len(rest) != 0 {
-		return Probe{}, fmt.Errorf("wire: %d trailing bytes", len(rest))
+		return Probe{}, ErrTrailing
 	}
 	return Probe{Node: id}, nil
 }
@@ -517,7 +487,3 @@ func Kind(p []byte) byte {
 	}
 	return p[0]
 }
-
-// SizeBits returns the size of a payload in bits as charged against the
-// CONGEST bandwidth budget.
-func SizeBits(p []byte) int { return 8 * len(p) }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -216,23 +217,13 @@ func TestFakeIDsNeverEncoded(t *testing.T) {
 	EncodeCheck(&Check{U: 1, V: 2, Seqs: [][]ID{{-1}}})
 }
 
-func TestSizeBitsMatchesLength(t *testing.T) {
-	p := EncodeCheck(&Check{U: 1, V: 2, Rank: 3, Seqs: [][]ID{{4, 5}}})
-	if SizeBits(p) != 8*len(p) {
-		t.Fatal("SizeBits mismatch")
-	}
-	if Kind(nil) != 0 {
-		t.Fatal("empty payload kind")
-	}
-}
-
 // TestSizeIsLogarithmic: a check message with O_k(1) sequences of O(k) IDs
 // drawn from [0, n) occupies O(k^2 log n) bits — verify the concrete growth
 // is logarithmic in the ID magnitude, which is the CONGEST requirement.
 func TestSizeIsLogarithmic(t *testing.T) {
 	mk := func(idBase ID) int {
 		seqs := [][]ID{{idBase, idBase + 1, idBase + 2}, {idBase + 3, idBase + 4, idBase + 5}}
-		return SizeBits(EncodeCheck(&Check{U: idBase, V: idBase + 9, Rank: uint64(idBase), Seqs: seqs}))
+		return 8 * len(EncodeCheck(&Check{U: idBase, V: idBase + 9, Rank: uint64(idBase), Seqs: seqs}))
 	}
 	small := mk(10)
 	big := mk(1 << 40)
@@ -256,11 +247,11 @@ func TestProbeRoundTrip(t *testing.T) {
 		}
 	}
 	// Cross-kind and corruption rejection.
-	if _, err := DecodeProbe(EncodeRank(Rank{1})); err == nil {
-		t.Fatal("rank decoded as probe")
+	if _, err := DecodeProbe(EncodeRank(Rank{1})); !errors.Is(err, ErrKind) {
+		t.Fatalf("rank decoded as probe: err = %v, want ErrKind", err)
 	}
-	if _, err := DecodeProbe(nil); err == nil {
-		t.Fatal("empty probe accepted")
+	if _, err := DecodeProbe(nil); err == nil || Kind(nil) != 0 {
+		t.Fatal("empty probe accepted, or given a kind")
 	}
 	good := EncodeProbe(Probe{Node: 1 << 30})
 	for cut := 0; cut < len(good); cut++ {
@@ -268,8 +259,8 @@ func TestProbeRoundTrip(t *testing.T) {
 			t.Fatalf("prefix %d accepted", cut)
 		}
 	}
-	if _, err := DecodeProbe(append(append([]byte{}, good...), 1)); err == nil {
-		t.Fatal("trailing byte accepted")
+	if _, err := DecodeProbe(append(append([]byte{}, good...), 1)); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("trailing byte: err = %v, want ErrTrailing", err)
 	}
 	defer func() {
 		if recover() == nil {

@@ -131,11 +131,6 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	return hi
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -195,12 +195,3 @@ func TestUint64nQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestInt63NonNegative(t *testing.T) {
-	r := New(31)
-	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 negative")
-		}
-	}
-}
