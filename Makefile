@@ -7,7 +7,7 @@
 # behind them. The experiment benchmarks (E1-E12) are reproduction runs,
 # not perf-tracking targets.
 BENCH ?= TesterByK|TesterWarmByK|TesterRunWarm|EnginesCompare|NetworkReuse|ServeConcurrent|Representatives|WireCodec|Pruning$$|PrunerVsBrute|PublicAPI|CancelLatency|CancelOverhead|MetricsHotPath|Corestore
-SNAPSHOT ?= BENCH_23.json
+SNAPSHOT ?= BENCH_24.json
 
 # Maximum tolerated allocs/op regression (percent) between the two latest
 # committed snapshots; `make bench-gate` (a blocking CI step) fails beyond

@@ -207,10 +207,11 @@ func TestTesterWarmAllocFree(t *testing.T) {
 
 // randomRankPort draws one port of a Phase-1 round: an honest rank, an
 // empty port, a payload of another kind (check is the port's Phase-2
-// payload), or a damaged rank: cut short, overlong, or past 64 bits.
+// payload), or a damaged rank: cut short, overlong, past 64 bits, or
+// followed by a trailing byte.
 func randomRankPort(rng *xrand.RNG, check []byte) []byte {
 	r := wire.EncodeRank(wire.Rank{Rank: 1 + rng.Uint64n(1<<40)})
-	switch rng.Intn(7) {
+	switch rng.Intn(8) {
 	case 0:
 		return nil
 	case 1:
@@ -223,6 +224,8 @@ func randomRankPort(rng *xrand.RNG, check []byte) []byte {
 		return append(r[:len(r)-1:len(r)-1], r[len(r)-1]|0x80, 0)
 	case 5:
 		return []byte{wire.KindRank, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
+	case 6:
+		return append(r, byte(rng.Intn(256)))
 	}
 	return r
 }

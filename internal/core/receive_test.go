@@ -101,15 +101,23 @@ func (rc *receiveCase) prime(n *testerNode) {
 	n.cs.reset(n.prog.K, rc.u, rc.v, rc.rank, rc.myid, false, ModePruned)
 	n.active = true
 	for _, s := range rc.sent {
-		n.cs.sent.Append(s)
+		appendSeq(&n.cs.sent, s)
 		n.cs.sentSigs = append(n.cs.sentSigs, sigOf(s))
 	}
 	n.cs.sentRound = rc.local
 	for _, s := range rc.recv {
-		n.cs.recv.Append(s)
+		appendSeq(&n.cs.recv, s)
 		n.cs.recvSigs = append(n.cs.recvSigs, sigOf(s))
 	}
 	n.cs.recvRound = rc.local - 1
+}
+
+// appendSeq stores a copy of seq in a as a new sequence, as absorbView
+// stores a decoded one. The sequence may be empty, which AppendWithTail
+// cannot store.
+func appendSeq(a *wire.SeqArena, seq []ID) {
+	a.Spans = append(a.Spans, wire.Span{Off: int32(len(a.IDs)), Len: int32(len(seq))})
+	a.IDs = append(a.IDs, seq...)
 }
 
 // randomSeqs draws up to three sequences of IDs in [0, 24), mostly of the

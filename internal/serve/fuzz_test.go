@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -55,6 +56,76 @@ func FuzzEdgeList(f *testing.F) {
 			t.Fatalf("%q: decoded %v, [][2]int gives %v", data, got, want)
 		}
 	})
+}
+
+// FuzzDecodeQuery is a differential test of the /query body decoder
+// against encoding/json: the oracle is json.Decoder with
+// DisallowUnknownFields, plus the rule that only whitespace may follow the
+// value. decodeQuery must accept exactly what the oracle accepts and decode
+// it to the same QueryRequest. The edge list is the one part both sides
+// hand to the same parser; FuzzEdgeList checks that one against [][2]int.
+func FuzzDecodeQuery(f *testing.F) {
+	hit := QueryRequest{ // perfbench's query-hit shape
+		Graph: GraphRequest{Family: "gnm", N: 256, M: 1024, Seed: 7},
+		K:     7, Eps: 0.1, Seed: 1 << 52,
+	}
+	miss := QueryRequest{ // perfbench's query-miss shape, on a smaller graph
+		Graph: GraphRequest{N: 6, Edges: EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}},
+		Op:    OpDetect, K: 7, Edge: &[2]int64{2, 3},
+	}
+	every := QueryRequest{ // every field set, so a field the decoder lacks fails here
+		Graph: GraphRequest{Family: "far", N: 9, M: 12, Seed: 3, Edges: EdgeList{{0, 1}}},
+		Op:    OpTest, K: 5, Eps: 0.25, Reps: 2, Seed: 11, Engine: "bsp", Edge: &[2]int64{4, 5},
+	}
+	for _, req := range []QueryRequest{hit, miss, every} {
+		body, err := json.Marshal(&req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, s := range []string{
+		`{"K":3}`, "{\"\u212a\":3}", `{"\u212a":3}`, `{"\u006b":3}`, `{"S\u0065ED":3}`,
+		`{"gr\u0061ph":{"\u0065dges":[[0,1]],"N":2}}`, "{\"\u017feed\":1}", `{"GRAPH":{"EDGES":null}}`,
+		`{"k":3,"k":4}`, `{"graph":{"n":5},"graph":{"family":"cycle"}}`, `{"graph":{"n":5},"graph":null}`,
+		`{"edge":[1,2],"edge":[3]}`, `{"graph":{"edges":[[0,1]],"edges":null}}`, `{"graph":{"edges":[[0,1]],"edges":[]}}`,
+		`null`, ` {} `, `[]`, `"k"`, `{"graph":null,"op":null,"k":null,"eps":null,"reps":null,"seed":null,"engine":null,"edge":null}`,
+		`{"graph":{"family":null,"n":null,"m":null,"seed":null,"edges":null}}`,
+		`{"k":7.0}`, `{"k":1e1}`, `{"k":-0}`, `{"eps":1e1}`, `{"eps":-0}`, `{"seed":-0}`, `{"reps":01}`,
+		`{"seed":18446744073709551615}`, `{"seed":18446744073709551616}`, `{"graph":{"seed":18446744073709551616}}`,
+		`{"k":9223372036854775808}`, `{"edge":[1]}`, `{"edge":[1,2,3]}`, `{"edge":[1,[2]]}`, `{"edge":"x"}`,
+		"\xef\xbb\xbf{\"k\":3}", `{"k":3}garbage`, `{"k":3}{"k":99}`, "{\"k\":3} \t\r\n", `{"k":3},`,
+		`{"naive":true}`, `{"graph":{"bogus":1}}`, `{"graph":5}`, `{"graph":[]}`, `{"k":3,}`, `{"k" 3}`, `{"k":}`,
+		`{"k":"3"}`, `{"op":"t\u0065st","engine":"\ud800"}`, `{"graph":{"edges":[[0,1],[1,2]` + "\n" + `]}}`, `{`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got QueryRequest
+		err := decodeQuery(data, &got)
+		var want QueryRequest
+		werr := oracleDecode(data, &want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%q: decodeQuery error %v, the oracle's %v", data, err, werr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decoded %+v, the oracle %+v", data, got, want)
+		}
+	})
+}
+
+// oracleDecode is FuzzDecodeQuery's oracle: json.Decoder with
+// DisallowUnknownFields, and nothing but whitespace after the value.
+func oracleDecode(data []byte, req *QueryRequest) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\n\r"); len(rest) > 0 {
+		return fmt.Errorf("%d bytes after the value", len(rest))
+	}
+	return nil
 }
 
 // TestEdgeListBadBodyBounded checks that a rejected edge list costs no more
@@ -150,6 +221,29 @@ func leastAlloc(f func()) uint64 {
 	return least
 }
 
+// TestQueryDeclaredLengthNotReserved checks that a body's declared length
+// is reserved only up to bodyReserve: a client that declares the largest
+// body the server takes and then sends a few bytes gets a 400, having cost
+// about 1 MiB, not 64 MiB.
+func TestQueryDeclaredLengthNotReserved(t *testing.T) {
+	var code int
+	got := leastAlloc(func() {
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"k":3}`))
+		req.ContentLength = maxQueryBytes
+		rec := httptest.NewRecorder()
+		var q QueryRequest
+		decodeJSON(rec, req, &q, maxQueryBytes)
+		code = rec.Code
+	})
+	if code != http.StatusBadRequest {
+		t.Fatalf("HTTP %d, want 400 for a body shorter than declared", code)
+	}
+	if got > 2*bodyReserve {
+		t.Errorf("a %d-byte body declared as %d bytes allocated %d bytes, want at most %d",
+			len(`{"k":3}`), maxQueryBytes, got, 2*bodyReserve)
+	}
+}
+
 // TestQueryBodyLimits checks the two size refusals of /query, each with
 // bounded allocation: a body over maxQueryBytes is a 413, and an edge list
 // longer than sweep.MaxFamilyEdges is a 400.
@@ -198,6 +292,39 @@ func TestQueryBodyLimits(t *testing.T) {
 		}
 		if got > 6*limit {
 			t.Errorf("refusing an endless body at a %d-byte limit allocated %d bytes", limit, got)
+		}
+	})
+
+	t.Run("upload-at-limit", func(t *testing.T) {
+		// The largest list a graph may have, 2^20 pairs [i,i+1] in a
+		// 16.7 MB body, through the handler's decoder: the body is read
+		// into one buffer and the list is sized from it, so decoding costs
+		// at most 5x the list's 16 MiB (encoding/json's decoder took 7.2x).
+		body := []byte(`{"graph":{"n":1048577,"edges":[`)
+		for i := range sweep.MaxFamilyEdges {
+			if i > 0 {
+				body = append(body, ',')
+			}
+			body = append(body, '[')
+			body = strconv.AppendInt(body, int64(i), 10)
+			body = append(body, ',')
+			body = strconv.AppendInt(body, int64(i+1), 10)
+			body = append(body, ']')
+		}
+		body = append(body, `]},"k":3,"reps":1}`...)
+		var q QueryRequest
+		ok := false
+		got := leastAlloc(func() {
+			q = QueryRequest{}
+			rec := httptest.NewRecorder()
+			ok = decodeJSON(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)), &q, maxQueryBytes)
+		})
+		if !ok || len(q.Graph.Edges) != sweep.MaxFamilyEdges || q.Graph.Edges[12345] != [2]int{12345, 12346} {
+			t.Fatalf("decoded %v, %d edges", ok, len(q.Graph.Edges))
+		}
+		if list := uint64(16 * sweep.MaxFamilyEdges); got > 5*list {
+			t.Errorf("decoding a %d-byte body of %d edges allocated %d bytes, want at most %d",
+				len(body), sweep.MaxFamilyEdges, got, 5*list)
 		}
 	})
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
@@ -164,17 +165,14 @@ func httpError(w http.ResponseWriter, r *http.Request, code int, err error) {
 // past that many edges while it decodes (see EdgeList).
 const maxQueryBytes = 64 * sweep.MaxFamilyEdges
 
-// decodeJSON decodes a body of at most limit bytes into v. A larger body is
-// a 413, refused from its Content-Length when that is declared and after
-// limit bytes otherwise; a malformed one is a 400.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	var err error
-	if r.ContentLength > limit {
-		err = &http.MaxBytesError{Limit: limit}
-	} else {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(v)
+// decodeJSON reads a body of at most limit bytes and decodes it into req
+// (see decodeQuery). A larger body is a 413, refused from its
+// Content-Length when that is declared and after limit bytes otherwise; a
+// malformed one is a 400.
+func decodeJSON(w http.ResponseWriter, r *http.Request, req *QueryRequest, limit int64) bool {
+	body, err := readBody(w, r, limit)
+	if err == nil {
+		err = decodeQuery(body, req)
 	}
 	if err == nil {
 		return true
@@ -187,6 +185,50 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any, limit int64) bool
 		httpError(w, r, http.StatusBadRequest, fmt.Errorf("serve: parsing request: %w", err))
 	}
 	return false
+}
+
+// bodyReserve is the most readBody reserves for a body before any of it
+// has arrived.
+const bodyReserve = 1 << 20
+
+// readBody reads a request body of at most limit bytes. A body whose
+// declared length is at most bodyReserve, an upload of up to about 90,000
+// edges, is read into one buffer of exactly that length. Any other body's
+// buffer doubles as it fills (never past a declared length), so a client
+// that declares 64 MiB and then stalls holds 1 MiB of the server's memory,
+// not 64; io.ReadAll would grow a large buffer 1.25x at a time.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	size := r.ContentLength // -1 when the length is not declared
+	if size > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	reserve := int64(512)
+	if size >= 0 {
+		reserve = min(size, bodyReserve)
+	}
+	buf := make([]byte, 0, reserve)
+	for size < 0 || int64(len(buf)) < size {
+		if len(buf) == cap(buf) {
+			grown := 2 * int64(cap(buf))
+			if size >= 0 {
+				grown = min(grown, size)
+			}
+			buf = append(make([]byte, 0, grown), buf...)
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			if int64(len(buf)) < size {
+				return nil, io.ErrUnexpectedEOF // shorter than declared
+			}
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -414,6 +414,33 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestQueryTrailingBytesRefused: a /query body is one JSON value and
+// whitespace. Garbage or a second object after the value is a 400, not a
+// query answered as the first value alone.
+func TestQueryTrailingBytesRefused(t *testing.T) {
+	s := NewServer(Options{})
+	defer s.Close()
+	h := s.Handler()
+	const query = `{"graph":{"family":"cycle","n":12},"k":3,"reps":1}`
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{query, http.StatusOK},
+		{" " + query + " \t\r\n", http.StatusOK},
+		{query + "garbage", http.StatusBadRequest},
+		{query + `{"k":99}`, http.StatusBadRequest},
+		{query + " ,", http.StatusBadRequest},
+		{query + "\x00", http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(tc.body)))
+		if rec.Code != tc.code {
+			t.Errorf("%q: HTTP %d, want %d (%s)", tc.body, rec.Code, tc.code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+}
+
 // TestQueryNaiveFieldRefused: both ops run pruned forwarding only, so a
 // body that still asks for the §3.2 strawman with "naive" is a 400, like
 // any other unknown field, and the same body without it is served.

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"cycledetect/internal/combin"
 	"cycledetect/internal/graph"
@@ -51,100 +50,23 @@ type GraphRequest struct {
 // a different graph.
 type EdgeList [][2]int
 
-// UnmarshalJSON implements json.Unmarshaler. encoding/json has already
-// checked the syntax of data, so this only checks shape, integer range and
+// UnmarshalJSON implements json.Unmarshaler with the edge parser /query's
+// decoder runs on the list in place, so there is one edge-list parser. It
+// checks the syntax of data itself, as well as shape, integer range and
 // length: a list longer than sweep.MaxFamilyEdges, the size limit of every
 // graph, is refused as soon as its next element is read. It never panics
-// on other input either. JSON null yields a nil list.
+// on other input. JSON null yields a nil list.
 func (l *EdgeList) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		*l = nil
-		return nil
+	p := parser{data: data}
+	edges, err := p.edges()
+	if err == nil {
+		err = p.end()
 	}
-	p := edgeParser{data: data}
-	if !p.consume('[') {
-		return fmt.Errorf("edges: want an array of [u, v] pairs")
-	}
-	edges := EdgeList{} // non-nil: [] decodes to an empty list, as in encoding/json
-	if !p.consume(']') {
-		for {
-			var e [2]int
-			ok := p.consume('[') && p.readInt(&e[0]) && p.consume(',') && p.readInt(&e[1]) && p.consume(']')
-			if !ok {
-				return fmt.Errorf("edges[%d]: want [u, v], exactly two integers", len(edges))
-			}
-			if len(edges) == sweep.MaxFamilyEdges {
-				return fmt.Errorf("edges: more than the limit of %d edges", sweep.MaxFamilyEdges)
-			}
-			edges = append(edges, e)
-			if p.consume(']') {
-				break
-			}
-			if !p.consume(',') {
-				return fmt.Errorf("edges: want an array of [u, v] pairs")
-			}
-		}
+	if err != nil {
+		return err
 	}
 	*l = edges
 	return nil
-}
-
-// edgeParser is EdgeList's cursor over JSON that encoding/json has already
-// validated.
-type edgeParser struct {
-	data []byte
-	i    int
-}
-
-func (p *edgeParser) skipSpace() {
-	for p.i < len(p.data) {
-		switch p.data[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
-	}
-}
-
-// consume skips whitespace and then the byte c, reporting whether c was next.
-func (p *edgeParser) consume(c byte) bool {
-	p.skipSpace()
-	if p.i < len(p.data) && p.data[p.i] == c {
-		p.i++
-		return true
-	}
-	return false
-}
-
-// readInt reads an optionally negative run of decimal digits into *dst,
-// reporting false when there is none or it overflows int. A fraction or an
-// exponent is left unread, so the caller's next consume fails on it.
-func (p *edgeParser) readInt(dst *int) bool {
-	p.skipSpace()
-	neg := p.i < len(p.data) && p.data[p.i] == '-'
-	limit := uint64(math.MaxInt)
-	if neg {
-		p.i++
-		limit++ // -(MaxInt+1) is MinInt
-	}
-	start := p.i
-	var u uint64
-	for ; p.i < len(p.data) && '0' <= p.data[p.i] && p.data[p.i] <= '9'; p.i++ {
-		d := uint64(p.data[p.i] - '0')
-		if u > (limit-d)/10 {
-			return false
-		}
-		u = u*10 + d
-	}
-	if p.i == start {
-		return false
-	}
-	*dst = int(u)
-	if neg {
-		*dst = -*dst
-	}
-	return true
 }
 
 // QueryRequest is one tester/detector query. Both ops run Algorithm 1's

@@ -20,12 +20,12 @@ func maxPhase2Check() *SeqArena {
 	const k, t = 9, 4
 	seqs := 216 // (9-4+1)^(4-1)
 	for i := 0; i < seqs; i++ {
-		a.Append([]ID{ID(i), ID(i + 1000), ID(i + 2000), ID(i + 3000)})
+		a.AppendWithTail([]ID{ID(i), ID(i + 1000), ID(i + 2000)}, ID(i+3000))
 	}
 	return &a
 }
 
-// TestAppendCheckArenaAllocFree refills a warm arena (Reset, Append,
+// TestAppendCheckArenaAllocFree refills a warm arena (Reset,
 // AppendWithTail) and encodes it with both check encoders and a rank into
 // a warm buffer.
 func TestAppendCheckArenaAllocFree(t *testing.T) {
@@ -39,12 +39,8 @@ func TestAppendCheckArenaAllocFree(t *testing.T) {
 	fill := func() {
 		a.Reset()
 		for i := 0; i < src.Len(); i++ {
-			if i%2 == 0 {
-				a.Append(src.Seq(i))
-			} else {
-				seq := src.Seq(i)
-				a.AppendWithTail(seq[:len(seq)-1], seq[len(seq)-1])
-			}
+			seq := src.Seq(i)
+			a.AppendWithTail(seq[:len(seq)-1], seq[len(seq)-1])
 		}
 		buf = AppendCheckArena(buf[:0], c.U, c.V, c.Rank, &a)
 		buf = AppendCheck(buf, c)
@@ -94,6 +90,9 @@ func TestParseAndValidateAllocFree(t *testing.T) {
 	if _, err := DecodeRank(payload); !errors.Is(err, ErrKind) {
 		t.Fatalf("DecodeRank of a check = %v, want ErrKind", err)
 	}
+	if _, err := DecodeRank(append(EncodeRank(Rank{Rank: 3}), 0)); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("DecodeRank of a rank with a trailing byte = %v, want ErrTrailing", err)
+	}
 	ranks := [][]byte{
 		EncodeRank(Rank{Rank: 1 << 40}), payload, {KindRank}, {KindRank, 0x80, 0x00},
 		append(EncodeRank(Rank{Rank: 3}), 0),
@@ -139,7 +138,9 @@ func TestCodecTiersAgree(t *testing.T) {
 	c := &Check{U: 3, V: 99, Rank: 42, Seqs: [][]ID{{3, 7}, {}, {1, 2, 3}}}
 	var a SeqArena
 	for _, s := range c.Seqs {
-		a.Append(s)
+		// AppendWithTail cannot store the empty sequence.
+		a.Spans = append(a.Spans, Span{Off: int32(len(a.IDs)), Len: int32(len(s))})
+		a.IDs = append(a.IDs, s...)
 	}
 	legacy := EncodeCheck(c)
 	arena := AppendCheckArena(nil, c.U, c.V, c.Rank, &a)

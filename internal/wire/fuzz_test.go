@@ -99,19 +99,29 @@ func FuzzParseCheck(f *testing.F) {
 	})
 }
 
+// FuzzDecodeRank requires DecodeRank to accept a payload exactly when it
+// is EncodeRank of the rank decoded: a cut-short, overlong or wrong-kind
+// payload, or one with bytes after its varint, is refused.
 func FuzzDecodeRank(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeRank(Rank{0}))
 	f.Add(EncodeRank(Rank{^uint64(0)}))
+	f.Add(append(EncodeRank(Rank{3}), 0))
+	f.Add([]byte{KindRank, 0x80, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRank(data)
 		if err != nil {
+			// The decoded value is unknown here: a refused payload must not
+			// be any rank's encoding, so it re-encodes to other bytes.
+			if len(data) > 1 && data[0] == KindRank {
+				if v, n := binary.Uvarint(data[1:]); n > 0 && string(EncodeRank(Rank{v})) == string(data) {
+					t.Fatalf("refused % x, the encoding of rank %d: %v", data, v, err)
+				}
+			}
 			return
 		}
-		// EncodeRank is canonical only for the exact payload length; accept
-		// any decode but require the value to re-encode decodably.
-		if _, err := DecodeRank(EncodeRank(r)); err != nil {
-			t.Fatalf("re-encode of %v not decodable", r)
+		if re := EncodeRank(r); string(re) != string(data) {
+			t.Fatalf("accepted % x as rank %d, which encodes as % x", data, r.Rank, re)
 		}
 	})
 }

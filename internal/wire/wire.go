@@ -108,13 +108,6 @@ func (a *SeqArena) Seq(i int) []ID {
 	return a.IDs[sp.Off : sp.Off+sp.Len]
 }
 
-// Append stores a copy of seq as a new sequence. Steady state reuses the
-// arena's capacity; growth beyond it is the sanctioned append idiom.
-func (a *SeqArena) Append(seq []ID) {
-	a.Spans = append(a.Spans, Span{Off: int32(len(a.IDs)), Len: int32(len(seq))})
-	a.IDs = append(a.IDs, seq...)
-}
-
 // AppendWithTail stores a copy of seq extended by one trailing ID — the
 // "append my own ID" step of Algorithm 1, done without building the extended
 // sequence anywhere else first.
@@ -135,7 +128,8 @@ func EncodeRank(r Rank) []byte {
 	return AppendRank(make([]byte, 0, 1+binary.MaxVarintLen64), r)
 }
 
-// DecodeRank parses a Rank payload.
+// DecodeRank parses a Rank payload: the kind byte, one canonical varint,
+// and nothing after it.
 func DecodeRank(p []byte) (Rank, error) {
 	if len(p) == 0 {
 		return Rank{}, ErrTruncated
@@ -146,6 +140,9 @@ func DecodeRank(p []byte) (Rank, error) {
 	v, n := uvarintLong(p[1:])
 	if n <= 0 {
 		return Rank{}, ErrTruncated
+	}
+	if 1+n != len(p) {
+		return Rank{}, ErrTrailing
 	}
 	return Rank{Rank: v}, nil
 }
