@@ -1,7 +1,8 @@
 // Command ckfree runs the distributed Ck-freeness tester on a graph.
 //
 // The graph comes either from a file in the edge-list format (see
-// cmd/graphgen) or from a built-in generator spec. Examples:
+// cmd/graphgen) or from the graph catalog /query shares, so gnm, tree and
+// planted graphs differ from earlier versions' for the same seed. Examples:
 //
 //	ckfree -k 5 -eps 0.1 -gen cycle:12
 //	ckfree -k 4 -eps 0.05 -gen gnm:200,800 -seed 7
@@ -24,7 +25,7 @@ import (
 
 func main() {
 	var (
-		k       = flag.Int("k", 3, "cycle length to test for (>= 3)")
+		k       = flag.Int("k", 3, "cycle length to test for, in [3, 9]")
 		eps     = flag.Float64("eps", 0.1, "property-testing parameter in (0,1)")
 		reps    = flag.Int("reps", 0, "override repetition count (0 = derive from eps)")
 		seed    = flag.Uint64("seed", 1, "random seed")
@@ -36,20 +37,23 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := loadGraph(*file, *gen, *k, *seed)
-	if err != nil {
-		fatal(err)
-	}
-
-	var prog network.Program
+	var prog interface {
+		network.Program
+		Validate() error
+	} = &core.Tester{K: *k, Eps: *eps, Reps: *reps}
 	if *edge != "" {
 		u, v, err := parseEdge(*edge)
 		if err != nil {
 			fatal(err)
 		}
 		prog = &core.EdgeDetector{K: *k, U: u, V: v}
-	} else {
-		prog = &core.Tester{K: *k, Eps: *eps, Reps: *reps}
+	}
+	if err := prog.Validate(); err != nil {
+		fatal(err)
+	}
+	g, err := loadGraph(*file, *gen, *k, *seed)
+	if err != nil {
+		fatal(err)
 	}
 
 	// Build-once/run-once through the reusable-network layer (a future

@@ -1,5 +1,7 @@
 // Command graphgen emits graphs in the repository's edge-list text format,
-// for use with cmd/ckfree -graph or external tooling.
+// for use with cmd/ckfree -graph or external tooling. Its graphs come from
+// the catalog /query shares, so gnm, tree and planted graphs differ from
+// earlier versions' for the same seed.
 //
 //	graphgen -gen gnm:500,2000 -seed 3 > g.graph
 //	graphgen -gen far:200,0.05 -k 5     > far.graph

@@ -87,8 +87,9 @@ func main() {
 	if *workers > 0 {
 		spec.Workers = *workers
 	}
-	for _, w := range spec.Warnings() {
-		fmt.Fprintln(os.Stderr, "sweep: warning:", w)
+	// Refuse a bad spec before -o is opened, so the file keeps its bytes.
+	if err := spec.Validate(); err != nil {
+		fatal(err)
 	}
 
 	var out io.Writer = os.Stdout

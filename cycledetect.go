@@ -76,7 +76,8 @@ func (g *Graph) build() *graph.Graph { return g.b.Build() }
 // Algorithm 1's pruned forwarding, which keeps every message within
 // Lemma 3's bound; no option selects the §3.2 append-and-forward strawman.
 type Options struct {
-	// K is the cycle length to test for (K >= 3). Required.
+	// K is the cycle length to test for, in [3, 9] (combin.MaxCalibratedK
+	// says why no larger K runs). Required.
 	K int
 	// Epsilon is the property-testing parameter in (0,1): the tester
 	// distinguishes Ck-free graphs from graphs ε-far from Ck-free. Required
@@ -141,7 +142,8 @@ var ErrEmptyGraph = errors.New("cycledetect: empty graph")
 // 2/3. The round count is Repetitions·(1+⌊K/2⌋) ∈ O(1/ε), independent of
 // the size of g.
 func Test(g *Graph, opts Options) (*Result, error) {
-	if err := validate(g, &opts, true); err != nil {
+	prog := &core.Tester{K: opts.K, Eps: opts.Epsilon, Reps: opts.Reps}
+	if err := validate(g, prog); err != nil {
 		return nil, err
 	}
 	nw, err := opts.instance(g)
@@ -149,7 +151,6 @@ func Test(g *Graph, opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer nw.Close()
-	prog := &core.Tester{K: opts.K, Eps: opts.Epsilon, Reps: opts.Reps}
 	res, err := nw.RunProgram(prog, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -165,18 +166,15 @@ func Test(g *Graph, opts Options) (*Result, error) {
 // (§1.2: "even if there is just a single k-cycle passing through e, that
 // cycle will be detected").
 func DetectThroughEdge(g *Graph, u, v int64, opts Options) (*Result, error) {
-	if err := validate(g, &opts, false); err != nil {
+	prog := &core.EdgeDetector{K: opts.K, U: u, V: v}
+	if err := validate(g, prog); err != nil {
 		return nil, err
-	}
-	if u == v {
-		return nil, fmt.Errorf("cycledetect: candidate edge endpoints equal (%d)", u)
 	}
 	nw, err := opts.instance(g)
 	if err != nil {
 		return nil, err
 	}
 	defer nw.Close()
-	prog := &core.EdgeDetector{K: opts.K, U: u, V: v}
 	res, err := nw.RunProgram(prog, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -193,20 +191,13 @@ func RequiredRepetitions(epsilon float64) (int, error) {
 	return ptest.Reps(epsilon), nil
 }
 
-func validate(g *Graph, opts *Options, needEps bool) error {
+// validate refuses an empty graph and what core's Validate refuses.
+func validate(g *Graph, prog interface{ Validate() error }) error {
 	if g == nil || g.b == nil || g.N() == 0 {
 		return ErrEmptyGraph
 	}
-	if opts.K < 3 {
-		return fmt.Errorf("cycledetect: K must be at least 3, got %d", opts.K)
-	}
-	if needEps && opts.Reps <= 0 {
-		if opts.Epsilon <= 0 || opts.Epsilon >= 1 {
-			return fmt.Errorf("cycledetect: Epsilon %v outside (0,1) and no Reps given", opts.Epsilon)
-		}
-	}
-	if opts.Reps < 0 {
-		return fmt.Errorf("cycledetect: negative Reps %d", opts.Reps)
+	if err := prog.Validate(); err != nil {
+		return fmt.Errorf("cycledetect: %w", err)
 	}
 	return nil
 }

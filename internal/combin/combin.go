@@ -118,9 +118,9 @@ func (s *RepScratch) Prealloc(q, keptCap int) {
 // regime (Lemma 3 bounds the kept family by (q+1)^(t−1)) but exponential in
 // q in the worst case. That worst case is real: k=11 on dense graphs takes
 // minutes per trial (hit while re-measuring prealloc envelopes; that case
-// was cut from the test grid). Raising an experiment or sweep range past
-// this constant should be preceded by profiling — sweep.Spec.Warnings
-// surfaces the overshoot to cmd/sweep.
+// was cut from the test grid). The search polls no deadline, so every front
+// end refuses a larger k through core.Tester.Validate and
+// core.EdgeDetector.Validate.
 const MaxCalibratedK = 9
 
 // Representatives performs the greedy selection of Algorithm 1 (lines 16–23)

@@ -29,6 +29,15 @@ type EdgeDetector struct {
 
 var _ network.Program = (*EdgeDetector)(nil)
 
+// Validate checks the parameters as Tester.Validate does, with two
+// distinct endpoints in place of Eps and Reps.
+func (d *EdgeDetector) Validate() error {
+	if d.U == d.V {
+		return fmt.Errorf("candidate edge endpoints equal (%d)", d.U)
+	}
+	return validK(d.K)
+}
+
 // Rounds returns ⌊k/2⌋, independent of the network size (Theorem 1).
 func (d *EdgeDetector) Rounds(n, m int) int { return d.K / 2 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"cycledetect/internal/combin"
 	"cycledetect/internal/network"
 	"cycledetect/internal/ptest"
 	"cycledetect/internal/wire"
@@ -52,6 +53,26 @@ func (t *Tester) Repetitions() int {
 		return t.Reps
 	}
 	return ptest.Reps(t.Eps)
+}
+
+// Validate checks the parameters against the contract every front end
+// shares (the library, cmd/ckfree, cmd/sweep and /query): K in
+// [3, combin.MaxCalibratedK], Reps >= 0, and Eps in (0,1) unless Reps > 0.
+func (t *Tester) Validate() error {
+	switch {
+	case t.Reps < 0:
+		return fmt.Errorf("negative reps %d", t.Reps)
+	case t.Reps == 0 && !(t.Eps > 0 && t.Eps < 1):
+		return fmt.Errorf("eps %v outside (0,1) and no reps given", t.Eps)
+	}
+	return validK(t.K)
+}
+
+func validK(k int) error {
+	if k < 3 || k > combin.MaxCalibratedK {
+		return fmt.Errorf("k must be in [3, %d], got %d", combin.MaxCalibratedK, k)
+	}
+	return nil
 }
 
 // RoundsPerRep returns the rounds spent per repetition: one Phase-1 rank

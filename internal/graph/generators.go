@@ -278,22 +278,20 @@ func PlantedCycle(n, k, extra int, rng *xrand.RNG) (*Graph, Edge) {
 	return b.Build(), Edge{cyc[0], cyc[1]}.Canon()
 }
 
-// FarFromCkFreeFeasible reports whether FarFromCkFree(n, k, eps, ·) can
-// build its graph, by replaying the generator's own packing search: the
-// construction has m = n + q − 1 edges, needs q > eps·m strictly, and must
-// fit q vertex-disjoint k-cycles in n vertices. Grid schedulers (see
-// internal/sweep) use it to skip unsatisfiable parameter points instead of
-// tripping the generator's panic.
-func FarFromCkFreeFeasible(n, k int, eps float64) bool {
+// farPacking is FarFromCkFree's packing search: the least q such that q
+// vertex-disjoint k-cycles fit in n vertices and q > eps·m, where the
+// construction has m = n + q − 1 edges; 0 if there is none. The graph
+// catalog (spec.go) refuses the far family's parameters with it.
+func farPacking(n, k int, eps float64) int {
 	if k < 3 || eps <= 0 || eps >= 1.0/float64(k) {
-		return false
+		return 0
 	}
 	for q := 1; q*k <= n; q++ {
 		if float64(q) > eps*float64(n+q-1) {
-			return true
+			return q
 		}
 	}
-	return false
+	return 0
 }
 
 // FarFromCkFree returns a connected graph that is provably eps-far from
@@ -306,54 +304,38 @@ func FarFromCkFreeFeasible(n, k int, eps float64) bool {
 // pad extra vertices are attached as pendant paths so that experiments can
 // hold eps fixed while growing n. The function panics if eps is not
 // achievable (eps must be < 1/k since a k-cycle costs k edges but one
-// deletion kills it).
+// deletion kills it, and the q cycles must fit in n vertices).
 func FarFromCkFree(n, k int, eps float64, rng *xrand.RNG) (*Graph, int) {
-	if eps <= 0 || eps >= 1.0/float64(k) {
-		panic(fmt.Sprintf("graph: FarFromCkFree needs 0 < eps < 1/k = %.4f", 1.0/float64(k)))
+	q := farPacking(n, k, eps)
+	if q == 0 {
+		panic(fmt.Sprintf("graph: FarFromCkFree cannot plant an eps=%g packing of C%d in n=%d (eps must be < 1/k)", eps, k, n))
 	}
-	// With q disjoint k-cycles, m = q*k + connectors + padding. Choose q so
-	// that q > eps*m holds with the final m. Start from the requirement
-	// m <= q/eps and allocate the remaining edge budget to padding.
-	// q cycles use q*k vertices; connectors: q-1 edges; padding: rest.
-	q := 1
-	for {
-		cyclesV := q * k
-		if cyclesV > n {
-			panic(fmt.Sprintf("graph: FarFromCkFree cannot fit q=%d disjoint C%d in n=%d", q, k, n))
+	b := NewBuilder(n)
+	vertex := 0
+	firstOfCycle := make([]int, q)
+	for c := 0; c < q; c++ {
+		vs := make([]int, k)
+		for i := range vs {
+			vs[i] = vertex
+			vertex++
 		}
-		padV := n - cyclesV
-		m := q*k + (q - 1) + padV // cycles + connectors + pendant path edges
-		if float64(q) > eps*float64(m) {
-			// Feasible: build it.
-			b := NewBuilder(n)
-			vertex := 0
-			firstOfCycle := make([]int, q)
-			for c := 0; c < q; c++ {
-				vs := make([]int, k)
-				for i := range vs {
-					vs[i] = vertex
-					vertex++
-				}
-				firstOfCycle[c] = vs[0]
-				b.AddCycle(vs...)
-			}
-			for c := 1; c < q; c++ {
-				b.AddEdge(firstOfCycle[c-1], firstOfCycle[c])
-			}
-			prev := firstOfCycle[q-1]
-			for vertex < n {
-				b.AddEdge(prev, vertex)
-				prev = vertex
-				vertex++
-			}
-			g := b.Build()
-			if float64(q) <= eps*float64(g.M()) {
-				panic("graph: internal: farness certificate violated")
-			}
-			return g, q
-		}
-		q++
+		firstOfCycle[c] = vs[0]
+		b.AddCycle(vs...)
 	}
+	for c := 1; c < q; c++ {
+		b.AddEdge(firstOfCycle[c-1], firstOfCycle[c])
+	}
+	prev := firstOfCycle[q-1]
+	for vertex < n {
+		b.AddEdge(prev, vertex)
+		prev = vertex
+		vertex++
+	}
+	g := b.Build()
+	if float64(q) <= eps*float64(g.M()) {
+		panic("graph: internal: farness certificate violated")
+	}
+	return g, q
 }
 
 // BehrendLike returns a graph in the spirit of the Behrend-set constructions

@@ -235,8 +235,9 @@ func TestFarFromCkFreeCertificate(t *testing.T) {
 }
 
 // TestFarFromCkFreeFeasibleAgreesWithGenerator sweeps a parameter grid and
-// checks the predicate against the generator's actual behavior: feasible
-// points must build, infeasible points must panic. Includes the exact
+// checks the catalog's far rule (farPacking finds a q) against the
+// generator's actual behavior: feasible points must build, infeasible
+// points must panic. Includes the exact
 // boundary n=20 k=3 eps=0.24, where q=6 satisfies the closed-form bound
 // q ≥ ⌈ε(n−1)/(1−ε)⌉ but not the generator's strict q > ε(n+q−1).
 func TestFarFromCkFreeFeasibleAgreesWithGenerator(t *testing.T) {
@@ -246,7 +247,7 @@ func TestFarFromCkFreeFeasibleAgreesWithGenerator(t *testing.T) {
 		FarFromCkFree(n, k, eps, rng)
 		return true
 	}
-	if FarFromCkFreeFeasible(20, 3, 0.24) {
+	if farPacking(20, 3, 0.24) > 0 {
 		t.Fatal("n=20 k=3 eps=0.24 must be infeasible (strict-inequality boundary)")
 	}
 	for _, n := range []int{10, 20, 40, 90, 200} {
@@ -256,7 +257,7 @@ func TestFarFromCkFreeFeasibleAgreesWithGenerator(t *testing.T) {
 					continue // generator rejects the range outright
 				}
 				want := builds(n, k, eps)
-				if got := FarFromCkFreeFeasible(n, k, eps); got != want {
+				if got := farPacking(n, k, eps) > 0; got != want {
 					t.Fatalf("n=%d k=%d eps=%.2f: feasible=%v but generator builds=%v", n, k, eps, got, want)
 				}
 			}

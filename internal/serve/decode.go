@@ -8,7 +8,7 @@ import (
 	"math"
 	"strings"
 
-	"cycledetect/internal/sweep"
+	"cycledetect/internal/graph"
 )
 
 // decodeQuery decodes body, one JSON value with nothing but whitespace
@@ -242,7 +242,7 @@ var errNotEdgeList = errors.New("edges: want an array of [u, v] pairs")
 
 // edges reads null (a nil list) or an array of [u, v] pairs, each exactly
 // two JSON integers in int's range, and refuses a list as soon as it
-// passes sweep.MaxFamilyEdges elements. It checks the syntax itself, so it
+// passes graph.MaxFamilyEdges elements. It checks the syntax itself, so it
 // accepts exactly the lists encoding/json would decode into a [][2]int
 // without padding, truncating or overflowing an element, and it never
 // panics on other input.
@@ -266,8 +266,8 @@ func (p *parser) edges() (EdgeList, error) {
 		if !ok {
 			return nil, fmt.Errorf("edges[%d]: want [u, v], exactly two integers", len(edges))
 		}
-		if len(edges) == sweep.MaxFamilyEdges {
-			return nil, fmt.Errorf("edges: more than the limit of %d edges", sweep.MaxFamilyEdges)
+		if len(edges) == graph.MaxFamilyEdges {
+			return nil, fmt.Errorf("edges: more than the limit of %d edges", graph.MaxFamilyEdges)
 		}
 		if len(edges) == cap(edges) {
 			edges = p.grow(edges, start)
@@ -289,7 +289,7 @@ func (p *parser) edges() (EdgeList, error) {
 // usually allocated once more and not in append's 1.25x steps; when that
 // estimate falls short, the list doubles. The estimate scales only what
 // has been read, so a list refused at its first element reserves nothing,
-// and no list reserves past sweep.MaxFamilyEdges.
+// and no list reserves past graph.MaxFamilyEdges.
 func (p *parser) grow(edges EdgeList, start int) EdgeList {
 	n := len(edges)
 	if n < 64 {
@@ -297,7 +297,7 @@ func (p *parser) grow(edges EdgeList, start int) EdgeList {
 	}
 	read, unread := p.i-start, len(p.data)-p.i // read covers n+1 edges
 	want := max(2*n, (n+1)+int(int64(n+1)*int64(unread)/int64(read)))
-	return append(make(EdgeList, 0, min(want, sweep.MaxFamilyEdges)), edges...)
+	return append(make(EdgeList, 0, min(want, graph.MaxFamilyEdges)), edges...)
 }
 
 // readInt reads a JSON integer, -?(0|[1-9][0-9]*), into *dst, reporting

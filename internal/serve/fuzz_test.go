@@ -13,7 +13,7 @@ import (
 	"strings"
 	"testing"
 
-	"cycledetect/internal/sweep"
+	"cycledetect/internal/graph"
 )
 
 // FuzzEdgeList is a differential test of EdgeList's hand-written decoder
@@ -153,7 +153,7 @@ func TestEdgeListBadBodyBounded(t *testing.T) {
 }
 
 // pairsOfInts is FuzzEdgeList's oracle: whether data is one JSON value that
-// is null or an array of at most sweep.MaxFamilyEdges arrays of exactly two
+// is null or an array of at most graph.MaxFamilyEdges arrays of exactly two
 // integer literals within int's range.
 func pairsOfInts(data []byte) bool {
 	if !json.Valid(data) {
@@ -169,7 +169,7 @@ func pairsOfInts(data []byte) bool {
 		return true
 	}
 	list, ok := v.([]any)
-	if !ok || len(list) > sweep.MaxFamilyEdges {
+	if !ok || len(list) > graph.MaxFamilyEdges {
 		return false
 	}
 	for _, el := range list {
@@ -246,7 +246,7 @@ func TestQueryDeclaredLengthNotReserved(t *testing.T) {
 
 // TestQueryBodyLimits checks the two size refusals of /query, each with
 // bounded allocation: a body over maxQueryBytes is a 413, and an edge list
-// longer than sweep.MaxFamilyEdges is a 400.
+// longer than graph.MaxFamilyEdges is a 400.
 func TestQueryBodyLimits(t *testing.T) {
 	s := NewServer(Options{})
 	defer s.Close()
@@ -301,7 +301,7 @@ func TestQueryBodyLimits(t *testing.T) {
 		// into one buffer and the list is sized from it, so decoding costs
 		// at most 5x the list's 16 MiB (encoding/json's decoder took 7.2x).
 		body := []byte(`{"graph":{"n":1048577,"edges":[`)
-		for i := range sweep.MaxFamilyEdges {
+		for i := range graph.MaxFamilyEdges {
 			if i > 0 {
 				body = append(body, ',')
 			}
@@ -319,12 +319,12 @@ func TestQueryBodyLimits(t *testing.T) {
 			rec := httptest.NewRecorder()
 			ok = decodeJSON(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)), &q, maxQueryBytes)
 		})
-		if !ok || len(q.Graph.Edges) != sweep.MaxFamilyEdges || q.Graph.Edges[12345] != [2]int{12345, 12346} {
+		if !ok || len(q.Graph.Edges) != graph.MaxFamilyEdges || q.Graph.Edges[12345] != [2]int{12345, 12346} {
 			t.Fatalf("decoded %v, %d edges", ok, len(q.Graph.Edges))
 		}
-		if list := uint64(16 * sweep.MaxFamilyEdges); got > 5*list {
+		if list := uint64(16 * graph.MaxFamilyEdges); got > 5*list {
 			t.Errorf("decoding a %d-byte body of %d edges allocated %d bytes, want at most %d",
-				len(body), sweep.MaxFamilyEdges, got, 5*list)
+				len(body), graph.MaxFamilyEdges, got, 5*list)
 		}
 	})
 
@@ -335,11 +335,11 @@ func TestQueryBodyLimits(t *testing.T) {
 		list := func(n int) []byte {
 			return []byte("[" + strings.Repeat("[0,1],", n-1) + "[0,1]]")
 		}
-		atLimit, over := list(sweep.MaxFamilyEdges), list(2*sweep.MaxFamilyEdges)
+		atLimit, over := list(graph.MaxFamilyEdges), list(2*graph.MaxFamilyEdges)
 		var l EdgeList
 		var err error
 		accepted := leastAlloc(func() { err = l.UnmarshalJSON(atLimit) })
-		if err != nil || len(l) != sweep.MaxFamilyEdges {
+		if err != nil || len(l) != graph.MaxFamilyEdges {
 			t.Fatalf("a list at the limit: %d edges, %v", len(l), err)
 		}
 		refused := leastAlloc(func() { err = l.UnmarshalJSON(over) })
@@ -348,7 +348,7 @@ func TestQueryBodyLimits(t *testing.T) {
 		}
 		if refused > accepted+accepted/8 {
 			t.Errorf("refusing %d edges allocated %d bytes, decoding %d took %d",
-				2*sweep.MaxFamilyEdges, refused, sweep.MaxFamilyEdges, accepted)
+				2*graph.MaxFamilyEdges, refused, graph.MaxFamilyEdges, accepted)
 		}
 
 		l, atLimit = nil, nil

@@ -12,7 +12,7 @@ import (
 	"strconv"
 	"time"
 
-	"cycledetect/internal/sweep"
+	"cycledetect/internal/graph"
 )
 
 // Handler returns the server's HTTP API:
@@ -160,10 +160,10 @@ func httpError(w http.ResponseWriter, r *http.Request, code int, err error) {
 }
 
 // maxQueryBytes caps a /query body before it is decoded: 64 bytes for each
-// of the sweep.MaxFamilyEdges edges an explicit graph may list, room for an
+// of the graph.MaxFamilyEdges edges an explicit graph may list, room for an
 // indented pair of 7-digit vertex numbers. The edge list itself is refused
 // past that many edges while it decodes (see EdgeList).
-const maxQueryBytes = 64 * sweep.MaxFamilyEdges
+const maxQueryBytes = 64 * graph.MaxFamilyEdges
 
 // decodeJSON reads a body of at most limit bytes and decodes it into req
 // (see decodeQuery). A larger body is a 413, refused from its

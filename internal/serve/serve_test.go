@@ -365,9 +365,9 @@ func TestQueryValidation(t *testing.T) {
 		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Engine: "channels"}, // no such engine
 		{Graph: GraphRequest{Family: "gnm", N: 16}, K: 4, Eps: 0.1, Op: OpDetect,
 			Edge: &[2]int64{5, 5}}, // detect with equal endpoints (matches DetectThroughEdge)
-		// Family graphs over sweep.MaxFamilyEdges, refused before they are built.
+		// Family graphs over graph.MaxFamilyEdges, refused before they are built.
 		{Graph: GraphRequest{Family: "complete", N: 1449}, K: 3, Reps: 1},                         // 1,049,076 edges
-		{Graph: GraphRequest{Family: "gnm", N: 2048, M: sweep.MaxFamilyEdges + 1}, K: 3, Reps: 1}, // one edge over
+		{Graph: GraphRequest{Family: "gnm", N: 2048, M: graph.MaxFamilyEdges + 1}, K: 3, Reps: 1}, // one edge over
 		{Graph: GraphRequest{Family: "tree", N: 1 << 40}, K: 3, Reps: 1},                          // n-1 edges
 	}
 	for i, req := range bad {
@@ -496,6 +496,91 @@ func TestQueryKBound(t *testing.T) {
 	}
 	if st := s.Stats(); st.QueueDepth != 0 || st.Shed != 0 {
 		t.Fatalf("the k=10 query reached the gate: %+v", st)
+	}
+}
+
+// TestFamilySpecRefusedBeforeAdmission: a family spec the graph catalog
+// cannot build is refused by validate, before admission: at a full gate
+// each one gets the catalog's error at once, neither shed nor left to wait
+// for a slot and then fail inside the checkout's build.
+func TestFamilySpecRefusedBeforeAdmission(t *testing.T) {
+	s := NewServer(Options{MaxConcurrentQueries: 1, MaxQueueDepth: 4})
+	defer s.Close()
+	if err := s.queryGate.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.queryGate.release()
+	for _, gr := range []GraphRequest{
+		{Family: "gnm", N: 10, M: 100}, // more edges than K_10 has
+		{Family: "gnm", N: 100, M: 5},  // too few to connect 100 vertices
+		{Family: "far", N: 10},         // no ε-far packing at k=9, eps=0.5
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		start := time.Now()
+		_, err := s.Query(ctx, &QueryRequest{Graph: gr, K: 9, Eps: 0.5})
+		cancel()
+		if err == nil || !strings.HasPrefix(err.Error(), "graph: ") {
+			t.Errorf("%+v at a full gate: err = %v, want the catalog's refusal", gr, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%+v: refused after %v, want at once", gr, d)
+		}
+	}
+	if st := s.Stats(); st.QueueDepth != 0 || st.Shed != 0 {
+		t.Fatalf("a refused spec reached the gate: %+v", st)
+	}
+}
+
+// TestOneCatalog: a family spec names one graph on every front end. The
+// -gen form (cmd/ckfree, cmd/graphgen), sweep.BuildGraph (cmd/sweep,
+// perfbench) and the graph /query resolves have equal fingerprints, and
+// the JSON form keeps the graphs it built before the catalog was shared.
+func TestOneCatalog(t *testing.T) {
+	const k, eps = 5, 0.05
+	for _, seed := range []uint64{1, 7} {
+		for _, tc := range []struct {
+			gen string
+			gs  sweep.GraphSpec
+		}{
+			{"gnm:256,1024", sweep.GraphSpec{Family: "gnm", N: 256, M: 1024}},
+			{"tree:256", sweep.GraphSpec{Family: "tree", N: 256}},
+			{"cycle:12", sweep.GraphSpec{Family: "cycle", N: 12}},
+			{"complete:16", sweep.GraphSpec{Family: "complete", N: 16}},
+			{"far:120,0.05", sweep.GraphSpec{Family: "far", N: 120}},
+		} {
+			fromGen, _, err := graph.BuildGen(tc.gen, k, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromSweep, err := sweep.BuildGraph(tc.gs, k, eps, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := QueryRequest{Graph: GraphRequest{Family: tc.gs.Family, N: tc.gs.N, M: tc.gs.M, Seed: seed}, K: k, Eps: eps}
+			if err := req.validate(); err != nil {
+				t.Fatal(err)
+			}
+			_, build, err := req.resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromQuery, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fromQuery.Fingerprint()
+			if fromGen.Fingerprint() != want || fromSweep.Fingerprint() != want {
+				t.Errorf("%s seed %d: -gen %.12s, sweep %.12s, /query %.12s", tc.gen, seed,
+					fromGen.Fingerprint(), fromSweep.Fingerprint(), want)
+			}
+			pinned := map[string]string{
+				"gnm:256,1024": "cf1985cac72276389f0d5785f9ffdbe662d25cf9398daf2d8e539769299a385c",
+				"tree:256":     "948b7adaebe27f83e0c5a0ae78aac854bfc9e3fd51043cb7a00ea5dc7de18bb3",
+			}
+			if pin, ok := pinned[tc.gen]; ok && seed == 7 && want != pin {
+				t.Errorf("%s seed 7: /query built %s, want the pinned %s", tc.gen, want, pin)
+			}
+		}
 	}
 }
 

@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"cycledetect/internal/combin"
+	"cycledetect/internal/core"
 	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
-	"cycledetect/internal/sweep"
 )
 
 // Query operations.
@@ -20,14 +19,15 @@ const (
 )
 
 // GraphRequest names the graph a query runs on — either a generated family
-// (the sweep.GraphSpec vocabulary plus a generator seed) or an explicit
-// edge list. Family graphs are cached under a key derived from the spec
-// alone, so a cache hit never rebuilds the graph; explicit graphs are
-// cached under their canonical fingerprint, so the same edge set sent by
-// different clients (in any order) shares one compiled network.
+// (graph.FamilySpec, which builds what cmd/ckfree -gen builds for the same
+// spec and seed) or an explicit edge list. Family graphs are cached under a
+// key derived from the spec alone, so a cache hit never rebuilds the graph;
+// explicit graphs are cached under their canonical fingerprint, so the same
+// edge set sent by different clients (in any order) shares one compiled
+// network.
 type GraphRequest struct {
-	// Family is one of "gnm", "far", "tree", "cycle", "complete" (see
-	// sweep.GraphSpec). Leave empty when giving Edges.
+	// Family is one of gnm, far, tree, cycle or complete. Leave empty when
+	// giving Edges. A spec the catalog refuses is a 400 before admission.
 	Family string `json:"family,omitempty"`
 	// N is the vertex count (both forms).
 	N int `json:"n"`
@@ -53,7 +53,7 @@ type EdgeList [][2]int
 // UnmarshalJSON implements json.Unmarshaler with the edge parser /query's
 // decoder runs on the list in place, so there is one edge-list parser. It
 // checks the syntax of data itself, as well as shape, integer range and
-// length: a list longer than sweep.MaxFamilyEdges, the size limit of every
+// length: a list longer than graph.MaxFamilyEdges, the size limit of every
 // graph, is refused as soon as its next element is read. It never panics
 // on other input. JSON null yields a nil list.
 func (l *EdgeList) UnmarshalJSON(data []byte) error {
@@ -81,7 +81,7 @@ type QueryRequest struct {
 	// no deadline, so a larger k is a 400 before admission.
 	K int `json:"k"`
 	// Eps is the property-testing parameter in (0,1); required for "test"
-	// unless Reps is given. The "far" graph family also reads it.
+	// unless Reps is given. The far graph family also reads it.
 	Eps float64 `json:"eps,omitempty"`
 	// Reps overrides the ⌈(e²/ε)ln3⌉ repetition count (test only).
 	Reps int `json:"reps,omitempty"`
@@ -91,6 +91,8 @@ type QueryRequest struct {
 	Engine string `json:"engine,omitempty"`
 	// Edge is the detector's candidate edge as two node IDs (detect only).
 	Edge *[2]int64 `json:"edge,omitempty"`
+
+	spec graph.Spec // the family graph validate resolved
 }
 
 // QueryResponse reports one query's outcome plus serving metadata.
@@ -112,30 +114,25 @@ type QueryResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// validate runs the request's O(1) checks, so a malformed query is refused
-// before it waits for admission. It defaults Op to OpTest.
+// validate runs the request's checks that need no graph built (core's
+// Validate, and the graph catalog's for a family graph), so a malformed
+// query is refused before it waits for admission. It defaults Op to OpTest.
 func (req *QueryRequest) validate() error {
+	var err error
 	switch req.Op {
 	case "", OpTest:
 		req.Op = OpTest
+		err = (&core.Tester{K: req.K, Eps: req.Eps, Reps: req.Reps}).Validate()
 	case OpDetect:
 		if req.Edge == nil {
 			return fmt.Errorf("serve: op %q needs \"edge\": [u, v]", OpDetect)
 		}
-		if req.Edge[0] == req.Edge[1] {
-			return fmt.Errorf("serve: candidate edge endpoints equal (%d)", req.Edge[0])
-		}
+		err = (&core.EdgeDetector{K: req.K, U: req.Edge[0], V: req.Edge[1]}).Validate()
 	default:
 		return fmt.Errorf("serve: unknown op %q (want %q or %q)", req.Op, OpTest, OpDetect)
 	}
-	if req.K < 3 || req.K > combin.MaxCalibratedK {
-		return fmt.Errorf("serve: k must be in [3, %d], got %d", combin.MaxCalibratedK, req.K)
-	}
-	if req.Op == OpTest && req.Reps <= 0 && (req.Eps <= 0 || req.Eps >= 1) {
-		return fmt.Errorf("serve: eps %v outside (0,1) and no reps given", req.Eps)
-	}
-	if req.Reps < 0 {
-		return fmt.Errorf("serve: negative reps %d", req.Reps)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if req.Engine != "" && network.Engine(req.Engine) != network.EngineBSP {
 		return fmt.Errorf("serve: unknown engine %q", req.Engine)
@@ -145,7 +142,8 @@ func (req *QueryRequest) validate() error {
 	case gr.Family != "" && len(gr.Edges) > 0:
 		return fmt.Errorf("serve: graph gives both a family and explicit edges")
 	case gr.Family != "":
-		return sweep.GraphSpec{Family: gr.Family, N: gr.N, M: gr.M}.Validate()
+		req.spec, err = graph.FamilySpec(gr.Family, gr.N, gr.M, req.K, req.Eps, gr.Seed)
+		return err
 	case len(gr.Edges) == 0:
 		return fmt.Errorf("serve: graph needs a family or an edge list")
 	}
@@ -160,10 +158,7 @@ func (req *QueryRequest) validate() error {
 func (req *QueryRequest) resolve() (key string, build func() (*graph.Graph, error), err error) {
 	gr := req.Graph
 	if gr.Family != "" {
-		gs := sweep.GraphSpec{Family: gr.Family, N: gr.N, M: gr.M}
-		k, eps, seed := req.K, req.Eps, gr.Seed
-		build = func() (*graph.Graph, error) { return sweep.BuildGraph(gs, k, eps, seed) }
-		return sweep.FamilyKey(gs, k, eps, seed), build, nil
+		return req.spec.Key(), req.spec.Build, nil
 	}
 	g, err := buildExplicit(gr.N, gr.Edges)
 	if err != nil {

@@ -6,10 +6,11 @@
 // and examples/sweep are thin front ends over them.
 //
 // Each job's trials run on an exclusive warm network.Instance checked out
-// of a corestore.Store, the one cache of compiled cores, under the graph's
-// FamilyKey. By default a sweep runs on a private store that compiles each
-// distinct graph once for the whole sweep and pools warm instances per
-// graph; a caller may pass its own store instead.
+// of a corestore.Store, the one cache of compiled cores, under the graph
+// catalog's key for its spec (graph.Spec.Key). By default a sweep runs on
+// a private store that compiles each distinct graph once for the whole
+// sweep and pools warm instances per graph; a caller may pass its own
+// store instead.
 //
 // This is the workload the paper makes cheap: each trial costs O(1/ε)
 // CONGEST rounds (Theorem 1), so a sweep's cost is dominated by per-run
@@ -26,13 +27,13 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"time"
 
-	"cycledetect/internal/combin"
 	"cycledetect/internal/core"
 	"cycledetect/internal/corestore"
 	"cycledetect/internal/graph"
@@ -40,96 +41,17 @@ import (
 	"cycledetect/internal/xrand"
 )
 
-// GraphSpec names one graph family instance of the grid.
+// GraphSpec names one graph family instance of the grid, in the graph
+// catalog's JSON form (graph.FamilySpec), which /query shares.
 type GraphSpec struct {
-	// Family is one of "gnm" (connected G(n,m)), "far" (provably ε-far from
-	// Ck-free; depends on the job's k and ε), "tree" (random tree),
-	// "cycle" (C_n), or "complete" (K_n).
+	// Family is one of gnm (connected G(n,m)), far (provably ε-far from
+	// Ck-free; depends on the job's k and ε), tree (random tree), cycle
+	// (C_n), or complete (K_n).
 	Family string `json:"family"`
 	// N is the vertex count.
 	N int `json:"n"`
 	// M is the edge count (gnm only; defaults to 4n).
 	M int `json:"m,omitempty"`
-}
-
-func (gs GraphSpec) String() string {
-	if gs.Family == "gnm" {
-		// Resolve the 4n default so logs and errors name the graph that is
-		// actually built, not "m=0".
-		return fmt.Sprintf("%s(n=%d,m=%d)", gs.Family, gs.N, gs.resolvedM())
-	}
-	return fmt.Sprintf("%s(n=%d)", gs.Family, gs.N)
-}
-
-// resolvedM is the edge count the gnm generator will actually use: M, or
-// the documented 4n default when M is omitted.
-func (gs GraphSpec) resolvedM() int {
-	if gs.M > 0 {
-		return gs.M
-	}
-	return 4 * gs.N
-}
-
-// canonical reduces gs to the fields BuildGraph reads: gnm keeps its
-// resolved edge count, every other family drops M. Specs with equal
-// canonical forms build the same graph from the same seed.
-func (gs GraphSpec) canonical() GraphSpec {
-	if gs.Family == "gnm" {
-		gs.M = gs.resolvedM()
-	} else {
-		gs.M = 0
-	}
-	return gs
-}
-
-// seeded reports whether BuildGraph's output depends on its seed; the cycle
-// and complete families are fixed graphs.
-func (gs GraphSpec) seeded() bool {
-	return gs.Family != "cycle" && gs.Family != "complete"
-}
-
-// MaxFamilyEdges bounds the edge count of a generated graph. A spec names a
-// graph's size in a few bytes, so without a bound one small request could
-// make BuildGraph allocate without limit.
-const MaxFamilyEdges = 1 << 20
-
-// Validate checks that gs names a known family, at least 2 vertices and at
-// most MaxFamilyEdges edges. The edge count is read off the spec, so an
-// oversized graph is refused before anything is built.
-func (gs GraphSpec) Validate() error {
-	switch gs.Family {
-	case "gnm", "far", "tree", "cycle", "complete":
-	default:
-		return fmt.Errorf("sweep: unknown graph family %q", gs.Family)
-	}
-	if gs.N < 2 {
-		return fmt.Errorf("sweep: graph %s needs n >= 2", gs)
-	}
-	// Every family is connected, so n-1 edges is a floor; checking it first
-	// also keeps n(n-1) below overflow in maxEdges.
-	if gs.N-1 > MaxFamilyEdges || gs.maxEdges() > MaxFamilyEdges {
-		return fmt.Errorf("sweep: graph %s exceeds the limit of %d edges", gs, MaxFamilyEdges)
-	}
-	return nil
-}
-
-// maxEdges bounds from above the edge count of the graph BuildGraph builds
-// for gs. Callers have checked that n-1 <= MaxFamilyEdges.
-func (gs GraphSpec) maxEdges() int64 {
-	n := int64(gs.N)
-	switch gs.Family {
-	case "gnm":
-		return int64(gs.resolvedM())
-	case "complete":
-		return n * (n - 1) / 2
-	case "cycle":
-		return n
-	case "tree":
-		return n - 1
-	}
-	// far: q <= n/3 planted k-cycles (qk edges), q-1 connectors, and a
-	// pendant path through the other n-qk vertices: n+q-1 edges.
-	return n + n/3
 }
 
 // Spec is a declarative sweep: the cross product of Graphs × K × Eps ×
@@ -140,8 +62,8 @@ type Spec struct {
 	// Graphs, K, Eps and Engines span the grid. Engines defaults to
 	// ["bsp"], the only engine; Validate refuses any other name, and
 	// Engines stays so specs that spell the engine out keep working.
-	// Combinations that are not runnable (ε ≥ 1/k for the "far"
-	// family, whose construction needs ε < 1/k) are skipped, not errors.
+	// Grid points whose (k, ε) cannot plant their graph (graph.ErrCannotPlant,
+	// such as ε ≥ 1/k for far) are skipped, not errors.
 	Graphs  []GraphSpec `json:"graphs"`
 	K       []int       `json:"k"`
 	Eps     []float64   `json:"eps"`
@@ -220,30 +142,24 @@ type Sink interface {
 	Flush() error
 }
 
-// Validate checks the spec and fills defaults in place.
+// Validate checks the spec against core.Tester.Validate and the graph
+// catalog (graph.FamilySpec), and fills defaults in place.
 func (s *Spec) Validate() error {
-	if len(s.Graphs) == 0 {
+	switch {
+	case len(s.Graphs) == 0:
 		return fmt.Errorf("sweep: no graphs in spec")
-	}
-	for _, gs := range s.Graphs {
-		if err := gs.Validate(); err != nil {
-			return err
-		}
-	}
-	if len(s.K) == 0 {
+	case len(s.K) == 0:
 		return fmt.Errorf("sweep: no k values in spec")
+	case len(s.Eps) == 0:
+		return fmt.Errorf("sweep: no eps values in spec")
+	case s.Trials <= 0:
+		return fmt.Errorf("sweep: trials must be positive, got %d", s.Trials)
 	}
 	for _, k := range s.K {
-		if k < 3 {
-			return fmt.Errorf("sweep: k must be at least 3, got %d", k)
-		}
-	}
-	if len(s.Eps) == 0 {
-		return fmt.Errorf("sweep: no eps values in spec")
-	}
-	for _, e := range s.Eps {
-		if e <= 0 || e >= 1 {
-			return fmt.Errorf("sweep: eps %v outside (0,1)", e)
+		for _, eps := range s.Eps {
+			if err := (&core.Tester{K: k, Eps: eps, Reps: s.Reps}).Validate(); err != nil {
+				return fmt.Errorf("sweep: %w", err)
+			}
 		}
 	}
 	if len(s.Engines) == 0 {
@@ -254,31 +170,14 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sweep: unknown engine %q", e)
 		}
 	}
-	if s.Trials <= 0 {
-		return fmt.Errorf("sweep: trials must be positive, got %d", s.Trials)
-	}
-	if s.Reps < 0 {
-		return fmt.Errorf("sweep: negative reps %d", s.Reps)
-	}
-	return nil
-}
-
-// Warnings reports advisory problems with a valid spec — grid points that
-// will run but whose cost is known to be pathological. Today that is one
-// rule: k above combin.MaxCalibratedK puts the representative selection's
-// exponential hitting-set worst case in play (k=11 on dense graphs takes
-// minutes per trial; see combin.Representatives). Callers print these,
-// they never block a run.
-func (s *Spec) Warnings() []string {
-	var ws []string
-	for _, k := range s.K {
-		if k > combin.MaxCalibratedK {
-			ws = append(ws, fmt.Sprintf(
-				"sweep: k=%d exceeds the calibrated range (k <= %d): representative selection is exponential in q=k-t in the worst case and dense graphs can take minutes per trial (see internal/combin, BenchmarkRepresentatives)",
-				k, combin.MaxCalibratedK))
+	for _, gs := range s.Graphs {
+		// Only a planting refusal depends on the grid point.
+		_, err := graph.FamilySpec(gs.Family, gs.N, gs.M, s.K[0], s.Eps[0], s.Seed)
+		if err != nil && !errors.Is(err, graph.ErrCannotPlant) {
+			return fmt.Errorf("sweep: %w", err)
 		}
 	}
-	return ws
+	return nil
 }
 
 // Jobs expands the grid into runnable jobs, in deterministic order, and
@@ -289,9 +188,9 @@ func (s *Spec) Jobs() (jobs []Job, skipped int) {
 		for _, k := range s.K {
 			for _, eps := range s.Eps {
 				combo++
-				// A non-runnable point counts as ONE skipped grid point
-				// however many engine entries the spec crosses it with.
-				if !runnable(gs, k, eps) {
+				// A point that cannot plant its graph counts as ONE skipped
+				// point however many engine entries the spec crosses it with.
+				if _, err := graph.FamilySpec(gs.Family, gs.N, gs.M, k, eps, s.Seed); err != nil {
 					skipped++
 					continue
 				}
@@ -308,45 +207,23 @@ func (s *Spec) Jobs() (jobs []Job, skipped int) {
 	return jobs, skipped
 }
 
-// runnable filters grid points whose graph cannot be constructed: the
-// ε-far family's feasibility rule lives next to its generator
-// (graph.FarFromCkFreeFeasible, replaying the generator's own packing
-// search — a closed-form approximation here disagreed at exact boundaries).
-// BuildGraph's panic-to-error conversion remains the backstop.
-func runnable(gs GraphSpec, k int, eps float64) bool {
-	if gs.Family != "far" {
-		return true
+// BuildGraph builds the graph gs names at one grid point through the graph
+// catalog (graph.FamilySpec). Outside tests only perfbench calls it, and it
+// goes with ROADMAP item 6.
+func BuildGraph(gs GraphSpec, k int, eps float64, seed uint64) (*graph.Graph, error) {
+	s, err := graph.FamilySpec(gs.Family, gs.N, gs.M, k, eps, seed)
+	if err != nil {
+		return nil, err
 	}
-	return graph.FarFromCkFreeFeasible(gs.N, k, eps)
+	return s.Build()
 }
 
-// BuildGraph constructs the graph a GraphSpec names, deterministically from
-// seed (the same derivation the sweep scheduler uses, so a serving layer
-// that builds the same spec with the same seed caches the identical graph).
-// k and eps matter only to the "far" family and are ignored otherwise.
-// Generator panics (infeasible parameters) are converted to errors so a bad
-// spec fails the caller instead of crashing the process.
-func BuildGraph(gs GraphSpec, k int, eps float64, seed uint64) (g *graph.Graph, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("sweep: building %s: %v", gs, p)
-		}
-	}()
-	rng := xrand.New(xrand.Mix64(seed ^ 0x67726170685f6765)) // "graph_ge" salt: decouple from trial seeds
-	switch gs.Family {
-	case "gnm":
-		return graph.ConnectedGNM(gs.N, gs.resolvedM(), rng), nil
-	case "far":
-		g, _ := graph.FarFromCkFree(gs.N, k, eps, rng)
-		return g, nil
-	case "tree":
-		return graph.RandomTree(gs.N, rng), nil
-	case "cycle":
-		return graph.Cycle(gs.N), nil
-	case "complete":
-		return graph.Complete(gs.N), nil
-	}
-	return nil, fmt.Errorf("sweep: unknown graph family %q", gs.Family)
+// FamilyKey is the cache key of the graph gs names at one grid point
+// (graph.Spec.Key), the key /query caches the same spec under. Outside
+// tests only perfbench calls it, and it goes with ROADMAP item 6.
+func FamilyKey(gs GraphSpec, k int, eps float64, seed uint64) string {
+	s, _ := graph.FamilySpec(gs.Family, gs.N, gs.M, k, eps, seed)
+	return s.Key()
 }
 
 // trialSeed derives the coin-stream seed of one trial. It depends only on
@@ -372,7 +249,7 @@ func Run(spec *Spec, sinks ...Sink) (*Summary, error) {
 // context's cause; context.Canceled for a plain cancellation of ctx).
 //
 // store supplies the compiled cores and warm instances; each job checks one
-// instance out under its graph's FamilyKey, at the store's width, and
+// instance out under its graph's catalog key, at the store's width, and
 // releases it when its trials are done. A nil store means a private
 // corestore.Store that compiles each distinct graph once with the spec's
 // per-message budget, pools instances per graph, runs them at
@@ -499,20 +376,18 @@ func worker(ctx context.Context, spec *Spec, store *corestore.Store,
 		if ctx.Err() != nil {
 			return
 		}
-		key := FamilyKey(job.Graph, job.K, job.Eps, spec.Seed)
-		build := func() (*graph.Graph, error) {
-			return BuildGraph(job.Graph, job.K, job.Eps, spec.Seed)
+		// Jobs kept only the points the catalog accepts.
+		gs, _ := graph.FamilySpec(job.Graph.Family, job.Graph.N, job.Graph.M, job.K, job.Eps, spec.Seed)
+		key := gs.Key()
+		h, _, err := store.Checkout(ctx, key, gs.Build, network.EngineBSP, 0)
+		var r Result
+		if err == nil {
+			r, err = runJob(ctx, h.Inst, spec, job)
+			store.Release(h)
 		}
-		h, _, err := store.Checkout(ctx, key, build, network.EngineBSP, 0)
 		if err != nil {
 			fail(fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s): %w",
-				job.Index, job.Graph, job.K, job.Eps, job.Engine, err))
-			return
-		}
-		r, err := runJob(ctx, h.Inst, spec, job)
-		store.Release(h)
-		if err != nil {
-			fail(err)
+				job.Index, key, job.K, job.Eps, job.Engine, err))
 			return
 		}
 		select {
@@ -537,8 +412,7 @@ func runJob(ctx context.Context, inst *network.Instance, spec *Spec, job Job) (R
 	for t := 0; t < spec.Trials; t++ {
 		res, err := inst.RunProgramCtx(ctx, prog, trialSeed(spec.Seed, job.SeedKey, t))
 		if err != nil {
-			return r, fmt.Errorf("sweep: job %d (%s k=%d eps=%g %s) trial %d: %w",
-				job.Index, job.Graph, job.K, job.Eps, job.Engine, t, err)
+			return r, fmt.Errorf("trial %d: %w", t, err)
 		}
 		dec := core.Summarize(res.Outputs, res.IDs)
 		if dec.Reject {

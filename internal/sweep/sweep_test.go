@@ -12,6 +12,7 @@ import (
 
 	"cycledetect/internal/core"
 	"cycledetect/internal/corestore"
+	"cycledetect/internal/graph"
 	"cycledetect/internal/network"
 )
 
@@ -186,9 +187,13 @@ func TestSpecValidation(t *testing.T) {
 	}{
 		{"no graphs", func(s *Spec) { s.Graphs = nil }, "no graphs"},
 		{"bad family", func(s *Spec) { s.Graphs[0].Family = "petersen" }, "unknown graph family"},
-		{"tiny n", func(s *Spec) { s.Graphs[0].N = 1 }, "n >= 2"},
+		{"tiny n", func(s *Spec) { s.Graphs[0].N = 1 }, "far/n=1/seed=7/k=3/eps=0.25 is below the family's least arguments [3 0]"},
 		{"no k", func(s *Spec) { s.K = nil }, "no k values"},
-		{"k too small", func(s *Spec) { s.K = []int{2} }, "k must be at least 3"},
+		{"k too small", func(s *Spec) { s.K = []int{2} }, "k must be in [3, 9], got 2"},
+		// Past the calibrated range the representative selection is
+		// exponential and polls no deadline: refused, as /query refuses it.
+		{"k past the calibrated range", func(s *Spec) { s.K = []int{5, 11} }, "k must be in [3, 9], got 11"},
+		{"negative reps", func(s *Spec) { s.Reps = -1 }, "negative reps -1"},
 		{"no eps", func(s *Spec) { s.Eps = nil }, "no eps"},
 		{"eps range", func(s *Spec) { s.Eps = []float64{1.5} }, "outside (0,1)"},
 		{"bad engine", func(s *Spec) { s.Engines = []string{"quantum"} }, "unknown engine"},
@@ -197,8 +202,12 @@ func TestSpecValidation(t *testing.T) {
 		// Family graphs are bounded before they are built: 1449 vertices
 		// make a complete graph of 1,049,076 edges, just over the limit.
 		{"complete over the edge limit", func(s *Spec) { s.Graphs[0] = GraphSpec{Family: "complete", N: 1449} }, "limit of 1048576 edges"},
-		{"gnm over the edge limit", func(s *Spec) { s.Graphs[0] = GraphSpec{Family: "gnm", N: 2048, M: MaxFamilyEdges + 1} }, "limit of 1048576 edges"},
+		{"gnm over the edge limit", func(s *Spec) { s.Graphs[0] = GraphSpec{Family: "gnm", N: 2048, M: graph.MaxFamilyEdges + 1} }, "limit of 1048576 edges"},
 		{"tree over the edge limit", func(s *Spec) { s.Graphs[0] = GraphSpec{Family: "tree", N: 1 << 40} }, "limit of 1048576 edges"},
+		// A gnm the generator cannot build is refused before the first job,
+		// not at the job that would build it.
+		{"gnm with more edges than K_n", func(s *Spec) { s.Graphs[1] = GraphSpec{Family: "gnm", N: 10, M: 100} }, "n-1 <= m <= n(n-1)/2 = 45"},
+		{"gnm too sparse to connect", func(s *Spec) { s.Graphs[1] = GraphSpec{Family: "gnm", N: 100, M: 5} }, "n-1 <= m <= n(n-1)/2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,12 +223,12 @@ func TestSpecValidation(t *testing.T) {
 	// Graphs at or just under the edge limit still validate.
 	for _, gs := range []GraphSpec{
 		{Family: "complete", N: 1448},
-		{Family: "gnm", N: 2048, M: MaxFamilyEdges},
-		{Family: "tree", N: MaxFamilyEdges + 1},
-		{Family: "cycle", N: MaxFamilyEdges},
+		{Family: "gnm", N: 2048, M: graph.MaxFamilyEdges},
+		{Family: "tree", N: graph.MaxFamilyEdges + 1},
+		{Family: "cycle", N: graph.MaxFamilyEdges},
 	} {
-		if err := gs.Validate(); err != nil {
-			t.Errorf("%s: %v", gs, err)
+		if _, err := graph.FamilySpec(gs.Family, gs.N, gs.M, 5, 0.1, 1); err != nil {
+			t.Errorf("%+v: %v", gs, err)
 		}
 	}
 }
@@ -285,16 +294,17 @@ func TestCSVSinkStreamsIncrementally(t *testing.T) {
 
 // TestGraphSpecStringResolvesDefaultM: the gnm default (m = 4n) must be
 // resolved before formatting, so logs and error messages name the graph
-// that is actually built instead of "m=0".
+// that is actually built, by its catalog key, instead of "m=0".
 func TestGraphSpecStringResolvesDefaultM(t *testing.T) {
 	cases := map[string]GraphSpec{
-		"gnm(n=128,m=512)": {Family: "gnm", N: 128},
-		"gnm(n=128,m=300)": {Family: "gnm", N: 128, M: 300},
-		"tree(n=9)":        {Family: "tree", N: 9},
+		"gnm/n=128/m=512/seed=1":       {Family: "gnm", N: 128},
+		"gnm/n=128/m=300/seed=1":       {Family: "gnm", N: 128, M: 300},
+		"tree/n=9/seed=1":              {Family: "tree", N: 9, M: 40},
+		"far/n=90/seed=1/k=5/eps=0.05": {Family: "far", N: 90},
 	}
 	for want, gs := range cases {
-		if got := gs.String(); got != want {
-			t.Errorf("%+v.String() = %q, want %q", gs, got, want)
+		if got := FamilyKey(gs, 5, 0.05, 1); got != want {
+			t.Errorf("%+v: key %q, want %q", gs, got, want)
 		}
 	}
 }
@@ -477,23 +487,5 @@ func TestStandaloneBandwidthBudget(t *testing.T) {
 	wide.BandwidthBits = 1 << 20
 	if got, want := collect(t, wide), collect(t, demoSpec()); !reflect.DeepEqual(stripElapsed(got), stripElapsed(want)) {
 		t.Fatal("a budget no message reaches changed the rows")
-	}
-}
-
-// TestWarningsSurfaceOnBigK pins the combin q-cap advisory: a spec with k
-// past the calibrated range validates but warns, naming the k.
-func TestWarningsSurfaceOnBigK(t *testing.T) {
-	spec := Spec{
-		Graphs: []GraphSpec{{Family: "cycle", N: 16}},
-		K:      []int{5, 11},
-		Eps:    []float64{0.2},
-		Trials: 1,
-	}
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ws := spec.Warnings()
-	if len(ws) != 1 || !strings.Contains(ws[0], "k=11") {
-		t.Fatalf("warnings: %v", ws)
 	}
 }

@@ -13,11 +13,11 @@ type CycleProfile struct {
 }
 
 // ProfileCycles runs the tester for every k in [3, kmax] and reports which
-// cycle lengths were found. It is the natural "what short cycles does my
-// network contain?" probe: a rejected k exhibits a real Ck (1-sidedness),
-// while an accepted k means the graph is Ck-free OR not Epsilon-far from
-// Ck-free — acceptance is evidence of scarcity, not a certificate of
-// absence.
+// cycle lengths were found; kmax, like Options.K, is at most 9. It is the
+// natural "what short cycles does my network contain?" probe: a rejected k
+// exhibits a real Ck (1-sidedness), while an accepted k means the graph is
+// Ck-free OR not Epsilon-far from Ck-free — acceptance is evidence of
+// scarcity, not a certificate of absence.
 //
 // The runs are independent; total rounds are the sum over k, still
 // independent of the network size. Internally the probe compiles the
@@ -26,12 +26,8 @@ type CycleProfile struct {
 // per-k Test calls, without re-paying topology and engine construction
 // kmax−2 times).
 func ProfileCycles(g *Graph, kmax int, opts Options) ([]CycleProfile, error) {
-	if kmax < 3 {
-		return nil, fmt.Errorf("cycledetect: kmax must be at least 3, got %d", kmax)
-	}
-	probe := opts
-	probe.K = kmax
-	if err := validate(g, &probe, true); err != nil {
+	// kmax is the largest k run, so its tester stands for every k.
+	if err := validate(g, &core.Tester{K: kmax, Eps: opts.Epsilon, Reps: opts.Reps}); err != nil {
 		return nil, err
 	}
 	nw, err := opts.instance(g)
@@ -55,10 +51,11 @@ func ProfileCycles(g *Graph, kmax int, opts Options) ([]CycleProfile, error) {
 	return profiles, nil
 }
 
-// GirthUpperBound runs ProfileCycles and returns the smallest k whose tester
-// rejected — a certified upper bound on the girth (the witness cycle is
-// real). The boolean is false if no cycle of length ≤ kmax was found, which
-// does NOT certify girth > kmax (the tester may accept non-far instances).
+// GirthUpperBound runs ProfileCycles (so kmax is at most 9) and returns the
+// smallest k whose tester rejected — a certified upper bound on the girth
+// (the witness cycle is real). The boolean is false if no cycle of length
+// ≤ kmax was found, which does NOT certify girth > kmax (the tester may
+// accept non-far instances).
 func GirthUpperBound(g *Graph, kmax int, opts Options) (int, bool, error) {
 	profiles, err := ProfileCycles(g, kmax, opts)
 	if err != nil {
